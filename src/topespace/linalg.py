@@ -8,6 +8,7 @@ floating point is used anywhere in this package.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -229,7 +230,8 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if not a:
         return []
     n = len(b)
-    assert all(len(row) == n for row in a)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"mat_mul shape mismatch: the right factor has {n} rows")
     cols = len(b[0]) if b else 0
     out = []
     for row in a:
@@ -354,7 +356,10 @@ def smith_normal_form(a: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatr
             if prod[i][j] != want:
                 raise AssertionError("smith normal form transform verification failed")
     for k in range(1, len(diag)):
-        assert diag[k] % diag[k - 1] == 0
+        if diag[k] % diag[k - 1]:
+            raise RuntimeError(
+                f"smith normal form divisibility chain broken: {diag[k - 1]} does not divide {diag[k]}"
+            )
     return diag, U, V
 
 
@@ -530,45 +535,47 @@ def solve_diophantine(a: IntMatrix, b: list[int]) -> Optional[list[int]]:
         if c[i]:
             return None
     x = mat_vec(V, y)
-    assert mat_vec(a, x) == b
+    if mat_vec(a, x) != b:
+        raise RuntimeError("solve_diophantine back-substitution check failed: a·x != b")
     return x
 
 
 def snf_diagonal_sparse(entries: dict[tuple[int, int], int], nrows: int, ncols: int) -> list[int]:
-    """Invariant factors of a sparse integer matrix given as {(i, j): value}.
+    """Invariant factors of a sparse integer nrows x ncols matrix given as {(i, j): value}.
 
     Entries of absolute value one are eliminated structurally (rows and
     columns removed as they are used); whatever survives without a unit pivot
     is handed to the dense routine.  Intended for simplicial boundary
     matrices, whose entries are 0 and +-1.
+
+    Pivots follow Markowitz order: the sparsest column that holds a unit, and
+    in it the unit in the shortest row (lowest row index on ties).  Columns
+    sit in a lazy min-heap keyed by their entry count (Dumas, Saunders &
+    Villard, JSC 2001), so no pivot search rescans the whole matrix.
     """
     rows: dict[int, dict[int, int]] = defaultdict(dict)
     cols: dict[int, set[int]] = defaultdict(set)
     for (i, j), v in entries.items():
+        if not (0 <= i < nrows and 0 <= j < ncols):
+            raise ValueError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
         if v:
             rows[i][j] = v
             cols[j].add(i)
+    # (count, column) pairs; one is stale once its column is gone or has a
+    # different count.  A column popped without a unit is not pushed again
+    # until fill-in changes it, since only then can it gain a unit.
+    heap = [(len(members), j) for j, members in cols.items()]
+    heapq.heapify(heap)
     n_units = 0
-    while True:
-        pivot = None
-        best_fill = None
-        # Markowitz-lite: among unit entries, prefer a sparse row/column pair.
-        for j, members in cols.items():
-            cf = len(members)
-            for i in members:
-                v = rows[i][j]
-                if v in (1, -1):
-                    fill = (len(rows[i]) - 1) * (cf - 1)
-                    if best_fill is None or fill < best_fill:
-                        best_fill = fill
-                        pivot = (i, j)
-                    if fill == 0:
-                        break
-            if best_fill == 0:
-                break
-        if pivot is None:
-            break
-        i, j = pivot
+    while heap:
+        count, j = heapq.heappop(heap)
+        members = cols.get(j)
+        if members is None or len(members) != count:
+            continue
+        units = [i for i in members if rows[i][j] in (1, -1)]
+        if not units:
+            continue
+        i = min(units, key=lambda r: (len(rows[r]), r))
         v = rows[i][j]
         prow = rows.pop(i)
         for jj in prow:
@@ -593,6 +600,11 @@ def snf_diagonal_sparse(entries: dict[tuple[int, int], int], nrows: int, ncols: 
                 rows.pop(i2)
         cols.pop(j, None)
         n_units += 1
+        # only the pivot row's columns changed
+        for jj in prow:
+            members = cols.get(jj)
+            if members:
+                heapq.heappush(heap, (len(members), jj))
     diag = [1] * n_units
     if rows:
         rindex = {i: k for k, i in enumerate(sorted(rows))}

@@ -8,6 +8,8 @@ from math import gcd
 
 import pytest
 
+from topespace import linalg
+from topespace.corpus import load
 from topespace.linalg import (
     GF2Matrix,
     GF2Solver,
@@ -29,6 +31,7 @@ from topespace.linalg import (
     snf_diagonal_sparse,
     solve_diophantine,
 )
+from topespace.salvetti import get_fine
 
 
 def brute_kernel_gf2(rows, ncols):
@@ -276,6 +279,73 @@ def test_snf_diagonal_sparse_matches_dense():
         a = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(n)] for _ in range(m)]
         entries = {(i, j): a[i][j] for i in range(m) for j in range(n) if a[i][j]}
         assert snf_diagonal_sparse(entries, m, n) == list(smith_normal_form(a)[0])
+
+
+def sparse_entries(a):
+    return {(i, j): v for i, row in enumerate(a) for j, v in enumerate(row) if v}
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Shapes of the remainders snf_diagonal_sparse hands to the dense routine."""
+    shapes = []
+
+    def counting(a):
+        shapes.append((len(a), len(a[0])))
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counting)
+    return shapes
+
+
+def test_snf_diagonal_sparse_random_differential(dense_calls):
+    # At most two entries per row: the dense oracle's entries can grow without
+    # bound on denser matrices of this size, so they would not finish.
+    rng = random.Random(41)
+    remainders = 0
+    for _ in range(80):
+        m, n = rng.randint(1, 30), rng.randint(1, 30)
+        a = [[0] * n for _ in range(m)]
+        for row in a:
+            for _ in range(rng.choice((1, 2))):
+                row[rng.randrange(n)] = rng.choice((0, 1, -1, 2, -2, 3))
+        before = len(dense_calls)
+        assert snf_diagonal_sparse(sparse_entries(a), m, n) == list(smith_normal_form(a)[0])
+        remainders += len(dense_calls) > before
+    # both paths ran: unit elimination alone, and with a dense remainder
+    assert 0 < remainders < 80
+
+
+@pytest.mark.parametrize("a", [[[1, 2], [1, 3]], [[2, 1], [3, 1]]])
+def test_snf_diagonal_sparse_finds_units_made_by_fill_in(dense_calls, a):
+    # The column of 2 and 3 holds a unit only after the other column is
+    # eliminated; in the second matrix it is popped, and dropped, first.
+    assert snf_diagonal_sparse(sparse_entries(a), 2, 2) == list(smith_normal_form(a)[0]) == [1, 1]
+    assert dense_calls == []
+
+
+@pytest.mark.parametrize("name", ["u22", "u23"])
+def test_snf_diagonal_sparse_fine_boundaries(dense_calls, name):
+    fine = get_fine(load(name))
+    for p in range(1, fine.sal.dim + 1):
+        entries = fine.boundary_entries(p)
+        nrows, ncols = fine.n_simplices(p - 1), fine.n_simplices(p)
+        a = [[0] * ncols for _ in range(nrows)]
+        for (i, j), v in entries.items():
+            a[i][j] = v
+        assert snf_diagonal_sparse(entries, nrows, ncols) == list(smith_normal_form(a)[0])
+    assert dense_calls == []
+
+
+@pytest.mark.parametrize("key", [(2, 0), (0, 3), (-1, 0), (0, -1)])
+def test_snf_diagonal_sparse_rejects_entries_outside_shape(key):
+    with pytest.raises(ValueError, match="outside a 2x3 matrix"):
+        snf_diagonal_sparse({(0, 0): 1, key: 1}, 2, 3)
+
+
+def test_mat_mul_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mat_mul([[1]], [[1], [2]])
 
 
 def test_mask_helpers():
