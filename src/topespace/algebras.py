@@ -284,12 +284,18 @@ def cordovil_relation_rows(m: OrientedMatroid, p: int) -> list[list[int]]:
 
 
 def cordovil_dual(m: OrientedMatroid, p: int) -> LatticeZ:
-    """Degree-p annihilator of the circuit relations in the square-free ring."""
-    dim = len(subset_index(m.n, p))
-    rows = cordovil_relation_rows(m, p)
-    if not rows:
-        return LatticeZ.full(dim)
-    return LatticeZ.from_generators(dim, int_kernel(rows))
+    """Degree-p annihilator of the circuit relations in the square-free ring.
+
+    Cached per matroid and degree; `LatticeZ` is frozen, so every caller may
+    share the one result.
+    """
+    key = ("cordovil_dual", p)
+    if key not in m._cache:
+        dim = len(subset_index(m.n, p))
+        rows = cordovil_relation_rows(m, p)
+        m._cache[key] = (LatticeZ.from_generators(dim, int_kernel(rows)) if rows
+                         else LatticeZ.full(dim))
+    return m._cache[key]
 
 
 # ---------------------------------------------------------------------------

@@ -197,9 +197,8 @@ def verify_checks(m: OrientedMatroid, which: str, target: str,
     return out
 
 
-def _corpus_worker(payload: tuple[str, Optional[tuple[int, ...]]]) -> list[dict]:
-    name, order = payload
-    return verify_checks(load(name), "all", name, order)
+def _corpus_worker(name: str) -> list[dict]:
+    return verify_checks(load(name), "all", name)
 
 
 def _emit(checks: list[dict], json_path: Optional[str]) -> int:
@@ -231,13 +230,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_ver.add_argument("input", help="builtin corpus name or input file")
     p_ver.add_argument("which", choices=VERIFY_TARGETS + ("all",))
     p_ver.add_argument("--order", help="element order as comma-separated indices")
-    p_ver.add_argument("--ring", choices=("z", "z2"), default="z")
     p_ver.add_argument("--p", type=int, dest="p", help="restrict to one degree")
     p_ver.add_argument("--json", dest="json_path", help="write the JSON report here")
 
     p_cor = sub.add_parser("corpus", help="verify every builtin corpus member")
     p_cor.add_argument("--jobs", type=int, default=1)
-    p_cor.add_argument("--order", help="element order as comma-separated indices")
     p_cor.add_argument("--json", dest="json_path", help="write the JSON report here")
 
     args = parser.parse_args(argv)
@@ -251,13 +248,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             order = _parse_order(args.order, m.n)
             checks = verify_checks(m, args.which, target, order, args.p)
         else:
-            payloads = [(name, _parse_order(args.order, load(name).n))
-                        for name in names()]
             if args.jobs > 1:
                 with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    results = list(pool.map(_corpus_worker, payloads))
+                    results = list(pool.map(_corpus_worker, names()))
             else:
-                results = [_corpus_worker(pl) for pl in payloads]
+                results = [_corpus_worker(name) for name in names()]
             checks = [c for group in results for c in group]
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -260,7 +260,8 @@ def flag_lift(m: OrientedMatroid, flag: Flag, g: Flag) -> Flag:
         for gf in g.flats:
             chain.append((gf & block) | lo)
     lifted = make_flag(m, list(dict.fromkeys(chain)))
-    assert is_complete_flag(m, lifted)
+    if not is_complete_flag(m, lifted):
+        raise RuntimeError("lifted flag is not a complete flag of the matroid")
     return lifted
 
 
@@ -397,7 +398,8 @@ def impossibility_check(m: OrientedMatroid) -> ImpossibilityReport:
 
     for row2 in vg_lower(m, 2).basis:
         coeffs = lower.coords_of(list(row2))
-        assert coeffs is not None
+        if coeffs is None:
+            raise RuntimeError("degree-2 lower piece is not inside the degree-1 piece")
         for j in range(n):
             add_constraint(coeffs, j, None)
 
@@ -409,7 +411,10 @@ def impossibility_check(m: OrientedMatroid) -> ImpossibilityReport:
         for brow in vg_lower(mf, 1).basis:
             pushed = mat_vec(sign, list(brow))
             coeffs = lower.coords_of(pushed)
-            assert coeffs is not None
+            if coeffs is None:
+                raise RuntimeError(
+                    "stalk map does not carry the stalk's degree-1 piece into the degree-1 piece"
+                )
             for part in (f, m.full_mask & ~f):
                 coords = list(bits_of(part))
                 for a, b in zip(coords, coords[1:]):

@@ -507,7 +507,8 @@ def brick(m: OrientedMatroid, flag: Flag, v: SignVector, p: int, ring: str = "z"
                 minus ^= blocks[k]
         u = m.tope_from_minus(minus)
         d, bit = sal.cell_bit(l, u)
-        assert d == p
+        if d != p:
+            raise RuntimeError(f"brick cell has dimension {d}, not the degree {p}")
         coeffs[bit.bit_length() - 1] += -1 if bitspat.bit_count() & 1 else 1
         mask ^= bit
     if ring == "z":

@@ -27,13 +27,16 @@ def mask_from_bits(bits: Iterable[int]) -> int:
 
 
 def bits_of(mask: int) -> list[int]:
+    """Set bit positions of a nonnegative mask, ascending.
+
+    Clears the lowest set bit each step (`low = x & -x`): one big-int step
+    per set bit, where shifting through the mask took one per bit position.
+    """
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -223,7 +223,9 @@ class OrientedMatroid:
         for f in self.flats:
             if subset & ~f == 0:
                 out &= f
-        assert out in self.flats
+        if out not in self.flats:
+            raise RuntimeError("flats are not closed under intersection: "
+                               "the closure of a subset is not a flat")
         return out
 
     def subset_rank(self, subset: int) -> int:
@@ -520,7 +522,8 @@ def om_from_arrangement(arr: Arrangement) -> OrientedMatroid:
             if any(x):
                 found = x
                 break
-        assert found is not None, "corank-one flat without a normal direction"
+        if found is None:
+            raise RuntimeError("corank-one flat without a normal direction")
         plus = minus = 0
         for i in range(n):
             s = dot(found, normals[i])
@@ -529,7 +532,8 @@ def om_from_arrangement(arr: Arrangement) -> OrientedMatroid:
             elif s < 0:
                 minus |= 1 << i
         sv = SignVector(n, plus, minus)
-        assert sv.zero_set == flat, "cocircuit support does not match its flat"
+        if sv.zero_set != flat:
+            raise RuntimeError("cocircuit zero set does not match its flat")
         cocircuits.add(sv)
         cocircuits.add(sv.negate())
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .linalg import SubspaceGF2, gf2_rref, snf_diagonal_sparse
+from .linalg import SubspaceGF2, bits_of, gf2_rref, parity, snf_diagonal_sparse
 from .om import OrientedMatroid, SignVector, compose
 
 CellKey = tuple[SignVector, SignVector]
@@ -66,12 +66,8 @@ class SalvettiComplex:
     def boundary_of(self, d: int, chain: int) -> int:
         masks = self.boundary_masks(d)
         out = 0
-        i = 0
-        while chain:
-            if chain & 1:
-                out ^= masks[i]
-            chain >>= 1
-            i += 1
+        for i in bits_of(chain):
+            out ^= masks[i]
         return out
 
     def conj_cell(self, key: CellKey) -> CellKey:
@@ -87,12 +83,8 @@ class SalvettiComplex:
     def conj_chain(self, d: int, chain: int) -> int:
         perm = self.conj_perm(d)
         out = 0
-        i = 0
-        while chain:
-            if chain & 1:
-                out |= 1 << perm[i]
-            chain >>= 1
-            i += 1
+        for i in bits_of(chain):
+            out |= 1 << perm[i]
         return out
 
     def vertex_of_tope(self, t: SignVector) -> int:
@@ -199,12 +191,8 @@ class FineComplex:
     def boundary_of(self, p: int, chain: int) -> int:
         masks = self.boundary_masks(p)
         out = 0
-        i = 0
-        while chain:
-            if chain & 1:
-                out ^= masks[i]
-            chain >>= 1
-            i += 1
+        for i in bits_of(chain):
+            out ^= masks[i]
         return out
 
     def coarse_to_fine(self, d: int, chain: int) -> int:
@@ -216,14 +204,10 @@ class FineComplex:
         key = ("c2f", d)
         cache = self.sal.m._cache.setdefault(key, {})
         out = 0
-        i = 0
-        while chain:
-            if chain & 1:
-                if i not in cache:
-                    cache[i] = self._subdivide_cell(d, i)
-                out ^= cache[i]
-            chain >>= 1
-            i += 1
+        for i in bits_of(chain):
+            if i not in cache:
+                cache[i] = self._subdivide_cell(d, i)
+            out ^= cache[i]
         return out
 
     def _subdivide_cell(self, d: int, i: int) -> int:
@@ -273,42 +257,60 @@ def get_fine(m: OrientedMatroid) -> FineComplex:
     return m._cache["fine"]
 
 
+def _cochain_masks(fine: FineComplex, p: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Masks over the fine p-simplices, per position j in the simplex and
+    ground element e: `positive[j][e]` where L_j is positive at e, and
+    `zero_pos[j][e]` where L_j is zero and T_j positive at e.
+
+    One pass over the simplices groups them by the cell at each position;
+    each cell's mask then goes to the elements named by its sign masks.
+    """
+    key = ("bz_masks", p)
+    cache = fine.sal.m._cache
+    if key not in cache:
+        n = fine.sal.m.n
+        at: list[dict[int, int]] = [{} for _ in range(p + 1)]
+        for i, simplex in enumerate(fine.simplices[p]):
+            bit = 1 << i
+            for j, el in enumerate(simplex):
+                at[j][el] = at[j].get(el, 0) | bit
+        positive = [[0] * n for _ in range(p + 1)]
+        zero_pos = [[0] * n for _ in range(p + 1)]
+        for j in range(p + 1):
+            for el, mask in at[j].items():
+                l, t = fine.elements[el]
+                for e in bits_of(l.plus):
+                    positive[j][e] |= mask
+                for e in bits_of(t.plus & ~l.support):
+                    zero_pos[j][e] |= mask
+        cache[key] = (positive, zero_pos)
+    return cache[key]
+
+
 def bz_cochain_eval(fine: FineComplex, s: Iterable[int], p: int, chain: int) -> int:
     """Evaluate the cochain indexed by a p-subset of the ground set.
 
     On a p-simplex with ascending cells (L_0,T_0) < ... < (L_p,T_p) and the
     subset ordered decreasingly as i_1 > ... > i_p, the value is 1 when every
     L_s is positive at i_t for s < t, and zero at i_t with T_s positive there
-    for s >= t; the result is the mod-2 sum over the chain.
+    for s >= t; the result is the mod-2 sum over the chain.  The cochain is
+    the AND of p*(p+1) masks from `_cochain_masks`, cached per (p, subset).
     """
-    ss = sorted(set(s), reverse=True)
+    ss = tuple(sorted(set(s), reverse=True))
     if len(ss) != p:
         raise ValueError("subset size must match the degree")
-    total = 0
-    i = 0
-    work = chain
-    while work:
-        if work & 1:
-            simplex = fine.simplices[p][i]
-            good = True
-            for t_pos, e in enumerate(ss, start=1):
-                for s_pos in range(p + 1):
-                    l, t = fine.elements[simplex[s_pos]]
-                    if s_pos < t_pos:
-                        if l.sign(e) != 1:
-                            good = False
-                            break
-                    else:
-                        if l.sign(e) != 0 or t.sign(e) != 1:
-                            good = False
-                            break
-                if not good:
-                    break
-            if good:
-                total ^= 1
-        work >>= 1
-        i += 1
-    return total
+    if ss and (ss[-1] < 0 or ss[0] >= fine.sal.m.n):
+        raise ValueError("subset element outside the ground set")
+    key = ("bz_cochain", p, ss)
+    cache = fine.sal.m._cache
+    if key not in cache:
+        positive, zero_pos = _cochain_masks(fine, p)
+        cochain = (1 << fine.n_simplices(p)) - 1
+        for t_pos, e in enumerate(ss, start=1):
+            for s_pos in range(p + 1):
+                cochain &= positive[s_pos][e] if s_pos < t_pos else zero_pos[s_pos][e]
+        cache[key] = cochain
+    return parity(cache[key] & chain)
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +349,8 @@ class Mod2Homology:
         if d == 0:
             return True
         out = 0
-        i = 0
-        work = chain
-        while work:
-            if work & 1:
-                out ^= self.boundaries[d][i]
-            work >>= 1
-            i += 1
+        for i in bits_of(chain):
+            out ^= self.boundaries[d][i]
         return out == 0
 
     def class_of(self, d: int, chain: int) -> int:

@@ -24,7 +24,14 @@ from topespace.algebras import (
 )
 from topespace.corpus import CORPUS, load, names
 from topespace.linalg import LatticeZ, bits_of, int_kernel, lattice_equal, mask_from_bits
-from topespace.om import SignVector, enumerate_flags, make_flag, tope_flag_set
+from topespace.om import (
+    Arrangement,
+    SignVector,
+    enumerate_flags,
+    make_flag,
+    om_from_arrangement,
+    tope_flag_set,
+)
 
 
 def sv(s: str) -> SignVector:
@@ -197,6 +204,20 @@ def test_cordovil_relation_rows_u23():
     # degree-3 rows kill the single monomial one element at a time
     rows3 = cordovil_relation_rows(load("u23"), 3)
     assert sorted(rows3) == [[-1], [1], [1]]
+
+
+@pytest.mark.parametrize("name", ["u34", "a3"])
+def test_cordovil_dual_cached_per_matroid_and_degree(name):
+    m = load(name)
+    fresh = om_from_arrangement(Arrangement(CORPUS[name].normals))
+    for p in range(m.rank + 1):
+        lat = cordovil_dual(m, p)
+        assert cordovil_dual(m, p) is lat
+        dim = len(subset_index(m.n, p))
+        rows = cordovil_relation_rows(fresh, p)
+        # int_kernel of no rows has no columns to read the dimension from
+        expected = LatticeZ.from_generators(dim, int_kernel(rows)) if rows else LatticeZ.full(dim)
+        assert lattice_equal(lat, expected)
 
 
 def test_cordovil_rank_equals_nbc_count_and_saturated():

@@ -153,6 +153,17 @@ def test_verify_bad_order(capsys):
     assert "permutation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "u23", "thmA", "--ring", "z"],
+    ["corpus", "--order", "0,1,2"],
+])
+def test_removed_options_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_failure_sets_exit_code(tmp_path, monkeypatch, capsys):
     class Forced:
         ok = False

@@ -186,6 +186,14 @@ def test_closure_and_subset_rank():
     assert m.subset_rank(mask(0, 2)) == 2
 
 
+def test_closure_raises_when_flats_miss_an_intersection():
+    # unvalidated: zero sets {0,1} and {1,2} are flats, their meet {1} is not
+    topes = [sv("".join(t)) for t in product("+-", repeat=3)]
+    m = OrientedMatroid(topes + [sv("000"), sv("00+"), sv("+00")])
+    with pytest.raises(RuntimeError, match="closed under intersection"):
+        m.closure(mask(1))
+
+
 def test_rejects_loops_and_non_topes():
     with pytest.raises(NotCovectors):
         OrientedMatroid([sv("00"), sv("+0"), sv("-0")])  # element 1 is a loop
