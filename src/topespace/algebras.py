@@ -142,10 +142,6 @@ def nbc_flag(m: OrientedMatroid, s: Sequence[int], order: Optional[Sequence[int]
 # exterior and square-free coordinates
 
 
-def p_subsets(n: int, p: int) -> list[tuple[int, ...]]:
-    return list(combinations(range(n), p))
-
-
 def subset_index(n: int, p: int) -> dict:
     return {s: i for i, s in enumerate(combinations(range(n), p))}
 
@@ -223,31 +219,6 @@ def rank_graded_chains(m: OrientedMatroid, p: int) -> list[tuple[int, ...]]:
     return chains
 
 
-def os_dual(m: OrientedMatroid, p: int, ring: str = "z"):
-    """Span of the block wedges e_{F_1} ^ e_{F_2-F_1} ^ ... over rank-graded
-    chains of flats, as a lattice (ring="z") or GF(2) subspace (ring="z2")."""
-    index = subset_index(m.n, p)
-    dim = len(index)
-    gens = []
-    for chain in rank_graded_chains(m, p):
-        blocks = []
-        below = 0
-        for f in chain:
-            blocks.append(f & ~below)
-            below = f
-        row = [0] * dim
-        for s, c in wedge_masks(blocks, m.n).items():
-            row[index[s]] = c
-        gens.append(row)
-    if ring == "z":
-        return LatticeZ.from_generators(dim, gens)
-    if ring == "z2":
-        return SubspaceGF2.from_generators(
-            dim, [mask_from_bits(i for i, x in enumerate(row) if x & 1) for row in gens]
-        )
-    raise ValueError(f"unknown ring {ring!r}")
-
-
 # ---------------------------------------------------------------------------
 # Cordovil dual
 
@@ -289,13 +260,13 @@ def cordovil_dual(m: OrientedMatroid, p: int) -> LatticeZ:
     Cached per matroid and degree; `LatticeZ` is frozen, so every caller may
     share the one result.
     """
-    key = ("cordovil_dual", p)
-    if key not in m._cache:
+
+    def build():
         dim = len(subset_index(m.n, p))
         rows = cordovil_relation_rows(m, p)
-        m._cache[key] = (LatticeZ.from_generators(dim, int_kernel(rows)) if rows
-                         else LatticeZ.full(dim))
-    return m._cache[key]
+        return LatticeZ.from_generators(dim, int_kernel(rows)) if rows else LatticeZ.full(dim)
+
+    return m.memo(("cordovil_dual", p), build)
 
 
 # ---------------------------------------------------------------------------

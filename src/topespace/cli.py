@@ -32,7 +32,6 @@ from .om import (
     NotCovectors,
     OrientedMatroid,
     ParseError,
-    check_covector_axioms,
     om_from_arrangement,
     om_from_covectors,
     parse_arrangement,
@@ -69,15 +68,7 @@ def resolve_input(spec: str) -> tuple[str, OrientedMatroid]:
         if len(first.split()) > 1:
             m = om_from_arrangement(parse_arrangement(text))
         else:
-            vectors = parse_covector_lines(text)
-            report = check_covector_axioms(vectors)
-            if not report.ok:
-                msg = f"covector axioms fail ({report.axiom})"
-                if report.witness:
-                    witness = " ".join(v.to_str() for v in report.witness)
-                    msg += f" witness: {witness}"
-                raise InputError(msg)
-            m = om_from_covectors(vectors)
+            m = om_from_covectors(parse_covector_lines(text))
     except (ParseError, NotCovectors) as e:
         raise InputError(str(e)) from None
     return spec, m

@@ -28,7 +28,7 @@ from .om import (
     Flag,
     OrientedMatroid,
     enumerate_flags,
-    initial_matroid,
+    initial_covectors,
     is_complete_flag,
     make_flag,
 )
@@ -57,12 +57,10 @@ class FanCone:
 
 def fan_cones(m: OrientedMatroid) -> list[FanCone]:
     """One cone per flag of proper flats; the flag is the key of the cone."""
-    if "fan_cones" not in m._cache:
-        m._cache["fan_cones"] = [
-            FanCone(f, f.interior, m.full_mask)
-            for f in enumerate_flags(m, complete=False)
-        ]
-    return m._cache["fan_cones"]
+    return m.memo("fan_cones", lambda: [
+        FanCone(f, f.interior, m.full_mask)
+        for f in enumerate_flags(m, complete=False)
+    ])
 
 
 def cone_of(m: OrientedMatroid, flag: Flag) -> FanCone:
@@ -73,13 +71,21 @@ def cone_of(m: OrientedMatroid, flag: Flag) -> FanCone:
 
 
 def stalk_matroid(m: OrientedMatroid, flag: Flag) -> OrientedMatroid:
-    """Initial matroid of a flag, cached; the trivial flag gives back m."""
+    """Initial matroid of a flag; the trivial flag gives back m.
+
+    Flags with the same initial covector set share one matroid object, so
+    everything cached on a stalk is computed once per distinct stalk.
+    """
     if flag.interior == ():
         return m
-    key = ("stalk", flag.flats)
-    if key not in m._cache:
-        m._cache[key] = initial_matroid(m, flag)
-    return m._cache[key]
+
+    def build():
+        covs = initial_covectors(m, flag)
+        if covs == m.covector_set:
+            return m
+        return m.memo(("stalk", covs), lambda: OrientedMatroid(covs))
+
+    return m.memo(("stalk_of", flag.flats), build)
 
 
 # ---------------------------------------------------------------------------

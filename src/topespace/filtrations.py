@@ -98,28 +98,24 @@ def vg_lower(m: OrientedMatroid, p: int, ring: str = "z"):
     idempotent.  Over the integers the kernel lattice is saturated; over GF(2)
     the kernel of the reduced matrix is returned instead.
     """
-    key = ("vg_lower", p, ring)
-    if key in m._cache:
-        return m._cache[key]
-    nt = len(m.topes)
-    if ring == "z":
-        if p <= 0:
-            out = LatticeZ.full(nt)
-        else:
-            out = LatticeZ.from_generators(nt, int_kernel(_monomial_rows_int(m, p - 1)))
-    elif ring == "z2":
-        if p <= 0:
-            out = SubspaceGF2.full(nt)
-        else:
+
+    def build():
+        nt = len(m.topes)
+        if ring == "z":
+            if p <= 0:
+                return LatticeZ.full(nt)
+            return LatticeZ.from_generators(nt, int_kernel(_monomial_rows_int(m, p - 1)))
+        if ring == "z2":
+            if p <= 0:
+                return SubspaceGF2.full(nt)
             rows = [
                 mask_from_bits(i for i, x in enumerate(row) if x)
                 for row in _monomial_rows_int(m, p - 1)
             ]
-            out = gf2_kernel(GF2Matrix.from_rows(rows, nt))
-    else:
+            return gf2_kernel(GF2Matrix.from_rows(rows, nt))
         raise ValueError(f"unknown ring {ring!r}")
-    m._cache[key] = out
-    return out
+
+    return m.memo(("vg_lower", p, ring), build)
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +163,6 @@ def affine_coordinate_chain(m: OrientedMatroid, flag: Flag, v: SignVector,
     return _coset_chain(m, blocks, v, positions)
 
 
-def vg_lower_by_prefix(m: OrientedMatroid, p: int) -> LatticeZ:
-    """Lattice spanned by every degree-p prefix chain over all complete flags."""
-    gens = []
-    for flag in enumerate_flags(m):
-        for v in tope_flag_set(m, flag):
-            gens.append(prefix_chain(m, flag, v, p))
-    return LatticeZ.from_generators(len(m.topes), gens)
-
-
 # ---------------------------------------------------------------------------
 # the group-algebra filtration
 
@@ -187,96 +174,55 @@ def quillen_cosets(m: OrientedMatroid, p: int) -> list[tuple[int, int]]:
     the block vectors only depends on the coset's direction space, so the
     first occurrence of a tope mask fixes it.
     """
-    key = ("quillen_cosets", p)
-    if key in m._cache:
-        return m._cache[key]
-    index = subset_index(m.n, p)
-    out: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for flag in enumerate_flags(m):
-        blocks = flag.blocks()
-        tf = tope_flag_set(m, flag)
-        for s in combinations(range(1, m.rank + 1), p):
-            dmasks = [blocks[i - 1] for i in s]
-            wedge = 0
-            for mono, c in wedge_masks(dmasks, m.n).items():
-                if c & 1:
-                    wedge |= 1 << index[mono]
-            span = {0}
-            for d in dmasks:
-                span |= {x ^ d for x in span}
-            done: set[int] = set()
-            for t in tf:
-                if t.minus in done:
-                    continue
-                members = [t.minus ^ x for x in span]
-                done.update(members)
-                cmask = mask_from_bits(m.tope_by_minus[mm] for mm in members)
-                if cmask not in seen:
-                    seen.add(cmask)
-                    out.append((cmask, wedge))
-    m._cache[key] = out
-    return out
+
+    def build():
+        index = subset_index(m.n, p)
+        out: list[tuple[int, int]] = []
+        seen: set[int] = set()
+        for flag in enumerate_flags(m):
+            blocks = flag.blocks()
+            tf = tope_flag_set(m, flag)
+            for s in combinations(range(1, m.rank + 1), p):
+                dmasks = [blocks[i - 1] for i in s]
+                wedge = 0
+                for mono, c in wedge_masks(dmasks, m.n).items():
+                    if c & 1:
+                        wedge |= 1 << index[mono]
+                span = {0}
+                for d in dmasks:
+                    span |= {x ^ d for x in span}
+                done: set[int] = set()
+                for t in tf:
+                    if t.minus in done:
+                        continue
+                    members = [t.minus ^ x for x in span]
+                    done.update(members)
+                    cmask = mask_from_bits(m.tope_by_minus[mm] for mm in members)
+                    if cmask not in seen:
+                        seen.add(cmask)
+                        out.append((cmask, wedge))
+        return out
+
+    return m.memo(("quillen_cosets", p), build)
 
 
 def quillen_Q(m: OrientedMatroid, p: int) -> SubspaceGF2:
     """GF(2) span of the degree-p coset generators over all complete flags."""
-    key = ("quillen_Q", p)
-    if key not in m._cache:
-        m._cache[key] = SubspaceGF2.from_generators(
-            len(m.topes), [c for c, _ in quillen_cosets(m, p)]
-        )
-    return m._cache[key]
-
-
-def quillen_Q_oracle(m: OrientedMatroid, p: int) -> SubspaceGF2:
-    """Exhaustive regeneration of the degree-p piece from every p-dimensional
-    affine subspace of every complete flag's tope set, coordinate or not.
-
-    Intended as a small-instance cross-check for quillen_Q; enumeration is
-    exponential in the rank.
-    """
-    gens: set[int] = set()
-    for flag in enumerate_flags(m):
-        blocks = flag.blocks()
-        tf = tope_flag_set(m, flag)
-        directions = []
-        for bitspat in range(1, 1 << m.rank):
-            d = 0
-            for k in range(m.rank):
-                if (bitspat >> k) & 1:
-                    d ^= blocks[k]
-            directions.append(d)
-        subspaces: set[frozenset[int]] = set()
-        for combo in combinations(directions, p):
-            span = {0}
-            for d in combo:
-                span |= {x ^ d for x in span}
-            if len(span) == 1 << p:
-                subspaces.add(frozenset(span))
-        if p == 0:
-            subspaces = {frozenset({0})}
-        for span_f in subspaces:
-            done: set[int] = set()
-            for t in tf:
-                if t.minus in done:
-                    continue
-                members = [t.minus ^ x for x in span_f]
-                done.update(members)
-                gens.add(mask_from_bits(m.tope_by_minus[mm] for mm in members))
-    return SubspaceGF2.from_generators(len(m.topes), sorted(gens))
+    return m.memo(("quillen_Q", p), lambda: SubspaceGF2.from_generators(
+        len(m.topes), [c for c, _ in quillen_cosets(m, p)]
+    ))
 
 
 def _quillen_solver(m: OrientedMatroid, p: int) -> tuple[GF2Solver, list[tuple[int, int]]]:
-    key = ("quillen_solver", p)
-    if key not in m._cache:
+    def build():
         cosets = quillen_cosets(m, p)
         rows = [0] * len(m.topes)
         for j, (cmask, _) in enumerate(cosets):
             for i in bits_of(cmask):
                 rows[i] |= 1 << j
-        m._cache[key] = (GF2Solver(GF2Matrix.from_rows(rows, len(cosets))), cosets)
-    return m._cache[key]
+        return GF2Solver(GF2Matrix.from_rows(rows, len(cosets))), cosets
+
+    return m.memo(("quillen_solver", p), build)
 
 
 def qbv(m: OrientedMatroid, gamma: int, p: int) -> int:
@@ -379,59 +325,17 @@ def tope_vertex_chain(m: OrientedMatroid, gamma: int) -> int:
     return out
 
 
-def kalinin_K(m: OrientedMatroid, p: int) -> SubspaceGF2:
-    """Degree-p piece of the chain-level filtration.
+def _ladder_rows(m: OrientedMatroid, p: int) -> tuple[list[int], list[int]]:
+    """The ladder system in the unknowns (beta_1, ..., beta_p), one row per
+    equation, and the column offsets of the beta blocks.
 
-    One GF(2) system in the unknowns (gamma, beta_1, ..., beta_p) encodes the
-    whole ladder; the piece is the projection of its solution space onto the
-    gamma block.  For p one above the rank the top beta block is empty and the
-    last equation forces the previous chain to be conjugation-symmetric.
+    Row blocks are indexed by cells of dimensions 0..p-1.  Block i holds the
+    boundary of beta_i and, from i = 2 on, the chain beta_{i-1} plus its
+    conjugate; the right-hand side of the first block is the vertex image of
+    gamma, and of every later block zero.
     """
-    key = ("kalinin_K", p)
-    if key in m._cache:
-        return m._cache[key]
-    nt = len(m.topes)
-    if p <= 0:
-        out = SubspaceGF2.full(nt)
-        m._cache[key] = out
-        return out
-    sal = get_salvetti(m)
-    col_off = [0, nt]
-    for i in range(1, p + 1):
-        col_off.append(col_off[-1] + sal.n_cells(i))
-    row_off = [0, 0]
-    for i in range(1, p + 1):
-        row_off.append(row_off[-1] + sal.n_cells(i - 1))
-    rows = [0] * row_off[-1]
-    for j, t in enumerate(m.topes):
-        rows[row_off[1] + sal.vertex_of_tope(t)] ^= 1 << j
-    for i in range(1, p + 1):
-        if sal.n_cells(i):
-            masks = sal.boundary_masks(i)
-            for j in range(sal.n_cells(i)):
-                colbit = 1 << (col_off[i] + j)
-                for r in bits_of(masks[j]):
-                    rows[row_off[i] + r] ^= colbit
-        if i >= 2:
-            perm = sal.conj_perm(i - 1)
-            for j in range(sal.n_cells(i - 1)):
-                colbit = 1 << (col_off[i - 1] + j)
-                rows[row_off[i] + j] ^= colbit
-                rows[row_off[i] + perm[j]] ^= colbit
-    out = gf2_solve_project(GF2Matrix.from_rows(rows, col_off[-1]), (0, nt))
-    m._cache[key] = out
-    return out
 
-
-def _ladder_solver(m: OrientedMatroid, p: int) -> tuple[GF2Solver, list[int]]:
-    """Solver for the whole ladder at once, unknowns (beta_1, ..., beta_p).
-
-    Row blocks are indexed by cells of dimensions 0..p-1; the right-hand side
-    carries the vertex image of gamma in the first block.  Returns the solver
-    and the column offsets of the beta blocks.
-    """
-    key = ("ladder_solver", p)
-    if key not in m._cache:
+    def build():
         sal = get_salvetti(m)
         col_off = [0]
         for i in range(1, p + 1):
@@ -453,8 +357,44 @@ def _ladder_solver(m: OrientedMatroid, p: int) -> tuple[GF2Solver, list[int]]:
                     colbit = 1 << (col_off[i - 2] + j)
                     rows[row_off[i] + j] ^= colbit
                     rows[row_off[i] + perm[j]] ^= colbit
-        m._cache[key] = (GF2Solver(GF2Matrix.from_rows(rows, col_off[-1])), col_off)
-    return m._cache[key]
+        return rows, col_off
+
+    return m.memo(("ladder_rows", p), build)
+
+
+def kalinin_K(m: OrientedMatroid, p: int) -> SubspaceGF2:
+    """Degree-p piece of the chain-level filtration.
+
+    The ladder system with gamma moved to the unknowns, (gamma, beta_1, ...,
+    beta_p), is homogeneous; the piece is the projection of its solution
+    space onto the gamma block.  For p one above the rank the top beta block
+    is empty and the last equation forces the previous chain to be
+    conjugation-symmetric.
+    """
+
+    def build():
+        nt = len(m.topes)
+        if p <= 0:
+            return SubspaceGF2.full(nt)
+        sal = get_salvetti(m)
+        ladder, col_off = _ladder_rows(m, p)
+        rows = [row << nt for row in ladder]
+        for j, t in enumerate(m.topes):
+            rows[sal.vertex_of_tope(t)] ^= 1 << j
+        return gf2_solve_project(GF2Matrix.from_rows(rows, nt + col_off[-1]), (0, nt))
+
+    return m.memo(("kalinin_K", p), build)
+
+
+def _ladder_solver(m: OrientedMatroid, p: int) -> tuple[GF2Solver, list[int]]:
+    """Solver for the ladder system of `_ladder_rows`, with its column
+    offsets; the right-hand side is the vertex image of gamma."""
+
+    def build():
+        rows, col_off = _ladder_rows(m, p)
+        return GF2Solver(GF2Matrix.from_rows(rows, col_off[-1])), col_off
+
+    return m.memo(("ladder_solver", p), build)
 
 
 def viro_bv(m: OrientedMatroid, gamma: int, p: int,
@@ -581,35 +521,13 @@ def tilde_a(m: OrientedMatroid, gamma: IntChain, p: int) -> SFPoly:
 # ---------------------------------------------------------------------------
 # the asymptotic filtration
 
-def asymptotic_member(m: OrientedMatroid, gamma: IntChain, p: int) -> bool:
-    """Whether every tope's difference polynomial of the chain starts in
-    degree at least p.
-
-    Against a reference tope, each support tope contributes the product of
-    (1 + x_e) over their disagreement set; the coefficient of a square-free
-    monomial is the signed count of support topes whose disagreement set
-    contains it.
-    """
-    supp = [(c, m.topes[i]) for i, c in enumerate(gamma) if c]
-    for t2 in m.topes:
-        seps = [(c, t.separator(t2)) for c, t in supp]
-        for q in range(p):
-            for s in combinations(range(m.n), q):
-                smask = mask_from_bits(s)
-                if sum(c for c, sep in seps if smask & ~sep == 0):
-                    return False
-    return True
-
-
 def asymptotic(m: OrientedMatroid, p: int) -> LatticeZ:
     """Integer lattice of chains passing the degree-p difference criterion."""
-    key = ("asymptotic", p)
-    if key in m._cache:
-        return m._cache[key]
-    nt = len(m.topes)
-    if p <= 0:
-        out = LatticeZ.full(nt)
-    else:
+
+    def build():
+        nt = len(m.topes)
+        if p <= 0:
+            return LatticeZ.full(nt)
         rows: set[tuple[int, ...]] = set()
         for t2 in m.topes:
             seps = [t.separator(t2) for t in m.topes]
@@ -617,9 +535,9 @@ def asymptotic(m: OrientedMatroid, p: int) -> LatticeZ:
                 for s in combinations(range(m.n), q):
                     smask = mask_from_bits(s)
                     rows.add(tuple(1 if smask & ~sep == 0 else 0 for sep in seps))
-        out = LatticeZ.from_generators(nt, int_kernel([list(r) for r in sorted(rows)]))
-    m._cache[key] = out
-    return out
+        return LatticeZ.from_generators(nt, int_kernel([list(r) for r in sorted(rows)]))
+
+    return m.memo(("asymptotic", p), build)
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,6 @@ class GF2Matrix:
     def from_rows(cls, rows: Iterable[int], ncols: int) -> "GF2Matrix":
         return cls(tuple(rows), ncols)
 
-    def rank(self) -> int:
-        return len(gf2_rref(self.rows)[0])
-
 
 def gf2_rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form.
@@ -355,40 +352,16 @@ def smith_normal_form(a: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatr
     prod = mat_mul(mat_mul(U, [list(r) for r in a]), V)
     for i in range(m):
         for j in range(n):
-            want = A[i][j]
-            if prod[i][j] != want:
-                raise AssertionError("smith normal form transform verification failed")
+            if prod[i][j] != A[i][j]:
+                raise RuntimeError(
+                    "smith normal form transform check failed: U·a·V differs from the diagonal form"
+                )
     for k in range(1, len(diag)):
         if diag[k] % diag[k - 1]:
             raise RuntimeError(
                 f"smith normal form divisibility chain broken: {diag[k - 1]} does not divide {diag[k]}"
             )
     return diag, U, V
-
-
-def int_rank(a: IntMatrix) -> int:
-    """Rank over Q, computed exactly (fraction-free elimination)."""
-    A = [list(r) for r in a]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rank = 0
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if A[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        for i in range(r + 1, m):
-            if A[i][c]:
-                p, q = A[r][c], A[i][c]
-                A[i] = [p * x - q * y for x, y in zip(A[i], A[r])]
-        rank += 1
-        r += 1
-    return rank
 
 
 def int_kernel(a: IntMatrix) -> list[list[int]]:
@@ -507,10 +480,6 @@ class LatticeZ:
                         v[i] += z[j] * x
             gens.append(v)
         return LatticeZ.from_generators(self.ambient_dim, gens)
-
-
-def lattice_membership(lat: LatticeZ, v) -> bool:
-    return lat.contains(v)
 
 
 def lattice_equal(a: LatticeZ, b: LatticeZ) -> bool:

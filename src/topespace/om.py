@@ -173,7 +173,13 @@ class OrientedMatroid:
         if validate_axioms:
             report = check_covector_axioms(covs)
             if not report:
-                raise NotCovectors(f"covector axioms fail: {report.axiom} {report.witness}")
+                msg = f"covector axioms fail ({report.axiom})"
+                if report.witness:
+                    msg += " witness: " + " ".join(
+                        w.to_str() if isinstance(w, SignVector) else f"element {w}"
+                        for w in report.witness
+                    )
+                raise NotCovectors(msg)
         self.covectors: tuple[SignVector, ...] = tuple(covs)
         self.covector_set = frozenset(covs)
         if SignVector.zero(self.n) not in self.covector_set:
@@ -197,6 +203,13 @@ class OrientedMatroid:
         self._init_flats()
         self.dim_of = {v: self.flats[v.zero_set] for v in covs}
         self._cache: dict = {}
+
+    def memo(self, key, build):
+        """The value cached on this matroid under `key`, from `build()` the
+        first time.  Every derived object is cached here, so callers share it."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def _init_flats(self):
         zero_sets = {v.zero_set for v in self.covectors}
@@ -331,8 +344,8 @@ def tope_flag_set(m: OrientedMatroid, flag: Flag) -> list[SignVector]:
     return out
 
 
-def initial_matroid(m: OrientedMatroid, flag: Flag) -> OrientedMatroid:
-    """Degeneration of m along a flag, on the same ground set.
+def initial_covectors(m: OrientedMatroid, flag: Flag) -> frozenset[SignVector]:
+    """Covector set of the degeneration of m along a flag, on the same ground set.
 
     Block by block (consecutive flag differences), the covectors are the
     restrictions of covectors of m that vanish on the lower flat; the result
@@ -354,7 +367,12 @@ def initial_matroid(m: OrientedMatroid, flag: Flag) -> OrientedMatroid:
             plus |= p
             minus |= mi
         covs.append(SignVector(m.n, plus, minus))
-    return OrientedMatroid(covs)
+    return frozenset(covs)
+
+
+def initial_matroid(m: OrientedMatroid, flag: Flag) -> OrientedMatroid:
+    """The initial matroid of m along a flag (see `initial_covectors`)."""
+    return OrientedMatroid(initial_covectors(m, flag))
 
 
 # ---------------------------------------------------------------------------

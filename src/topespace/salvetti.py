@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .linalg import SubspaceGF2, bits_of, gf2_rref, parity, snf_diagonal_sparse
+from .linalg import bits_of, gf2_rref, parity, snf_diagonal_sparse
 from .om import OrientedMatroid, SignVector, compose
 
 CellKey = tuple[SignVector, SignVector]
@@ -109,9 +109,7 @@ class SalvettiComplex:
 
 
 def get_salvetti(m: OrientedMatroid) -> SalvettiComplex:
-    if "salvetti" not in m._cache:
-        m._cache["salvetti"] = SalvettiComplex(m)
-    return m._cache["salvetti"]
+    return m.memo("salvetti", lambda: SalvettiComplex(m))
 
 
 def face_le(a: CellKey, b: CellKey) -> bool:
@@ -201,13 +199,10 @@ class FineComplex:
         Each coarse cell maps to the sum of its full flags of faces, every
         flag sharing the cell's tope component.
         """
-        key = ("c2f", d)
-        cache = self.sal.m._cache.setdefault(key, {})
+        m = self.sal.m
         out = 0
         for i in bits_of(chain):
-            if i not in cache:
-                cache[i] = self._subdivide_cell(d, i)
-            out ^= cache[i]
+            out ^= m.memo(("c2f", d, i), lambda: self._subdivide_cell(d, i))
         return out
 
     def _subdivide_cell(self, d: int, i: int) -> int:
@@ -252,9 +247,7 @@ class FineComplex:
 
 
 def get_fine(m: OrientedMatroid) -> FineComplex:
-    if "fine" not in m._cache:
-        m._cache["fine"] = FineComplex(get_salvetti(m))
-    return m._cache["fine"]
+    return m.memo("fine", lambda: FineComplex(get_salvetti(m)))
 
 
 def _cochain_masks(fine: FineComplex, p: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -265,9 +258,8 @@ def _cochain_masks(fine: FineComplex, p: int) -> tuple[list[list[int]], list[lis
     One pass over the simplices groups them by the cell at each position;
     each cell's mask then goes to the elements named by its sign masks.
     """
-    key = ("bz_masks", p)
-    cache = fine.sal.m._cache
-    if key not in cache:
+
+    def build():
         n = fine.sal.m.n
         at: list[dict[int, int]] = [{} for _ in range(p + 1)]
         for i, simplex in enumerate(fine.simplices[p]):
@@ -283,8 +275,9 @@ def _cochain_masks(fine: FineComplex, p: int) -> tuple[list[list[int]], list[lis
                     positive[j][e] |= mask
                 for e in bits_of(t.plus & ~l.support):
                     zero_pos[j][e] |= mask
-        cache[key] = (positive, zero_pos)
-    return cache[key]
+        return positive, zero_pos
+
+    return fine.sal.m.memo(("bz_masks", p), build)
 
 
 def bz_cochain_eval(fine: FineComplex, s: Iterable[int], p: int, chain: int) -> int:
@@ -301,16 +294,16 @@ def bz_cochain_eval(fine: FineComplex, s: Iterable[int], p: int, chain: int) -> 
         raise ValueError("subset size must match the degree")
     if ss and (ss[-1] < 0 or ss[0] >= fine.sal.m.n):
         raise ValueError("subset element outside the ground set")
-    key = ("bz_cochain", p, ss)
-    cache = fine.sal.m._cache
-    if key not in cache:
+
+    def build():
         positive, zero_pos = _cochain_masks(fine, p)
         cochain = (1 << fine.n_simplices(p)) - 1
         for t_pos, e in enumerate(ss, start=1):
             for s_pos in range(p + 1):
                 cochain &= positive[s_pos][e] if s_pos < t_pos else zero_pos[s_pos][e]
-        cache[key] = cochain
-    return parity(cache[key] & chain)
+        return cochain
+
+    return parity(fine.sal.m.memo(("bz_cochain", p, ss), build) & chain)
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +361,11 @@ class Mod2Homology:
     def same_class(self, d: int, a: int, b: int) -> bool:
         return self.class_of(d, a) == self.class_of(d, b)
 
-    def classes_subspace(self, d: int, chains: Iterable[int]) -> SubspaceGF2:
-        return SubspaceGF2.from_generators(
-            self.n[d], [self.class_of(d, c) for c in chains]
-        )
-
 
 def homology_mod2(sal: SalvettiComplex) -> Mod2Homology:
-    key = "homology_mod2"
-    if key not in sal.m._cache:
-        sal.m._cache[key] = Mod2Homology(
-            [sal.boundary_masks(d) for d in range(sal.dim + 1)]
-        )
-    return sal.m._cache[key]
+    return sal.m.memo("homology_mod2", lambda: Mod2Homology(
+        [sal.boundary_masks(d) for d in range(sal.dim + 1)]
+    ))
 
 
 @dataclass
@@ -391,8 +376,7 @@ class IntegralHomology:
 
 def homology_Z(fine: FineComplex) -> IntegralHomology:
     """Integral homology of the fine complex via Smith normal forms."""
-    key = "homology_Z"
-    if key not in fine.sal.m._cache:
+    def build():
         top = fine.sal.dim
         diags: list[list[int]] = [[] for _ in range(top + 2)]
         for p in range(1, top + 1):
@@ -406,5 +390,6 @@ def homology_Z(fine: FineComplex) -> IntegralHomology:
             rank_up = len(diags[p + 1])
             betti.append(fine.n_simplices(p) - rank_p - rank_up)
             torsion.append([x for x in diags[p + 1] if abs(x) > 1])
-        fine.sal.m._cache[key] = IntegralHomology(betti, torsion)
-    return fine.sal.m._cache[key]
+        return IntegralHomology(betti, torsion)
+
+    return fine.sal.m.memo("homology_Z", build)

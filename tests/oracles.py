@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable
 
+from topespace.algebras import rank_graded_chains, subset_index, wedge_masks
+from topespace.filtrations import IntChain, prefix_chain
+from topespace.linalg import IntMatrix, LatticeZ, SubspaceGF2, mask_from_bits
+from topespace.om import OrientedMatroid, enumerate_flags, tope_flag_set
 from topespace.salvetti import FineComplex
 
 
@@ -43,3 +48,120 @@ def bz_cochain_eval_by_simplex(fine: FineComplex, s: Iterable[int], p: int, chai
         work >>= 1
         i += 1
     return total
+
+
+def int_rank(a: IntMatrix) -> int:
+    """Rank over Q, computed exactly (fraction-free elimination)."""
+    A = [list(r) for r in a]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rank = 0
+    r = 0
+    for c in range(n):
+        piv = None
+        for i in range(r, m):
+            if A[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        for i in range(r + 1, m):
+            if A[i][c]:
+                p, q = A[r][c], A[i][c]
+                A[i] = [p * x - q * y for x, y in zip(A[i], A[r])]
+        rank += 1
+        r += 1
+    return rank
+
+
+def os_dual(m: OrientedMatroid, p: int, ring: str = "z"):
+    """Span of the block wedges e_{F_1} ^ e_{F_2-F_1} ^ ... over rank-graded
+    chains of flats, as a lattice (ring="z") or GF(2) subspace (ring="z2")."""
+    index = subset_index(m.n, p)
+    dim = len(index)
+    gens = []
+    for chain in rank_graded_chains(m, p):
+        blocks = []
+        below = 0
+        for f in chain:
+            blocks.append(f & ~below)
+            below = f
+        row = [0] * dim
+        for s, c in wedge_masks(blocks, m.n).items():
+            row[index[s]] = c
+        gens.append(row)
+    if ring == "z":
+        return LatticeZ.from_generators(dim, gens)
+    if ring == "z2":
+        return SubspaceGF2.from_generators(
+            dim, [mask_from_bits(i for i, x in enumerate(row) if x & 1) for row in gens]
+        )
+    raise ValueError(f"unknown ring {ring!r}")
+
+
+def vg_lower_by_prefix(m: OrientedMatroid, p: int) -> LatticeZ:
+    """Lattice spanned by every degree-p prefix chain over all complete flags."""
+    gens = []
+    for flag in enumerate_flags(m):
+        for v in tope_flag_set(m, flag):
+            gens.append(prefix_chain(m, flag, v, p))
+    return LatticeZ.from_generators(len(m.topes), gens)
+
+
+def quillen_Q_oracle(m: OrientedMatroid, p: int) -> SubspaceGF2:
+    """Exhaustive regeneration of the degree-p piece from every p-dimensional
+    affine subspace of every complete flag's tope set, coordinate or not.
+
+    Intended as a small-instance cross-check for quillen_Q; enumeration is
+    exponential in the rank.
+    """
+    gens: set[int] = set()
+    for flag in enumerate_flags(m):
+        blocks = flag.blocks()
+        tf = tope_flag_set(m, flag)
+        directions = []
+        for bitspat in range(1, 1 << m.rank):
+            d = 0
+            for k in range(m.rank):
+                if (bitspat >> k) & 1:
+                    d ^= blocks[k]
+            directions.append(d)
+        subspaces: set[frozenset[int]] = set()
+        for combo in combinations(directions, p):
+            span = {0}
+            for d in combo:
+                span |= {x ^ d for x in span}
+            if len(span) == 1 << p:
+                subspaces.add(frozenset(span))
+        if p == 0:
+            subspaces = {frozenset({0})}
+        for span_f in subspaces:
+            done: set[int] = set()
+            for t in tf:
+                if t.minus in done:
+                    continue
+                members = [t.minus ^ x for x in span_f]
+                done.update(members)
+                gens.add(mask_from_bits(m.tope_by_minus[mm] for mm in members))
+    return SubspaceGF2.from_generators(len(m.topes), sorted(gens))
+
+
+def asymptotic_member(m: OrientedMatroid, gamma: IntChain, p: int) -> bool:
+    """Whether every tope's difference polynomial of the chain starts in
+    degree at least p.
+
+    Against a reference tope, each support tope contributes the product of
+    (1 + x_e) over their disagreement set; the coefficient of a square-free
+    monomial is the signed count of support topes whose disagreement set
+    contains it.
+    """
+    supp = [(c, m.topes[i]) for i, c in enumerate(gamma) if c]
+    for t2 in m.topes:
+        seps = [(c, t.separator(t2)) for c, t in supp]
+        for q in range(p):
+            for s in combinations(range(m.n), q):
+                smask = mask_from_bits(s)
+                if sum(c for c, sep in seps if smask & ~sep == 0):
+                    return False
+    return True

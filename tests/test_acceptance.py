@@ -9,6 +9,8 @@ no tolerances.
 import random
 from time import perf_counter
 
+from oracles import quillen_Q_oracle
+
 from topespace.algebras import epsilon, nbc_sets, projectivize
 from topespace.corpus import load, names
 from topespace.cosheaf import impossibility_check, verify_theorem_C
@@ -19,7 +21,6 @@ from topespace.filtrations import (
     kalinin_K,
     prefix_chain,
     quillen_Q,
-    quillen_Q_oracle,
     quillen_Z_demo,
     tilde_a,
     verify_theorem_A,

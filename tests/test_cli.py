@@ -1,10 +1,11 @@
 """Command-line interface tests: parsing, checks, JSON reports, exit codes."""
 
 import json
+import sys
 
 import pytest
 
-from topespace import cli
+from topespace import cli, om
 from topespace.corpus import load
 
 
@@ -97,6 +98,36 @@ def test_describe_axiom_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "covector axioms fail" in err
     assert "witness" in err
+
+
+def test_covector_file_checks_axioms_once(tmp_path, monkeypatch):
+    path = tmp_path / "u23.txt"
+    path.write_text("\n".join(v.to_str() for v in load("u23").covectors) + "\n")
+    original = om.check_covector_axioms
+    calls = []
+
+    def counted(vectors):
+        calls.append(1)
+        return original(vectors)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("topespace")
+                and getattr(module, "check_covector_axioms", None) is original):
+            monkeypatch.setattr(module, "check_covector_axioms", counted)
+    assert cli.main(["describe", str(path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("000\n+++\n---\n++-\n", "covector axioms fail (negation) witness: ++-"),
+    ("00\n++\n--\n+-\n-+\n", "covector axioms fail (elimination) witness: -- +- element 0"),
+    ("++\n--\n", "covector axioms fail (zero)"),
+])
+def test_axiom_failure_names_axiom_and_witness(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert cli.main(["describe", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_describe_unknown_input(capsys):

@@ -69,6 +69,17 @@ def test_stalk_matroid_trivial_flag_is_identity():
     assert mf.rank == 2
 
 
+@pytest.mark.parametrize("name, cones, distinct", [("u34", 23, 11), ("a3", 32, 26)])
+def test_one_stalk_object_per_covector_set(name, cones, distinct):
+    m = load(name)
+    flags = [cone.flag for cone in fan_cones(m)]
+    stalks = [stalk_matroid(m, flag) for flag in flags]
+    assert len(stalks) == cones
+    assert len({s.covector_set for s in stalks}) == distinct
+    assert len({id(s) for s in stalks}) == distinct
+    assert all(stalk_matroid(m, f) is s for f, s in zip(flags, stalks))
+
+
 # -- stalk maps -------------------------------------------------------------
 
 

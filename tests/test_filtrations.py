@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
+from oracles import asymptotic_member, int_rank, quillen_Q_oracle, vg_lower_by_prefix
 
 from topespace.algebras import (
     cordovil_dual,
@@ -19,7 +20,6 @@ from topespace.filtrations import (
     KalininCertificate,
     affine_coordinate_chain,
     asymptotic,
-    asymptotic_member,
     brick,
     brick_certificate,
     chain_mod2,
@@ -30,7 +30,6 @@ from topespace.filtrations import (
     prefix_chain,
     qbv,
     quillen_Q,
-    quillen_Q_oracle,
     quillen_Z_demo,
     quillen_cosets,
     tilde_a,
@@ -38,8 +37,8 @@ from topespace.filtrations import (
     verify_theorem_A,
     verify_theorem_B,
     vg_lower,
-    vg_lower_by_prefix,
     viro_bv,
+    _ladder_solver,
     _quillen_solver,
 )
 from topespace.linalg import (
@@ -48,7 +47,6 @@ from topespace.linalg import (
     LatticeZ,
     SubspaceGF2,
     bits_of,
-    int_rank,
     lattice_equal,
     mask_from_bits,
 )
@@ -299,6 +297,20 @@ def test_kalinin_steps_are_homology_dimensions():
         dims = [kalinin_K(m, p).dim for p in range(m.rank + 2)]
         steps = [a - b for a, b in zip(dims, dims[1:])]
         assert steps == hom.dims()
+
+
+@pytest.mark.parametrize("name", ["u23", "u34", "a3"])
+def test_kalinin_piece_is_solvability_of_the_ladder(name):
+    m = load(name)
+    rng = random.Random(41)
+    nt = len(m.topes)
+    for p in range(1, m.rank + 2):
+        piece = kalinin_K(m, p)
+        solver, _ = _ladder_solver(m, p)
+        chains = list(piece.rows) + [rng.getrandbits(nt) for _ in range(30)]
+        for gamma in chains:
+            solvable = solver.solve(tope_vertex_chain(m, gamma)) is not None
+            assert piece.contains(gamma) == solvable
 
 
 def test_membership_example_and_certificate():
