@@ -21,7 +21,6 @@ from .linalg import (
     bits_of,
     int_kernel,
     mask_from_bits,
-    smith_normal_form,
 )
 from .om import Flag, OrientedMatroid, SignVector, tope_flag_set
 
@@ -200,26 +199,6 @@ def sf_vector(poly: SFPoly, n: int, p: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# dual Orlik-Solomon space
-
-
-def rank_graded_chains(m: OrientedMatroid, p: int) -> list[tuple[int, ...]]:
-    """Chains F_1 < ... < F_p of flats with rank(F_i) = i, as mask tuples."""
-    chains: list[tuple[int, ...]] = [()]
-    for r in range(1, p + 1):
-        if r > m.rank:
-            return []
-        nxt = []
-        for chain in chains:
-            below = chain[-1] if chain else 0
-            for f in m.flats_by_rank[r]:
-                if below & ~f == 0 and f != below:
-                    nxt.append(chain + (f,))
-        chains = nxt
-    return chains
-
-
-# ---------------------------------------------------------------------------
 # Cordovil dual
 
 
@@ -355,11 +334,3 @@ def projectivize(m: OrientedMatroid, p: int, order: Optional[Sequence[int]] = No
         p, b.rank, dimq, "odd", ok,
         f"GF(2) quotient dimension {dimq}; NBC sets avoiding element {least}: {expect}",
     )
-
-
-def lattice_saturated(lat: LatticeZ) -> bool:
-    """Whether the lattice is a direct summand of its ambient Z^n."""
-    if not lat.basis:
-        return True
-    diag, _, _ = smith_normal_form([list(r) for r in lat.basis])
-    return all(abs(d) == 1 for d in diag)

@@ -18,7 +18,7 @@ from .linalg import (
     LatticeZ,
     bits_of,
     int_identity,
-    int_kernel,
+    int_relations,
     lattice_equal,
     mat_mul,
     mat_vec,
@@ -171,17 +171,9 @@ def verify_ses(m: OrientedMatroid, flag: Flag, p: int) -> SESReport:
     imgs = [sf_vector(tilde_a(mf, list(row), p), m.n, p) for row in lower.basis]
     image = LatticeZ.from_generators(ncoords, imgs)
     surjective = lattice_equal(image, a)
-    transpose = [[img[j] for img in imgs] for j in range(ncoords)]
-    nt = len(mf.topes)
-    gens = []
-    for coeffs in int_kernel(transpose):
-        vec = [0] * nt
-        for c, row in zip(coeffs, lower.basis):
-            if c:
-                for i, x in enumerate(row):
-                    vec[i] += c * x
-        gens.append(vec)
-    kernel_ok = lattice_equal(LatticeZ.from_generators(nt, gens), nxt)
+    # relations among the images, read off as combinations of the lower basis
+    kernel = int_relations(imgs, lower.basis)
+    kernel_ok = lattice_equal(LatticeZ(len(mf.topes), tuple(tuple(r) for r in kernel)), nxt)
     return SESReport(
         flag.flats, p, lower.rank, nxt.rank, a.rank,
         surjective, kernel_ok, surjective and kernel_ok,

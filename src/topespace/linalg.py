@@ -12,7 +12,7 @@ import heapq
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 def parity(x: int) -> int:
@@ -249,48 +249,38 @@ def mat_vec(a: IntMatrix, x: list[int]) -> list[int]:
     return [sum(v * xv for v, xv in zip(row, x)) for row in a]
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
-    """Smith normal form with transforms: U·a·V is diagonal.
+def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors of an integer matrix.
 
-    Returns (diag, U, V) where diag lists the nonzero invariant factors
-    d1 | d2 | ... (all positive).  Pivots are chosen by minimal absolute
-    value.  The transforms are verified by re-multiplication before return.
+    Returns the nonzero diagonal entries d1 | d2 | ... (all positive) of the
+    Smith normal form.  Pivots are chosen by minimal absolute value; no
+    transforms are kept, since kernels and solutions come from the Hermite
+    form (`int_relations`).
     """
     m = len(a)
     n = len(a[0]) if m else 0
     if m and any(len(r) != n for r in a):
         raise ValueError("ragged matrix")
     A = [list(r) for r in a]
-    U = int_identity(m)
-    V = int_identity(n)
 
     def row_sub(i, j, q):  # A[i] -= q*A[j]
         Ai, Aj = A[i], A[j]
         for k in range(n):
             Ai[k] -= q * Aj[k]
-        Ui, Uj = U[i], U[j]
-        for k in range(m):
-            Ui[k] -= q * Uj[k]
 
     def col_sub(j, i, q):  # col j -= q*col i
         for r in A:
             r[j] -= q * r[i]
-        for r in V:
-            r[j] -= q * r[i]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
 
     def col_swap(i, j):
         for r in A:
             r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
 
     def row_neg(i):
         A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
 
     t = 0
     while t < min(m, n):
@@ -349,30 +339,12 @@ def smith_normal_form(a: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatr
         t += 1
 
     diag = tuple(A[i][i] for i in range(min(m, n)) if A[i][i])
-    prod = mat_mul(mat_mul(U, [list(r) for r in a]), V)
-    for i in range(m):
-        for j in range(n):
-            if prod[i][j] != A[i][j]:
-                raise RuntimeError(
-                    "smith normal form transform check failed: U·a·V differs from the diagonal form"
-                )
     for k in range(1, len(diag)):
         if diag[k] % diag[k - 1]:
             raise RuntimeError(
                 f"smith normal form divisibility chain broken: {diag[k - 1]} does not divide {diag[k]}"
             )
-    return diag, U, V
-
-
-def int_kernel(a: IntMatrix) -> list[list[int]]:
-    """Basis (rows) of {x in Z^n : a·x = 0}; spans a saturated lattice."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0:
-        return [list(row) for row in int_identity(n)]
-    diag, _, V = smith_normal_form(a)
-    r = len(diag)
-    return [[V[i][j] for i in range(n)] for j in range(r, n)]
+    return diag
 
 
 def hermite_normal_form(rows: Iterable[list[int] | tuple[int, ...]], ncols: int) -> list[list[int]]:
@@ -407,6 +379,44 @@ def hermite_normal_form(rows: Iterable[list[int] | tuple[int, ...]], ncols: int)
             if q:
                 basis[j] = (cj, [x - q * y for x, y in zip(rj, row)])
     return [row for _, row in basis]
+
+
+def _columns(a: IntMatrix) -> IntMatrix:
+    n = len(a[0]) if a else 0
+    if any(len(r) != n for r in a):
+        raise ValueError("ragged matrix")
+    return [[r[j] for r in a] for j in range(n)]
+
+
+def int_relations(images: Sequence, labels: Sequence) -> IntMatrix:
+    """HNF basis of {sum c_k·labels[k] : c integral, sum c_k·images[k] = 0}.
+
+    Puts the rows images[k] + labels[k] in Hermite form.  Pivot columns
+    increase, so the rows whose image part vanishes come last, and their
+    label parts are already the HNF basis sought (H. Cohen, A Course in
+    Computational Algebraic Number Theory, 1993, section 2.4).
+    """
+    if len(images) != len(labels):
+        raise ValueError(f"{len(images)} images but {len(labels)} labels")
+    if not images:
+        return []
+    w, lw = len(images[0]), len(labels[0])
+    if any(len(v) != w for v in images) or any(len(v) != lw for v in labels):
+        raise ValueError("ragged images or labels")
+    h = hermite_normal_form([list(v) + list(t) for v, t in zip(images, labels)], w + lw)
+    return [row[w:] for row in h if not any(row[:w])]
+
+
+def int_kernel(a: IntMatrix) -> IntMatrix:
+    """HNF basis (rows) of {x in Z^n : a·x = 0}; spans a saturated lattice."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if m == 0:
+        return int_identity(n)
+    kern = int_relations(_columns(a), int_identity(n))
+    if any(any(mat_vec(a, x)) for x in kern):
+        raise RuntimeError("int_kernel check failed: a·x != 0 for a returned row")
+    return kern
 
 
 @dataclass(frozen=True)
@@ -467,19 +477,10 @@ class LatticeZ:
         b1, b2 = self.basis, other.basis
         if not b1 or not b2:
             return LatticeZ.zero(self.ambient_dim)
-        stacked = [list(r) for r in b1] + [list(r) for r in b2]
-        k = len(stacked)
-        # kernel of the transpose gives the relations sum_j z_j * stacked_j = 0
-        transpose = [[stacked[j][i] for j in range(k)] for i in range(self.ambient_dim)]
-        gens = []
-        for z in int_kernel(transpose):
-            v = [0] * self.ambient_dim
-            for j in range(len(b1)):
-                if z[j]:
-                    for i, x in enumerate(b1[j]):
-                        v[i] += z[j] * x
-            gens.append(v)
-        return LatticeZ.from_generators(self.ambient_dim, gens)
+        zeros = ((0,) * self.ambient_dim,) * len(b2)
+        # int_relations returns an HNF basis, which is the canonical one
+        gens = int_relations(b1 + b2, b1 + zeros)
+        return LatticeZ(self.ambient_dim, tuple(tuple(r) for r in gens))
 
 
 def lattice_equal(a: LatticeZ, b: LatticeZ) -> bool:
@@ -496,17 +497,13 @@ def solve_diophantine(a: IntMatrix, b: list[int]) -> Optional[list[int]]:
         raise ValueError("right-hand side length mismatch")
     if m == 0:
         return [0] * n
-    diag, U, V = smith_normal_form(a)
-    c = mat_vec(U, b)
-    y = [0] * n
-    for i, d in enumerate(diag):
-        if c[i] % d:
-            return None
-        y[i] = c[i] // d
-    for i in range(len(diag), m):
-        if c[i]:
-            return None
-    x = mat_vec(V, y)
+    # relations c·(-b) + a·x = 0, with c as the first label: the first HNF
+    # row has c = 1 exactly when some integral x solves a·x = b
+    images = [[-v for v in b]] + _columns(a)
+    rel = int_relations(images, int_identity(n + 1))
+    if not rel or rel[0][0] != 1:
+        return None
+    x = rel[0][1:]
     if mat_vec(a, x) != b:
         raise RuntimeError("solve_diophantine back-substitution check failed: a·x != b")
     return x
@@ -585,5 +582,5 @@ def snf_diagonal_sparse(entries: dict[tuple[int, int], int], nrows: int, ncols: 
         for i, r in rows.items():
             for j, v in r.items():
                 dense[rindex[i]][cindex[j]] = v
-        diag.extend(smith_normal_form(dense)[0])
+        diag.extend(smith_normal_form(dense))
     return diag

@@ -178,21 +178,6 @@ class FineComplex:
             self._boundary_entries[p] = {k: v for k, v in entries.items() if v}
         return self._boundary_entries[p]
 
-    def boundary_masks(self, p: int) -> list[int]:
-        """Mod-2 boundary, one mask per p-simplex over (p-1)-simplices."""
-        out = [0] * self.n_simplices(p)
-        for (row, col), v in self.boundary_entries(p).items():
-            if v % 2:
-                out[col] ^= 1 << row
-        return out
-
-    def boundary_of(self, p: int, chain: int) -> int:
-        masks = self.boundary_masks(p)
-        out = 0
-        for i in bits_of(chain):
-            out ^= masks[i]
-        return out
-
     def coarse_to_fine(self, d: int, chain: int) -> int:
         """Subdivision of a coarse mod-2 d-chain into fine d-simplices.
 

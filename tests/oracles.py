@@ -5,9 +5,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from topespace.algebras import rank_graded_chains, subset_index, wedge_masks
+from topespace.algebras import subset_index, wedge_masks
 from topespace.filtrations import IntChain, prefix_chain
-from topespace.linalg import IntMatrix, LatticeZ, SubspaceGF2, mask_from_bits
+from topespace.linalg import IntMatrix, LatticeZ, SubspaceGF2, mask_from_bits, smith_normal_form
 from topespace.om import OrientedMatroid, enumerate_flags, tope_flag_set
 from topespace.salvetti import FineComplex
 
@@ -75,6 +75,22 @@ def int_rank(a: IntMatrix) -> int:
     return rank
 
 
+def rank_graded_chains(m: OrientedMatroid, p: int) -> list[tuple[int, ...]]:
+    """Chains F_1 < ... < F_p of flats with rank(F_i) = i, as mask tuples."""
+    chains: list[tuple[int, ...]] = [()]
+    for r in range(1, p + 1):
+        if r > m.rank:
+            return []
+        nxt = []
+        for chain in chains:
+            below = chain[-1] if chain else 0
+            for f in m.flats_by_rank[r]:
+                if below & ~f == 0 and f != below:
+                    nxt.append(chain + (f,))
+        chains = nxt
+    return chains
+
+
 def os_dual(m: OrientedMatroid, p: int, ring: str = "z"):
     """Span of the block wedges e_{F_1} ^ e_{F_2-F_1} ^ ... over rank-graded
     chains of flats, as a lattice (ring="z") or GF(2) subspace (ring="z2")."""
@@ -98,6 +114,14 @@ def os_dual(m: OrientedMatroid, p: int, ring: str = "z"):
             dim, [mask_from_bits(i for i, x in enumerate(row) if x & 1) for row in gens]
         )
     raise ValueError(f"unknown ring {ring!r}")
+
+
+def lattice_saturated(lat: LatticeZ) -> bool:
+    """Whether the lattice is a direct summand of its ambient Z^n."""
+    if not lat.basis:
+        return True
+    diag = smith_normal_form([list(r) for r in lat.basis])
+    return all(abs(d) == 1 for d in diag)
 
 
 def vg_lower_by_prefix(m: OrientedMatroid, p: int) -> LatticeZ:

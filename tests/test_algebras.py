@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from oracles import os_dual
+from oracles import lattice_saturated, os_dual, rank_graded_chains
 
 from topespace.algebras import (
     broken_circuits,
@@ -11,10 +11,8 @@ from topespace.algebras import (
     cordovil_dual,
     cordovil_relation_rows,
     epsilon,
-    lattice_saturated,
     nbc_flag,
     nbc_sets,
-    rank_graded_chains,
     sf_mul,
     sf_vector,
     signed_circuits,

@@ -4,12 +4,17 @@ import random
 from itertools import combinations
 
 import pytest
-from oracles import asymptotic_member, int_rank, quillen_Q_oracle, vg_lower_by_prefix
+from oracles import (
+    asymptotic_member,
+    int_rank,
+    lattice_saturated,
+    quillen_Q_oracle,
+    vg_lower_by_prefix,
+)
 
 from topespace.algebras import (
     cordovil_dual,
     epsilon,
-    lattice_saturated,
     nbc_sets,
     projectivize,
     sf_vector,
