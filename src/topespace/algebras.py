@@ -22,7 +22,7 @@ from .linalg import (
     int_kernel,
     mask_from_bits,
 )
-from .om import Flag, OrientedMatroid, SignVector, tope_flag_set
+from .om import Flag, OrientedMatroid, SignVector, tope_flag_members
 
 # A square-free polynomial: sorted index tuple -> integer coefficient.
 SFPoly = dict
@@ -56,29 +56,34 @@ def signed_circuits(m: OrientedMatroid) -> list[SignVector]:
     Candidate sign vectors on the support are screened by orthogonality to
     every covector: whenever the two agree with nonzero sign somewhere they
     must also disagree with nonzero sign somewhere.  Exactly one candidate
-    per support survives once the global negation is fixed.
+    per support survives once the global negation is fixed.  Cached per
+    matroid; each call returns a fresh list.
     """
-    out: list[SignVector] = []
-    for mask in circuits(m):
-        elems = bits_of(mask)
-        rest = elems[1:]
-        valid: list[SignVector] = []
-        for signs in range(1 << len(rest)):
-            plus, minus = 1 << elems[0], 0
-            for i, e in enumerate(rest):
-                if (signs >> i) & 1:
-                    minus |= 1 << e
-                else:
-                    plus |= 1 << e
-            cand = SignVector(m.n, plus, minus)
-            if all(_orthogonal(cand, v) for v in m.covectors):
-                valid.append(cand)
-        if len(valid) != 1:
-            raise ValueError(
-                f"circuit {mask:0{m.n}b} admits {len(valid)} sign patterns"
-            )
-        out.append(valid[0])
-    return out
+
+    def build():
+        out: list[SignVector] = []
+        for mask in circuits(m):
+            elems = bits_of(mask)
+            rest = elems[1:]
+            valid: list[SignVector] = []
+            for signs in range(1 << len(rest)):
+                plus, minus = 1 << elems[0], 0
+                for i, e in enumerate(rest):
+                    if (signs >> i) & 1:
+                        minus |= 1 << e
+                    else:
+                        plus |= 1 << e
+                cand = SignVector(m.n, plus, minus)
+                if all(_orthogonal(cand, v) for v in m.covectors):
+                    valid.append(cand)
+            if len(valid) != 1:
+                raise ValueError(
+                    f"circuit {mask:0{m.n}b} admits {len(valid)} sign patterns"
+                )
+            out.append(valid[0])
+        return out
+
+    return list(m.memo("signed_circuits", lambda: tuple(build())))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +248,10 @@ def cordovil_dual(m: OrientedMatroid, p: int) -> LatticeZ:
     def build():
         dim = len(subset_index(m.n, p))
         rows = cordovil_relation_rows(m, p)
-        return LatticeZ.from_generators(dim, int_kernel(rows)) if rows else LatticeZ.full(dim)
+        if not rows:
+            return LatticeZ.full(dim)
+        # int_kernel returns the canonical HNF basis already
+        return LatticeZ(dim, tuple(map(tuple, int_kernel(rows))))
 
     return m.memo(("cordovil_dual", p), build)
 
@@ -258,7 +266,7 @@ def epsilon(m: OrientedMatroid, flag: Flag, v: SignVector, p: int) -> SFPoly:
     The i-th factor is the sum of sign(v_j) * x_j over j in the i-th block;
     blocks are disjoint, so the product is square-free of degree p.
     """
-    if v not in set(tope_flag_set(m, flag)):
+    if v not in tope_flag_members(m, flag):
         raise ValueError("origin tope is not in the tope set of the flag")
     if p > flag.length:
         raise ValueError("degree exceeds the flag length")

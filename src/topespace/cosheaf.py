@@ -2,9 +2,13 @@
 
 Cones of the fan are keyed by flags of proper flats.  Each cone carries the
 tope space of the initial matroid of its flag, filtered by the lower
-filtration, with the dual-algebra pieces as graded quotients.  All stalk maps
-between nested flags are realized as explicit integer matrices, so every
-diagram check reduces to matrix identities and lattice containments.
+filtration, with the dual-algebra pieces as graded quotients.  The stalk map
+of a nested pair of flags is the inclusion of one tope set into another, kept
+as a tope index map: pushing a chain is a scatter, and composing two maps is
+composing index tuples.  The pairing into the dual algebra is one cached
+subset-to-topes incidence per stalk and degree.  Every diagram check reduces
+to index-map identities, lattice containments and coordinate comparisons;
+`cosheaf_map` still gives the 0/1 matrix for callers that want one.
 """
 
 from __future__ import annotations
@@ -12,15 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebras import cordovil_dual, sf_vector, subset_index
-from .filtrations import chain_mod2, qbv, tilde_a, vg_lower
+from .algebras import cordovil_dual, subset_index
+from .filtrations import chain_mod2, pair_chain, qbv, vg_lower
 from .linalg import (
     LatticeZ,
     bits_of,
     int_identity,
-    int_relations,
+    int_image_and_relations,
     lattice_equal,
-    mat_mul,
     mat_vec,
     solve_diophantine,
 )
@@ -91,6 +94,65 @@ def stalk_matroid(m: OrientedMatroid, flag: Flag) -> OrientedMatroid:
 # ---------------------------------------------------------------------------
 # stalk maps
 
+def _stalk_pair(m: OrientedMatroid, sub: Flag, sup: Flag) -> tuple[OrientedMatroid, OrientedMatroid]:
+    if not sub.is_subflag_of(sup):
+        raise ValueError("first flag is not a subflag of the second")
+    return stalk_matroid(m, sub), stalk_matroid(m, sup)
+
+
+def _tope_map(m: OrientedMatroid, sub: Flag, sup: Flag) -> tuple[int, ...]:
+    """The sign map of a nested pair as an index map: entry j is the index,
+    among the subflag's stalk topes, of the superflag's stalk tope j."""
+
+    def build():
+        m_sub, m_sup = _stalk_pair(m, sub, sup)
+        try:
+            return tuple(m_sub.tope_index[t] for t in m_sup.topes)
+        except KeyError:
+            raise ValueError("tope sets of the stalks are not nested") from None
+
+    return m.memo(("tope_map", sub.flats, sup.flats), build)
+
+
+def _scatter(idx: tuple[int, ...], chain, size: int) -> list[int]:
+    """Push a chain through a tope index map."""
+    out = [0] * size
+    for j, c in enumerate(chain):
+        if c:
+            out[idx[j]] += c
+    return out
+
+
+def _pushed_lower(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) -> list[list[int]]:
+    """The superflag's degree-p lower basis pushed into the subflag's stalk,
+    after checking that each pushed row lies in the subflag's degree-p piece."""
+    m_sub, m_sup = _stalk_pair(m, sub, sup)
+    idx = _tope_map(m, sub, sup)
+    target = vg_lower(m_sub, p)
+    pushed = []
+    for row in vg_lower(m_sup, p).basis:
+        out = _scatter(idx, row, len(m_sub.topes))
+        if not target.contains(out):
+            raise ValueError(f"inclusion does not respect the degree-{p} lower piece")
+        pushed.append(out)
+    return pushed
+
+
+def _check_dual_pieces(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) -> None:
+    m_sub, m_sup = _stalk_pair(m, sub, sup)
+    if not cordovil_dual(m_sub, p).contains_lattice(cordovil_dual(m_sup, p)):
+        raise ValueError(f"inclusion does not respect the degree-{p} dual-algebra piece")
+
+
+def _lower_images(mf: OrientedMatroid, p: int) -> list[list[int]]:
+    """Pairing images of the basis of a stalk's degree-p lower piece, by
+    p-subset; cached per stalk and degree.  The basis rows lie in the piece
+    by construction, so no membership guard runs."""
+    return mf.memo(("lower_images", p), lambda: [
+        pair_chain(mf, row, p) for row in vg_lower(mf, p).basis
+    ])
+
+
 def cosheaf_map(m: OrientedMatroid, sub: Flag, sup: Flag, kind: str = "sign",
                 p: Optional[int] = None):
     """Matrix of the stalk map attached to a nested pair of flags.
@@ -100,35 +162,24 @@ def cosheaf_map(m: OrientedMatroid, sub: Flag, sup: Flag, kind: str = "sign",
     matrix of the tope-set inclusion.  P_p: the same matrix, after checking
     that it carries the degree-p lower piece of the source into the target's.
     A_p: identity on square-free degree-p coordinates, after checking the
-    lattice containment of the dual-algebra pieces.
+    lattice containment of the dual-algebra pieces.  The matrices are built
+    from the tope index map that the Theorem C checks use directly.
     """
-    if not sub.is_subflag_of(sup):
-        raise ValueError("first flag is not a subflag of the second")
-    m_sub = stalk_matroid(m, sub)
-    m_sup = stalk_matroid(m, sup)
+    m_sub, _ = _stalk_pair(m, sub, sup)
     if kind in ("sign", "P_p"):
-        mat = [[0] * len(m_sup.topes) for _ in range(len(m_sub.topes))]
-        for j, t in enumerate(m_sup.topes):
-            if t not in m_sub.tope_index:
-                raise ValueError("tope sets of the stalks are not nested")
-            mat[m_sub.tope_index[t]][j] = 1
+        idx = _tope_map(m, sub, sup)
         if kind == "P_p":
             if p is None:
                 raise ValueError("kind P_p needs a degree")
-            target = vg_lower(m_sub, p)
-            for row in vg_lower(m_sup, p).basis:
-                if not target.contains(mat_vec(mat, list(row))):
-                    raise ValueError(
-                        f"inclusion does not respect the degree-{p} lower piece"
-                    )
+            _pushed_lower(m, sub, sup, p)
+        mat = [[0] * len(idx) for _ in m_sub.topes]
+        for j, i in enumerate(idx):
+            mat[i][j] = 1
         return mat
     if kind == "A_p":
         if p is None:
             raise ValueError("kind A_p needs a degree")
-        if not cordovil_dual(m_sub, p).contains_lattice(cordovil_dual(m_sup, p)):
-            raise ValueError(
-                f"inclusion does not respect the degree-{p} dual-algebra piece"
-            )
+        _check_dual_pieces(m, sub, sup, p)
         return int_identity(len(subset_index(m.n, p)))
     raise ValueError(f"unknown kind {kind!r}")
 
@@ -161,19 +212,17 @@ def verify_ses(m: OrientedMatroid, flag: Flag, p: int) -> SESReport:
 
     The pairing map must carry the stalk's degree-p lower piece onto its dual
     algebra piece, and the honestly computed kernel lattice must equal the
-    degree-(p+1) piece.
+    degree-(p+1) piece.  One Hermite form of the pairing images labelled by
+    the lower basis gives both the image lattice and the kernel.
     """
     mf = stalk_matroid(m, flag)
     lower = vg_lower(mf, p)
     nxt = vg_lower(mf, p + 1)
     a = cordovil_dual(mf, p)
     ncoords = len(subset_index(m.n, p))
-    imgs = [sf_vector(tilde_a(mf, list(row), p), m.n, p) for row in lower.basis]
-    image = LatticeZ.from_generators(ncoords, imgs)
-    surjective = lattice_equal(image, a)
-    # relations among the images, read off as combinations of the lower basis
-    kernel = int_relations(imgs, lower.basis)
-    kernel_ok = lattice_equal(LatticeZ(len(mf.topes), tuple(tuple(r) for r in kernel)), nxt)
+    image, kernel = int_image_and_relations(_lower_images(mf, p), lower.basis)
+    surjective = lattice_equal(LatticeZ(ncoords, tuple(map(tuple, image))), a)
+    kernel_ok = lattice_equal(LatticeZ(len(mf.topes), tuple(map(tuple, kernel))), nxt)
     return SESReport(
         flag.flats, p, lower.rank, nxt.rank, a.rank,
         surjective, kernel_ok, surjective and kernel_ok,
@@ -205,30 +254,27 @@ class NaturalityReport:
 def verify_naturality(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) -> NaturalityReport:
     """Commutation of the degree-p stalk squares for a nested pair of flags.
 
-    The two inclusion squares hold once the sign matrix respects the lower
-    pieces in degrees p and p+1 and the dual-algebra pieces are nested; the
-    pairing square is checked on a spanning set of the source's degree-p
-    piece, pushing each chain through the sign matrix and comparing the two
-    polynomial images coordinatewise.
+    The two inclusion squares hold once the tope index map carries the lower
+    pieces of degrees p and p+1 into the target's and the dual-algebra pieces
+    are nested; the pairing square is checked on the basis of the source's
+    degree-p piece, scattering each row through the index map and comparing
+    the source's pairing images with the target's pairing of the pushed row
+    coordinatewise.
     """
     detail = ""
     try:
-        sign = cosheaf_map(m, sub, sup, "sign")
-        cosheaf_map(m, sub, sup, "P_p", p)
-        cosheaf_map(m, sub, sup, "P_p", p + 1)
-        cosheaf_map(m, sub, sup, "A_p", p)
+        pushed = _pushed_lower(m, sub, sup, p)
+        _pushed_lower(m, sub, sup, p + 1)
+        _check_dual_pieces(m, sub, sup, p)
         inclusions_ok = True
     except ValueError as e:
         return NaturalityReport(sub.flats, sup.flats, p, False, False, 0, str(e), False)
-    m_sub = stalk_matroid(m, sub)
-    m_sup = stalk_matroid(m, sup)
+    m_sub, m_sup = _stalk_pair(m, sub, sup)
     square_ok = True
     checked = 0
-    for row in vg_lower(m_sup, p).basis:
-        direct = tilde_a(m_sup, list(row), p)
-        pushed = tilde_a(m_sub, mat_vec(sign, list(row)), p)
+    for direct, row in zip(_lower_images(m_sup, p), pushed):
         checked += 1
-        if direct != pushed:
+        if direct != pair_chain(m_sub, row, p):
             square_ok = False
             detail = f"pairing square fails on a degree-{p} basis chain"
             break
@@ -287,9 +333,10 @@ def verify_theorem_C(m: OrientedMatroid) -> TheoremCReport:
     """Stalk exactness and functoriality over the whole fan, all degrees.
 
     Runs the exactness check at every cone, the naturality check at every
-    proper nested pair of flags, and the composition identity of sign
-    matrices over every chain of three nested flags.  Dual-algebra maps are
-    identities on coordinates, so their compositions hold by construction.
+    proper nested pair of flags, and the composition identity of sign maps,
+    as tope index maps, over every chain of three nested flags.  Dual-algebra
+    maps are identities on coordinates, so their compositions hold by
+    construction.
     """
     flags = [cone.flag for cone in fan_cones(m)]
     failures: list[str] = []
@@ -319,10 +366,9 @@ def verify_theorem_C(m: OrientedMatroid) -> TheoremCReport:
             for sub in subs:
                 if sub == mid or not sub.is_subflag_of(mid):
                     continue
-                direct = cosheaf_map(m, sub, sup)
-                two_step = mat_mul(
-                    cosheaf_map(m, sub, mid), cosheaf_map(m, mid, sup)
-                )
+                direct = _tope_map(m, sub, sup)
+                first, second = _tope_map(m, sub, mid), _tope_map(m, mid, sup)
+                two_step = tuple(first[j] for j in second)
                 compositions += 1
                 if direct != two_step:
                     failures.append(

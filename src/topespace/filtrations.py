@@ -37,6 +37,7 @@ from .om import (
     SignVector,
     enumerate_flags,
     is_complete_flag,
+    tope_flag_members,
     tope_flag_set,
     zero_out,
 )
@@ -71,22 +72,35 @@ def format_tope_mask(m: OrientedMatroid, mask: int) -> str:
 # ---------------------------------------------------------------------------
 # Heaviside evaluation and the lower filtration
 
-def heaviside_eval(m: OrientedMatroid, s: Iterable[int] | int, gamma: IntChain) -> int:
-    """Evaluate the monomial of indicator functions of the subset s on a chain.
+def heaviside_pairing(m: OrientedMatroid, p: int) -> tuple[tuple[int, ...], ...]:
+    """For each p-subset of the ground set, in `subset_index` order, the
+    indices of the topes whose positive part contains it.
 
-    Each factor is 1 on a tope exactly when the tope is positive there, so the
-    monomial is 1 precisely on topes whose positive part contains s.
+    These are the supports of the degree-p Heaviside monomials, so pairing a
+    chain with the monomials is one sum per subset.  Cached per matroid and
+    degree.
     """
-    smask = s if isinstance(s, int) else mask_from_bits(s)
-    return sum(c for c, t in zip(gamma, m.topes) if smask & ~t.plus == 0)
+    return m.memo(("heaviside_pairing", p), lambda: tuple(
+        tuple(i for i, t in enumerate(m.topes) if smask & ~t.plus == 0)
+        for smask in map(mask_from_bits, combinations(range(m.n), p))
+    ))
+
+
+def pair_chain(m: OrientedMatroid, gamma: IntChain, p: int) -> list[int]:
+    """Coordinates, by p-subset, of the Heaviside monomials evaluated on a
+    chain; no membership check (see `tilde_a`)."""
+    at = gamma.__getitem__
+    return [sum(map(at, topes)) for topes in heaviside_pairing(m, p)]
 
 
 def _monomial_rows_int(m: OrientedMatroid, max_deg: int) -> list[list[int]]:
     rows = []
     for q in range(max_deg + 1):
-        for s in combinations(range(m.n), q):
-            smask = mask_from_bits(s)
-            rows.append([1 if smask & ~t.plus == 0 else 0 for t in m.topes])
+        for topes in heaviside_pairing(m, q):
+            row = [0] * len(m.topes)
+            for i in topes:
+                row[i] = 1
+            rows.append(row)
     return rows
 
 
@@ -104,7 +118,8 @@ def vg_lower(m: OrientedMatroid, p: int, ring: str = "z"):
         if ring == "z":
             if p <= 0:
                 return LatticeZ.full(nt)
-            return LatticeZ.from_generators(nt, int_kernel(_monomial_rows_int(m, p - 1)))
+            # int_kernel returns the canonical HNF basis already
+            return LatticeZ(nt, tuple(map(tuple, int_kernel(_monomial_rows_int(m, p - 1)))))
         if ring == "z2":
             if p <= 0:
                 return SubspaceGF2.full(nt)
@@ -124,7 +139,7 @@ def vg_lower(m: OrientedMatroid, p: int, ring: str = "z"):
 def _complete_flag_data(m: OrientedMatroid, flag: Flag, v: SignVector):
     if not is_complete_flag(m, flag):
         raise ValueError("flag must be complete")
-    if v not in set(tope_flag_set(m, flag)):
+    if v not in tope_flag_members(m, flag):
         raise ValueError("origin tope is not in the tope set of the flag")
     return flag.blocks()
 
@@ -510,12 +525,8 @@ def tilde_a(m: OrientedMatroid, gamma: IntChain, p: int) -> SFPoly:
         raise ValueError("chain length does not match the tope count")
     if not vg_lower(m, p, "z").contains(g):
         raise ValueError("chain is not in the degree-p lower piece")
-    out: SFPoly = {}
-    for s in combinations(range(m.n), p):
-        val = heaviside_eval(m, s, g)
-        if val:
-            out[s] = val
-    return out
+    coords = pair_chain(m, g, p)
+    return {s: c for s, c in zip(combinations(range(m.n), p), coords) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +546,7 @@ def asymptotic(m: OrientedMatroid, p: int) -> LatticeZ:
                 for s in combinations(range(m.n), q):
                     smask = mask_from_bits(s)
                     rows.add(tuple(1 if smask & ~sep == 0 else 0 for sep in seps))
-        return LatticeZ.from_generators(nt, int_kernel([list(r) for r in sorted(rows)]))
+        return LatticeZ(nt, tuple(map(tuple, int_kernel([list(r) for r in sorted(rows)]))))
 
     return m.memo(("asymptotic", p), build)
 

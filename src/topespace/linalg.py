@@ -12,6 +12,7 @@ import heapq
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 
@@ -226,25 +227,6 @@ def int_identity(n: int) -> IntMatrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if not a:
-        return []
-    n = len(b)
-    if any(len(row) != n for row in a):
-        raise ValueError(f"mat_mul shape mismatch: the right factor has {n} rows")
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for k, v in enumerate(row):
-            if v:
-                brow = b[k]
-                for j in range(cols):
-                    acc[j] += v * brow[j]
-        out.append(acc)
-    return out
-
-
 def mat_vec(a: IntMatrix, x: list[int]) -> list[int]:
     return [sum(v * xv for v, xv in zip(row, x)) for row in a]
 
@@ -388,23 +370,33 @@ def _columns(a: IntMatrix) -> IntMatrix:
     return [[r[j] for r in a] for j in range(n)]
 
 
-def int_relations(images: Sequence, labels: Sequence) -> IntMatrix:
-    """HNF basis of {sum c_k·labels[k] : c integral, sum c_k·images[k] = 0}.
+def int_image_and_relations(images: Sequence, labels: Sequence) -> tuple[IntMatrix, IntMatrix]:
+    """HNF bases of the image lattice spanned by `images` and of the
+    relations {sum c_k·labels[k] : c integral, sum c_k·images[k] = 0}.
 
     Puts the rows images[k] + labels[k] in Hermite form.  Pivot columns
-    increase, so the rows whose image part vanishes come last, and their
-    label parts are already the HNF basis sought (H. Cohen, A Course in
-    Computational Algebraic Number Theory, 1993, section 2.4).
+    increase, so the rows whose image part is nonzero come first and their
+    image parts are the HNF basis of the image lattice; the rows whose image
+    part vanishes come last, and their label parts are the HNF basis of the
+    relations (H. Cohen, A Course in Computational Algebraic Number Theory,
+    1993, section 2.4).
     """
     if len(images) != len(labels):
         raise ValueError(f"{len(images)} images but {len(labels)} labels")
     if not images:
-        return []
+        return [], []
     w, lw = len(images[0]), len(labels[0])
     if any(len(v) != w for v in images) or any(len(v) != lw for v in labels):
         raise ValueError("ragged images or labels")
     h = hermite_normal_form([list(v) + list(t) for v, t in zip(images, labels)], w + lw)
-    return [row[w:] for row in h if not any(row[:w])]
+    image = [row[:w] for row in h if any(row[:w])]
+    return image, [row[w:] for row in h if not any(row[:w])]
+
+
+def int_relations(images: Sequence, labels: Sequence) -> IntMatrix:
+    """HNF basis of {sum c_k·labels[k] : c integral, sum c_k·images[k] = 0};
+    see `int_image_and_relations`."""
+    return int_image_and_relations(images, labels)[1]
 
 
 def int_kernel(a: IntMatrix) -> IntMatrix:
@@ -414,8 +406,12 @@ def int_kernel(a: IntMatrix) -> IntMatrix:
     if m == 0:
         return int_identity(n)
     kern = int_relations(_columns(a), int_identity(n))
-    if any(any(mat_vec(a, x)) for x in kern):
-        raise RuntimeError("int_kernel check failed: a·x != 0 for a returned row")
+    # check a·x = 0 on the nonzero entries of x only: kernel rows are sparse
+    # where the rows of a are wide
+    for x in kern:
+        support = [(j, v) for j, v in enumerate(x) if v]
+        if any(sum(row[j] * v for j, v in support) for row in a):
+            raise RuntimeError("int_kernel check failed: a·x != 0 for a returned row")
     return kern
 
 
@@ -443,19 +439,28 @@ class LatticeZ:
     def rank(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _reducers(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+        """Per basis row: its pivot column, its pivot and its nonzero entries."""
+        out = []
+        for row in self.basis:
+            support = tuple((j, x) for j, x in enumerate(row) if x)
+            out.append((support[0][0], support[0][1], support))
+        return tuple(out)
+
     def coords_of(self, v) -> Optional[list[int]]:
         """Integer coordinates of v in the HNF basis, or None if not a member."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         v = list(v)
         coords = []
-        for row in self.basis:
-            c = next(i for i, x in enumerate(row) if x)
-            q, r = divmod(v[c], row[c])
+        for c, pivot, support in self._reducers:
+            q, r = divmod(v[c], pivot)
             if r:
                 return None
             if q:
-                v = [x - q * y for x, y in zip(v, row)]
+                for j, y in support:
+                    v[j] -= q * y
             coords.append(q)
         if any(v):
             return None

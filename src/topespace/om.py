@@ -336,12 +336,21 @@ def enumerate_flags(m: OrientedMatroid, complete: bool = True) -> list[Flag]:
 
 
 def tope_flag_set(m: OrientedMatroid, flag: Flag) -> list[SignVector]:
-    """Topes whose restriction away from every flag flat stays a covector."""
-    out = []
-    for t in m.topes:
-        if all(zero_out(t, f) in m.covector_set for f in flag.flats):
-            out.append(t)
-    return out
+    """Topes whose restriction away from every flag flat stays a covector.
+
+    Cached per flag; each call returns a fresh list, so a caller that
+    changes it leaves the cache intact.
+    """
+    return list(m.memo(("tope_flag_set", flag.flats), lambda: tuple(
+        t for t in m.topes
+        if all(zero_out(t, f) in m.covector_set for f in flag.flats)
+    )))
+
+
+def tope_flag_members(m: OrientedMatroid, flag: Flag) -> frozenset[SignVector]:
+    """The tope set of a flag as a cached set, for membership tests."""
+    return m.memo(("tope_flag_members", flag.flats),
+                  lambda: frozenset(tope_flag_set(m, flag)))
 
 
 def initial_covectors(m: OrientedMatroid, flag: Flag) -> frozenset[SignVector]:

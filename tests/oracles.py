@@ -5,10 +5,27 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from topespace.algebras import subset_index, wedge_masks
-from topespace.filtrations import IntChain, prefix_chain
-from topespace.linalg import IntMatrix, LatticeZ, SubspaceGF2, mask_from_bits, smith_normal_form
-from topespace.om import OrientedMatroid, enumerate_flags, tope_flag_set
+from topespace.algebras import SFPoly, cordovil_dual, sf_vector, subset_index, wedge_masks
+from topespace.cosheaf import (
+    NaturalityReport,
+    SESReport,
+    TheoremCReport,
+    fan_cones,
+    stalk_matroid,
+)
+from topespace.filtrations import IntChain, prefix_chain, vg_lower
+from topespace.linalg import (
+    IntMatrix,
+    LatticeZ,
+    SubspaceGF2,
+    int_identity,
+    int_relations,
+    lattice_equal,
+    mask_from_bits,
+    mat_vec,
+    smith_normal_form,
+)
+from topespace.om import Flag, OrientedMatroid, enumerate_flags, tope_flag_set
 from topespace.salvetti import FineComplex
 
 
@@ -189,3 +206,179 @@ def asymptotic_member(m: OrientedMatroid, gamma: IntChain, p: int) -> bool:
                 if sum(c for c, sep in seps if smask & ~sep == 0):
                     return False
     return True
+
+
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if not a:
+        return []
+    n = len(b)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"mat_mul shape mismatch: the right factor has {n} rows")
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for k, v in enumerate(row):
+            if v:
+                brow = b[k]
+                for j in range(cols):
+                    acc[j] += v * brow[j]
+        out.append(acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Theorem C through dense stalk matrices and per-subset Heaviside sums
+
+
+def heaviside_eval(m: OrientedMatroid, s: Iterable[int] | int, gamma: IntChain) -> int:
+    """Evaluate the monomial of indicator functions of the subset s on a chain.
+
+    Each factor is 1 on a tope exactly when the tope is positive there, so the
+    monomial is 1 precisely on topes whose positive part contains s.
+    """
+    smask = s if isinstance(s, int) else mask_from_bits(s)
+    return sum(c for c, t in zip(gamma, m.topes) if smask & ~t.plus == 0)
+
+
+def tilde_a_dense(m: OrientedMatroid, gamma: IntChain, p: int) -> SFPoly:
+    """The pairing of a degree-p lower chain, one Heaviside sum per subset."""
+    g = list(gamma)
+    if len(g) != len(m.topes):
+        raise ValueError("chain length does not match the tope count")
+    if not vg_lower(m, p, "z").contains(g):
+        raise ValueError("chain is not in the degree-p lower piece")
+    out: SFPoly = {}
+    for s in combinations(range(m.n), p):
+        val = heaviside_eval(m, s, g)
+        if val:
+            out[s] = val
+    return out
+
+
+def cosheaf_map_dense(m: OrientedMatroid, sub: Flag, sup: Flag, kind: str = "sign",
+                      p: int | None = None):
+    """Dense 0/1 stalk matrix of a nested pair, with the P_p and A_p checks."""
+    if not sub.is_subflag_of(sup):
+        raise ValueError("first flag is not a subflag of the second")
+    m_sub = stalk_matroid(m, sub)
+    m_sup = stalk_matroid(m, sup)
+    if kind in ("sign", "P_p"):
+        mat = [[0] * len(m_sup.topes) for _ in range(len(m_sub.topes))]
+        for j, t in enumerate(m_sup.topes):
+            if t not in m_sub.tope_index:
+                raise ValueError("tope sets of the stalks are not nested")
+            mat[m_sub.tope_index[t]][j] = 1
+        if kind == "P_p":
+            if p is None:
+                raise ValueError("kind P_p needs a degree")
+            target = vg_lower(m_sub, p)
+            for row in vg_lower(m_sup, p).basis:
+                if not target.contains(mat_vec(mat, list(row))):
+                    raise ValueError(
+                        f"inclusion does not respect the degree-{p} lower piece"
+                    )
+        return mat
+    if kind == "A_p":
+        if p is None:
+            raise ValueError("kind A_p needs a degree")
+        if not cordovil_dual(m_sub, p).contains_lattice(cordovil_dual(m_sup, p)):
+            raise ValueError(
+                f"inclusion does not respect the degree-{p} dual-algebra piece"
+            )
+        return int_identity(len(subset_index(m.n, p)))
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def verify_ses_dense(m: OrientedMatroid, flag: Flag, p: int) -> SESReport:
+    """Stalk exactness with the image lattice and the kernel from two
+    separate Hermite forms."""
+    mf = stalk_matroid(m, flag)
+    lower = vg_lower(mf, p)
+    nxt = vg_lower(mf, p + 1)
+    a = cordovil_dual(mf, p)
+    ncoords = len(subset_index(m.n, p))
+    imgs = [sf_vector(tilde_a_dense(mf, list(row), p), m.n, p) for row in lower.basis]
+    image = LatticeZ.from_generators(ncoords, imgs)
+    surjective = lattice_equal(image, a)
+    kernel = int_relations(imgs, lower.basis)
+    kernel_ok = lattice_equal(LatticeZ(len(mf.topes), tuple(tuple(r) for r in kernel)), nxt)
+    return SESReport(
+        flag.flats, p, lower.rank, nxt.rank, a.rank,
+        surjective, kernel_ok, surjective and kernel_ok,
+    )
+
+
+def verify_naturality_dense(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) -> NaturalityReport:
+    """Naturality with every chain pushed through the dense sign matrix."""
+    detail = ""
+    try:
+        sign = cosheaf_map_dense(m, sub, sup, "sign")
+        cosheaf_map_dense(m, sub, sup, "P_p", p)
+        cosheaf_map_dense(m, sub, sup, "P_p", p + 1)
+        cosheaf_map_dense(m, sub, sup, "A_p", p)
+        inclusions_ok = True
+    except ValueError as e:
+        return NaturalityReport(sub.flats, sup.flats, p, False, False, 0, str(e), False)
+    m_sub = stalk_matroid(m, sub)
+    m_sup = stalk_matroid(m, sup)
+    square_ok = True
+    checked = 0
+    for row in vg_lower(m_sup, p).basis:
+        direct = tilde_a_dense(m_sup, list(row), p)
+        pushed = tilde_a_dense(m_sub, mat_vec(sign, list(row)), p)
+        checked += 1
+        if direct != pushed:
+            square_ok = False
+            detail = f"pairing square fails on a degree-{p} basis chain"
+            break
+    return NaturalityReport(
+        sub.flats, sup.flats, p, inclusions_ok, square_ok, checked, detail,
+        inclusions_ok and square_ok,
+    )
+
+
+def verify_theorem_C_dense(m: OrientedMatroid) -> TheoremCReport:
+    """`verify_theorem_C` on the dense path, with compositions as matrix
+    products."""
+    flags = [cone.flag for cone in fan_cones(m)]
+    failures: list[str] = []
+    ses = []
+    for flag in flags:
+        for p in range(m.rank + 1):
+            rep = verify_ses_dense(m, flag, p)
+            ses.append(rep.to_dict())
+            if not rep.ok:
+                failures.append(f"exactness fails at flag {flag.flats} degree {p}")
+    naturality = []
+    for sup in flags:
+        for sub in flags:
+            if sub == sup or not sub.is_subflag_of(sup):
+                continue
+            for p in range(m.rank + 1):
+                rep = verify_naturality_dense(m, sub, sup, p)
+                naturality.append(rep.to_dict())
+                if not rep.ok:
+                    failures.append(
+                        f"naturality fails for {sub.flats} in {sup.flats} degree {p}"
+                    )
+    compositions = 0
+    for sup in flags:
+        subs = [f for f in flags if f.is_subflag_of(sup) and f != sup]
+        for mid in subs:
+            for sub in subs:
+                if sub == mid or not sub.is_subflag_of(mid):
+                    continue
+                direct = cosheaf_map_dense(m, sub, sup)
+                two_step = mat_mul(
+                    cosheaf_map_dense(m, sub, mid), cosheaf_map_dense(m, mid, sup)
+                )
+                compositions += 1
+                if direct != two_step:
+                    failures.append(
+                        f"composition fails through {mid.flats} between "
+                        f"{sub.flats} and {sup.flats}"
+                    )
+    return TheoremCReport(
+        len(flags), ses, naturality, compositions, failures, not failures
+    )

@@ -1,9 +1,14 @@
 """Tests for the fan cosheaves: stalks, maps, exactness, and the obstruction."""
 
-import pytest
+from fractions import Fraction
 
+import oracles
+import pytest
+from oracles import mat_mul, verify_naturality_dense, verify_theorem_C_dense
+
+from topespace import cosheaf
 from topespace.algebras import cordovil_dual, nbc_sets
-from topespace.corpus import load, names
+from topespace.corpus import CORPUS, load, names
 from topespace.cosheaf import (
     FanCone,
     cone_of,
@@ -17,8 +22,15 @@ from topespace.cosheaf import (
     verify_theorem_C,
 )
 from topespace.filtrations import vg_lower
-from topespace.linalg import int_identity, mat_mul
-from topespace.om import Flag, enumerate_flags, is_complete_flag, make_flag
+from topespace.linalg import int_identity
+from topespace.om import (
+    Arrangement,
+    Flag,
+    enumerate_flags,
+    is_complete_flag,
+    make_flag,
+    om_from_arrangement,
+)
 
 
 def proper_flag_count(m) -> int:
@@ -250,6 +262,59 @@ def test_theorem_C_u34():
     assert report.compositions == 24
     assert all(row["ok"] for row in report.ses)
     assert all(row["ok"] for row in report.naturality)
+
+
+def b3():
+    # the Coxeter arrangement B3: normals e_i and e_i +- e_j in R^3
+    normals = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            for sign in (1, -1):
+                v = [0, 0, 0]
+                v[i], v[j] = 1, sign
+                normals.append(tuple(v))
+    return om_from_arrangement(Arrangement(tuple(
+        tuple(Fraction(x) for x in v) for v in normals
+    )))
+
+
+def fresh(name):
+    return om_from_arrangement(Arrangement(CORPUS[name].normals))
+
+
+@pytest.mark.parametrize("build", [lambda: fresh("u34"), lambda: fresh("a3"), b3],
+                         ids=["u34", "a3", "b3"])
+def test_theorem_C_matches_dense_oracle(build):
+    # separate matroids, so neither path reads what the other cached
+    report, oracle = verify_theorem_C(build()), verify_theorem_C_dense(build())
+    assert report.cones == oracle.cones
+    assert report.ses == oracle.ses
+    assert report.naturality == oracle.naturality
+    assert report.compositions == oracle.compositions
+    assert report.failures == oracle.failures
+    assert report.ok == oracle.ok
+    assert report.ok
+
+
+def test_naturality_matches_dense_oracle_when_a_lower_piece_is_wrong(monkeypatch):
+    # the trivial flag's degree-1 piece is replaced by its degree-2 piece, so
+    # the inclusion of the degree-1 piece of the superflag's stalk must fail
+    m = fresh("u23")
+    sub, sup = make_flag(m, []), make_flag(m, [0b001])
+    real = vg_lower
+
+    def wrong(mm, p, ring="z"):
+        return real(mm, 2 if (mm is m and p == 1) else p, ring)
+
+    monkeypatch.setattr(cosheaf, "vg_lower", wrong)
+    monkeypatch.setattr(oracles, "vg_lower", wrong)
+    for p in (0, 1):
+        rep = verify_naturality(m, sub, sup, p)
+        assert rep == verify_naturality_dense(m, sub, sup, p)
+        assert not rep.ok and not rep.inclusions_ok and rep.checked == 0
+        assert rep.detail == "inclusion does not respect the degree-1 lower piece"
+    assert verify_naturality(m, sub, sup, 2) == verify_naturality_dense(m, sub, sup, 2)
+    assert verify_naturality(m, sub, sup, 2).ok
 
 
 # -- the integral lifting obstruction ---------------------------------------

@@ -6,6 +6,8 @@ from itertools import combinations
 import pytest
 from oracles import (
     asymptotic_member,
+    heaviside_eval,
+    tilde_a_dense,
     int_rank,
     lattice_saturated,
     quillen_Q_oracle,
@@ -30,8 +32,9 @@ from topespace.filtrations import (
     chain_mod2,
     format_tope_chain,
     format_tope_mask,
-    heaviside_eval,
+    heaviside_pairing,
     kalinin_K,
+    pair_chain,
     prefix_chain,
     qbv,
     quillen_Q,
@@ -497,6 +500,24 @@ def test_tilde_a_image_and_kernel():
             assert vg_lower(m, p + 1).rank == lat.rank - cordovil_dual(m, p).rank
 
 
+@pytest.mark.parametrize("name", ["u34", "a3"])
+def test_pairing_matches_heaviside_sums(name):
+    m = load(name)
+    rng = random.Random(59)
+    chains = [[rng.randint(-2, 2) for _ in m.topes] for _ in range(10)]
+    for p in range(m.rank + 2):
+        pairing = heaviside_pairing(m, p)
+        subsets = list(combinations(range(m.n), p))
+        assert len(pairing) == len(subsets)
+        for s, topes in zip(subsets, pairing):
+            smask = mask_from_bits(s)
+            assert topes == tuple(i for i, t in enumerate(m.topes) if smask & ~t.plus == 0)
+        for gamma in chains:
+            assert pair_chain(m, gamma, p) == [heaviside_eval(m, s, gamma) for s in subsets]
+        for row in vg_lower(m, p).basis:
+            assert tilde_a(m, row, p) == tilde_a_dense(m, row, p)
+
+
 def test_tilde_a_rejects_nonmembers():
     m = load("u23")
     single = [0] * len(m.topes)
@@ -506,6 +527,16 @@ def test_tilde_a_rejects_nonmembers():
 
 
 # -- the asymptotic filtration ----------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["u34", "a3"])
+def test_kernel_lattices_are_already_canonical(name):
+    # vg_lower, asymptotic and cordovil_dual keep the HNF basis of int_kernel
+    # as it is, without a second Hermite form
+    m = load(name)
+    for p in range(m.rank + 2):
+        for lat in (vg_lower(m, p), asymptotic(m, p), cordovil_dual(m, p)):
+            assert lat == LatticeZ.from_generators(lat.ambient_dim, lat.basis)
 
 
 def test_asymptotic_membership_goldens():

@@ -4,7 +4,9 @@ Library invariants raise real exceptions, because `python -O` strips
 `assert` statements; only `om.py` touches the memo cache, which every
 other module reaches through `OrientedMatroid.memo`; and only `linalg.py`
 names the integer eliminations, so every other module gets kernels,
-intersections, solves and invariant factors through its lattice helpers.
+intersections, solves and invariant factors through its lattice helpers;
+and the Theorem C verifiers push chains through tope index maps, never
+through dense stalk matrices.
 """
 
 import ast
@@ -51,3 +53,29 @@ def test_integer_eliminations_only_in_linalg(path):
             and any(alias.name in ELIMINATIONS for alias in node.names))
     )
     assert lines == [], f"{path.name}: integer elimination named at lines {lines}"
+
+
+DENSE_STALK_MAPS = {"mat_vec", "mat_mul", "cosheaf_map"}
+THEOREM_C_VERIFIERS = ("verify_ses", "verify_naturality", "verify_theorem_C")
+
+
+@pytest.mark.parametrize("name", THEOREM_C_VERIFIERS)
+def test_theorem_C_verifiers_use_index_maps(name):
+    path = PACKAGE / "cosheaf.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    lines = sorted(
+        node.lineno for node in ast.walk(fn)
+        if (isinstance(node, ast.Name) and node.id in DENSE_STALK_MAPS)
+        or (isinstance(node, ast.Attribute) and node.attr in DENSE_STALK_MAPS)
+    )
+    assert lines == [], f"{name}: dense stalk map named at lines {lines}"
+
+
+def test_cosheaf_does_not_import_mat_mul():
+    path = PACKAGE / "cosheaf.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "mat_mul" not in names

@@ -7,7 +7,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from oracles import int_rank, lattice_saturated
+from oracles import int_rank, lattice_saturated, mat_mul
 
 from topespace import linalg
 from topespace.corpus import load
@@ -20,10 +20,10 @@ from topespace.linalg import (
     gf2_rref,
     gf2_solve_project,
     hermite_normal_form,
+    int_image_and_relations,
     int_kernel,
     lattice_equal,
     mask_from_bits,
-    mat_mul,
     mat_vec,
     parity,
     smith_normal_form,
@@ -294,6 +294,33 @@ def test_int_kernel_random_differential():
         lat = LatticeZ.from_generators(n, kern)
         assert lattice_saturated(lat)
         assert max((abs(v) for x in kern for v in x), default=0).bit_length() < 64
+
+
+def test_int_kernel_check_rejects_a_wrong_row(monkeypatch):
+    a = [[1, 1, 0], [0, 1, 1]]
+    assert int_kernel(a) == [[1, -1, 1]]
+    # the check reads only the nonzero entries of a row, and still every row of a
+    monkeypatch.setattr(linalg, "int_relations", lambda images, labels: [[1, -1, 0]])
+    with pytest.raises(RuntimeError, match="a·x != 0"):
+        int_kernel(a)
+
+
+def test_int_image_and_relations_matches_separate_forms():
+    rng = random.Random(53)
+    for _ in range(40):
+        k, w, lw = rng.randint(1, 12), rng.randint(1, 10), rng.randint(1, 8)
+        images = random_int_matrix(rng, k, w, (0, 1, 2, 3))
+        labels = random_int_matrix(rng, k, lw, (1, 2))
+        image, relations = int_image_and_relations(images, labels)
+        assert image == hermite_normal_form(images, w)
+        assert LatticeZ.from_generators(w, images).basis == tuple(map(tuple, image))
+        # relations as the parent computed them: the kernel of the
+        # transposed images, recombined over the labels
+        combos = int_kernel([list(col) for col in zip(*images)])
+        recombined = [[sum(c * row[j] for c, row in zip(x, labels)) for j in range(lw)]
+                      for x in combos]
+        assert relations == hermite_normal_form(recombined, lw)
+    assert int_image_and_relations([], []) == ([], [])
 
 
 def test_lattice_intersection_against_box_membership():

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from topespace.corpus import load
 from topespace.om import (
     Arrangement,
     Flag,
@@ -22,6 +23,7 @@ from topespace.om import (
     om_from_covectors,
     parse_arrangement,
     parse_covector_lines,
+    tope_flag_members,
     tope_flag_set,
     zero_out,
 )
@@ -263,6 +265,21 @@ def test_tope_flag_set_is_affine_over_gf2():
             for d in f.blocks():
                 span |= {s ^ d for s in span}
             assert diffs == span
+
+
+@pytest.mark.parametrize("name", ["u34", "a3"])
+def test_tope_flag_set_is_cached_and_copied(name):
+    m = load(name)
+    for f in enumerate_flags(m) + enumerate_flags(m, complete=False):
+        direct = [t for t in m.topes
+                  if all(zero_out(t, g) in m.covector_set for g in f.flats)]
+        got = tope_flag_set(m, f)
+        assert got == direct
+        assert tope_flag_members(m, f) == frozenset(direct)
+        got.clear()
+        got.append(m.topes[0])
+        assert tope_flag_set(m, f) == direct
+        assert tope_flag_set(m, f) is not tope_flag_set(m, f)
 
 
 def test_initial_matroid_blocks_against_restriction_contraction():
