@@ -24,7 +24,6 @@ from .linalg import (
     int_identity,
     int_image_and_relations,
     lattice_equal,
-    mat_vec,
     solve_diophantine,
 )
 from .om import (
@@ -125,16 +124,24 @@ def _scatter(idx: tuple[int, ...], chain, size: int) -> list[int]:
 
 def _pushed_lower(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) -> list[list[int]]:
     """The superflag's degree-p lower basis pushed into the subflag's stalk,
-    after checking that each pushed row lies in the subflag's degree-p piece."""
-    m_sub, m_sup = _stalk_pair(m, sub, sup)
-    idx = _tope_map(m, sub, sup)
-    target = vg_lower(m_sub, p)
-    pushed = []
-    for row in vg_lower(m_sup, p).basis:
-        out = _scatter(idx, row, len(m_sub.topes))
-        if not target.contains(out):
-            raise ValueError(f"inclusion does not respect the degree-{p} lower piece")
-        pushed.append(out)
+    after checking that each pushed row lies in the subflag's degree-p piece.
+    The outcome, a failed check included, is cached per pair and degree."""
+
+    def build():
+        m_sub, m_sup = _stalk_pair(m, sub, sup)
+        idx = _tope_map(m, sub, sup)
+        target = vg_lower(m_sub, p)
+        pushed = []
+        for row in vg_lower(m_sup, p).basis:
+            out = _scatter(idx, row, len(m_sub.topes))
+            if not target.contains(out):
+                return f"inclusion does not respect the degree-{p} lower piece"
+            pushed.append(out)
+        return pushed
+
+    pushed = m.memo(("pushed_lower", sub.flats, sup.flats, p), build)
+    if isinstance(pushed, str):
+        raise ValueError(pushed)
     return pushed
 
 
@@ -213,18 +220,24 @@ def verify_ses(m: OrientedMatroid, flag: Flag, p: int) -> SESReport:
     The pairing map must carry the stalk's degree-p lower piece onto its dual
     algebra piece, and the honestly computed kernel lattice must equal the
     degree-(p+1) piece.  One Hermite form of the pairing images labelled by
-    the lower basis gives both the image lattice and the kernel.
+    the lower basis gives both the image lattice and the kernel; it runs once
+    per stalk and degree, shared by every cone with that stalk.
     """
     mf = stalk_matroid(m, flag)
-    lower = vg_lower(mf, p)
-    nxt = vg_lower(mf, p + 1)
-    a = cordovil_dual(mf, p)
-    ncoords = len(subset_index(m.n, p))
-    image, kernel = int_image_and_relations(_lower_images(mf, p), lower.basis)
-    surjective = lattice_equal(LatticeZ(ncoords, tuple(map(tuple, image))), a)
-    kernel_ok = lattice_equal(LatticeZ(len(mf.topes), tuple(map(tuple, kernel))), nxt)
+
+    def build():
+        lower = vg_lower(mf, p)
+        nxt = vg_lower(mf, p + 1)
+        a = cordovil_dual(mf, p)
+        ncoords = len(subset_index(mf.n, p))
+        image, kernel = int_image_and_relations(_lower_images(mf, p), lower.basis)
+        surjective = lattice_equal(LatticeZ(ncoords, tuple(map(tuple, image))), a)
+        kernel_ok = lattice_equal(LatticeZ(len(mf.topes), tuple(map(tuple, kernel))), nxt)
+        return lower.rank, nxt.rank, a.rank, surjective, kernel_ok
+
+    rank_p, rank_next, rank_a, surjective, kernel_ok = mf.memo(("ses", p), build)
     return SESReport(
-        flag.flats, p, lower.rank, nxt.rank, a.rank,
+        flag.flats, p, rank_p, rank_next, rank_a,
         surjective, kernel_ok, surjective and kernel_ok,
     )
 
@@ -451,9 +464,9 @@ def impossibility_check(m: OrientedMatroid) -> ImpossibilityReport:
     for f in m.flats_by_rank[1]:
         flag = make_flag(m, [f])
         mf = stalk_matroid(m, flag)
-        sign = cosheaf_map(m, trivial, flag)
+        idx = _tope_map(m, trivial, flag)
         for brow in vg_lower(mf, 1).basis:
-            pushed = mat_vec(sign, list(brow))
+            pushed = _scatter(idx, brow, len(m.topes))
             coeffs = lower.coords_of(pushed)
             if coeffs is None:
                 raise RuntimeError(

@@ -41,7 +41,7 @@ from .om import (
     tope_flag_set,
     zero_out,
 )
-from .salvetti import bz_cochain_eval, get_fine, get_salvetti, homology_mod2
+from .salvetti import bz_cochain_eval, get_salvetti, homology_mod2
 
 # ---------------------------------------------------------------------------
 # chains on topes
@@ -596,12 +596,12 @@ class TheoremBReport:
 def verify_theorem_B(m: OrientedMatroid, order: Optional[Sequence[int]] = None) -> TheoremBReport:
     """Check the two routes from prefix chains to degree-p invariants agree.
 
-    For each degree and each distinct mod-2 prefix chain, the homology value
-    is pushed to the subdivided complex and evaluated against every cochain
+    For each degree and each distinct mod-2 prefix chain, the coarse
+    representative of the homology value is evaluated against every cochain
     indexed by a degree-p set with no broken circuit; the result must match
     the corresponding wedge coordinate of the chain's degree-p image.
     """
-    fine = get_fine(m)
+    sal = get_salvetti(m)
     degrees = []
     failures: list[str] = []
     for p in range(m.rank + 1):
@@ -616,10 +616,9 @@ def verify_theorem_B(m: OrientedMatroid, order: Optional[Sequence[int]] = None) 
         checked = 0
         for mask in gens:
             rep, _ = viro_bv(m, mask, p)
-            fine_chain = fine.coarse_to_fine(p, rep)
             wedge = qbv(m, mask, p)
             for s in nbcs:
-                lhs = bz_cochain_eval(fine, s, p, fine_chain)
+                lhs = bz_cochain_eval(sal, s, p, rep)
                 rhs = (wedge >> index[s]) & 1
                 checked += 1
                 if lhs != rhs:

@@ -70,7 +70,9 @@ def gf2_rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
                 row ^= prow
         if row:
             piv = (row & -row).bit_length() - 1
-            out = [(p, r ^ row if (r >> piv) & 1 else r) for p, r in out]
+            for k, (p, r) in enumerate(out):
+                if (r >> piv) & 1:
+                    out[k] = (p, r ^ row)
             out.append((piv, row))
     out.sort()
     return [r for _, r in out], [p for p, _ in out]
@@ -157,14 +159,10 @@ class GF2Solver:
                 zero_combos.append(combo)
                 continue
             piv = (row & -row).bit_length() - 1
-            nxt = []
-            for p, r, c in pivot_rows:
+            for k, (p, r, c) in enumerate(pivot_rows):
                 if (r >> piv) & 1:
-                    r ^= row
-                    c ^= combo
-                nxt.append((p, r, c))
-            nxt.append((piv, row, combo))
-            pivot_rows = nxt
+                    pivot_rows[k] = (p, r ^ row, c ^ combo)
+            pivot_rows.append((piv, row, combo))
         pivot_rows.sort()
         self.pivot_rows = pivot_rows
         self.zero_combos = zero_combos

@@ -2,9 +2,10 @@
 
 The coarse complex has one cell per pair (L, T) with L a covector, T a tope
 in its star (L composed with T equals T); the dimension of the cell is the
-rank of the zero set of L.  Boundaries are taken mod 2.  The fine complex is
-the order complex of the face poset of coarse cells, with integral simplicial
-boundaries; a subdivision map carries coarse mod-2 chains to fine ones.
+rank of the zero set of L.  Boundaries are taken mod 2, and the
+Björner–Ziegler cochains are evaluated on it.  The fine complex is the order
+complex of the face poset of coarse cells, with integral simplicial
+boundaries; it serves `homology_Z` only.
 
 Chains are bitmasks over the canonical cell order of their dimension.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .linalg import bits_of, gf2_rref, parity, snf_diagonal_sparse
+from .linalg import bits_of, gf2_rref, mask_from_bits, parity, snf_diagonal_sparse
 from .om import OrientedMatroid, SignVector, compose
 
 CellKey = tuple[SignVector, SignVector]
@@ -112,6 +113,42 @@ def get_salvetti(m: OrientedMatroid) -> SalvettiComplex:
     return m.memo("salvetti", lambda: SalvettiComplex(m))
 
 
+def bz_cochain_eval(sal: SalvettiComplex, s: Iterable[int], p: int, chain: int) -> int:
+    """Evaluate the cochain indexed by a p-subset of the ground set on a
+    coarse p-chain.
+
+    Order the subset decreasingly as i_1 > ... > i_p.  The cochain is the
+    pullback of the Björner–Ziegler cochain along the subdivision: a j-cell
+    (L, T) is in it when T is positive on the subset, L is positive at
+    i_{j+1..p} and zero at i_{1..j}, and, for j > 0, an odd number of the
+    (j-1)-cells of its boundary are in the level below.  That parity counts
+    mod 2 the full flags of faces of the cell that pass the position tests.
+    The mask is cached per (p, subset); an evaluation is its parity against
+    the chain.
+    """
+    ss = tuple(sorted(set(s), reverse=True))
+    if len(ss) != p:
+        raise ValueError("subset size must match the degree")
+    if ss and (ss[-1] < 0 or ss[0] >= sal.m.n):
+        raise ValueError("subset element outside the ground set")
+
+    def build():
+        subset = mask_from_bits(ss)
+        level = 0
+        for j in range(p + 1):
+            positive = subset & ~mask_from_bits(ss[:j])
+            below, level = level, 0
+            bounds = sal.boundary_masks(j)
+            for i, (l, t) in enumerate(sal.cells[j]):
+                if (t.plus & subset == subset and l.plus & subset == positive
+                        and not l.minus & subset
+                        and (j == 0 or parity(bounds[i] & below))):
+                    level |= 1 << i
+        return level
+
+    return parity(sal.m.memo(("bz_cochain", p, ss), build) & chain)
+
+
 def face_le(a: CellKey, b: CellKey) -> bool:
     """Whether cell a lies in the closure of cell b."""
     la, ta = a
@@ -178,117 +215,9 @@ class FineComplex:
             self._boundary_entries[p] = {k: v for k, v in entries.items() if v}
         return self._boundary_entries[p]
 
-    def coarse_to_fine(self, d: int, chain: int) -> int:
-        """Subdivision of a coarse mod-2 d-chain into fine d-simplices.
-
-        Each coarse cell maps to the sum of its full flags of faces, every
-        flag sharing the cell's tope component.
-        """
-        m = self.sal.m
-        out = 0
-        for i in bits_of(chain):
-            out ^= m.memo(("c2f", d, i), lambda: self._subdivide_cell(d, i))
-        return out
-
-    def _subdivide_cell(self, d: int, i: int) -> int:
-        l, t = self.sal.cells[d][i]
-        m = self.sal.m
-        # descending covector chains l0 > l1 > ... > ld = l, dims 0..d
-        levels: list[list[SignVector]] = []
-        for dim in range(d):
-            levels.append(
-                [v for v in m.covectors if m.dim_of[v] == dim and l.le(v)]
-            )
-        levels.append([l])
-        out = 0
-        idx = self.sim_index[d]
-
-        def grow(pos: int, chain: list[SignVector]):
-            nonlocal out
-            if pos < 0:
-                simplex = tuple(
-                    self.el_index[(v, compose(v, t))] for v in reversed(chain)
-                )
-                out ^= 1 << idx[simplex]
-                return
-            for v in levels[pos]:
-                if chain and not chain[-1].le(v):
-                    continue
-                grow(pos - 1, chain + [v])
-
-        grow(d, [])
-        return out
-
-    def format_chain(self, p: int, chain: int) -> str:
-        parts = []
-        for i, simplex in enumerate(self.simplices[p]):
-            if (chain >> i) & 1:
-                labels = ",".join(
-                    f"{self.elements[e][0].to_str()}|{self.elements[e][1].to_str()}"
-                    for e in simplex
-                )
-                parts.append(f"<{labels}>")
-        return " + ".join(parts) if parts else "0"
-
 
 def get_fine(m: OrientedMatroid) -> FineComplex:
     return m.memo("fine", lambda: FineComplex(get_salvetti(m)))
-
-
-def _cochain_masks(fine: FineComplex, p: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Masks over the fine p-simplices, per position j in the simplex and
-    ground element e: `positive[j][e]` where L_j is positive at e, and
-    `zero_pos[j][e]` where L_j is zero and T_j positive at e.
-
-    One pass over the simplices groups them by the cell at each position;
-    each cell's mask then goes to the elements named by its sign masks.
-    """
-
-    def build():
-        n = fine.sal.m.n
-        at: list[dict[int, int]] = [{} for _ in range(p + 1)]
-        for i, simplex in enumerate(fine.simplices[p]):
-            bit = 1 << i
-            for j, el in enumerate(simplex):
-                at[j][el] = at[j].get(el, 0) | bit
-        positive = [[0] * n for _ in range(p + 1)]
-        zero_pos = [[0] * n for _ in range(p + 1)]
-        for j in range(p + 1):
-            for el, mask in at[j].items():
-                l, t = fine.elements[el]
-                for e in bits_of(l.plus):
-                    positive[j][e] |= mask
-                for e in bits_of(t.plus & ~l.support):
-                    zero_pos[j][e] |= mask
-        return positive, zero_pos
-
-    return fine.sal.m.memo(("bz_masks", p), build)
-
-
-def bz_cochain_eval(fine: FineComplex, s: Iterable[int], p: int, chain: int) -> int:
-    """Evaluate the cochain indexed by a p-subset of the ground set.
-
-    On a p-simplex with ascending cells (L_0,T_0) < ... < (L_p,T_p) and the
-    subset ordered decreasingly as i_1 > ... > i_p, the value is 1 when every
-    L_s is positive at i_t for s < t, and zero at i_t with T_s positive there
-    for s >= t; the result is the mod-2 sum over the chain.  The cochain is
-    the AND of p*(p+1) masks from `_cochain_masks`, cached per (p, subset).
-    """
-    ss = tuple(sorted(set(s), reverse=True))
-    if len(ss) != p:
-        raise ValueError("subset size must match the degree")
-    if ss and (ss[-1] < 0 or ss[0] >= fine.sal.m.n):
-        raise ValueError("subset element outside the ground set")
-
-    def build():
-        positive, zero_pos = _cochain_masks(fine, p)
-        cochain = (1 << fine.n_simplices(p)) - 1
-        for t_pos, e in enumerate(ss, start=1):
-            for s_pos in range(p + 1):
-                cochain &= positive[s_pos][e] if s_pos < t_pos else zero_pos[s_pos][e]
-        return cochain
-
-    return parity(fine.sal.m.memo(("bz_cochain", p, ss), build) & chain)
 
 
 # ---------------------------------------------------------------------------

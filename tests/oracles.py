@@ -18,6 +18,7 @@ from topespace.linalg import (
     IntMatrix,
     LatticeZ,
     SubspaceGF2,
+    bits_of,
     int_identity,
     int_relations,
     lattice_equal,
@@ -25,8 +26,58 @@ from topespace.linalg import (
     mat_vec,
     smith_normal_form,
 )
-from topespace.om import Flag, OrientedMatroid, enumerate_flags, tope_flag_set
+from topespace.om import (
+    Flag,
+    OrientedMatroid,
+    SignVector,
+    compose,
+    enumerate_flags,
+    tope_flag_set,
+)
 from topespace.salvetti import FineComplex
+
+
+def coarse_to_fine(fine: FineComplex, d: int, chain: int) -> int:
+    """Subdivision of a coarse mod-2 d-chain into fine d-simplices.
+
+    Each coarse cell maps to the sum of its full flags of faces, every
+    flag sharing the cell's tope component.
+    """
+    m = fine.sal.m
+    out = 0
+    for i in bits_of(chain):
+        out ^= m.memo(("c2f", d, i), lambda: _subdivide_cell(fine, d, i))
+    return out
+
+
+def _subdivide_cell(fine: FineComplex, d: int, i: int) -> int:
+    l, t = fine.sal.cells[d][i]
+    m = fine.sal.m
+    # descending covector chains l0 > l1 > ... > ld = l, dims 0..d
+    levels: list[list[SignVector]] = []
+    for dim in range(d):
+        levels.append(
+            [v for v in m.covectors if m.dim_of[v] == dim and l.le(v)]
+        )
+    levels.append([l])
+    out = 0
+    idx = fine.sim_index[d]
+
+    def grow(pos: int, chain: list[SignVector]):
+        nonlocal out
+        if pos < 0:
+            simplex = tuple(
+                fine.el_index[(v, compose(v, t))] for v in reversed(chain)
+            )
+            out ^= 1 << idx[simplex]
+            return
+        for v in levels[pos]:
+            if chain and not chain[-1].le(v):
+                continue
+            grow(pos - 1, chain + [v])
+
+    grow(d, [])
+    return out
 
 
 def bz_cochain_eval_by_simplex(fine: FineComplex, s: Iterable[int], p: int, chain: int) -> int:

@@ -171,6 +171,47 @@ def test_top_degree_stalk_rank_counts_broken_circuit_free_sets():
         assert rep.rank_a == len(nbc_sets(mf, m.rank))
 
 
+def test_ses_runs_one_hermite_form_per_stalk_and_degree(monkeypatch):
+    m = fresh("a3")
+    calls = []
+    real = cosheaf.int_image_and_relations
+
+    def counting(images, labels):
+        calls.append(1)
+        return real(images, labels)
+
+    monkeypatch.setattr(cosheaf, "int_image_and_relations", counting)
+    cones = fan_cones(m)
+    reports = [verify_ses(m, cone.flag, p) for cone in cones for p in range(m.rank + 1)]
+    stalks = {id(stalk_matroid(m, cone.flag)) for cone in cones}
+    assert len(stalks) < len(cones)
+    assert len(calls) == len(stalks) * (m.rank + 1)
+    assert [r.flag for r in reports] == [c.flag.flats for c in cones for _ in range(m.rank + 1)]
+    assert all(r.ok for r in reports)
+
+
+def test_naturality_pushes_each_lower_piece_once(monkeypatch):
+    m = fresh("u34")
+    calls = []
+    real = cosheaf._scatter
+
+    def counting(idx, chain, size):
+        calls.append(1)
+        return real(idx, chain, size)
+
+    monkeypatch.setattr(cosheaf, "_scatter", counting)
+    report = verify_theorem_C(m)
+    assert report.ok
+    flags = [cone.flag for cone in fan_cones(m)]
+    pairs = [(sub, sup) for sup in flags for sub in flags
+             if sub != sup and sub.is_subflag_of(sup)]
+    assert len(report.naturality) == len(pairs) * (m.rank + 1)
+    # degrees 0..rank+1 are each pushed once per pair, one scatter per basis row
+    assert len(calls) == sum(len(vg_lower(stalk_matroid(m, sup), q).basis)
+                             for _, sup in pairs for q in range(m.rank + 2))
+
+
+
 # -- naturality -------------------------------------------------------------
 
 

@@ -22,6 +22,7 @@ from topespace.algebras import (
     sf_vector,
     subset_index,
 )
+from topespace.cli import verify_checks
 from topespace.corpus import CORPUS, load, names
 from topespace.filtrations import (
     KalininCertificate,
@@ -58,10 +59,17 @@ from topespace.linalg import (
     lattice_equal,
     mask_from_bits,
 )
-from topespace.om import SignVector, enumerate_flags, make_flag, tope_flag_set
+from topespace.om import (
+    Arrangement,
+    SignVector,
+    enumerate_flags,
+    make_flag,
+    om_from_arrangement,
+    tope_flag_set,
+)
 from topespace.salvetti import (
+    FineComplex,
     bz_cochain_eval,
-    get_fine,
     get_salvetti,
     homology_mod2,
 )
@@ -618,14 +626,20 @@ def test_cochain_values_match_wedge_coordinates_u23_degree_one():
     a = sv("+++")
     mask = chain_mod2(prefix_chain(m, flag, a, 1))
     rep, _ = viro_bv(m, mask, 1)
-    fine = get_fine(m)
-    fine_chain = fine.coarse_to_fine(1, rep)
-    values = {s: bz_cochain_eval(fine, s, 1, fine_chain) for s in nbc_sets(m, 1)}
+    sal = get_salvetti(m)
+    values = {s: bz_cochain_eval(sal, s, 1, rep) for s in nbc_sets(m, 1)}
     assert values == {(0,): 1, (1,): 0, (2,): 0}
     idx = subset_index(m.n, 1)
     wedge = qbv(m, mask, 1)
     for s in nbc_sets(m, 1):
         assert (wedge >> idx[s]) & 1 == values[s]
+
+
+def test_theorem_B_builds_no_fine_complex():
+    m = om_from_arrangement(Arrangement(CORPUS["a3"].normals))
+    (record,) = verify_checks(m, "thmB", "a3")
+    assert record["pass"]
+    assert not any(isinstance(v, FineComplex) for v in m._cache.values())
 
 
 def test_theorem_B_reports_on_small_members():

@@ -2,11 +2,12 @@
 
 Library invariants raise real exceptions, because `python -O` strips
 `assert` statements; only `om.py` touches the memo cache, which every
-other module reaches through `OrientedMatroid.memo`; and only `linalg.py`
+other module reaches through `OrientedMatroid.memo`; only `linalg.py`
 names the integer eliminations, so every other module gets kernels,
 intersections, solves and invariant factors through its lattice helpers;
-and the Theorem C verifiers push chains through tope index maps, never
-through dense stalk matrices.
+the Theorem C verifiers push chains through tope index maps, never
+through dense stalk matrices; and the Theorem B verifier evaluates cochains
+on the coarse Salvetti complex, never on its fine subdivision.
 """
 
 import ast
@@ -73,9 +74,31 @@ def test_theorem_C_verifiers_use_index_maps(name):
     assert lines == [], f"{name}: dense stalk map named at lines {lines}"
 
 
-def test_cosheaf_does_not_import_mat_mul():
-    path = PACKAGE / "cosheaf.py"
+def _imported_names(path: Path) -> set[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    names = {alias.name for node in ast.walk(tree)
-             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-    assert "mat_mul" not in names
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+def test_cosheaf_does_not_import_mat_mul():
+    assert "mat_mul" not in _imported_names(PACKAGE / "cosheaf.py")
+
+
+def test_cosheaf_does_not_import_mat_vec():
+    assert "mat_vec" not in _imported_names(PACKAGE / "cosheaf.py")
+
+
+FINE_COMPLEX = {"get_fine", "coarse_to_fine", "FineComplex"}
+
+
+def test_theorem_B_evaluates_on_the_coarse_complex():
+    path = PACKAGE / "filtrations.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "verify_theorem_B"]
+    lines = sorted(
+        node.lineno for node in ast.walk(fn)
+        if (isinstance(node, ast.Name) and node.id in FINE_COMPLEX)
+        or (isinstance(node, ast.Attribute) and node.attr in FINE_COMPLEX)
+    )
+    assert lines == [], f"verify_theorem_B: fine complex named at lines {lines}"

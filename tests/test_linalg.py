@@ -87,6 +87,58 @@ def test_rref_is_canonical_under_row_shuffling():
         assert gf2_rref(mixed)[0] == ref
 
 
+def _reduce_naive(v, basis):
+    """Reduce v against a dict {lowest bit: row}, built by plain elimination."""
+    while v:
+        low = v & -v
+        if low not in basis:
+            return v
+        v ^= basis[low]
+    return 0
+
+
+def _naive_basis(rows):
+    basis = {}
+    for row in rows:
+        row = _reduce_naive(row, basis)
+        if row:
+            basis[row & -row] = row
+    return basis
+
+
+def test_rref_and_solver_on_random_systems():
+    rng = random.Random(29)
+    for _ in range(40):
+        ncols = rng.randrange(1, 70)
+        nrows = rng.randrange(1, 50)
+        rows = [rng.getrandbits(ncols) for _ in range(nrows)]
+        if rng.random() < 0.5:  # dependent rows
+            rows += [rows[rng.randrange(nrows)] ^ rows[rng.randrange(nrows)]
+                     for _ in range(nrows // 2)]
+        rr, pivots = gf2_rref(rows)
+        assert pivots == sorted(set(pivots))
+        for piv, row in zip(pivots, rr):
+            assert (row & -row) == 1 << piv
+            assert all(not (other >> piv) & 1 for other in rr if other != row)
+        # the output spans exactly the input
+        from_input, from_output = _naive_basis(rows), _naive_basis(rr)
+        assert len(from_output) == len(rr) == len(from_input)
+        assert all(_reduce_naive(r, from_output) == 0 for r in rows)
+        assert all(_reduce_naive(r, from_input) == 0 for r in rr)
+
+        def apply(x):
+            return mask_from_bits(i for i, r in enumerate(rows) if parity(r & x))
+
+        solver = GF2Solver(GF2Matrix.from_rows(rows, ncols))
+        b = apply(rng.getrandbits(ncols))
+        assert apply(solver.solve(b)) == b
+        assert apply(solver.solve(b, rng=random.Random(7))) == b
+        kernel = solver.kernel_basis()
+        assert len(kernel) == ncols - len(rr)
+        assert all(apply(k) == 0 for k in kernel)
+        assert len(_naive_basis(kernel)) == len(kernel)
+
+
 def test_subspace_membership_and_equality():
     s = SubspaceGF2.from_generators(4, [0b0011, 0b1100])
     assert s.contains(0b1111)
