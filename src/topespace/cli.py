@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from time import perf_counter
 from typing import Optional, Sequence
@@ -188,10 +187,6 @@ def verify_checks(m: OrientedMatroid, which: str, target: str,
     return out
 
 
-def _corpus_worker(name: str) -> list[dict]:
-    return verify_checks(load(name), "all", name)
-
-
 def _emit(checks: list[dict], json_path: Optional[str]) -> int:
     for c in checks:
         status = "PASS" if c["pass"] else "FAIL"
@@ -225,7 +220,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_ver.add_argument("--json", dest="json_path", help="write the JSON report here")
 
     p_cor = sub.add_parser("corpus", help="verify every builtin corpus member")
-    p_cor.add_argument("--jobs", type=int, default=1)
     p_cor.add_argument("--json", dest="json_path", help="write the JSON report here")
 
     args = parser.parse_args(argv)
@@ -239,12 +233,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             order = _parse_order(args.order, m.n)
             checks = verify_checks(m, args.which, target, order, args.p)
         else:
-            if args.jobs > 1:
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    results = list(pool.map(_corpus_worker, names()))
-            else:
-                results = [_corpus_worker(name) for name in names()]
-            checks = [c for group in results for c in group]
+            checks = [c for name in names()
+                      for c in verify_checks(load(name), "all", name)]
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

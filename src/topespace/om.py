@@ -117,45 +117,63 @@ class AxiomReport:
 def check_covector_axioms(vectors: Iterable[SignVector]) -> AxiomReport:
     """Validate the covector axioms, reporting a witness for a failure.
 
-    Checks: zero vector present, closure under negation, closure under
-    composition, and elimination (exhaustively over all pairs and all
-    separating coordinates).
+    Checks, in this order: zero vector present, closure under negation,
+    closure under composition, and elimination over every ordered pair and
+    every separating element.  The first failure is reported with the pair
+    (l, k) that comes first in `product(vectors, repeat=2)` order and, for
+    elimination, the smallest failing element e.
+
+    Each sign vector is one int `code = plus | minus << n`, so the zero,
+    negation and composition tests are probes into one set of codes.
+    Elimination for (l, k, e) asks for a covector zero at e that agrees with
+    l∘k off the separator S of the pair, so it depends only on S and on
+    `want`, the code of l∘k masked off S.  For each S met, an index maps
+    the code masked off S of every covector zero somewhere in S to the union
+    of the zero sets of the covectors with that masked code; it is built on
+    the first pair with separator S.  One probe then tests a pair for every
+    e in S at once: the failing elements are `S & ~index[S][want]`.
     """
     vecs = list(dict.fromkeys(vectors))
     if not vecs:
         return AxiomReport(False, "zero", ())
     n = vecs[0].n
-    vset = set(vecs)
-    if SignVector.zero(n) not in vset:
+    if any(v.n != n for v in vecs):
+        raise ValueError("ground set mismatch")
+    full = (1 << n) - 1
+    codes = [v.plus | v.minus << n for v in vecs]
+    code_set = set(codes)
+    if 0 not in code_set:
         return AxiomReport(False, "zero", ())
-    for v in vecs:
-        if v.negate() not in vset:
+    for v, c in zip(vecs, codes):
+        if c >> n | (c & full) << n not in code_set:
             return AxiomReport(False, "negation", (v,))
-    for l, k in product(vecs, repeat=2):
-        if compose(l, k) not in vset:
-            return AxiomReport(False, "composition", (l, k))
-    by_zero_at: dict[int, list[SignVector]] = {e: [] for e in range(n)}
-    for v in vecs:
-        z = v.zero_set
-        for e in range(n):
-            if (z >> e) & 1:
-                by_zero_at[e].append(v)
-    for l, k in product(vecs, repeat=2):
-        sep = l.separator(k)
-        if not sep:
-            continue
-        lk = compose(l, k)
-        keep = ((1 << n) - 1) ^ sep
-        for e in range(n):
-            if not (sep >> e) & 1:
+    zeros = [~(c | c >> n) & full for c in codes]
+    # `off[i]` clears the support of vecs[i] from a code: l∘k = l | k & off
+    off = [z | z << n for z in zeros]
+    for i, lc in enumerate(codes):
+        keep = off[i]
+        for j, kc in enumerate(codes):
+            if lc | (kc & keep) not in code_set:
+                return AxiomReport(False, "composition", (vecs[i], vecs[j]))
+    index: dict[int, dict[int, int]] = {}
+    for i, lc in enumerate(codes):
+        lp, lm, keep = lc & full, lc >> n, off[i]
+        for j, kc in enumerate(codes):
+            sep = (lp & kc >> n) | (lm & kc & full)
+            if not sep:
                 continue
-            want_plus = lk.plus & keep
-            want_minus = lk.minus & keep
-            if not any(
-                z.plus & keep == want_plus and z.minus & keep == want_minus
-                for z in by_zero_at[e]
-            ):
-                return AxiomReport(False, "elimination", (l, k, e))
+            clear = ~(sep | sep << n)
+            zero_at = index.get(sep)
+            if zero_at is None:
+                zero_at = index[sep] = {}
+                for c, z in zip(codes, zeros):
+                    if z & sep:
+                        w = c & clear
+                        zero_at[w] = zero_at.get(w, 0) | z
+            missing = sep & ~zero_at.get((lc | (kc & keep)) & clear, 0)
+            if missing:
+                e = (missing & -missing).bit_length() - 1
+                return AxiomReport(False, "elimination", (vecs[i], vecs[j], e))
     return AxiomReport(True)
 
 
@@ -194,9 +212,15 @@ class OrientedMatroid:
         )
         if not self.topes:
             raise NotCovectors("no topes")
-        maximal = [v for v in covs if not any(v is not w and v.le(w) for w in covs)]
-        if any(v.support != self.full_mask for v in maximal):
-            raise NotCovectors("a maximal covector is not a tope")
+        # Every maximal covector is a tope iff every covector lies below one,
+        # i.e. equals the restriction of some tope to its own support.
+        below_topes: dict[int, set[tuple[int, int]]] = {}
+        for v in covs:
+            s = v.support
+            if s not in below_topes:
+                below_topes[s] = {(t.plus & s, t.minus & s) for t in self.topes}
+            if (v.plus, v.minus) not in below_topes[s]:
+                raise NotCovectors("a maximal covector is not a tope")
         self.tope_index = {t: i for i, t in enumerate(self.topes)}
         # tope <-> GF(2) point: the minus mask is the coordinate vector
         self.tope_by_minus = {t.minus: i for i, t in enumerate(self.topes)}
@@ -565,11 +589,12 @@ def om_from_arrangement(arr: Arrangement) -> OrientedMatroid:
         cocircuits.add(sv.negate())
 
     covs = {SignVector.zero(n)} | cocircuits
+    ordered = sorted(cocircuits, key=lambda u: (u.plus, u.minus))
     frontier = list(covs)
     while frontier:
         new = []
         for v in sorted(frontier, key=lambda u: (u.plus, u.minus)):
-            for c in sorted(cocircuits, key=lambda u: (u.plus, u.minus)):
+            for c in ordered:
                 w = compose(v, c)
                 if w not in covs:
                     covs.add(w)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable
 
 from topespace.algebras import SFPoly, cordovil_dual, sf_vector, subset_index, wedge_masks
@@ -27,6 +27,7 @@ from topespace.linalg import (
     smith_normal_form,
 )
 from topespace.om import (
+    AxiomReport,
     Flag,
     OrientedMatroid,
     SignVector,
@@ -116,6 +117,57 @@ def bz_cochain_eval_by_simplex(fine: FineComplex, s: Iterable[int], p: int, chai
         work >>= 1
         i += 1
     return total
+
+
+def check_covector_axioms_by_scan(vectors: Iterable[SignVector]) -> AxiomReport:
+    """The covector axioms by direct scan: every composition is built as a
+    `SignVector`, and elimination scans every covector zero at e for every
+    ordered pair and every separating element e."""
+    vecs = list(dict.fromkeys(vectors))
+    if not vecs:
+        return AxiomReport(False, "zero", ())
+    n = vecs[0].n
+    vset = set(vecs)
+    if SignVector.zero(n) not in vset:
+        return AxiomReport(False, "zero", ())
+    for v in vecs:
+        if v.negate() not in vset:
+            return AxiomReport(False, "negation", (v,))
+    for l, k in product(vecs, repeat=2):
+        if compose(l, k) not in vset:
+            return AxiomReport(False, "composition", (l, k))
+    by_zero_at: dict[int, list[SignVector]] = {e: [] for e in range(n)}
+    for v in vecs:
+        z = v.zero_set
+        for e in range(n):
+            if (z >> e) & 1:
+                by_zero_at[e].append(v)
+    for l, k in product(vecs, repeat=2):
+        sep = l.separator(k)
+        if not sep:
+            continue
+        lk = compose(l, k)
+        keep = ((1 << n) - 1) ^ sep
+        for e in range(n):
+            if not (sep >> e) & 1:
+                continue
+            want_plus = lk.plus & keep
+            want_minus = lk.minus & keep
+            if not any(
+                z.plus & keep == want_plus and z.minus & keep == want_minus
+                for z in by_zero_at[e]
+            ):
+                return AxiomReport(False, "elimination", (l, k, e))
+    return AxiomReport(True)
+
+
+def maximal_covector_not_tope_by_scan(covectors: Iterable[SignVector]) -> bool:
+    """Whether some covector with no other covector conformally above it
+    (a maximal one, by scanning every pair with `le`) misses full support."""
+    covs = list(set(covectors))
+    full = (1 << covs[0].n) - 1
+    maximal = [v for v in covs if not any(v is not w and v.le(w) for w in covs)]
+    return any(v.support != full for v in maximal)
 
 
 def int_rank(a: IntMatrix) -> int:

@@ -1,12 +1,13 @@
 """Command-line interface tests: parsing, checks, JSON reports, exit codes."""
 
 import json
+import random
 import sys
 
 import pytest
 
 from topespace import cli, om
-from topespace.corpus import load
+from topespace.corpus import CORPUS, load
 
 
 def run(argv, tmp_path, name="out.json"):
@@ -187,6 +188,7 @@ def test_verify_bad_order(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "u23", "thmA", "--ring", "z"],
     ["corpus", "--order", "0,1,2"],
+    ["corpus", "--jobs", "2"],
 ])
 def test_removed_options_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -219,9 +221,9 @@ def test_corpus_runs_everything(tmp_path):
     assert all(c["pass"] for c in report["checks"])
 
 
-def test_corpus_parallel_matches_sequential(tmp_path):
-    code1, rep1 = run(["corpus", "--jobs", "1"], tmp_path, "seq.json")
-    code2, rep2 = run(["corpus", "--jobs", "2"], tmp_path, "par.json")
+def test_corpus_reports_are_deterministic(tmp_path):
+    code1, rep1 = run(["corpus"], tmp_path, "first.json")
+    code2, rep2 = run(["corpus"], tmp_path, "second.json")
     assert code1 == code2 == 0
 
     def strip(report):
@@ -244,3 +246,64 @@ def test_reports_are_deterministic(tmp_path):
         ]
 
     assert strip(rep1) == strip(rep2)
+
+
+def mutated_arrangement(name: str, rng: random.Random) -> str:
+    """A corpus arrangement file with a zero row, a duplicated row, a bad
+    token or a row of the wrong width."""
+    normals = CORPUS[name].normals
+    rows = [[str(x) for x in row] for row in normals]
+    n, d = len(rows), len(rows[0])
+    i = rng.randrange(n)
+    kind = rng.randrange(4)
+    if kind == 0:
+        rows[i] = ["0"] * d
+    elif kind == 1:
+        rows.insert(i, rows[i])
+        n += 1
+    elif kind == 2:
+        rows[i][rng.randrange(d)] = rng.choice(["x", "1/0", "--1", "1.5.2"])
+    else:
+        rows[i] = rows[i][:-1] if rng.random() < 0.5 else rows[i] + ["1"]
+    return "\n".join([f"{n} {d}"] + [" ".join(r) for r in rows]) + "\n"
+
+
+def mutated_covectors(name: str, rng: random.Random) -> str:
+    """A corpus covector file with a line dropped or added, the signs of one
+    column flipped on some lines, one column deleted, or a bad character."""
+    lines = [v.to_str() for v in load(name).covectors]
+    n = len(lines[0])
+    e = rng.randrange(n)
+    kind = rng.randrange(5)
+    if kind == 0:
+        del lines[rng.randrange(len(lines))]
+    elif kind == 1:
+        lines.append("".join(rng.choice("+-0") for _ in range(n)))
+    elif kind == 2:
+        flip = {"+": "-", "-": "+", "0": "0"}
+        for r in range(len(lines)):
+            if rng.random() < 0.5:
+                lines[r] = lines[r][:e] + flip[lines[r][e]] + lines[r][e + 1:]
+    elif kind == 3:
+        lines = [line[:e] + line[e + 1:] for line in lines]
+    else:
+        r = rng.randrange(len(lines))
+        lines[r] = lines[r][:e] + rng.choice("x*1 ") + lines[r][e + 1:]
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def test_fuzzed_inputs_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(8)
+    path = tmp_path / "fuzz.txt"
+    codes = set()
+    for _ in range(60):
+        name = rng.choice(["u11", "u22", "u23", "u34"])
+        make = rng.choice([mutated_arrangement, mutated_covectors])
+        path.write_text(make(name, rng))
+        for argv in (["describe", str(path)], ["verify", str(path), "all"]):
+            code = cli.main(argv)
+            assert code in (0, 1, 2), (argv, path.read_text())
+            codes.add(code)
+    capsys.readouterr()
+    assert {0, 2} <= codes

@@ -1,11 +1,16 @@
 """Tests for sign vectors, covector axioms, and arrangement ingestion."""
 
+import hashlib
+import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from oracles import check_covector_axioms_by_scan, maximal_covector_not_tope_by_scan
+from test_cosheaf import b3
 
-from topespace.corpus import load
+from topespace.corpus import CORPUS, load, names
 from topespace.om import (
     Arrangement,
     Flag,
@@ -115,6 +120,11 @@ def test_axioms_catch_composition_gap():
     assert compose(l, k) not in set(vecs)
 
 
+def test_axioms_reject_mixed_ground_sets():
+    with pytest.raises(ValueError, match="ground set mismatch"):
+        check_covector_axioms([sv("0"), sv("00")])
+
+
 def test_axioms_catch_elimination_gap():
     vecs = [sv(s) for s in ["00", "++", "--", "+-", "-+"]]
     report = check_covector_axioms(vecs)
@@ -127,6 +137,118 @@ def test_axioms_catch_elimination_gap():
     for z in vecs:
         if z.sign(e) == 0:
             assert (z.plus & keep, z.minus & keep) != (lk.plus & keep, lk.minus & keep)
+
+
+def moment_curve(d: int, n: int) -> Arrangement:
+    """n generic hyperplanes in R^d: the normals (1, i, ..., i^(d-1)), i = 1..n."""
+    return Arrangement(tuple(
+        tuple(Fraction(i ** j) for j in range(d)) for i in range(1, n + 1)
+    ))
+
+
+@lru_cache(maxsize=None)
+def covector_sets() -> dict[str, tuple[SignVector, ...]]:
+    out = {name: load(name).covectors for name in names()}
+    out["gen3_6"] = om_from_arrangement(moment_curve(3, 6)).covectors
+    out["gen4_6"] = om_from_arrangement(moment_curve(4, 6)).covectors
+    return out
+
+
+def mutate(vecs: list[SignVector], rng: random.Random) -> list[SignVector]:
+    """Drop one covector, drop a +- pair, zero one coordinate of one covector,
+    add a random sign vector, or keep the closure under composition of zero
+    and a few random +- pairs (which can only fail elimination); then
+    shuffle."""
+    vecs = list(vecs)
+    n = vecs[0].n
+    kind = rng.randrange(5)
+    v = rng.choice(vecs)
+    if kind == 0:
+        vecs.remove(v)
+    elif kind == 1:
+        vecs = [w for w in vecs if w not in (v, v.negate())]
+    elif kind == 2:
+        vecs[vecs.index(v)] = zero_out(v, 1 << rng.randrange(n))
+    elif kind == 3:
+        plus = rng.getrandbits(n)
+        vecs.append(SignVector(n, plus, rng.getrandbits(n) & ~plus))
+    else:
+        kept = {SignVector.zero(n)}
+        for w in rng.sample(vecs, 3):
+            kept |= {w, w.negate()}
+        while more := {compose(a, b) for a in kept for b in kept} - kept:
+            kept |= more
+        vecs = list(kept)
+    rng.shuffle(vecs)
+    return vecs
+
+
+def test_axiom_check_matches_scan_oracle():
+    rng = random.Random(20261018)
+    sets = covector_sets()
+    # gen4_6 takes the oracle over a second per full scan, so it gets fewer draws
+    cases = [list(vecs) for vecs in sets.values()]
+    for name, vecs in sets.items():
+        for _ in range(4 if name == "gen4_6" else 20):
+            cases.append(mutate(vecs, rng))
+    assert len(cases) >= 100 + len(sets)
+    seen = set()
+    for vecs in cases:
+        report = check_covector_axioms(vecs)
+        assert report == check_covector_axioms_by_scan(vecs)
+        seen.add(report.axiom)
+    assert seen >= {None, "negation", "composition", "elimination"}
+
+
+def test_maximal_covector_not_tope_is_rejected():
+    with pytest.raises(NotCovectors, match="a maximal covector is not a tope"):
+        OrientedMatroid([sv("00"), sv("++"), sv("-0")])
+
+
+def test_maximal_covector_check_matches_le_scan():
+    rng = random.Random(7)
+    outcomes = set()
+    for name in ("u22", "u23", "u34", "a3"):
+        covs = load(name).covectors
+        for _ in range(25):
+            # covs[0] is the zero vector, which every subset keeps
+            sub = [covs[0]] + [v for v in covs[1:] if rng.random() < 0.7]
+            try:
+                OrientedMatroid(sub)
+                error = None
+            except NotCovectors as e:
+                error = str(e)
+            if error in (None, "a maximal covector is not a tope"):
+                expected = maximal_covector_not_tope_by_scan(sub)
+                assert (error is not None) == expected
+                outcomes.add(expected)
+    assert outcomes == {False, True}
+
+
+# covector count and sha256 prefix of the canonical covector list, one
+# sign string per line
+COVECTOR_DIGESTS = {
+    "u11": (3, "6662da1d072a8349"),
+    "u22": (9, "d7d9f7f32779e1e7"),
+    "u23": (13, "a5d7faea5a2b76dc"),
+    "u34": (51, "8947def45fc82022"),
+    "a3": (75, "1f42333e8c12b417"),
+    "gen3_6": (123, "3125809b3fb98846"),
+    "b3": (147, "607ada7639e365f1"),
+}
+
+
+@pytest.mark.parametrize("name", list(COVECTOR_DIGESTS))
+def test_arrangement_covector_sets_unchanged(name):
+    if name == "gen3_6":
+        m = om_from_arrangement(moment_curve(3, 6))
+    elif name == "b3":
+        m = b3()
+    else:
+        m = om_from_arrangement(Arrangement(CORPUS[name].normals))
+    text = "\n".join(v.to_str() for v in m.covectors)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert (len(m.covectors), digest) == COVECTOR_DIGESTS[name]
 
 
 # -- the two rank-2 reference fans ------------------------------------------
