@@ -49,7 +49,8 @@ def resolve_input(spec: str) -> tuple[str, OrientedMatroid]:
     """Load a builtin corpus name or parse a file, sniffing its format.
 
     A first meaningful line containing whitespace is an arrangement header;
-    otherwise the file is read as covector lines.
+    otherwise the file is read as covector lines.  A parse error names the
+    format the file was read as.
     """
     if spec in names():
         return spec, load(spec)
@@ -63,12 +64,17 @@ def resolve_input(spec: str) -> tuple[str, OrientedMatroid]:
          if s and not s.startswith("#")),
         "",
     )
+    arrangement = len(first.split()) > 1
     try:
-        if len(first.split()) > 1:
+        if arrangement:
             m = om_from_arrangement(parse_arrangement(text))
         else:
             m = om_from_covectors(parse_covector_lines(text))
-    except (ParseError, NotCovectors) as e:
+    except ParseError as e:
+        fmt = ("an arrangement file (first line has whitespace)" if arrangement
+               else "a covector file (first line has no whitespace)")
+        raise InputError(f"read as {fmt}: {e}") from None
+    except NotCovectors as e:
         raise InputError(str(e)) from None
     return spec, m
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .algebras import SFPoly, nbc_sets, subset_index, wedge_masks
@@ -263,42 +263,49 @@ def quillen_Z_demo(m: OrientedMatroid, p: int) -> int:
 
     Works in the integral group algebra of the tope set of the first complete
     flag, with the first tope as the group identity; multiplication of topes
-    is coordinatewise sign product.  Over the integers the chain of spans
-    never reaches zero, unlike its mod-2 counterpart.
+    is coordinatewise sign product, under which the flag topes are closed.
+    Over the integers the chain of spans never reaches zero, unlike its mod-2
+    counterpart.
+
+    The span is built degree by degree.  Every p-fold product of the
+    generators g = origin - t is a (p-1)-fold product times one generator, so
+    by bilinearity the products b·g of an HNF basis b of the degree-(p-1)
+    span with each generator span the same lattice; and b·g = b - b·t is b
+    minus b permuted by t.  A degree so takes the HNF of at most
+    rank(degree p-1) × (|tf| - 1) rows, not of one product per multiset of p
+    generators, and each degree is cached for the next.
     """
-    flag = enumerate_flags(m)[0]
-    tf = tope_flag_set(m, flag)
-    nt = len(m.topes)
+    if p < 0:
+        raise ValueError(f"degree must be non-negative, got {p}")
     if p == 0:
-        return len(tf)
-    origin = tf[0]
-    gens1: list[list[int]] = []
-    for t in tf[1:]:
-        row = [0] * nt
-        row[m.tope_index[origin]] = 1
-        row[m.tope_index[t]] = -1
-        gens1.append(row)
+        return len(tope_flag_set(m, enumerate_flags(m)[0]))
+    return _quillen_Z_lattice(m, p).rank
 
-    def mul(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * nt
-        for i, c in enumerate(a):
-            if not c:
-                continue
-            mi = m.topes[i].minus
-            for j, d in enumerate(b):
-                if not d:
-                    continue
-                k = m.tope_by_minus[mi ^ m.topes[j].minus ^ origin.minus]
-                out[k] += c * d
-        return out
 
-    products = []
-    for combo in combinations_with_replacement(range(len(gens1)), p):
-        acc = gens1[combo[0]]
-        for idx in combo[1:]:
-            acc = mul(acc, gens1[idx])
-        products.append(acc)
-    return LatticeZ.from_generators(nt, products).rank
+def _quillen_Z_lattice(m: OrientedMatroid, p: int) -> LatticeZ:
+    """The lattice of `quillen_Z_demo` in tope coordinates, for p >= 1."""
+
+    def build():
+        nt = len(m.topes)
+        tf = tope_flag_set(m, enumerate_flags(m)[0])
+        origin = tf[0].minus
+        cols = [m.tope_index[t] for t in tf]
+        # per generator origin - t, the index of k·t for each flag tope k
+        shifts = [[m.tope_by_minus[m.topes[k].minus ^ t.minus ^ origin] for k in cols]
+                  for t in tf[1:]]
+        # below degree 1 stands the empty product, the identity tope
+        prev = (_quillen_Z_lattice(m, p - 1).basis if p > 1
+                else [[int(k == cols[0]) for k in range(nt)]])
+        gens = []
+        for b in prev:
+            for shift in shifts:
+                row = [0] * nt
+                for k, kt in zip(cols, shift):
+                    row[k] = b[k] - b[kt]
+                gens.append(row)
+        return LatticeZ.from_generators(nt, gens)
+
+    return m.memo(("quillen_Z", p), build)
 
 
 # ---------------------------------------------------------------------------

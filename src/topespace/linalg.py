@@ -205,14 +205,25 @@ def gf2_solve_project(system: GF2Matrix, free_block: tuple[int, int]) -> Subspac
 
     `free_block` is a half-open (start, stop) range of unknown indices; the
     result is the subspace of GF(2)^(stop-start) of achievable restrictions.
+
+    The block's columns are moved to the high end, so one RREF pivots on
+    every other unknown first.  A reduced row whose pivot is another unknown
+    holds for any block value once that unknown, which no other row holds,
+    is chosen to fit; the rows whose pivot lies in the block hold no other
+    unknown, and they are exactly the constraints on it.  The projection is
+    their kernel.
     """
     start, stop = free_block
     if not (0 <= start <= stop <= system.ncols):
         raise ValueError(f"free_block {free_block} out of range for {system.ncols} columns")
     width = stop - start
-    mask = (1 << width) - 1
-    kern = gf2_kernel(system)
-    return SubspaceGF2.from_generators(width, [(v >> start) & mask for v in kern.rows])
+    rest = system.ncols - width
+    low, mask = (1 << start) - 1, (1 << width) - 1
+    rr, pivots = gf2_rref(
+        (r & low) | (r >> stop << start) | ((r >> start) & mask) << rest for r in system.rows
+    )
+    return gf2_kernel(GF2Matrix.from_rows(
+        (r >> rest for r, piv in zip(rr, pivots) if piv >= rest), width))
 
 
 # ---------------------------------------------------------------------------

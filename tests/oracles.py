@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable
 
 from topespace.algebras import SFPoly, cordovil_dual, sf_vector, subset_index, wedge_masks
@@ -15,10 +15,12 @@ from topespace.cosheaf import (
 )
 from topespace.filtrations import IntChain, prefix_chain, vg_lower
 from topespace.linalg import (
+    GF2Matrix,
     IntMatrix,
     LatticeZ,
     SubspaceGF2,
     bits_of,
+    gf2_kernel,
     int_identity,
     int_relations,
     lattice_equal,
@@ -170,6 +172,18 @@ def maximal_covector_not_tope_by_scan(covectors: Iterable[SignVector]) -> bool:
     return any(v.support != full for v in maximal)
 
 
+def gf2_solve_project_by_kernel(system: GF2Matrix, free_block: tuple[int, int]) -> SubspaceGF2:
+    """Projection of the solution set of system·x = 0 onto a column range,
+    read off a basis of the whole kernel."""
+    start, stop = free_block
+    if not (0 <= start <= stop <= system.ncols):
+        raise ValueError(f"free_block {free_block} out of range for {system.ncols} columns")
+    width = stop - start
+    mask = (1 << width) - 1
+    kern = gf2_kernel(system)
+    return SubspaceGF2.from_generators(width, [(v >> start) & mask for v in kern.rows])
+
+
 def int_rank(a: IntMatrix) -> int:
     """Rank over Q, computed exactly (fraction-free elimination)."""
     A = [list(r) for r in a]
@@ -289,6 +303,49 @@ def quillen_Q_oracle(m: OrientedMatroid, p: int) -> SubspaceGF2:
                 done.update(members)
                 gens.add(mask_from_bits(m.tope_by_minus[mm] for mm in members))
     return SubspaceGF2.from_generators(len(m.topes), sorted(gens))
+
+
+def quillen_Z_by_products(m: OrientedMatroid, p: int) -> LatticeZ:
+    """Integer span of every p-fold product of the augmentation elements
+    origin - t of the first complete flag's topes, in tope coordinates.
+
+    Enumerates all C(|tf| + p - 2, p) products, each as a dense group-algebra
+    multiplication; degree 0 gives the span of the flag topes.
+    """
+    flag = enumerate_flags(m)[0]
+    tf = tope_flag_set(m, flag)
+    nt = len(m.topes)
+    if p == 0:
+        return LatticeZ.from_generators(nt, [
+            [int(k == m.tope_index[t]) for k in range(nt)] for t in tf])
+    origin = tf[0]
+    gens1: list[list[int]] = []
+    for t in tf[1:]:
+        row = [0] * nt
+        row[m.tope_index[origin]] = 1
+        row[m.tope_index[t]] = -1
+        gens1.append(row)
+
+    def mul(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * nt
+        for i, c in enumerate(a):
+            if not c:
+                continue
+            mi = m.topes[i].minus
+            for j, d in enumerate(b):
+                if not d:
+                    continue
+                k = m.tope_by_minus[mi ^ m.topes[j].minus ^ origin.minus]
+                out[k] += c * d
+        return out
+
+    products = []
+    for combo in combinations_with_replacement(range(len(gens1)), p):
+        acc = gens1[combo[0]]
+        for idx in combo[1:]:
+            acc = mul(acc, gens1[idx])
+        products.append(acc)
+    return LatticeZ.from_generators(nt, products)
 
 
 def asymptotic_member(m: OrientedMatroid, gamma: IntChain, p: int) -> bool:

@@ -131,6 +131,18 @@ def test_axiom_failure_names_axiom_and_witness(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 0\n++\n--\n", "read as an arrangement file (first line has whitespace): "
+                       "line 1: n and d must be positive"),
+    ("++\n+x\n", "read as a covector file (first line has no whitespace): line 2: "),
+])
+def test_parse_error_names_the_sniffed_format(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert cli.main(["describe", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_describe_unknown_input(capsys):
     code = cli.main(["describe", "nosucharrangement"])
     assert code == 2

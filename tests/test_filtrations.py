@@ -6,14 +6,18 @@ from itertools import combinations
 import pytest
 from oracles import (
     asymptotic_member,
+    gf2_solve_project_by_kernel,
     heaviside_eval,
     tilde_a_dense,
     int_rank,
     lattice_saturated,
     quillen_Q_oracle,
+    quillen_Z_by_products,
     vg_lower_by_prefix,
 )
+from test_om import moment_curve
 
+from topespace import filtrations
 from topespace.algebras import (
     cordovil_dual,
     epsilon,
@@ -49,6 +53,7 @@ from topespace.filtrations import (
     viro_bv,
     _ladder_solver,
     _quillen_solver,
+    _quillen_Z_lattice,
 )
 from topespace.linalg import (
     GF2Matrix,
@@ -56,6 +61,7 @@ from topespace.linalg import (
     LatticeZ,
     SubspaceGF2,
     bits_of,
+    gf2_solve_project,
     lattice_equal,
     mask_from_bits,
 )
@@ -77,6 +83,15 @@ from topespace.salvetti import (
 
 def sv(s: str) -> SignVector:
     return SignVector.from_str(s)
+
+
+def fresh(name: str):
+    """A newly built matroid with an empty memo: a corpus member, or gen3_6 /
+    gen4_6 (generic hyperplanes on the moment curve in R^3 / R^4)."""
+    if name in CORPUS:
+        return om_from_arrangement(Arrangement(CORPUS[name].normals))
+    d, n = {"gen3_6": (3, 6), "gen4_6": (4, 6)}[name]
+    return om_from_arrangement(moment_curve(d, n))
 
 
 def chain_by_str(m, chain) -> dict:
@@ -294,7 +309,44 @@ def test_integral_products_do_not_stabilize_on_u22():
     m = load("u22")
     assert quillen_Z_demo(m, 1) == 3
     assert quillen_Z_demo(m, 2) == 3
-    assert quillen_Z_demo(m, 3) >= 1
+    assert quillen_Z_demo(m, 3) == 3
+
+
+@pytest.mark.parametrize("name, top", [
+    ("u11", None), ("u22", None), ("u23", None), ("u34", None), ("a3", None),
+    ("gen3_6", None), ("gen4_6", 3),
+])
+def test_quillen_Z_recurrence_matches_products_oracle(name, top):
+    m = fresh(name)
+    assert quillen_Z_demo(m, 0) == quillen_Z_by_products(m, 0).rank
+    for p in range(1, (top or m.rank + 1) + 1):
+        lattice = _quillen_Z_lattice(m, p)
+        assert lattice == quillen_Z_by_products(m, p), p
+        assert quillen_Z_demo(m, p) == lattice.rank
+
+
+def test_quillen_Z_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        quillen_Z_demo(load("u22"), -1)
+
+
+def test_quillen_Z_multiplies_a_basis_by_each_generator(monkeypatch):
+    # gen4_6: 16 flag topes, so 15 generators and a rank-15 span per degree;
+    # enumerating every multiset of 5 generators would pass 11,628 products
+    m = fresh("gen4_6")
+    counts = []
+    original = LatticeZ.from_generators.__func__
+
+    def counted(cls, ambient_dim, gens):
+        gens = list(gens)
+        counts.append(len(gens))
+        return original(cls, ambient_dim, gens)
+
+    monkeypatch.setattr(LatticeZ, "from_generators", classmethod(counted))
+    assert quillen_Z_demo(m, 5) == 15
+    assert len(counts) == 5 and max(counts) <= 15 * 15
+    assert [quillen_Z_demo(m, p) for p in range(1, 6)] == [15] * 5
+    assert len(counts) == 5
 
 
 # -- the chain-level filtration ---------------------------------------------
@@ -313,6 +365,23 @@ def test_kalinin_steps_are_homology_dimensions():
         dims = [kalinin_K(m, p).dim for p in range(m.rank + 2)]
         steps = [a - b for a, b in zip(dims, dims[1:])]
         assert steps == hom.dims()
+
+
+@pytest.mark.parametrize("name", [*names(), "gen3_6"])
+def test_kalinin_projection_matches_kernel_oracle(name, monkeypatch):
+    m = fresh(name)
+    blocks = []
+
+    def checked(system, free_block):
+        got = gf2_solve_project(system, free_block)
+        assert got == gf2_solve_project_by_kernel(system, free_block)
+        blocks.append(free_block)
+        return got
+
+    monkeypatch.setattr(filtrations, "gf2_solve_project", checked)
+    for p in range(m.rank + 2):
+        kalinin_K(m, p)
+    assert blocks == [(0, len(m.topes))] * (m.rank + 1)
 
 
 @pytest.mark.parametrize("name", ["u23", "u34", "a3"])

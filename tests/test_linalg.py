@@ -7,7 +7,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from oracles import int_rank, lattice_saturated, mat_mul
+from oracles import gf2_solve_project_by_kernel, int_rank, lattice_saturated, mat_mul
 
 from topespace import linalg
 from topespace.corpus import load
@@ -182,6 +182,27 @@ def test_solve_project_is_projection_of_solution_set():
     assert span_gf2(proj2.rows) == {0b00, 0b11}
     with pytest.raises(ValueError):
         gf2_solve_project(m, (2, 4))
+
+
+def test_solve_project_matches_kernel_oracle():
+    rng = random.Random(29)
+    kinds = set()
+    for _ in range(300):
+        ncols = rng.randrange(0, 40)
+        # sparse rows and short systems reach wide projections; dense rows
+        # and long systems reach the zero subspace
+        density = rng.choice((1, 2, 8))
+        rows = [mask_from_bits(j for j in range(ncols) if rng.randrange(density) == 0)
+                for _ in range(rng.randrange(0, ncols + 4))]
+        system = GF2Matrix.from_rows(rows, ncols)
+        a, b = sorted((rng.randrange(ncols + 1), rng.randrange(ncols + 1)))
+        for block in {(a, a), (0, b), (a, b), (a, ncols), (0, ncols)}:
+            got = gf2_solve_project(system, block)
+            assert got == gf2_solve_project_by_kernel(system, block), (rows, ncols, block)
+            start, stop = block
+            kinds.add("empty" if start == stop else "full" if stop - start == ncols
+                      else "start" if start == 0 else "end" if stop == ncols else "middle")
+    assert kinds == {"empty", "start", "middle", "end", "full"}
 
 
 # ---------------------------------------------------------------------------
