@@ -52,7 +52,7 @@ from .om import (
     parse_arrangement,
     tope_flag_set,
 )
-from .salvetti import get_fine, get_salvetti, homology_mod2, homology_Z
+from .salvetti import get_salvetti, homology_mod2, homology_Z
 
 __version__ = "0.1.0"
 
@@ -75,7 +75,6 @@ __all__ = [
     "epsilon",
     "fan_cones",
     "flag_lift",
-    "get_fine",
     "get_salvetti",
     "homology_Z",
     "homology_mod2",

@@ -36,7 +36,7 @@ from .om import (
     parse_arrangement,
     parse_covector_lines,
 )
-from .salvetti import get_fine, get_salvetti, homology_Z, homology_mod2
+from .salvetti import get_salvetti, homology_Z, homology_mod2
 
 VERIFY_TARGETS = ("thmA", "thmB", "thmC", "proj", "asym", "quillenZ")
 
@@ -109,7 +109,7 @@ def describe_check(m: OrientedMatroid, target: str,
     def run():
         sal = get_salvetti(m)
         hom = homology_mod2(sal)
-        integral = homology_Z(get_fine(m))
+        integral = homology_Z(sal)
         dims = hom.dims()
         flats_by_rank = [len(fs) for fs in m.flats_by_rank]
         data = {

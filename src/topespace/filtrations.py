@@ -54,16 +54,6 @@ def chain_mod2(chain: IntChain) -> int:
     return mask_from_bits(i for i, c in enumerate(chain) if c & 1)
 
 
-def format_tope_chain(m: OrientedMatroid, chain: IntChain) -> str:
-    parts = []
-    for c, t in zip(chain, m.topes):
-        if not c:
-            continue
-        head = "+" if c == 1 else "-" if c == -1 else f"{c:+d}"
-        parts.append(f"{head}[{t.to_str()}]")
-    return " ".join(parts) if parts else "0"
-
-
 def format_tope_mask(m: OrientedMatroid, mask: int) -> str:
     parts = [f"[{m.topes[i].to_str()}]" for i in bits_of(mask)]
     return " + ".join(parts) if parts else "0"

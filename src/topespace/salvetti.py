@@ -2,16 +2,22 @@
 
 The coarse complex has one cell per pair (L, T) with L a covector, T a tope
 in its star (L composed with T equals T); the dimension of the cell is the
-rank of the zero set of L.  Boundaries are taken mod 2, and the
-Björner–Ziegler cochains are evaluated on it.  The fine complex is the order
-complex of the face poset of coarse cells, with integral simplicial
-boundaries; it serves `homology_Z` only.
+rank of the zero set of L.  Its boundaries are bitmasks mod 2, on which the
+Björner–Ziegler cochains are evaluated.  The complex is a regular CW complex
+(Salvetti 1987), so integral incidence numbers +-1 follow from the face poset
+alone: `signed_boundary` propagates them over the diamonds of each cell, and
+`homology_Z` takes Smith normal forms of those coarse boundaries.
+
+The fine complex, the order complex of the face poset of coarse cells, serves
+no package path; it is kept for the benchmark's `salvetti.fine` span and as
+the test oracle's integral homology.
 
 Chains are bitmasks over the canonical cell order of their dimension.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -26,8 +32,61 @@ def _key_sort(key: CellKey):
     return (l.plus, l.minus, t.plus, t.minus)
 
 
+class IncidenceError(ValueError):
+    """The face poset does not orient as a regular CW complex."""
+
+
+def orient_boundary(cx, d: int) -> list[dict[int, int]]:
+    """Integral boundary of the d-cells of a regular CW complex, one
+    {(d-1)-cell index: +-1} dict per d-cell, from its mod-2 boundary masks.
+
+    The first facet of a cell gets +1, and signs spread through the
+    facet-adjacency graph over shared ridges: [c:f'] = -[c:f][f:r][f':r],
+    which makes every diamond c > f, f' > r cancel (Kaczynski, Mischaikow &
+    Mrozek, Computational Homology, 2004, section 11).  Below the edges sits
+    the augmentation, every vertex bounding the (-1)-cell -1 with sign +1, so
+    an edge's first vertex gets +1 and its second -1.  `cx` supplies
+    `boundary_masks(d)` and, for d >= 2, the oriented `signed_boundary(d - 1)`.
+    Raises IncidenceError when a cell has no facets, a ridge lies in other
+    than two facets of a cell, the facets of a cell are not connected, or a
+    sign is forced both ways.
+    """
+    below = cx.signed_boundary(d - 1) if d > 1 else defaultdict(lambda: {-1: 1})
+    out = []
+    for c, mask in enumerate(cx.boundary_masks(d)):
+        facets = list(bits_of(mask))
+        if not facets:
+            raise IncidenceError(f"{d}-cell {c} has no facets")
+        owners: dict[int, list[int]] = defaultdict(list)
+        for f in facets:
+            for r in below[f]:
+                owners[r].append(f)
+        for r, fs in owners.items():
+            if len(fs) != 2:
+                raise IncidenceError(
+                    f"{d}-cell {c}: ridge {r} lies in {len(fs)} facets, not 2")
+        sign = {facets[0]: 1}
+        stack = [facets[0]]
+        while stack:
+            f = stack.pop()
+            for r, v in below[f].items():
+                a, b = owners[r]
+                g = b if a == f else a
+                s = -sign[f] * v * below[g][r]
+                if g not in sign:
+                    sign[g] = s
+                    stack.append(g)
+                elif sign[g] != s:
+                    raise IncidenceError(
+                        f"{d}-cell {c}: facet {g} is forced to both signs")
+        if len(sign) != len(facets):
+            raise IncidenceError(f"{d}-cell {c}: its facets are not connected")
+        out.append({f: sign[f] for f in facets})
+    return out
+
+
 class SalvettiComplex:
-    """The coarse complex: cells (L, T), boundaries mod 2, conjugation."""
+    """The coarse complex: cells (L, T), boundaries mod 2 and over Z, conjugation."""
 
     def __init__(self, m: OrientedMatroid):
         self.m = m
@@ -43,6 +102,7 @@ class SalvettiComplex:
             {key: i for i, key in enumerate(cs)} for cs in self.cells
         ]
         self._boundary: list[Optional[list[int]]] = [None] * (self.dim + 1)
+        self._signed: list[Optional[list[dict[int, int]]]] = [None] * (self.dim + 1)
         self._conj: list[Optional[list[int]]] = [None] * (self.dim + 1)
 
     def n_cells(self, d: int) -> int:
@@ -63,6 +123,14 @@ class SalvettiComplex:
                 out.append(mask)
             self._boundary[d] = out
         return self._boundary[d]
+
+    def signed_boundary(self, d: int) -> list[dict[int, int]]:
+        """For each d-cell, its integral boundary as {(d-1)-cell: +-1}."""
+        if d == 0:
+            return [{} for _ in range(self.n_cells(0))]
+        if self._signed[d] is None:
+            self._signed[d] = orient_boundary(self, d)
+        return self._signed[d]
 
     def boundary_of(self, d: int, chain: int) -> int:
         masks = self.boundary_masks(d)
@@ -99,14 +167,6 @@ class SalvettiComplex:
         """
         d = self.m.dim_of[l]
         return d, 1 << self.index[d][(l, compose(l, t))]
-
-    def format_chain(self, d: int, chain: int) -> str:
-        """Human-readable chain: cells as 'covector|tope' sign strings."""
-        parts = []
-        for i, (l, t) in enumerate(self.cells[d]):
-            if (chain >> i) & 1:
-                parts.append(f"[{l.to_str()}|{t.to_str()}]")
-        return " + ".join(parts) if parts else "0"
 
 
 def get_salvetti(m: OrientedMatroid) -> SalvettiComplex:
@@ -272,9 +332,6 @@ class Mod2Homology:
                 v ^= row
         return v
 
-    def same_class(self, d: int, a: int, b: int) -> bool:
-        return self.class_of(d, a) == self.class_of(d, b)
-
 
 def homology_mod2(sal: SalvettiComplex) -> Mod2Homology:
     return sal.m.memo("homology_mod2", lambda: Mod2Homology(
@@ -288,22 +345,21 @@ class IntegralHomology:
     torsion: list[list[int]]  # invariant factors > 1, per degree
 
 
-def homology_Z(fine: FineComplex) -> IntegralHomology:
-    """Integral homology of the fine complex via Smith normal forms."""
+def homology_Z(sal: SalvettiComplex) -> IntegralHomology:
+    """Integral homology of the coarse complex via Smith normal forms of its
+    signed boundaries."""
     def build():
-        top = fine.sal.dim
+        top = sal.dim
         diags: list[list[int]] = [[] for _ in range(top + 2)]
-        for p in range(1, top + 1):
-            diags[p] = snf_diagonal_sparse(
-                fine.boundary_entries(p), fine.n_simplices(p - 1), fine.n_simplices(p)
-            )
+        for d in range(1, top + 1):
+            entries = {(r, c): v for c, col in enumerate(sal.signed_boundary(d))
+                       for r, v in col.items()}
+            diags[d] = snf_diagonal_sparse(entries, sal.n_cells(d - 1), sal.n_cells(d))
         betti = []
         torsion = []
-        for p in range(top + 1):
-            rank_p = len(diags[p])
-            rank_up = len(diags[p + 1])
-            betti.append(fine.n_simplices(p) - rank_p - rank_up)
-            torsion.append([x for x in diags[p + 1] if abs(x) > 1])
+        for d in range(top + 1):
+            betti.append(sal.n_cells(d) - len(diags[d]) - len(diags[d + 1]))
+            torsion.append([x for x in diags[d + 1] if abs(x) > 1])
         return IntegralHomology(betti, torsion)
 
-    return fine.sal.m.memo("homology_Z", build)
+    return sal.m.memo("homology_Z", build)

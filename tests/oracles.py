@@ -27,6 +27,7 @@ from topespace.linalg import (
     mask_from_bits,
     mat_vec,
     smith_normal_form,
+    snf_diagonal_sparse,
 )
 from topespace.om import (
     AxiomReport,
@@ -37,7 +38,7 @@ from topespace.om import (
     enumerate_flags,
     tope_flag_set,
 )
-from topespace.salvetti import FineComplex
+from topespace.salvetti import FineComplex, IntegralHomology
 
 
 def coarse_to_fine(fine: FineComplex, d: int, chain: int) -> int:
@@ -119,6 +120,23 @@ def bz_cochain_eval_by_simplex(fine: FineComplex, s: Iterable[int], p: int, chai
         work >>= 1
         i += 1
     return total
+
+
+def homology_Z_by_fine(fine: FineComplex) -> IntegralHomology:
+    """Integral homology of the fine complex via Smith normal forms of its
+    simplicial boundaries; not memoized."""
+    top = fine.sal.dim
+    diags: list[list[int]] = [[] for _ in range(top + 2)]
+    for p in range(1, top + 1):
+        diags[p] = snf_diagonal_sparse(
+            fine.boundary_entries(p), fine.n_simplices(p - 1), fine.n_simplices(p)
+        )
+    betti = []
+    torsion = []
+    for p in range(top + 1):
+        betti.append(fine.n_simplices(p) - len(diags[p]) - len(diags[p + 1]))
+        torsion.append([x for x in diags[p + 1] if abs(x) > 1])
+    return IntegralHomology(betti, torsion)
 
 
 def check_covector_axioms_by_scan(vectors: Iterable[SignVector]) -> AxiomReport:

@@ -10,9 +10,12 @@ import random
 from time import perf_counter
 
 from oracles import quillen_Q_oracle
+from test_cosheaf import b3
+from test_om import braid
 
 from topespace.algebras import epsilon, nbc_sets, projectivize
-from topespace.corpus import load, names
+from topespace.cli import describe_check
+from topespace.corpus import CORPUS, load, names
 from topespace.cosheaf import impossibility_check, verify_theorem_C
 from topespace.filtrations import (
     asymptotic,
@@ -29,8 +32,15 @@ from topespace.filtrations import (
     viro_bv,
 )
 from topespace.linalg import lattice_equal, mask_from_bits
-from topespace.om import SignVector, enumerate_flags, make_flag, tope_flag_set
-from topespace.salvetti import get_salvetti, homology_mod2, homology_Z, get_fine
+from topespace.om import (
+    Arrangement,
+    SignVector,
+    enumerate_flags,
+    make_flag,
+    om_from_arrangement,
+    tope_flag_set,
+)
+from topespace.salvetti import get_salvetti, homology_mod2, homology_Z
 
 
 def sv(s: str) -> SignVector:
@@ -54,7 +64,7 @@ def test_01_three_line_goldens(capsys):
     m = load("u23")
     sal = get_salvetti(m)
     hom = homology_mod2(sal)
-    integral = homology_Z(get_fine(m))
+    integral = homology_Z(sal)
     if len(m.covectors) != 13:
         problems.append(f"covectors {len(m.covectors)} != 13")
     if len(m.topes) != 6:
@@ -281,3 +291,30 @@ def test_10_property_suites(capsys):
 
     announce(capsys, 10, "randomized, oracle, and negative-control suites",
              problems)
+
+
+def test_11_describe_reaches_b3_and_a4(capsys):
+    # integral homology on the coarse complex: the Poincare polynomials of
+    # B3 and A4 are (1+t)(1+3t)(1+5t) and (1+t)(1+2t)(1+3t)(1+4t)
+    problems = []
+    for name, build, want, limit in (("b3", b3, [1, 9, 23, 15], 5.0),
+                                     ("a4", lambda: om_from_arrangement(braid(5)),
+                                      [1, 10, 35, 50, 24], 10.0)):
+        m = build()
+        t0 = perf_counter()
+        record = describe_check(m, name, None, "z")
+        elapsed = perf_counter() - t0
+        data = record["data"]
+        if data["betti_int"] != want:
+            problems.append(f"{name}: betti_int {data['betti_int']} != {want}")
+        if any(data["torsion"]):
+            problems.append(f"{name}: unexpected torsion {data['torsion']}")
+        if not record["pass"]:
+            problems.append(f"{name}: describe did not pass")
+        if elapsed >= limit:
+            problems.append(f"{name}: describe took {elapsed:.2f} s, limit {limit} s")
+    m = om_from_arrangement(Arrangement(CORPUS["a3"].normals))
+    describe_check(m, "a3", None, "z")
+    if "fine" in m._cache:
+        problems.append("a3: describe built the fine complex")
+    announce(capsys, 11, "describe reaches b3 and a4 on the coarse complex", problems)

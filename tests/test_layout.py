@@ -6,8 +6,9 @@ other module reaches through `OrientedMatroid.memo`; only `linalg.py`
 names the integer eliminations, so every other module gets kernels,
 intersections, solves and invariant factors through its lattice helpers;
 the Theorem C verifiers push chains through tope index maps, never
-through dense stalk matrices; and the Theorem B verifier evaluates cochains
-on the coarse Salvetti complex, never on its fine subdivision.
+through dense stalk matrices; and the Theorem B verifier, integral homology
+and the CLI work on the coarse Salvetti complex, never on its fine
+subdivision.
 """
 
 import ast
@@ -91,14 +92,35 @@ def test_cosheaf_does_not_import_mat_vec():
 FINE_COMPLEX = {"get_fine", "coarse_to_fine", "FineComplex"}
 
 
-def test_theorem_B_evaluates_on_the_coarse_complex():
-    path = PACKAGE / "filtrations.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    (fn,) = [node for node in tree.body
-             if isinstance(node, ast.FunctionDef) and node.name == "verify_theorem_B"]
-    lines = sorted(
-        node.lineno for node in ast.walk(fn)
+def _fine_complex_lines(tree: ast.AST) -> list[int]:
+    return sorted(
+        node.lineno for node in ast.walk(tree)
         if (isinstance(node, ast.Name) and node.id in FINE_COMPLEX)
         or (isinstance(node, ast.Attribute) and node.attr in FINE_COMPLEX)
+        or (isinstance(node, ast.ImportFrom)
+            and any(alias.name in FINE_COMPLEX for alias in node.names))
     )
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    path = PACKAGE / module
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    return fn
+
+
+def test_theorem_B_evaluates_on_the_coarse_complex():
+    lines = _fine_complex_lines(_function("filtrations.py", "verify_theorem_B"))
     assert lines == [], f"verify_theorem_B: fine complex named at lines {lines}"
+
+
+def test_integral_homology_is_taken_on_the_coarse_complex():
+    lines = _fine_complex_lines(_function("salvetti.py", "homology_Z"))
+    assert lines == [], f"homology_Z: fine complex named at lines {lines}"
+
+
+def test_cli_never_names_the_fine_complex():
+    path = PACKAGE / "cli.py"
+    lines = _fine_complex_lines(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert lines == [], f"cli.py: fine complex named at lines {lines}"

@@ -492,11 +492,12 @@ def test_parse_covector_lines():
 # -- braid-style sanity ------------------------------------------------------
 
 
-def braid4() -> Arrangement:
+def braid(k: int) -> Arrangement:
+    """The braid arrangement: normals e_i - e_j, 0 <= i < j < k, in R^k."""
     normals = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            v = [Fraction(0)] * 4
+    for i in range(k):
+        for j in range(i + 1, k):
+            v = [Fraction(0)] * k
             v[i] = Fraction(1)
             v[j] = Fraction(-1)
             normals.append(tuple(v))
@@ -504,7 +505,7 @@ def braid4() -> Arrangement:
 
 
 def test_braid_arrangement_counts():
-    m = om_from_arrangement(braid4())
+    m = om_from_arrangement(braid(4))
     assert m.n == 6
     assert m.rank == 3
     assert len(m.topes) == 24

@@ -5,19 +5,22 @@ from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
-from oracles import bz_cochain_eval_by_simplex, coarse_to_fine
+from oracles import bz_cochain_eval_by_simplex, coarse_to_fine, homology_Z_by_fine
 from test_cosheaf import b3
+from test_filtrations import fresh
 
-from topespace.corpus import load
+from topespace.corpus import load, names
 from topespace.linalg import bits_of
 from topespace.om import Arrangement, SignVector, om_from_arrangement
 from topespace.salvetti import (
+    IncidenceError,
     bz_cochain_eval,
     face_le,
     get_fine,
     get_salvetti,
     homology_mod2,
     homology_Z,
+    orient_boundary,
 )
 
 U11 = Arrangement(((Fraction(1),),))
@@ -124,7 +127,7 @@ def test_class_of_reduces_modulo_boundaries():
     # vertices of one tope and another differ by an edge path, same class
     v0 = 1 << 0
     v1 = 1 << 1
-    assert h.same_class(0, v0, v1)
+    assert h.class_of(0, v0) == h.class_of(0, v1)
 
 
 # -- fine complex ------------------------------------------------------------
@@ -194,10 +197,69 @@ def test_subdivision_is_a_chain_map_mod2():
 def test_fine_integral_homology_matches_coarse_mod2():
     for arr in (U11, U22, U23):
         m = om_from_arrangement(arr)
-        h2 = homology_mod2(get_salvetti(m))
-        hz = homology_Z(get_fine(m))
-        assert hz.betti == h2.dims()
-        assert all(not t for t in hz.torsion)
+        sal = get_salvetti(m)
+        h2 = homology_mod2(sal)
+        for hz in (homology_Z(sal), homology_Z_by_fine(get_fine(m))):
+            assert hz.betti == h2.dims()
+            assert all(not t for t in hz.torsion)
+
+
+# -- signed coarse boundary --------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["u11", "u22", "u23", "u34", "a3"])
+def test_coarse_integral_homology_matches_fine_oracle(name):
+    m = fresh(name)
+    coarse = homology_Z(get_salvetti(m))
+    fine = homology_Z_by_fine(get_fine(fresh(name)))
+    assert (coarse.betti, coarse.torsion) == (fine.betti, fine.torsion)
+
+
+@pytest.mark.parametrize("name", [*names(), "gen3_6", "b3", "gen4_6"])
+def test_signed_boundary_is_a_differential_lifting_the_masks(name):
+    sal = get_salvetti(b3() if name == "b3" else fresh(name))
+    for d in range(sal.dim + 1):
+        cols = sal.signed_boundary(d)
+        assert len(cols) == sal.n_cells(d)
+        assert all(v in (1, -1) for col in cols for v in col.values())
+        assert [sum(1 << r for r in col) for col in cols] == sal.boundary_masks(d)
+    # the augmentation (every vertex to 1) vanishes on edge boundaries
+    assert all(sum(col.values()) == 0 for col in sal.signed_boundary(1))
+    for d in range(2, sal.dim + 1):
+        below = sal.signed_boundary(d - 1)
+        for col in sal.signed_boundary(d):
+            total: dict[int, int] = {}
+            for f, v in col.items():
+                for r, w in below[f].items():
+                    total[r] = total.get(r, 0) + v * w
+            assert not any(total.values())
+
+
+def _complex(masks, below=None):
+    """A duck-typed complex: mod-2 boundary masks per degree, oriented on
+    demand, or given signed boundaries one degree down."""
+    cx = SimpleNamespace(boundary_masks=lambda d: masks[d])
+    cx.signed_boundary = ((lambda d: below) if below is not None
+                          else (lambda d: orient_boundary(cx, d)))
+    return cx
+
+
+@pytest.mark.parametrize("cx, d, match", [
+    # three edges from vertex 0 to vertex 1 bound one 2-cell, so each vertex
+    # lies in three of its facets
+    (_complex({1: [0b11, 0b11, 0b11], 2: [0b111]}), 2, "lies in 3 facets"),
+    # two disjoint bigons bound one 2-cell
+    (_complex({1: [0b0011, 0b0011, 0b1100, 0b1100], 2: [0b1111]}), 2,
+     "not connected"),
+    (_complex({1: [0b111]}), 1, "ridge -1 lies in 3 facets"),
+    # two 2-cells share both their ridges, with incidences under which the
+    # ridges demand opposite signs for the second facet
+    (_complex({3: [0b11]}, below=[{0: 1, 1: -1}, {0: 1, 1: 1}]), 3, "both signs"),
+], ids=["ridge-in-three-facets", "disconnected-facets", "edge-with-three-ends",
+        "sign-forced-both-ways"])
+def test_orientation_rejects_a_poset_that_is_not_regular_cw(cx, d, match):
+    with pytest.raises(IncidenceError, match=match):
+        orient_boundary(cx, d)
 
 
 # -- cochains ----------------------------------------------------------------
@@ -251,10 +313,3 @@ def test_bz_cochain_element_outside_ground_set():
     with pytest.raises(ValueError, match="ground set"):
         bz_cochain_eval(sal, (3,), 1, 1)
 
-
-def test_format_chain():
-    m = om_from_arrangement(U23)
-    sal = get_salvetti(m)
-    s = sal.format_chain(0, 0b11)
-    assert "|" in s and "+" in s
-    assert sal.format_chain(0, 0) == "0"
