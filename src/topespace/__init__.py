@@ -11,7 +11,6 @@ from .algebras import cordovil_dual, epsilon, nbc_sets, projectivize
 from .corpus import load, names
 from .cosheaf import (
     FanCone,
-    cosheaf_map,
     fan_cones,
     flag_lift,
     impossibility_check,
@@ -70,7 +69,6 @@ __all__ = [
     "brick_certificate",
     "check_covector_axioms",
     "cordovil_dual",
-    "cosheaf_map",
     "enumerate_flags",
     "epsilon",
     "fan_cones",

@@ -39,6 +39,8 @@ from .om import (
 from .salvetti import get_salvetti, homology_Z, homology_mod2
 
 VERIFY_TARGETS = ("thmA", "thmB", "thmC", "proj", "asym", "quillenZ")
+# the targets that take --p, each with its top degree above the rank
+DEGREE_TARGETS = {"proj": 0, "asym": 1, "quillenZ": 1}
 
 
 class InputError(Exception):
@@ -143,7 +145,17 @@ def describe_check(m: OrientedMatroid, target: str,
 def verify_checks(m: OrientedMatroid, which: str, target: str,
                   order: Optional[Sequence[int]] = None,
                   p: Optional[int] = None) -> list[dict]:
-    """Records for one verification target, or for all of them."""
+    """Records for one verification target, or for all of them.
+
+    A degree `p` is accepted only for a single target in DEGREE_TARGETS and
+    only inside that target's degree range.
+    """
+    if p is not None:
+        if which not in DEGREE_TARGETS:
+            raise InputError(f"--p applies only to {', '.join(DEGREE_TARGETS)}, not {which!r}")
+        top = m.rank + DEGREE_TARGETS[which]
+        if not 0 <= p <= top:
+            raise InputError(f"--p must lie in 0..{top} for {which}, got {p}")
     targets = VERIFY_TARGETS if which == "all" else (which,)
     params: dict = {"order": order, "p": p}
     out = []

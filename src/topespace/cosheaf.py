@@ -7,8 +7,7 @@ of a nested pair of flags is the inclusion of one tope set into another, kept
 as a tope index map: pushing a chain is a scatter, and composing two maps is
 composing index tuples.  The pairing into the dual algebra is one cached
 subset-to-topes incidence per stalk and degree.  Every diagram check reduces
-to index-map identities, lattice containments and coordinate comparisons;
-`cosheaf_map` still gives the 0/1 matrix for callers that want one.
+to index-map identities, lattice containments and coordinate comparisons.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .filtrations import chain_mod2, pair_chain, qbv, vg_lower
 from .linalg import (
     LatticeZ,
     bits_of,
-    int_identity,
     int_image_and_relations,
     lattice_equal,
     solve_diophantine,
@@ -158,37 +156,6 @@ def _lower_images(mf: OrientedMatroid, p: int) -> list[list[int]]:
     return mf.memo(("lower_images", p), lambda: [
         pair_chain(mf, row, p) for row in vg_lower(mf, p).basis
     ])
-
-
-def cosheaf_map(m: OrientedMatroid, sub: Flag, sup: Flag, kind: str = "sign",
-                p: Optional[int] = None):
-    """Matrix of the stalk map attached to a nested pair of flags.
-
-    The cone of the subflag is a face of the cone of the superflag, and the
-    stalk map carries the superflag's stalk into the subflag's.  sign: 0/1
-    matrix of the tope-set inclusion.  P_p: the same matrix, after checking
-    that it carries the degree-p lower piece of the source into the target's.
-    A_p: identity on square-free degree-p coordinates, after checking the
-    lattice containment of the dual-algebra pieces.  The matrices are built
-    from the tope index map that the Theorem C checks use directly.
-    """
-    m_sub, _ = _stalk_pair(m, sub, sup)
-    if kind in ("sign", "P_p"):
-        idx = _tope_map(m, sub, sup)
-        if kind == "P_p":
-            if p is None:
-                raise ValueError("kind P_p needs a degree")
-            _pushed_lower(m, sub, sup, p)
-        mat = [[0] * len(idx) for _ in m_sub.topes]
-        for j, i in enumerate(idx):
-            mat[i][j] = 1
-        return mat
-    if kind == "A_p":
-        if p is None:
-            raise ValueError("kind A_p needs a degree")
-        _check_dual_pieces(m, sub, sup, p)
-        return int_identity(len(subset_index(m.n, p)))
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,11 @@ from typing import Iterable, Optional, Sequence
 
 from .algebras import SFPoly, nbc_sets, subset_index, wedge_masks
 from .linalg import (
-    GF2Matrix,
     GF2Solver,
     LatticeZ,
     SubspaceGF2,
     bits_of,
     gf2_kernel,
-    gf2_solve_project,
     int_kernel,
     mask_from_bits,
 )
@@ -117,7 +115,7 @@ def vg_lower(m: OrientedMatroid, p: int, ring: str = "z"):
                 mask_from_bits(i for i, x in enumerate(row) if x)
                 for row in _monomial_rows_int(m, p - 1)
             ]
-            return gf2_kernel(GF2Matrix.from_rows(rows, nt))
+            return gf2_kernel(rows, nt)
         raise ValueError(f"unknown ring {ring!r}")
 
     return m.memo(("vg_lower", p, ring), build)
@@ -225,7 +223,7 @@ def _quillen_solver(m: OrientedMatroid, p: int) -> tuple[GF2Solver, list[tuple[i
         for j, (cmask, _) in enumerate(cosets):
             for i in bits_of(cmask):
                 rows[i] |= 1 << j
-        return GF2Solver(GF2Matrix.from_rows(rows, len(cosets))), cosets
+        return GF2Solver(rows, len(cosets)), cosets
 
     return m.memo(("quillen_solver", p), build)
 
@@ -346,67 +344,70 @@ def _ladder_rows(m: OrientedMatroid, p: int) -> tuple[list[int], list[int]]:
     conjugate; the right-hand side of the first block is the vertex image of
     gamma, and of every later block zero.
     """
+    sal = get_salvetti(m)
+    col_off = [0]
+    for i in range(1, p + 1):
+        col_off.append(col_off[-1] + sal.n_cells(i))
+    row_off = [0, 0]
+    for i in range(1, p + 1):
+        row_off.append(row_off[-1] + sal.n_cells(i - 1))
+    rows = [0] * row_off[-1]
+    for i in range(1, p + 1):
+        if sal.n_cells(i):
+            masks = sal.boundary_masks(i)
+            for j in range(sal.n_cells(i)):
+                colbit = 1 << (col_off[i - 1] + j)
+                for r in bits_of(masks[j]):
+                    rows[row_off[i] + r] ^= colbit
+        if i >= 2:
+            perm = sal.conj_perm(i - 1)
+            for j in range(sal.n_cells(i - 1)):
+                colbit = 1 << (col_off[i - 2] + j)
+                rows[row_off[i] + j] ^= colbit
+                rows[row_off[i] + perm[j]] ^= colbit
+    return rows, col_off
+
+
+def _ladder_solver(m: OrientedMatroid, p: int) -> tuple[GF2Solver, list[int]]:
+    """The one factorization of the degree-p ladder system of `_ladder_rows`,
+    with its column offsets; the right-hand side is the vertex image of gamma.
+    Cached per matroid and degree, and shared by `kalinin_K` and `viro_bv`."""
 
     def build():
-        sal = get_salvetti(m)
-        col_off = [0]
-        for i in range(1, p + 1):
-            col_off.append(col_off[-1] + sal.n_cells(i))
-        row_off = [0, 0]
-        for i in range(1, p + 1):
-            row_off.append(row_off[-1] + sal.n_cells(i - 1))
-        rows = [0] * row_off[-1]
-        for i in range(1, p + 1):
-            if sal.n_cells(i):
-                masks = sal.boundary_masks(i)
-                for j in range(sal.n_cells(i)):
-                    colbit = 1 << (col_off[i - 1] + j)
-                    for r in bits_of(masks[j]):
-                        rows[row_off[i] + r] ^= colbit
-            if i >= 2:
-                perm = sal.conj_perm(i - 1)
-                for j in range(sal.n_cells(i - 1)):
-                    colbit = 1 << (col_off[i - 2] + j)
-                    rows[row_off[i] + j] ^= colbit
-                    rows[row_off[i] + perm[j]] ^= colbit
-        return rows, col_off
+        rows, col_off = _ladder_rows(m, p)
+        return GF2Solver(rows, col_off[-1]), col_off
 
-    return m.memo(("ladder_rows", p), build)
+    return m.memo(("ladder_solver", p), build)
 
 
 def kalinin_K(m: OrientedMatroid, p: int) -> SubspaceGF2:
     """Degree-p piece of the chain-level filtration.
 
-    The ladder system with gamma moved to the unknowns, (gamma, beta_1, ...,
-    beta_p), is homogeneous; the piece is the projection of its solution
-    space onto the gamma block.  For p one above the rank the top beta block
-    is empty and the last equation forces the previous chain to be
-    conjugation-symmetric.
+    gamma is in the piece exactly when the ladder system with the vertex
+    image of gamma on the right is solvable, that is, when that image is
+    orthogonal to every relation among the ladder equations.  Only the
+    vertex rows meet the right-hand side, so each relation the solver found
+    is pulled back to tope coordinates through the vertex of each tope, and
+    the piece is the kernel of the pulled-back relations.  For p one above
+    the rank the top beta block is empty and the last equation forces the
+    previous chain to be conjugation-symmetric; above that the piece is zero.
     """
 
     def build():
         nt = len(m.topes)
         if p <= 0:
             return SubspaceGF2.full(nt)
+        if p > m.rank + 1:
+            return SubspaceGF2.zero(nt)
         sal = get_salvetti(m)
-        ladder, col_off = _ladder_rows(m, p)
-        rows = [row << nt for row in ladder]
-        for j, t in enumerate(m.topes):
-            rows[sal.vertex_of_tope(t)] ^= 1 << j
-        return gf2_solve_project(GF2Matrix.from_rows(rows, nt + col_off[-1]), (0, nt))
+        tope_of_vertex = {sal.vertex_of_tope(t): j for j, t in enumerate(m.topes)}
+        vertices = (1 << sal.n_cells(0)) - 1
+        solver, _ = _ladder_solver(m, p)
+        relations = [mask_from_bits(map(tope_of_vertex.__getitem__, bits_of(combo & vertices)))
+                     for combo in solver.zero_combos]
+        return gf2_kernel(relations, nt)
 
     return m.memo(("kalinin_K", p), build)
-
-
-def _ladder_solver(m: OrientedMatroid, p: int) -> tuple[GF2Solver, list[int]]:
-    """Solver for the ladder system of `_ladder_rows`, with its column
-    offsets; the right-hand side is the vertex image of gamma."""
-
-    def build():
-        rows, col_off = _ladder_rows(m, p)
-        return GF2Solver(GF2Matrix.from_rows(rows, col_off[-1])), col_off
-
-    return m.memo(("ladder_solver", p), build)
 
 
 def viro_bv(m: OrientedMatroid, gamma: int, p: int,
@@ -419,6 +420,8 @@ def viro_bv(m: OrientedMatroid, gamma: int, p: int,
     The class does not depend on the ladder, which is checked separately as a
     property.  Raises if the chain is not in the degree-p piece.
     """
+    if not 0 <= p <= m.rank:
+        raise ValueError(f"degree {p} outside 0..{m.rank}")
     sal = get_salvetti(m)
     hom = homology_mod2(sal)
     if p == 0:

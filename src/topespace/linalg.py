@@ -45,18 +45,6 @@ def bits_of(mask: int) -> list[int]:
 # GF(2)
 
 
-@dataclass(frozen=True)
-class GF2Matrix:
-    """Rows are bitmasks over `ncols` columns."""
-
-    rows: tuple[int, ...]
-    ncols: int
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[int], ncols: int) -> "GF2Matrix":
-        return cls(tuple(rows), ncols)
-
-
 def gf2_rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form.
 
@@ -120,36 +108,22 @@ class SubspaceGF2:
         return all(self.contains(r) for r in other.rows)
 
 
-def gf2_kernel(m: GF2Matrix) -> SubspaceGF2:
-    """Kernel of m acting on column vectors x (rows are equations)."""
-    rr, pivots = gf2_rref(m.rows)
-    pivset = set(pivots)
-    basis = []
-    for f in range(m.ncols):
-        if f in pivset:
-            continue
-        v = 1 << f
-        for piv, row in zip(pivots, rr):
-            if (row >> f) & 1:
-                v |= 1 << piv
-        basis.append(v)
-    return SubspaceGF2.from_generators(m.ncols, basis)
-
-
 class GF2Solver:
     """Factor a GF(2) system once, then solve A·x = b for many right sides.
 
-    Rows of `a` are equations over `ncols` unknowns.  The factorization keeps,
-    for each pivot, the combination of original equations that produced it, so
-    a right-hand side is processed with a couple of popcounts per pivot.
+    `rows` are equations over `ncols` unknowns.  The factorization keeps, for
+    each pivot, the combination of original equations that produced it, so a
+    right-hand side is processed with a couple of popcounts per pivot.  The
+    combinations of the equations that reduced to zero, `zero_combos`, are a
+    basis of the relations among the rows: b is consistent exactly when it is
+    orthogonal to each of them.
     """
 
-    def __init__(self, a: GF2Matrix):
-        self.ncols = a.ncols
-        self.nrows = len(a.rows)
+    def __init__(self, rows: Iterable[int], ncols: int):
+        self.ncols = ncols
         pivot_rows: list[tuple[int, int, int]] = []  # (pivot_col, row, combo)
         zero_combos: list[int] = []
-        for i, row in enumerate(a.rows):
+        for i, row in enumerate(rows):
             combo = 1 << i
             for piv, prow, pcombo in pivot_rows:
                 if (row >> piv) & 1:
@@ -200,30 +174,9 @@ class GF2Solver:
         return basis
 
 
-def gf2_solve_project(system: GF2Matrix, free_block: tuple[int, int]) -> SubspaceGF2:
-    """Project the solution set of system·x = 0 onto a column range.
-
-    `free_block` is a half-open (start, stop) range of unknown indices; the
-    result is the subspace of GF(2)^(stop-start) of achievable restrictions.
-
-    The block's columns are moved to the high end, so one RREF pivots on
-    every other unknown first.  A reduced row whose pivot is another unknown
-    holds for any block value once that unknown, which no other row holds,
-    is chosen to fit; the rows whose pivot lies in the block hold no other
-    unknown, and they are exactly the constraints on it.  The projection is
-    their kernel.
-    """
-    start, stop = free_block
-    if not (0 <= start <= stop <= system.ncols):
-        raise ValueError(f"free_block {free_block} out of range for {system.ncols} columns")
-    width = stop - start
-    rest = system.ncols - width
-    low, mask = (1 << start) - 1, (1 << width) - 1
-    rr, pivots = gf2_rref(
-        (r & low) | (r >> stop << start) | ((r >> start) & mask) << rest for r in system.rows
-    )
-    return gf2_kernel(GF2Matrix.from_rows(
-        (r >> rest for r, piv in zip(rr, pivots) if piv >= rest), width))
+def gf2_kernel(rows: Iterable[int], ncols: int) -> SubspaceGF2:
+    """Kernel of the system whose rows are equations over `ncols` unknowns."""
+    return SubspaceGF2.from_generators(ncols, GF2Solver(rows, ncols).kernel_basis())
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,8 @@ from topespace.cosheaf import (
     fan_cones,
     stalk_matroid,
 )
-from topespace.filtrations import IntChain, prefix_chain, vg_lower
+from topespace.filtrations import IntChain, _ladder_rows, prefix_chain, vg_lower
 from topespace.linalg import (
-    GF2Matrix,
     IntMatrix,
     LatticeZ,
     SubspaceGF2,
@@ -38,7 +37,7 @@ from topespace.om import (
     enumerate_flags,
     tope_flag_set,
 )
-from topespace.salvetti import FineComplex, IntegralHomology
+from topespace.salvetti import FineComplex, IntegralHomology, get_salvetti
 
 
 def coarse_to_fine(fine: FineComplex, d: int, chain: int) -> int:
@@ -190,16 +189,20 @@ def maximal_covector_not_tope_by_scan(covectors: Iterable[SignVector]) -> bool:
     return any(v.support != full for v in maximal)
 
 
-def gf2_solve_project_by_kernel(system: GF2Matrix, free_block: tuple[int, int]) -> SubspaceGF2:
-    """Projection of the solution set of system·x = 0 onto a column range,
-    read off a basis of the whole kernel."""
-    start, stop = free_block
-    if not (0 <= start <= stop <= system.ncols):
-        raise ValueError(f"free_block {free_block} out of range for {system.ncols} columns")
-    width = stop - start
-    mask = (1 << width) - 1
-    kern = gf2_kernel(system)
-    return SubspaceGF2.from_generators(width, [(v >> start) & mask for v in kern.rows])
+def kalinin_K_by_projection(m: OrientedMatroid, p: int) -> SubspaceGF2:
+    """Degree-p chain-level piece as a projection: the ladder system with
+    gamma moved to the unknowns, (gamma, beta_1, ..., beta_p), is homogeneous,
+    and the piece is the gamma block of a basis of its whole kernel."""
+    nt = len(m.topes)
+    if p <= 0:
+        return SubspaceGF2.full(nt)
+    sal = get_salvetti(m)
+    ladder, col_off = _ladder_rows(m, p)
+    rows = [row << nt for row in ladder]
+    for j, t in enumerate(m.topes):
+        rows[sal.vertex_of_tope(t)] ^= 1 << j
+    kern = gf2_kernel(rows, nt + col_off[-1])
+    return SubspaceGF2.from_generators(nt, [v & ((1 << nt) - 1) for v in kern.rows])
 
 
 def int_rank(a: IntMatrix) -> int:

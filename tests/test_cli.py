@@ -191,6 +191,35 @@ def test_verify_with_p(tmp_path):
     assert rows[0]["ok"] is True
 
 
+@pytest.mark.parametrize("which,p", [
+    ("proj", 0), ("proj", 2), ("asym", 0), ("asym", 3), ("quillenZ", 0), ("quillenZ", 3),
+])
+def test_verify_p_inside_the_degree_range(which, p, tmp_path):
+    code, report = run(["verify", "u22", which, "--p", str(p)], tmp_path)
+    assert code == 0
+    assert check_by_id(report, which)["params"]["p"] == p
+
+
+@pytest.mark.parametrize("which,p,message", [
+    ("proj", -1, "0..2 for proj"),
+    ("proj", 3, "0..2 for proj"),
+    ("asym", -1, "0..3 for asym"),
+    ("asym", 9, "0..3 for asym"),
+    ("quillenZ", -1, "0..3 for quillenZ"),
+    ("quillenZ", 4, "0..3 for quillenZ"),
+    ("thmA", 1, "not 'thmA'"),
+    ("thmB", 1, "not 'thmB'"),
+    ("thmC", 1, "not 'thmC'"),
+    ("all", 1, "not 'all'"),
+])
+def test_verify_p_outside_its_targets_is_an_input_error(which, p, message, capsys):
+    code = cli.main(["verify", "u22", which, "--p", str(p)])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [out.err.strip()] and message in out.err
+
+
 def test_verify_bad_order(capsys):
     code = cli.main(["verify", "u23", "thmB", "--order", "2,2,0"])
     assert code == 2

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import oracles
 import pytest
-from oracles import mat_mul, verify_naturality_dense, verify_theorem_C_dense
+from oracles import verify_naturality_dense, verify_theorem_C_dense
 
 from topespace import cosheaf
 from topespace.algebras import cordovil_dual, nbc_sets
@@ -12,7 +12,6 @@ from topespace.corpus import CORPUS, load, names
 from topespace.cosheaf import (
     FanCone,
     cone_of,
-    cosheaf_map,
     fan_cones,
     flag_lift,
     impossibility_check,
@@ -22,7 +21,6 @@ from topespace.cosheaf import (
     verify_theorem_C,
 )
 from topespace.filtrations import vg_lower
-from topespace.linalg import int_identity
 from topespace.om import (
     Arrangement,
     Flag,
@@ -99,37 +97,40 @@ def test_sign_map_embeds_stalk_topes():
     m = load("u23")
     trivial = make_flag(m, [])
     flag = make_flag(m, [0b001])
-    mat = cosheaf_map(m, trivial, flag)
+    idx = cosheaf._tope_map(m, trivial, flag)
     mf = stalk_matroid(m, flag)
-    assert len(mat) == 6 and len(mat[0]) == 4
-    for j, t in enumerate(mf.topes):
-        column = [mat[i][j] for i in range(6)]
-        assert sum(column) == 1
-        assert column[m.tope_index[t]] == 1
+    assert len(idx) == len(mf.topes) == 4
+    assert len(set(idx)) == 4 and all(0 <= i < 6 for i in idx)
+    assert [m.topes[i] for i in idx] == list(mf.topes)
 
 
 def test_identity_pair_gives_identity_matrix():
+    # as an index map, the identity matrix is the identity tuple
     m = load("u23")
     flag = make_flag(m, [0b001])
-    assert cosheaf_map(m, flag, flag) == int_identity(4)
+    assert cosheaf._tope_map(m, flag, flag) == (0, 1, 2, 3)
 
 
 def test_map_rejects_non_subflags():
     m = load("u23")
     with pytest.raises(ValueError):
-        cosheaf_map(m, make_flag(m, [0b001]), make_flag(m, [0b010]))
-    with pytest.raises(ValueError):
-        cosheaf_map(m, make_flag(m, []), make_flag(m, [0b001]), "P_p")
+        cosheaf._tope_map(m, make_flag(m, [0b001]), make_flag(m, [0b010]))
 
 
 def test_filtered_and_algebra_kinds():
+    # the stalk map respects the lower pieces and the dual-algebra pieces
     m = load("u23")
     trivial = make_flag(m, [])
     flag = make_flag(m, [0b001])
-    sign = cosheaf_map(m, trivial, flag)
-    assert cosheaf_map(m, trivial, flag, "P_p", 1) == sign
-    assert cosheaf_map(m, trivial, flag, "A_p", 1) == int_identity(3)
-    assert cosheaf_map(m, trivial, flag, "A_p", 2) == int_identity(3)
+    idx = cosheaf._tope_map(m, trivial, flag)
+    mf = stalk_matroid(m, flag)
+    for p in (1, 2):
+        pushed = cosheaf._pushed_lower(m, trivial, flag, p)
+        assert len(pushed) == vg_lower(mf, p).rank
+        for row, out in zip(vg_lower(mf, p).basis, pushed):
+            assert [out[i] for i in idx] == list(row)
+            assert vg_lower(m, p).contains(out)
+        cosheaf._check_dual_pieces(m, trivial, flag, p)
 
 
 def test_sign_map_composition():
@@ -137,8 +138,9 @@ def test_sign_map_composition():
     trivial = make_flag(m, [])
     mid = make_flag(m, [0b0001])
     sup = make_flag(m, [0b0001, 0b0011])
-    direct = cosheaf_map(m, trivial, sup)
-    assert direct == mat_mul(cosheaf_map(m, trivial, mid), cosheaf_map(m, mid, sup))
+    direct = cosheaf._tope_map(m, trivial, sup)
+    first, second = cosheaf._tope_map(m, trivial, mid), cosheaf._tope_map(m, mid, sup)
+    assert direct == tuple(first[j] for j in second)
 
 
 # -- stalk exactness --------------------------------------------------------

@@ -6,8 +6,8 @@ from itertools import combinations
 import pytest
 from oracles import (
     asymptotic_member,
-    gf2_solve_project_by_kernel,
     heaviside_eval,
+    kalinin_K_by_projection,
     tilde_a_dense,
     int_rank,
     lattice_saturated,
@@ -15,6 +15,7 @@ from oracles import (
     quillen_Z_by_products,
     vg_lower_by_prefix,
 )
+from test_cosheaf import b3
 from test_om import moment_curve
 
 from topespace import filtrations
@@ -55,12 +56,10 @@ from topespace.filtrations import (
     _quillen_Z_lattice,
 )
 from topespace.linalg import (
-    GF2Matrix,
     GF2Solver,
     LatticeZ,
     SubspaceGF2,
     bits_of,
-    gf2_solve_project,
     lattice_equal,
     mask_from_bits,
 )
@@ -85,10 +84,12 @@ def sv(s: str) -> SignVector:
 
 
 def fresh(name: str):
-    """A newly built matroid with an empty memo: a corpus member, or gen3_6 /
-    gen4_6 (generic hyperplanes on the moment curve in R^3 / R^4)."""
+    """A newly built matroid with an empty memo: a corpus member, b3, or
+    gen3_6 / gen4_6 (generic hyperplanes on the moment curve in R^3 / R^4)."""
     if name in CORPUS:
         return om_from_arrangement(Arrangement(CORPUS[name].normals))
+    if name == "b3":
+        return b3()
     d, n = {"gen3_6": (3, 6), "gen4_6": (4, 6)}[name]
     return om_from_arrangement(moment_curve(d, n))
 
@@ -366,21 +367,38 @@ def test_kalinin_steps_are_homology_dimensions():
         assert steps == hom.dims()
 
 
-@pytest.mark.parametrize("name", [*names(), "gen3_6"])
-def test_kalinin_projection_matches_kernel_oracle(name, monkeypatch):
-    m = fresh(name)
-    blocks = []
-
-    def checked(system, free_block):
-        got = gf2_solve_project(system, free_block)
-        assert got == gf2_solve_project_by_kernel(system, free_block)
-        blocks.append(free_block)
-        return got
-
-    monkeypatch.setattr(filtrations, "gf2_solve_project", checked)
+@pytest.mark.parametrize("name", [*names(), "gen3_6", "b3", "gen4_6"])
+def test_kalinin_projection_matches_kernel_oracle(name):
+    # separate matroids, so neither path reads what the other cached
+    m, oracle = fresh(name), fresh(name)
     for p in range(m.rank + 2):
-        kalinin_K(m, p)
-    assert blocks == [(0, len(m.topes))] * (m.rank + 1)
+        assert kalinin_K(m, p) == kalinin_K_by_projection(oracle, p), p
+
+
+def test_kalinin_piece_is_zero_above_the_top_degree():
+    m = load("u22")
+    zero = SubspaceGF2.zero(len(m.topes))
+    for p in (m.rank + 1, m.rank + 2, 7):
+        assert kalinin_K(m, p) == quillen_Q(m, p) == vg_lower(m, p, "z2") == zero
+
+
+def test_theorem_B_reuses_the_ladder_factorizations_of_theorem_A(monkeypatch):
+    m = fresh("a3")
+    built = []
+
+    def counted(rows, ncols):
+        solver = GF2Solver(rows, ncols)
+        built.append(solver)
+        return solver
+
+    monkeypatch.setattr(filtrations, "GF2Solver", counted)
+    assert verify_theorem_A(m).ok
+    built.clear()
+    assert verify_theorem_B(m).ok
+    # only the Quillen solvers are new; every ladder solver came from thmA
+    quillen = [_quillen_solver(m, p)[0] for p in range(m.rank + 1)]
+    assert len(built) == m.rank + 1
+    assert {id(s) for s in built} == {id(q) for q in quillen}
 
 
 @pytest.mark.parametrize("name", ["u23", "u34", "a3"])
@@ -443,6 +461,13 @@ def test_viro_rejects_chains_outside_the_piece():
         viro_bv(m, mask, 2)
 
 
+@pytest.mark.parametrize("p", [-1, 3, 7])
+def test_viro_rejects_degrees_outside_the_complex(p):
+    m = load("u22")
+    with pytest.raises(ValueError, match="outside 0..2"):
+        viro_bv(m, 0, p)
+
+
 def test_viro_degree_zero_is_vertex_inclusion():
     m = load("u23")
     hom = homology_mod2(get_salvetti(m))
@@ -481,9 +506,7 @@ def test_conjugation_fixes_every_mod2_homology_class():
                 for j in range(sal.n_cells(d)):
                     for r in bits_of(masks[j]):
                         rows[r] |= 1 << j
-                cycles = GF2Solver(
-                    GF2Matrix.from_rows(rows, sal.n_cells(d))
-                ).kernel_basis()
+                cycles = GF2Solver(rows, sal.n_cells(d)).kernel_basis()
             else:
                 cycles = [1 << i for i in range(sal.n_cells(0))]
             for z in cycles:

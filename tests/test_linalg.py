@@ -7,18 +7,17 @@ from itertools import product
 from math import gcd
 
 import pytest
-from oracles import gf2_solve_project_by_kernel, int_rank, lattice_saturated, mat_mul
+from oracles import int_rank, lattice_saturated, mat_mul
 
 from topespace import linalg
 from topespace.corpus import load
 from topespace.linalg import (
-    GF2Matrix,
     GF2Solver,
     LatticeZ,
     SubspaceGF2,
+    bits_of,
     gf2_kernel,
     gf2_rref,
-    gf2_solve_project,
     hermite_normal_form,
     int_image_and_relations,
     int_kernel,
@@ -51,8 +50,7 @@ def span_gf2(gens):
 
 
 def test_kernel_of_all_ones_row_is_even_weight_vectors():
-    m = GF2Matrix.from_rows([0b1111], 4)
-    kern = gf2_kernel(m)
+    kern = gf2_kernel([0b1111], 4)
     expected = brute_kernel_gf2([0b1111], 4)
     assert span_gf2(kern.rows) == expected
     assert kern.dim == 3
@@ -63,7 +61,7 @@ def test_kernel_random_matrices_match_enumeration_oracle():
     for _ in range(40):
         ncols = rng.randrange(1, 7)
         rows = [rng.getrandbits(ncols) for _ in range(rng.randrange(0, 5))]
-        kern = gf2_kernel(GF2Matrix.from_rows(rows, ncols))
+        kern = gf2_kernel(rows, ncols)
         assert span_gf2(kern.rows) == brute_kernel_gf2(rows, ncols)
 
 
@@ -72,8 +70,7 @@ def test_rank_nullity():
     for _ in range(40):
         ncols = rng.randrange(1, 10)
         rows = [rng.getrandbits(ncols) for _ in range(rng.randrange(0, 8))]
-        m = GF2Matrix.from_rows(rows, ncols)
-        assert len(gf2_rref(m.rows)[0]) + gf2_kernel(m).dim == ncols
+        assert len(gf2_rref(rows)[0]) + gf2_kernel(rows, ncols).dim == ncols
 
 
 def test_rref_is_canonical_under_row_shuffling():
@@ -129,7 +126,7 @@ def test_rref_and_solver_on_random_systems():
         def apply(x):
             return mask_from_bits(i for i, r in enumerate(rows) if parity(r & x))
 
-        solver = GF2Solver(GF2Matrix.from_rows(rows, ncols))
+        solver = GF2Solver(rows, ncols)
         b = apply(rng.getrandbits(ncols))
         assert apply(solver.solve(b)) == b
         assert apply(solver.solve(b, rng=random.Random(7))) == b
@@ -137,6 +134,15 @@ def test_rref_and_solver_on_random_systems():
         assert len(kernel) == ncols - len(rr)
         assert all(apply(k) == 0 for k in kernel)
         assert len(_naive_basis(kernel)) == len(kernel)
+        # the zero combinations are a basis of the relations among the rows
+        combos = solver.zero_combos
+        assert len(combos) == len(rows) - len(rr)
+        assert len(_naive_basis(combos)) == len(combos)
+        for combo in combos:
+            total = 0
+            for i in bits_of(combo):
+                total ^= rows[i]
+            assert total == 0
 
 
 def test_subspace_membership_and_equality():
@@ -154,7 +160,7 @@ def test_solver_agrees_with_brute_force():
         ncols = rng.randrange(1, 6)
         nrows = rng.randrange(1, 5)
         rows = [rng.getrandbits(ncols) for _ in range(nrows)]
-        solver = GF2Solver(GF2Matrix.from_rows(rows, ncols))
+        solver = GF2Solver(rows, ncols)
         b = rng.getrandbits(nrows)
         sols = [
             v
@@ -170,39 +176,6 @@ def test_solver_agrees_with_brute_force():
             assert span_gf2(solver.kernel_basis()) == {s ^ sols[0] for s in sols}
         else:
             assert got is None
-
-
-def test_solve_project_is_projection_of_solution_set():
-    # x0 + x1 = 0, x1 + x2 = 0  ->  solutions {000, 111}; each single
-    # coordinate projects onto the full line.
-    m = GF2Matrix.from_rows([0b011, 0b110], 3)
-    proj = gf2_solve_project(m, (0, 1))
-    assert proj.dim == 1
-    proj2 = gf2_solve_project(m, (1, 3))
-    assert span_gf2(proj2.rows) == {0b00, 0b11}
-    with pytest.raises(ValueError):
-        gf2_solve_project(m, (2, 4))
-
-
-def test_solve_project_matches_kernel_oracle():
-    rng = random.Random(29)
-    kinds = set()
-    for _ in range(300):
-        ncols = rng.randrange(0, 40)
-        # sparse rows and short systems reach wide projections; dense rows
-        # and long systems reach the zero subspace
-        density = rng.choice((1, 2, 8))
-        rows = [mask_from_bits(j for j in range(ncols) if rng.randrange(density) == 0)
-                for _ in range(rng.randrange(0, ncols + 4))]
-        system = GF2Matrix.from_rows(rows, ncols)
-        a, b = sorted((rng.randrange(ncols + 1), rng.randrange(ncols + 1)))
-        for block in {(a, a), (0, b), (a, b), (a, ncols), (0, ncols)}:
-            got = gf2_solve_project(system, block)
-            assert got == gf2_solve_project_by_kernel(system, block), (rows, ncols, block)
-            start, stop = block
-            kinds.add("empty" if start == stop else "full" if stop - start == ncols
-                      else "start" if start == 0 else "end" if stop == ncols else "middle")
-    assert kinds == {"empty", "start", "middle", "end", "full"}
 
 
 # ---------------------------------------------------------------------------
