@@ -13,6 +13,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 
@@ -197,98 +198,28 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
     """Invariant factors of an integer matrix.
 
     Returns the nonzero diagonal entries d1 | d2 | ... (all positive) of the
-    Smith normal form.  Pivots are chosen by minimal absolute value; no
-    transforms are kept, since kernels and solutions come from the Hermite
-    form (`int_relations`).
+    Smith normal form, from Hermite forms alone: the rows are put in Hermite
+    form, the result is transposed, and this repeats until every row has a
+    single nonzero entry (Kannan & Bachem, SIAM J. Comput. 1979).  From the
+    second pass on the matrix is square and every entry above a pivot lies in
+    [0, pivot), so between passes no entry exceeds the product of the
+    invariant factors.  The diagonal is then sorted into the divisibility
+    chain by pairwise gcd and lcm, which keeps, for each prime, the multiset
+    of its exponents.  No transforms are kept, since kernels and solutions
+    come from the Hermite form (`int_relations`).
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m and any(len(r) != n for r in a):
+    n = len(a[0]) if a else 0
+    if any(len(r) != n for r in a):
         raise ValueError("ragged matrix")
-    A = [list(r) for r in a]
-
-    def row_sub(i, j, q):  # A[i] -= q*A[j]
-        Ai, Aj = A[i], A[j]
-        for k in range(n):
-            Ai[k] -= q * Aj[k]
-
-    def col_sub(j, i, q):  # col j -= q*col i
-        for r in A:
-            r[j] -= q * r[i]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-
-    def col_swap(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-
-    def row_neg(i):
-        A[i] = [-x for x in A[i]]
-
-    t = 0
-    while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            row = A[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            row_swap(t, bi)
-        if bj != t:
-            col_swap(t, bj)
-        if A[t][t] < 0:
-            row_neg(t)
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    if q:
-                        row_sub(i, t, q)
-                    if A[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    if q:
-                        col_sub(j, t, q)
-                    if A[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if A[t][t] < 0:
-                row_neg(t)
-            if not dirty:
-                break
-        # make the pivot divide everything that is left
-        p = A[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            row = A[i]
-            for j in range(t + 1, n):
-                if row[j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_sub(t, offender, -1)
-            continue
-        t += 1
-
-    diag = tuple(A[i][i] for i in range(min(m, n)) if A[i][i])
-    for k in range(1, len(diag)):
-        if diag[k] % diag[k - 1]:
-            raise RuntimeError(
-                f"smith normal form divisibility chain broken: {diag[k - 1]} does not divide {diag[k]}"
-            )
-    return diag
+    h = hermite_normal_form(a, n)
+    while any(sum(1 for x in row if x) != 1 for row in h):
+        h = hermite_normal_form(_columns(h), len(h))
+    diag = sorted(x for row in h for x in row if x)
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return tuple(diag)
 
 
 def hermite_normal_form(rows: Iterable[list[int] | tuple[int, ...]], ncols: int) -> list[list[int]]:
@@ -481,8 +412,9 @@ def snf_diagonal_sparse(entries: dict[tuple[int, int], int], nrows: int, ncols: 
 
     Entries of absolute value one are eliminated structurally (rows and
     columns removed as they are used); whatever survives without a unit pivot
-    is handed to the dense routine.  Intended for simplicial boundary
-    matrices, whose entries are 0 and +-1.
+    is handed to `smith_normal_form`, whose alternating Hermite forms keep
+    its entries bounded.  Intended for cellular boundary matrices, whose
+    entries are 0 and +-1.
 
     Pivots follow Markowitz order: the sparsest column that holds a unit, and
     in it the unit in the shortest row (lowest row index on ties).  Columns

@@ -14,7 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from typing import Iterable, Optional, Sequence
+
+from .linalg import LatticeZ, bits_of, int_identity, int_kernel, mask_from_bits
 
 
 class ParseError(ValueError):
@@ -487,69 +490,34 @@ def om_from_covectors(vectors: Iterable[SignVector]) -> OrientedMatroid:
     return OrientedMatroid(vectors, validate_axioms=True)
 
 
-def _q_row_reduce(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    work = [row[:] for row in rows]
-    out = []
-    ncols = len(work[0]) if work else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = work[r][c]
-        work[r] = [x / inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return work[:r]
-
-
-def _q_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    red = _q_row_reduce(rows)
-    pivots = []
-    for row in red:
-        pivots.append(next(i for i, x in enumerate(row) if x))
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for p, row in zip(pivots, red):
-            v[p] = -row[f]
-        basis.append(v)
-    return basis
-
-
 def om_from_arrangement(arr: Arrangement) -> OrientedMatroid:
     """Covector set of a central arrangement, via cocircuits plus composition.
 
-    For each corank-one flat of the normal-vector matroid, a rational point in
-    the row space orthogonal to the flat yields a cocircuit pair; the covector
-    set is the composition closure of the cocircuits together with zero.
+    Each normal is scaled by the lcm of its denominators, which keeps every
+    sign.  For each corank-one flat of the normal-vector matroid, the first
+    integer kernel vector of the normals in the flat that is not orthogonal
+    to every normal yields a cocircuit pair; the covector set is the
+    composition closure of the cocircuits together with zero.
     """
-    normals = [list(v) for v in arr.normals]
-    n = arr.n
+    d, n = arr.dim, arr.n
+    normals = []
+    for v in arr.normals:
+        scale = lcm(*(x.denominator for x in v))
+        normals.append([int(x * scale) for x in v])
 
     rank_cache: dict[int, int] = {}
 
     def subset_rank(mask: int) -> int:
         if mask not in rank_cache:
-            rows = [normals[i] for i in range(n) if (mask >> i) & 1]
-            rank_cache[mask] = len(_q_row_reduce(rows))
+            rows = [normals[i] for i in bits_of(mask)]
+            rank_cache[mask] = LatticeZ.from_generators(d, rows).rank
         return rank_cache[mask]
 
     r = subset_rank((1 << n) - 1)
     hyperflats: set[int] = set()
     if r >= 1:
         for subset in combinations(range(n), r - 1):
-            mask = 0
-            for i in subset:
-                mask |= 1 << i
+            mask = mask_from_bits(subset)
             if subset_rank(mask) != r - 1:
                 continue
             flat = 0
@@ -563,21 +531,15 @@ def om_from_arrangement(arr: Arrangement) -> OrientedMatroid:
 
     cocircuits: set[SignVector] = set()
     for flat in hyperflats:
-        members = [i for i in range(n) if (flat >> i) & 1]
-        gram = [[dot(normals[i], normals[j]) for j in range(n)] for i in members]
-        if not gram:
-            gram = [[Fraction(0)] * n]
-        found = None
-        for y in _q_kernel(gram, n):
-            x = [sum(y[j] * normals[j][k] for j in range(n)) for k in range(arr.dim)]
-            if any(x):
-                found = x
-                break
+        rows = [normals[i] for i in bits_of(flat)]
+        # an empty matrix has no width, so int_kernel([]) is 0 x 0
+        basis = int_kernel(rows) if rows else int_identity(d)
+        found = next((x for x in basis if any(dot(x, v) for v in normals)), None)
         if found is None:
             raise RuntimeError("corank-one flat without a normal direction")
         plus = minus = 0
-        for i in range(n):
-            s = dot(found, normals[i])
+        for i, v in enumerate(normals):
+            s = dot(found, v)
             if s > 0:
                 plus |= 1 << i
             elif s < 0:

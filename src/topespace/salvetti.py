@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import bits_of, gf2_rref, mask_from_bits, parity, snf_diagonal_sparse
 from .om import OrientedMatroid, SignVector, compose
@@ -101,9 +101,6 @@ class SalvettiComplex:
         self.index: list[dict[CellKey, int]] = [
             {key: i for i, key in enumerate(cs)} for cs in self.cells
         ]
-        self._boundary: list[Optional[list[int]]] = [None] * (self.dim + 1)
-        self._signed: list[Optional[list[dict[int, int]]]] = [None] * (self.dim + 1)
-        self._conj: list[Optional[list[int]]] = [None] * (self.dim + 1)
 
     def n_cells(self, d: int) -> int:
         return len(self.cells[d]) if 0 <= d <= self.dim else 0
@@ -112,7 +109,8 @@ class SalvettiComplex:
         """For each d-cell, the mask of its boundary over (d-1)-cells."""
         if d == 0:
             return [0] * self.n_cells(0)
-        if self._boundary[d] is None:
+
+        def build():
             lower = [v for v in self.m.covectors if self.m.dim_of[v] == d - 1]
             out = []
             for l, t in self.cells[d]:
@@ -121,16 +119,15 @@ class SalvettiComplex:
                     if l.le(l2) and l != l2:
                         mask |= 1 << self.index[d - 1][(l2, compose(l2, t))]
                 out.append(mask)
-            self._boundary[d] = out
-        return self._boundary[d]
+            return out
+
+        return self.m.memo(("boundary_masks", d), build)
 
     def signed_boundary(self, d: int) -> list[dict[int, int]]:
         """For each d-cell, its integral boundary as {(d-1)-cell: +-1}."""
         if d == 0:
             return [{} for _ in range(self.n_cells(0))]
-        if self._signed[d] is None:
-            self._signed[d] = orient_boundary(self, d)
-        return self._signed[d]
+        return self.m.memo(("signed_boundary", d), lambda: orient_boundary(self, d))
 
     def boundary_of(self, d: int, chain: int) -> int:
         masks = self.boundary_masks(d)
@@ -144,10 +141,8 @@ class SalvettiComplex:
         return (l, compose(l, t.negate()))
 
     def conj_perm(self, d: int) -> list[int]:
-        if self._conj[d] is None:
-            idx = self.index[d]
-            self._conj[d] = [idx[self.conj_cell(key)] for key in self.cells[d]]
-        return self._conj[d]
+        return self.m.memo(("conj_perm", d), lambda: [
+            self.index[d][self.conj_cell(key)] for key in self.cells[d]])
 
     def conj_chain(self, d: int, chain: int) -> int:
         perm = self.conj_perm(d)
@@ -253,7 +248,6 @@ class FineComplex:
         self.sim_index = [
             {c: i for i, c in enumerate(cs)} for cs in self.simplices
         ]
-        self._boundary_entries: list[Optional[dict]] = [None] * (sal.dim + 1)
 
     def n_simplices(self, p: int) -> int:
         return len(self.simplices[p]) if 0 <= p <= self.sal.dim else 0
@@ -262,7 +256,8 @@ class FineComplex:
         """Sparse integral boundary of degree p: (row, col) -> coefficient."""
         if p == 0:
             return {}
-        if self._boundary_entries[p] is None:
+
+        def build():
             entries: dict[tuple[int, int], int] = {}
             lower = self.sim_index[p - 1]
             for col, chain in enumerate(self.simplices[p]):
@@ -272,8 +267,9 @@ class FineComplex:
                     entries[(row, col)] = entries.get((row, col), 0) + (
                         1 if j % 2 == 0 else -1
                     )
-            self._boundary_entries[p] = {k: v for k, v in entries.items() if v}
-        return self._boundary_entries[p]
+            return {k: v for k, v in entries.items() if v}
+
+        return self.sal.m.memo(("fine_boundary_entries", p), build)
 
 
 def get_fine(m: OrientedMatroid) -> FineComplex:
@@ -292,11 +288,10 @@ class Mod2Homology:
         self.boundaries = [list(b) for b in boundaries]
         self.n = [len(b) for b in self.boundaries]
         self.top = len(self.boundaries) - 1
-        self._image_rref: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self.ranks = [0] * (self.top + 2)
-        for d in range(1, self.top + 1):
-            rows, _ = gf2_rref(self.boundaries[d])
-            self.ranks[d] = len(rows)
+        # rrefs[d] reduces the boundary images of the d-cells; degree top + 1
+        # has no cells
+        self.rrefs = [gf2_rref(b)[0] for b in self.boundaries] + [[]]
+        self.ranks = [len(rows) for rows in self.rrefs]
 
     def dim(self, d: int) -> int:
         if not 0 <= d <= self.top:
@@ -305,12 +300,6 @@ class Mod2Homology:
 
     def dims(self) -> list[int]:
         return [self.dim(d) for d in range(self.top + 1)]
-
-    def _image(self, d: int):
-        if d not in self._image_rref:
-            src = self.boundaries[d + 1] if d + 1 <= self.top else []
-            self._image_rref[d] = gf2_rref(src)
-        return self._image_rref[d]
 
     def is_cycle(self, d: int, chain: int) -> bool:
         if d == 0:
@@ -324,9 +313,8 @@ class Mod2Homology:
         """Canonical representative of the homology class of a cycle."""
         if not self.is_cycle(d, chain):
             raise ValueError("chain is not a cycle")
-        rows, _ = self._image(d)
         v = chain
-        for row in rows:
+        for row in self.rrefs[d + 1]:
             low = row & -row
             if v & low:
                 v ^= row

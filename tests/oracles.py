@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable
 
@@ -29,6 +30,7 @@ from topespace.linalg import (
     snf_diagonal_sparse,
 )
 from topespace.om import (
+    Arrangement,
     AxiomReport,
     Flag,
     OrientedMatroid,
@@ -228,6 +230,124 @@ def int_rank(a: IntMatrix) -> int:
         rank += 1
         r += 1
     return rank
+
+
+def rank_mod(a: IntMatrix, p: int) -> int:
+    """Rank over GF(p) for a prime p, by Gauss-Jordan elimination mod p."""
+    A = [[x % p for x in row] for row in a]
+    n = len(A[0]) if A else 0
+    rank = 0
+    for c in range(n):
+        piv = next((i for i in range(rank, len(A)) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        inv = pow(A[rank][c], -1, p)
+        A[rank] = [x * inv % p for x in A[rank]]
+        for i in range(len(A)):
+            if i != rank and A[i][c]:
+                f = A[i][c]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[rank])]
+        rank += 1
+    return rank
+
+
+def smith_normal_form_by_pivots(a: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors by row and column operations on the whole matrix.
+
+    Pivots are chosen by minimal absolute value, and a pivot that does not
+    divide the rest of the matrix absorbs an offending row.  The entries of
+    the working matrix can grow without bound, so this finishes only on
+    small or very sparse matrices.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if m and any(len(r) != n for r in a):
+        raise ValueError("ragged matrix")
+    A = [list(r) for r in a]
+
+    def row_sub(i, j, q):  # A[i] -= q*A[j]
+        Ai, Aj = A[i], A[j]
+        for k in range(n):
+            Ai[k] -= q * Aj[k]
+
+    def col_sub(j, i, q):  # col j -= q*col i
+        for r in A:
+            r[j] -= q * r[i]
+
+    def row_swap(i, j):
+        A[i], A[j] = A[j], A[i]
+
+    def col_swap(i, j):
+        for r in A:
+            r[i], r[j] = r[j], r[i]
+
+    def row_neg(i):
+        A[i] = [-x for x in A[i]]
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            row = A[i]
+            for j in range(t, n):
+                v = row[j]
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            row_swap(t, bi)
+        if bj != t:
+            col_swap(t, bj)
+        if A[t][t] < 0:
+            row_neg(t)
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    if q:
+                        row_sub(i, t, q)
+                    if A[i][t]:
+                        row_swap(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    if q:
+                        col_sub(j, t, q)
+                    if A[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+            if A[t][t] < 0:
+                row_neg(t)
+            if not dirty:
+                break
+        # make the pivot divide everything that is left
+        p = A[t][t]
+        offender = None
+        for i in range(t + 1, m):
+            row = A[i]
+            for j in range(t + 1, n):
+                if row[j] % p:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_sub(t, offender, -1)
+            continue
+        t += 1
+
+    diag = tuple(A[i][i] for i in range(min(m, n)) if A[i][i])
+    for k in range(1, len(diag)):
+        if diag[k] % diag[k - 1]:
+            raise RuntimeError(
+                f"smith normal form divisibility chain broken: {diag[k - 1]} does not divide {diag[k]}"
+            )
+    return diag
 
 
 def rank_graded_chains(m: OrientedMatroid, p: int) -> list[tuple[int, ...]]:
@@ -563,3 +683,102 @@ def verify_theorem_C_dense(m: OrientedMatroid) -> TheoremCReport:
     return TheoremCReport(
         len(flags), ses, naturality, compositions, failures, not failures
     )
+
+
+def _q_row_reduce(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    work = [row[:] for row in rows]
+    ncols = len(work[0]) if work else 0
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = work[r][c]
+        work[r] = [x / inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        r += 1
+    return work[:r]
+
+
+def _q_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    red = _q_row_reduce(rows)
+    pivots = [next(i for i, x in enumerate(row) if x) for row in red]
+    pivset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for p, row in zip(pivots, red):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def om_from_arrangement_by_fractions(arr: Arrangement) -> OrientedMatroid:
+    """Covector set of a central arrangement by rational Gauss-Jordan.
+
+    Subset ranks are rational ranks of the normals.  For each corank-one
+    flat, the first kernel vector y of the Gram rows of the flat whose
+    combination x = sum y_j·normal_j is nonzero gives the cocircuit signs of
+    x against the normals; the covector set is the composition closure of
+    the cocircuits together with zero.
+    """
+    normals = [list(v) for v in arr.normals]
+    n = arr.n
+
+    def subset_rank(mask: int) -> int:
+        return len(_q_row_reduce([normals[i] for i in range(n) if (mask >> i) & 1]))
+
+    r = subset_rank((1 << n) - 1)
+    hyperflats: set[int] = set()
+    if r >= 1:
+        for subset in combinations(range(n), r - 1):
+            mask = mask_from_bits(subset)
+            if subset_rank(mask) != r - 1:
+                continue
+            hyperflats.add(mask_from_bits(
+                j for j in range(n) if subset_rank(mask | (1 << j)) == r - 1))
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    cocircuits: set[SignVector] = set()
+    for flat in hyperflats:
+        members = [i for i in range(n) if (flat >> i) & 1]
+        gram = [[dot(normals[i], normals[j]) for j in range(n)] for i in members]
+        if not gram:
+            gram = [[Fraction(0)] * n]
+        found = None
+        for y in _q_kernel(gram, n):
+            x = [sum(y[j] * normals[j][k] for j in range(n)) for k in range(arr.dim)]
+            if any(x):
+                found = x
+                break
+        if found is None:
+            raise RuntimeError("corank-one flat without a normal direction")
+        signs = [dot(found, v) for v in normals]
+        sv = SignVector(n, mask_from_bits(i for i, s in enumerate(signs) if s > 0),
+                        mask_from_bits(i for i, s in enumerate(signs) if s < 0))
+        if sv.zero_set != flat:
+            raise RuntimeError("cocircuit zero set does not match its flat")
+        cocircuits.add(sv)
+        cocircuits.add(sv.negate())
+
+    covs = {SignVector.zero(n)} | cocircuits
+    frontier = list(covs)
+    while frontier:
+        new = []
+        for v in frontier:
+            for c in cocircuits:
+                w = compose(v, c)
+                if w not in covs:
+                    covs.add(w)
+                    new.append(w)
+        frontier = new
+    return OrientedMatroid(covs, validate_axioms=True)

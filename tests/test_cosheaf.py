@@ -10,7 +10,6 @@ from topespace import cosheaf
 from topespace.algebras import cordovil_dual, nbc_sets
 from topespace.corpus import CORPUS, load, names
 from topespace.cosheaf import (
-    FanCone,
     cone_of,
     fan_cones,
     flag_lift,
@@ -307,7 +306,7 @@ def test_theorem_C_u34():
     assert all(row["ok"] for row in report.naturality)
 
 
-def b3():
+def b3_arrangement():
     # the Coxeter arrangement B3: normals e_i and e_i +- e_j in R^3
     normals = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     for i in range(3):
@@ -316,9 +315,11 @@ def b3():
                 v = [0, 0, 0]
                 v[i], v[j] = 1, sign
                 normals.append(tuple(v))
-    return om_from_arrangement(Arrangement(tuple(
-        tuple(Fraction(x) for x in v) for v in normals
-    )))
+    return Arrangement(tuple(tuple(Fraction(x) for x in v) for v in normals))
+
+
+def b3():
+    return om_from_arrangement(b3_arrangement())
 
 
 def fresh(name):

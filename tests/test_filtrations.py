@@ -30,7 +30,6 @@ from topespace.algebras import (
 from topespace.cli import verify_checks
 from topespace.corpus import CORPUS, load, names
 from topespace.filtrations import (
-    KalininCertificate,
     affine_coordinate_chain,
     asymptotic,
     brick,
@@ -44,7 +43,6 @@ from topespace.filtrations import (
     qbv,
     quillen_Q,
     quillen_Z_demo,
-    quillen_cosets,
     tilde_a,
     tope_vertex_chain,
     verify_theorem_A,

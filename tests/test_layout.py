@@ -4,7 +4,8 @@ Library invariants raise real exceptions, because `python -O` strips
 `assert` statements; only `om.py` touches the memo cache, which every
 other module reaches through `OrientedMatroid.memo`; only `linalg.py`
 names the integer eliminations, so every other module gets kernels,
-intersections, solves and invariant factors through its lattice helpers;
+intersections, solves and invariant factors through its lattice helpers,
+and `om.py` names `Fraction` only to hold and parse arrangements;
 the Theorem C verifiers push chains through tope index maps, never
 through dense stalk matrices; and the Theorem B verifier, integral homology
 and the CLI work on the coarse Salvetti complex, never on its fine
@@ -55,6 +56,25 @@ def test_integer_eliminations_only_in_linalg(path):
             and any(alias.name in ELIMINATIONS for alias in node.names))
     )
     assert lines == [], f"{path.name}: integer elimination named at lines {lines}"
+
+
+FRACTION_OWNERS = {"Arrangement", "parse_arrangement"}
+
+
+def test_fractions_only_in_arrangement_parsing():
+    path = PACKAGE / "om.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = {id(node) for top in tree.body
+               if isinstance(top, (ast.ClassDef, ast.FunctionDef))
+               and top.name in FRACTION_OWNERS
+               for node in ast.walk(top)}
+    lines = sorted(
+        node.lineno for node in ast.walk(tree)
+        if ((isinstance(node, ast.Name) and node.id == "Fraction")
+            or (isinstance(node, ast.Attribute) and node.attr == "Fraction"))
+        and id(node) not in allowed
+    )
+    assert lines == [], f"om.py: Fraction named outside {sorted(FRACTION_OWNERS)} at lines {lines}"
 
 
 DENSE_STALK_MAPS = {"mat_vec", "mat_mul", "cosheaf_map"}

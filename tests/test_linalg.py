@@ -7,7 +7,13 @@ from itertools import product
 from math import gcd
 
 import pytest
-from oracles import int_rank, lattice_saturated, mat_mul
+from oracles import (
+    int_rank,
+    lattice_saturated,
+    mat_mul,
+    rank_mod,
+    smith_normal_form_by_pivots,
+)
 
 from topespace import linalg
 from topespace.corpus import load
@@ -226,6 +232,7 @@ def test_smith_normal_form_random_against_minor_gcd_oracle():
         n = rng.randrange(1, 4)
         a = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)]
         diag = smith_normal_form(a)
+        assert smith_normal_form_by_pivots(a) == diag
         prev = 0
         for k in range(1, min(m, n) + 1):
             g = minor_gcds(a, k)
@@ -436,22 +443,72 @@ def dense_calls(monkeypatch):
     return shapes
 
 
+def three_per_row_draw(rng, m, n):
+    """An m x n matrix with three entries per row from {+-1, +-2, 3}."""
+    a = [[0] * n for _ in range(m)]
+    for row in a:
+        for j in rng.sample(range(n), min(3, n)):
+            row[j] = rng.choice((1, -1, 2, -2, 3))
+    return a
+
+
+def assert_factors_match_ranks(a, diag):
+    """Rank over Q and over GF(2), GF(3), GF(5) against the invariant factors."""
+    assert all(d > 0 for d in diag)
+    assert all(diag[k] % diag[k - 1] == 0 for k in range(1, len(diag)))
+    assert len(diag) == int_rank(a)
+    for p in (2, 3, 5):
+        assert rank_mod(a, p) == sum(1 for d in diag if d % p)
+
+
 def test_snf_diagonal_sparse_random_differential(dense_calls):
-    # At most two entries per row: the dense oracle's entries can grow without
-    # bound on denser matrices of this size, so they would not finish.
     rng = random.Random(41)
     remainders = 0
+    for _ in range(80):
+        m, n = rng.randint(1, 30), rng.randint(1, 30)
+        a = three_per_row_draw(rng, m, n)
+        before = len(dense_calls)
+        diag = snf_diagonal_sparse(sparse_entries(a), m, n)
+        remainders += len(dense_calls) > before
+        assert diag == list(smith_normal_form(a))
+        assert_factors_match_ranks(a, diag)
+    # both paths ran: unit elimination alone, and with a dense remainder
+    assert 0 < remainders < 80
+
+
+def test_snf_diagonal_sparse_seeded_draws():
+    # One draw per seed, 12-30 x 10-30; with the pivoting form for the dense
+    # remainder, 60 of them did not finish within 3 s.
+    for seed in range(300):
+        rng = random.Random(seed)
+        m, n = rng.randint(12, 30), rng.randint(10, 30)
+        a = three_per_row_draw(rng, m, n)
+        assert_factors_match_ranks(a, snf_diagonal_sparse(sparse_entries(a), m, n))
+
+
+def test_smith_normal_form_matches_pivoting_oracle_on_sparse_draws():
+    # At most two entries per row, where the pivoting oracle finishes.
+    rng = random.Random(41)
     for _ in range(80):
         m, n = rng.randint(1, 30), rng.randint(1, 30)
         a = [[0] * n for _ in range(m)]
         for row in a:
             for _ in range(rng.choice((1, 2))):
                 row[rng.randrange(n)] = rng.choice((0, 1, -1, 2, -2, 3))
-        before = len(dense_calls)
-        assert snf_diagonal_sparse(sparse_entries(a), m, n) == list(smith_normal_form(a))
-        remainders += len(dense_calls) > before
-    # both paths ran: unit elimination alone, and with a dense remainder
-    assert 0 < remainders < 80
+        expected = list(smith_normal_form_by_pivots(a))
+        assert snf_diagonal_sparse(sparse_entries(a), m, n) == expected
+        assert list(smith_normal_form(a)) == expected
+
+
+def test_snf_of_a_draw_the_pivoting_form_does_not_finish():
+    rng = random.Random(26)
+    a = three_per_row_draw(rng, rng.randint(12, 30), rng.randint(10, 30))
+    assert (len(a), len(a[0])) == (18, 16)
+    expected = [1] * 14 + [6, 6]
+    assert snf_diagonal_sparse(sparse_entries(a), 18, 16) == expected
+    assert list(smith_normal_form(a)) == expected
+    assert int_rank(a) == 16
+    assert [rank_mod(a, p) for p in (2, 3, 5)] == [14, 14, 16]
 
 
 @pytest.mark.parametrize("a", [[[1, 2], [1, 3]], [[2, 1], [3, 1]]])

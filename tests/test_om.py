@@ -7,8 +7,12 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from oracles import check_covector_axioms_by_scan, maximal_covector_not_tope_by_scan
-from test_cosheaf import b3
+from oracles import (
+    check_covector_axioms_by_scan,
+    maximal_covector_not_tope_by_scan,
+    om_from_arrangement_by_fractions,
+)
+from test_cosheaf import b3, b3_arrangement
 
 from topespace.corpus import CORPUS, load, names
 from topespace.om import (
@@ -513,3 +517,25 @@ def test_braid_arrangement_counts():
     assert len(m.flats_by_rank[1]) == 6
     assert len(m.flats_by_rank[2]) == 7
     assert len(enumerate_flags(m)) == 18
+
+
+def rationals(*rows):
+    return Arrangement(tuple(tuple(Fraction(x) for x in row) for row in rows))
+
+
+DIFFERENTIAL_ARRANGEMENTS = {
+    **{name: Arrangement(CORPUS[name].normals) for name in names()},
+    "gen3_6": moment_curve(3, 6),
+    "b3": b3_arrangement(),
+    "a4": braid(5),
+    "parallel": rationals((1, 2), (2, 4), (-3, -6), (1, 0), (0, 5)),
+    "halves": rationals((1, "-1/2", 0), ("-1/2", 1, "1/3"), (0, "-1/2", "-1/2"),
+                        ("1/2", "1/2", "-1/2")),
+    "non_essential": rationals((1, 1, 0, 0), (1, -1, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_ARRANGEMENTS))
+def test_arrangement_build_matches_rational_oracle(name):
+    arr = DIFFERENTIAL_ARRANGEMENTS[name]
+    assert om_from_arrangement(arr).covectors == om_from_arrangement_by_fractions(arr).covectors
