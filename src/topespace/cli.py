@@ -106,6 +106,11 @@ def _record(check_id: str, target: str, params: dict, runner) -> dict:
     }
 
 
+def _report(report) -> tuple[bool, dict]:
+    """A theorem report as (pass flag, JSON-ready fields)."""
+    return report.ok, asdict(report)
+
+
 def describe_check(m: OrientedMatroid, target: str,
                    order: Optional[Sequence[int]], ring: str) -> dict:
     def run():
@@ -161,14 +166,12 @@ def verify_checks(m: OrientedMatroid, which: str, target: str,
     out = []
     for t in targets:
         if t == "thmA":
-            out.append(_record("thmA", target, {}, lambda: (
-                lambda r: (r.ok, r.to_dict()))(verify_theorem_A(m))))
+            out.append(_record("thmA", target, {}, lambda: _report(verify_theorem_A(m))))
         elif t == "thmB":
-            out.append(_record("thmB", target, {"order": order}, lambda: (
-                lambda r: (r.ok, r.to_dict()))(verify_theorem_B(m, order))))
+            out.append(_record("thmB", target, {"order": order},
+                               lambda: _report(verify_theorem_B(m, order))))
         elif t == "thmC":
-            out.append(_record("thmC", target, {}, lambda: (
-                lambda r: (r.ok, r.to_dict()))(verify_theorem_C(m))))
+            out.append(_record("thmC", target, {}, lambda: _report(verify_theorem_C(m))))
         elif t == "proj":
             degrees = [p] if p is not None else list(range(m.rank + 1))
 

@@ -172,14 +172,6 @@ class SESReport:
     kernel_ok: bool
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "flag": list(self.flag), "p": self.p, "rank_p": self.rank_p,
-            "rank_next": self.rank_next, "rank_a": self.rank_a,
-            "surjective": self.surjective, "kernel_ok": self.kernel_ok,
-            "ok": self.ok,
-        }
-
 
 def verify_ses(m: OrientedMatroid, flag: Flag, p: int) -> SESReport:
     """Exactness over the integers of the degree-p stalk sequence at a cone.
@@ -222,13 +214,6 @@ class NaturalityReport:
     checked: int
     detail: str
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "sub": list(self.sub), "sup": list(self.sup), "p": self.p,
-            "inclusions_ok": self.inclusions_ok, "square_ok": self.square_ok,
-            "checked": self.checked, "detail": self.detail, "ok": self.ok,
-        }
 
 
 def verify_naturality(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) -> NaturalityReport:
@@ -295,18 +280,11 @@ def flag_lift(m: OrientedMatroid, flag: Flag, g: Flag) -> Flag:
 @dataclass
 class TheoremCReport:
     cones: int
-    ses: list[dict]
-    naturality: list[dict]
+    ses: list[SESReport]
+    naturality: list[NaturalityReport]
     compositions: int
     failures: list[str]
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "cones": self.cones, "ses": self.ses, "naturality": self.naturality,
-            "compositions": self.compositions, "failures": self.failures,
-            "ok": self.ok,
-        }
 
 
 def verify_theorem_C(m: OrientedMatroid) -> TheoremCReport:
@@ -324,7 +302,7 @@ def verify_theorem_C(m: OrientedMatroid) -> TheoremCReport:
     for flag in flags:
         for p in range(m.rank + 1):
             rep = verify_ses(m, flag, p)
-            ses.append(rep.to_dict())
+            ses.append(rep)
             if not rep.ok:
                 failures.append(f"exactness fails at flag {flag.flats} degree {p}")
     naturality = []
@@ -334,7 +312,7 @@ def verify_theorem_C(m: OrientedMatroid) -> TheoremCReport:
                 continue
             for p in range(m.rank + 1):
                 rep = verify_naturality(m, sub, sup, p)
-                naturality.append(rep.to_dict())
+                naturality.append(rep)
                 if not rep.ok:
                     failures.append(
                         f"naturality fails for {sub.flats} in {sup.flats} degree {p}"
@@ -369,12 +347,6 @@ class ImpossibilityReport:
     equations: int
     feasible: bool
     mod2_consistent: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "unknowns": self.unknowns, "equations": self.equations,
-            "feasible": self.feasible, "mod2_consistent": self.mod2_consistent,
-        }
 
 
 def impossibility_check(m: OrientedMatroid) -> ImpossibilityReport:

@@ -335,24 +335,29 @@ def tope_vertex_chain(m: OrientedMatroid, gamma: int) -> int:
     return out
 
 
-def _ladder_rows(m: OrientedMatroid, p: int) -> tuple[list[int], list[int]]:
-    """The ladder system in the unknowns (beta_1, ..., beta_p), one row per
-    equation, and the column offsets of the beta blocks.
+def _ladder_rows(m: OrientedMatroid) -> tuple[list[int], list[int], list[int]]:
+    """The top-degree ladder system in the unknowns (beta_1, ..., beta_{r+1}),
+    r the rank, one row per equation, with the row offsets and the column
+    offsets of its blocks.
 
-    Row blocks are indexed by cells of dimensions 0..p-1.  Block i holds the
+    Row block i starts at row_off[i] and column block i at col_off[i - 1].
+    Row blocks are indexed by cells of dimensions 0..r.  Block i holds the
     boundary of beta_i and, from i = 2 on, the chain beta_{i-1} plus its
     conjugate; the right-hand side of the first block is the vertex image of
-    gamma, and of every later block zero.
+    gamma, and of every later block zero.  Block i meets column blocks i - 1
+    and i only, so the degree-p system is the first row_off[p + 1] rows over
+    the first col_off[p] columns.
     """
     sal = get_salvetti(m)
+    top = m.rank + 1
     col_off = [0]
-    for i in range(1, p + 1):
+    for i in range(1, top + 1):
         col_off.append(col_off[-1] + sal.n_cells(i))
     row_off = [0, 0]
-    for i in range(1, p + 1):
+    for i in range(1, top + 1):
         row_off.append(row_off[-1] + sal.n_cells(i - 1))
     rows = [0] * row_off[-1]
-    for i in range(1, p + 1):
+    for i in range(1, top + 1):
         if sal.n_cells(i):
             masks = sal.boundary_masks(i)
             for j in range(sal.n_cells(i)):
@@ -365,17 +370,25 @@ def _ladder_rows(m: OrientedMatroid, p: int) -> tuple[list[int], list[int]]:
                 colbit = 1 << (col_off[i - 2] + j)
                 rows[row_off[i] + j] ^= colbit
                 rows[row_off[i] + perm[j]] ^= colbit
-    return rows, col_off
+    return rows, row_off, col_off
 
 
 def _ladder_solver(m: OrientedMatroid, p: int) -> tuple[GF2Solver, list[int]]:
-    """The one factorization of the degree-p ladder system of `_ladder_rows`,
+    """The factorization of the degree-p ladder system, for 1 <= p <= rank + 1,
     with its column offsets; the right-hand side is the vertex image of gamma.
-    Cached per matroid and degree, and shared by `kalinin_K` and `viro_bv`."""
+
+    The top-degree system of `_ladder_rows` is factored once per matroid and
+    each degree is a prefix of that factorization.  Cached per matroid and
+    degree, and shared by `kalinin_K` and `viro_bv`.
+    """
+
+    def factor():
+        rows, row_off, col_off = _ladder_rows(m)
+        return GF2Solver(rows, col_off[-1]), row_off, col_off
 
     def build():
-        rows, col_off = _ladder_rows(m, p)
-        return GF2Solver(rows, col_off[-1]), col_off
+        solver, row_off, col_off = m.memo("ladder_factor", factor)
+        return solver.prefix(row_off[p + 1], col_off[p]), col_off[:p + 1]
 
     return m.memo(("ladder_solver", p), build)
 
@@ -560,9 +573,6 @@ class TheoremAReport:
     ok: bool
     discrepancy: Optional[str]
 
-    def to_dict(self) -> dict:
-        return {"dims": self.dims, "ok": self.ok, "discrepancy": self.discrepancy}
-
 
 def verify_theorem_A(m: OrientedMatroid) -> TheoremAReport:
     """Check that the three filtrations agree as subspaces in every degree."""
@@ -588,9 +598,6 @@ class TheoremBReport:
     degrees: list[dict]
     failures: list[str]
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {"degrees": self.degrees, "failures": self.failures, "ok": self.ok}
 
 
 def verify_theorem_B(m: OrientedMatroid, order: Optional[Sequence[int]] = None) -> TheoremBReport:

@@ -112,37 +112,61 @@ class SubspaceGF2:
 class GF2Solver:
     """Factor a GF(2) system once, then solve A·x = b for many right sides.
 
-    `rows` are equations over `ncols` unknowns.  The factorization keeps, for
-    each pivot, the combination of original equations that produced it, so a
+    `rows` are equations over `ncols` unknowns.  The factorization is an
+    append-only echelon form: each row is cleared at the pivots found before
+    it, takes its lowest remaining bit as its pivot and is never touched
+    again, so no row has a bit at an earlier row's pivot.  Each pivot row
+    keeps the combination of original equations that produced it, so a
     right-hand side is processed with a couple of popcounts per pivot.  The
     combinations of the equations that reduced to zero, `zero_combos`, are a
     basis of the relations among the rows: b is consistent exactly when it is
     orthogonal to each of them.
+
+    A combination never involves a later equation, so the factorization of
+    the leading equations is a prefix of this one (`prefix`).
     """
 
     def __init__(self, rows: Iterable[int], ncols: int):
         self.ncols = ncols
-        pivot_rows: list[tuple[int, int, int]] = []  # (pivot_col, row, combo)
-        zero_combos: list[int] = []
+        # (pivot_col, row, combo) in the order the pivots were found
+        self.pivot_rows: list[tuple[int, int, int]] = []
+        self.zero_combos: list[int] = []
         for i, row in enumerate(rows):
             combo = 1 << i
-            for piv, prow, pcombo in pivot_rows:
+            for piv, prow, pcombo in self.pivot_rows:
                 if (row >> piv) & 1:
                     row ^= prow
                     combo ^= pcombo
-            if row == 0:
-                zero_combos.append(combo)
-                continue
-            piv = (row & -row).bit_length() - 1
-            for k, (p, r, c) in enumerate(pivot_rows):
-                if (r >> piv) & 1:
-                    pivot_rows[k] = (p, r ^ row, c ^ combo)
-            pivot_rows.append((piv, row, combo))
-        pivot_rows.sort()
-        self.pivot_rows = pivot_rows
-        self.zero_combos = zero_combos
-        pivset = {p for p, _, _ in pivot_rows}
-        self.free_cols = [c for c in range(self.ncols) if c not in pivset]
+            if row:
+                self.pivot_rows.append(((row & -row).bit_length() - 1, row, combo))
+            else:
+                self.zero_combos.append(combo)
+
+    @cached_property
+    def free_cols(self) -> list[int]:
+        pivots = {p for p, _, _ in self.pivot_rows}
+        return [c for c in range(self.ncols) if c not in pivots]
+
+    def prefix(self, nrows: int, ncols: int) -> "GF2Solver":
+        """The factorization of the first `nrows` equations, over the first
+        `ncols` unknowns; raises ValueError if one of those equations has a
+        bit at column `ncols` or beyond."""
+        out = GF2Solver((), ncols)
+        out.pivot_rows = [t for t in self.pivot_rows if not t[2] >> nrows]
+        out.zero_combos = [c for c in self.zero_combos if not c >> nrows]
+        if any(row >> ncols for _, row, _ in out.pivot_rows):
+            raise ValueError(f"the first {nrows} equations reach column {ncols}")
+        return out
+
+    def _back_substitute(self, x: int, b: int) -> int:
+        """Fill the pivot coordinates of x, whose free coordinates are set,
+        so that every pivot row meets its share of b.  Rows are visited last
+        first: a row has bits only at its pivot, at free columns and at
+        later pivots, which are filled by then."""
+        for piv, row, combo in reversed(self.pivot_rows):
+            if parity(combo & b) ^ parity(row & x):
+                x |= 1 << piv
+        return x
 
     def solve(self, b: int, rng: Optional[random.Random] = None) -> Optional[int]:
         """A particular solution, or None if inconsistent.
@@ -158,21 +182,10 @@ class GF2Solver:
             for f in self.free_cols:
                 if rng.getrandbits(1):
                     x |= 1 << f
-        for piv, row, combo in self.pivot_rows:
-            # full RREF: row holds its pivot plus free columns only
-            if parity(combo & b) ^ parity((row ^ (1 << piv)) & x):
-                x |= 1 << piv
-        return x
+        return self._back_substitute(x, b)
 
     def kernel_basis(self) -> list[int]:
-        basis = []
-        for f in self.free_cols:
-            v = 1 << f
-            for piv, row, _ in self.pivot_rows:
-                if (row >> f) & 1:
-                    v |= 1 << piv
-            basis.append(v)
-        return basis
+        return [self._back_substitute(1 << f, 0) for f in self.free_cols]
 
 
 def gf2_kernel(rows: Iterable[int], ncols: int) -> SubspaceGF2:

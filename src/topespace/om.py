@@ -254,9 +254,6 @@ class OrientedMatroid:
 
     # -- queries ----------------------------------------------------------
 
-    def is_covector(self, v: SignVector) -> bool:
-        return v in self.covector_set
-
     def closure(self, subset: int) -> int:
         """Smallest flat containing the subset mask."""
         out = self.full_mask

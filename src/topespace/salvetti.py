@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import bits_of, gf2_rref, mask_from_bits, parity, snf_diagonal_sparse
+from .linalg import SubspaceGF2, bits_of, mask_from_bits, parity, snf_diagonal_sparse
 from .om import OrientedMatroid, SignVector, compose
 
 CellKey = tuple[SignVector, SignVector]
@@ -288,15 +288,16 @@ class Mod2Homology:
         self.boundaries = [list(b) for b in boundaries]
         self.n = [len(b) for b in self.boundaries]
         self.top = len(self.boundaries) - 1
-        # rrefs[d] reduces the boundary images of the d-cells; degree top + 1
-        # has no cells
-        self.rrefs = [gf2_rref(b)[0] for b in self.boundaries] + [[]]
-        self.ranks = [len(rows) for rows in self.rrefs]
+        # images[d] is the span of the boundaries of the d-cells; degree
+        # top + 1 has no cells
+        self.images = [SubspaceGF2.from_generators(self.n[d - 1] if d else 0, b)
+                       for d, b in enumerate(self.boundaries)]
+        self.images.append(SubspaceGF2.zero(self.n[self.top]))
 
     def dim(self, d: int) -> int:
         if not 0 <= d <= self.top:
             return 0
-        return self.n[d] - self.ranks[d] - self.ranks[d + 1]
+        return self.n[d] - self.images[d].dim - self.images[d + 1].dim
 
     def dims(self) -> list[int]:
         return [self.dim(d) for d in range(self.top + 1)]
@@ -313,12 +314,7 @@ class Mod2Homology:
         """Canonical representative of the homology class of a cycle."""
         if not self.is_cycle(d, chain):
             raise ValueError("chain is not a cycle")
-        v = chain
-        for row in self.rrefs[d + 1]:
-            low = row & -row
-            if v & low:
-                v ^= row
-        return v
+        return self.images[d + 1].reduce(chain)
 
 
 def homology_mod2(sal: SalvettiComplex) -> Mod2Homology:

@@ -199,11 +199,11 @@ def kalinin_K_by_projection(m: OrientedMatroid, p: int) -> SubspaceGF2:
     if p <= 0:
         return SubspaceGF2.full(nt)
     sal = get_salvetti(m)
-    ladder, col_off = _ladder_rows(m, p)
-    rows = [row << nt for row in ladder]
+    ladder, row_off, col_off = _ladder_rows(m)
+    rows = [row << nt for row in ladder[:row_off[p + 1]]]
     for j, t in enumerate(m.topes):
         rows[sal.vertex_of_tope(t)] ^= 1 << j
-    kern = gf2_kernel(rows, nt + col_off[-1])
+    kern = gf2_kernel(rows, nt + col_off[p])
     return SubspaceGF2.from_generators(nt, [v & ((1 << nt) - 1) for v in kern.rows])
 
 
@@ -648,7 +648,7 @@ def verify_theorem_C_dense(m: OrientedMatroid) -> TheoremCReport:
     for flag in flags:
         for p in range(m.rank + 1):
             rep = verify_ses_dense(m, flag, p)
-            ses.append(rep.to_dict())
+            ses.append(rep)
             if not rep.ok:
                 failures.append(f"exactness fails at flag {flag.flats} degree {p}")
     naturality = []
@@ -658,7 +658,7 @@ def verify_theorem_C_dense(m: OrientedMatroid) -> TheoremCReport:
                 continue
             for p in range(m.rank + 1):
                 rep = verify_naturality_dense(m, sub, sup, p)
-                naturality.append(rep.to_dict())
+                naturality.append(rep)
                 if not rep.ok:
                     failures.append(
                         f"naturality fails for {sub.flats} in {sup.flats} degree {p}"

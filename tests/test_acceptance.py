@@ -205,8 +205,8 @@ def test_08_stalk_sequences_exact_and_natural(capsys):
     for name in ("u23", "u34"):
         report = verify_theorem_C(load(name))
         if not report.ok:
-            bad = [r for r in report.ses if not r["ok"]]
-            bad_nat = [r for r in report.naturality if not r["ok"]]
+            bad = [r for r in report.ses if not r.ok]
+            bad_nat = [r for r in report.naturality if not r.ok]
             problems.append(f"{name}: {len(bad)} bad sequences, "
                             f"{len(bad_nat)} bad squares")
     elapsed = perf_counter() - t0

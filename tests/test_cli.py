@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+from dataclasses import dataclass
 
 import pytest
 
@@ -239,11 +240,10 @@ def test_removed_options_are_rejected(argv, capsys):
 
 
 def test_verify_failure_sets_exit_code(tmp_path, monkeypatch, capsys):
+    @dataclass
     class Forced:
-        ok = False
-
-        def to_dict(self):
-            return {"reason": "forced"}
+        reason: str = "forced"
+        ok: bool = False
 
     monkeypatch.setattr(cli, "verify_theorem_A", lambda m: Forced())
     path = tmp_path / "out.json"

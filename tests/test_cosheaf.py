@@ -302,8 +302,8 @@ def test_theorem_C_u34():
     assert report.ok, report.failures[:3]
     assert report.cones == 23
     assert report.compositions == 24
-    assert all(row["ok"] for row in report.ses)
-    assert all(row["ok"] for row in report.naturality)
+    assert all(row.ok for row in report.ses)
+    assert all(row.ok for row in report.naturality)
 
 
 def b3_arrangement():

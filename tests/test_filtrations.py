@@ -49,6 +49,7 @@ from topespace.filtrations import (
     verify_theorem_B,
     vg_lower,
     viro_bv,
+    _ladder_rows,
     _ladder_solver,
     _quillen_solver,
     _quillen_Z_lattice,
@@ -60,6 +61,7 @@ from topespace.linalg import (
     bits_of,
     lattice_equal,
     mask_from_bits,
+    parity,
 )
 from topespace.om import (
     Arrangement,
@@ -380,8 +382,8 @@ def test_kalinin_piece_is_zero_above_the_top_degree():
         assert kalinin_K(m, p) == quillen_Q(m, p) == vg_lower(m, p, "z2") == zero
 
 
-def test_theorem_B_reuses_the_ladder_factorizations_of_theorem_A(monkeypatch):
-    m = fresh("a3")
+def _solvers_built(monkeypatch) -> list:
+    """A list that records every GF2Solver `filtrations` builds from now on."""
     built = []
 
     def counted(rows, ncols):
@@ -390,6 +392,12 @@ def test_theorem_B_reuses_the_ladder_factorizations_of_theorem_A(monkeypatch):
         return solver
 
     monkeypatch.setattr(filtrations, "GF2Solver", counted)
+    return built
+
+
+def test_theorem_B_reuses_the_ladder_factorizations_of_theorem_A(monkeypatch):
+    m = fresh("a3")
+    built = _solvers_built(monkeypatch)
     assert verify_theorem_A(m).ok
     built.clear()
     assert verify_theorem_B(m).ok
@@ -397,6 +405,32 @@ def test_theorem_B_reuses_the_ladder_factorizations_of_theorem_A(monkeypatch):
     quillen = [_quillen_solver(m, p)[0] for p in range(m.rank + 1)]
     assert len(built) == m.rank + 1
     assert {id(s) for s in built} == {id(q) for q in quillen}
+
+
+def test_ladder_is_factored_once_and_each_degree_is_a_prefix(monkeypatch):
+    m = fresh("a3")
+    built = _solvers_built(monkeypatch)
+    assert verify_theorem_A(m).ok
+    assert len(built) == 1
+    monkeypatch.undo()
+    rng = random.Random(43)
+    for name in ("u23", "u34", "a3", "b3"):
+        m = fresh(name)
+        rows, row_off, col_off = _ladder_rows(m)
+        for p in range(1, m.rank + 2):
+            nrows, ncols = row_off[p + 1], col_off[p]
+            solver, offsets = _ladder_solver(m, p)
+            own = GF2Solver(rows[:nrows], ncols)
+            assert offsets == col_off[:p + 1]
+            assert solver.free_cols == own.free_cols, (name, p)
+            assert (SubspaceGF2.from_generators(nrows, solver.zero_combos)
+                    == SubspaceGF2.from_generators(nrows, own.zero_combos)), (name, p)
+            for _ in range(20):
+                x = rng.getrandbits(ncols)
+                consistent = mask_from_bits(i for i in range(nrows) if parity(rows[i] & x))
+                for b in (consistent, rng.getrandbits(nrows), rng.getrandbits(row_off[2])):
+                    # the solution with free unknowns zero is unique
+                    assert solver.solve(b) == own.solve(b), (name, p)
 
 
 @pytest.mark.parametrize("name", ["u23", "u34", "a3"])

@@ -3,8 +3,9 @@
 Library invariants raise real exceptions, because `python -O` strips
 `assert` statements; only `om.py` touches the memo cache, which every
 other module reaches through `OrientedMatroid.memo`; only `linalg.py`
-names the integer eliminations, so every other module gets kernels,
-intersections, solves and invariant factors through its lattice helpers,
+names the integer eliminations and the GF(2) reduced row echelon form, so
+every other module gets kernels, intersections, solves and invariant
+factors through its lattice, subspace and solver helpers,
 and `om.py` names `Fraction` only to hold and parse arrangements;
 the Theorem C verifiers push chains through tope index maps, never
 through dense stalk matrices; and the Theorem B verifier, integral homology
@@ -19,6 +20,17 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "topespace"
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _named_lines(tree: ast.AST, names: set[str]) -> list[int]:
+    """Lines that read, look up as an attribute or import one of `names`."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.ImportFrom)
+            and any(alias.name in names for alias in node.names))
+    )
 
 
 def test_package_modules_found():
@@ -48,14 +60,16 @@ ELIMINATIONS = {"smith_normal_form", "hermite_normal_form"}
                          ids=lambda p: p.name)
 def test_integer_eliminations_only_in_linalg(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = sorted(
-        node.lineno for node in ast.walk(tree)
-        if (isinstance(node, ast.Name) and node.id in ELIMINATIONS)
-        or (isinstance(node, ast.Attribute) and node.attr in ELIMINATIONS)
-        or (isinstance(node, ast.ImportFrom)
-            and any(alias.name in ELIMINATIONS for alias in node.names))
-    )
+    lines = _named_lines(tree, ELIMINATIONS)
     assert lines == [], f"{path.name}: integer elimination named at lines {lines}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_gf2_rref_only_in_linalg(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _named_lines(tree, {"gf2_rref"})
+    assert lines == [], f"{path.name}: gf2_rref named at lines {lines}"
 
 
 FRACTION_OWNERS = {"Arrangement", "parse_arrangement"}
@@ -113,13 +127,7 @@ FINE_COMPLEX = {"get_fine", "coarse_to_fine", "FineComplex"}
 
 
 def _fine_complex_lines(tree: ast.AST) -> list[int]:
-    return sorted(
-        node.lineno for node in ast.walk(tree)
-        if (isinstance(node, ast.Name) and node.id in FINE_COMPLEX)
-        or (isinstance(node, ast.Attribute) and node.attr in FINE_COMPLEX)
-        or (isinstance(node, ast.ImportFrom)
-            and any(alias.name in FINE_COMPLEX for alias in node.names))
-    )
+    return _named_lines(tree, FINE_COMPLEX)
 
 
 def _function(module: str, name: str) -> ast.FunctionDef:

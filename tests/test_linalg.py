@@ -151,6 +151,41 @@ def test_rref_and_solver_on_random_systems():
             assert total == 0
 
 
+def test_prefix_is_the_factorization_of_the_leading_equations():
+    rng = random.Random(31)
+    for _ in range(60):
+        ncols = rng.randrange(1, 60)
+        c = rng.randrange(1, ncols + 1)
+        k = rng.randrange(0, 30)
+        lead = [rng.getrandbits(c) for _ in range(k)]
+        if k and rng.random() < 0.5:  # dependent leading rows
+            lead += [lead[rng.randrange(k)] ^ lead[rng.randrange(k)] for _ in range(k // 2)]
+            k = len(lead)
+        rows = lead + [rng.getrandbits(ncols) for _ in range(rng.randrange(0, 30))]
+        pre = GF2Solver(rows, ncols).prefix(k, c)
+        own = GF2Solver(rows[:k], c)
+        assert sorted(p for p, _, _ in pre.pivot_rows) == sorted(p for p, _, _ in own.pivot_rows)
+        assert (SubspaceGF2.from_generators(k, pre.zero_combos)
+                == SubspaceGF2.from_generators(k, own.zero_combos))
+        assert (SubspaceGF2.from_generators(c, pre.kernel_basis())
+                == SubspaceGF2.from_generators(c, own.kernel_basis()))
+
+        def apply(x):
+            return mask_from_bits(i for i in range(k) if parity(rows[i] & x))
+
+        for b in (apply(rng.getrandbits(c)), rng.getrandbits(k) if k else 0):
+            x = pre.solve(b)
+            assert (x is None) == (own.solve(b) is None)
+            if x is not None:
+                assert x >> c == 0 and apply(x) == b
+                y = pre.solve(b, rng=random.Random(3))
+                assert y >> c == 0 and apply(y) == b
+        if k:
+            rows[rng.randrange(k)] |= 1 << c
+            with pytest.raises(ValueError):
+                GF2Solver(rows, ncols + 1).prefix(k, c)
+
+
 def test_subspace_membership_and_equality():
     s = SubspaceGF2.from_generators(4, [0b0011, 0b1100])
     assert s.contains(0b1111)
