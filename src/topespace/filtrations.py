@@ -545,21 +545,42 @@ def tilde_a(m: OrientedMatroid, gamma: IntChain, p: int) -> SFPoly:
 # ---------------------------------------------------------------------------
 # the asymptotic filtration
 
+def _asymptotic_rows(m: OrientedMatroid, p: int) -> list[list[int]]:
+    """The equations of the degree-p asymptotic piece, distinct and sorted.
+
+    For each tope t2 and each subset s of fewer than p elements, the
+    indicator of the topes t that t2 separates on all of s.  Each is a tope
+    mask: the AND over e in s of the topes separated from t2 at e, which are
+    the topes of the other sign at e.  Tope i sits at bit nt - 1 - i, so the
+    masks sort as the 0/1 rows do, and a mask's binary digits are its row.
+    """
+    nt = len(m.topes)
+    full = (1 << nt) - 1
+    negative = [0] * m.n  # negative[e]: the topes with sign - at e
+    for i, t in enumerate(m.topes):
+        for e in bits_of(t.minus):
+            negative[e] |= 1 << (nt - 1 - i)
+    rows: set[int] = set()
+    for t2 in m.topes:
+        at = [full ^ neg if t2.minus >> e & 1 else neg for e, neg in enumerate(negative)]
+        for q in range(p):
+            for s in combinations(at, q):
+                row = full
+                for sep in s:
+                    row &= sep
+                rows.add(row)
+    return [list(map(int, format(r, f"0{nt}b"))) for r in sorted(rows)]
+
+
 def asymptotic(m: OrientedMatroid, p: int) -> LatticeZ:
-    """Integer lattice of chains passing the degree-p difference criterion."""
+    """Integer lattice of chains passing the degree-p difference criterion:
+    the kernel of `_asymptotic_rows`."""
 
     def build():
         nt = len(m.topes)
         if p <= 0:
             return LatticeZ.full(nt)
-        rows: set[tuple[int, ...]] = set()
-        for t2 in m.topes:
-            seps = [t.separator(t2) for t in m.topes]
-            for q in range(p):
-                for s in combinations(range(m.n), q):
-                    smask = mask_from_bits(s)
-                    rows.add(tuple(1 if smask & ~sep == 0 else 0 for sep in seps))
-        return LatticeZ(nt, tuple(map(tuple, int_kernel([list(r) for r in sorted(rows)]))))
+        return LatticeZ(nt, tuple(map(tuple, int_kernel(_asymptotic_rows(m, p)))))
 
     return m.memo(("asymptotic", p), build)
 

@@ -13,6 +13,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -51,20 +52,23 @@ def gf2_rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
 
     Returns (rows, pivot_cols) with rows sorted by pivot column; the pivot of a
     row is its lowest set bit and no row has a bit at another row's pivot.
+    A new row is cleared at the lowest pivot it still meets, looked up in
+    `row & pivot_mask`, until it meets none.
     """
-    out: list[tuple[int, int]] = []  # (pivot, row)
+    by_pivot: dict[int, int] = {}  # pivot bit -> row
+    pivot_mask = 0
     for row in rows:
-        for piv, prow in out:
-            if (row >> piv) & 1:
-                row ^= prow
+        while hit := row & pivot_mask:
+            row ^= by_pivot[hit & -hit]
         if row:
-            piv = (row & -row).bit_length() - 1
-            for k, (p, r) in enumerate(out):
-                if (r >> piv) & 1:
-                    out[k] = (p, r ^ row)
-            out.append((piv, row))
-    out.sort()
-    return [r for _, r in out], [p for p, _ in out]
+            low = row & -row
+            for b, r in by_pivot.items():
+                if r & low:
+                    by_pivot[b] = r ^ row
+            by_pivot[low] = row
+            pivot_mask |= low
+    out = sorted(by_pivot.items())
+    return [r for _, r in out], [b.bit_length() - 1 for b, _ in out]
 
 
 @dataclass(frozen=True)
@@ -124,6 +128,12 @@ class GF2Solver:
 
     A combination never involves a later equation, so the factorization of
     the leading equations is a prefix of this one (`prefix`).
+
+    A pivot row's lowest bit is its pivot, so a new row is cleared by looking
+    up the lowest pivot it still meets in `row & pivot_mask`: each step
+    removes that bit and touches only higher ones.  The pivot rows are
+    independent with distinct pivots, so the cleared row and its combination
+    are the ones that testing every earlier pivot in turn would give.
     """
 
     def __init__(self, rows: Iterable[int], ncols: int):
@@ -131,14 +141,19 @@ class GF2Solver:
         # (pivot_col, row, combo) in the order the pivots were found
         self.pivot_rows: list[tuple[int, int, int]] = []
         self.zero_combos: list[int] = []
+        by_pivot: dict[int, tuple[int, int]] = {}  # pivot bit -> (row, combo)
+        pivot_mask = 0
         for i, row in enumerate(rows):
             combo = 1 << i
-            for piv, prow, pcombo in self.pivot_rows:
-                if (row >> piv) & 1:
-                    row ^= prow
-                    combo ^= pcombo
+            while hit := row & pivot_mask:
+                prow, pcombo = by_pivot[hit & -hit]
+                row ^= prow
+                combo ^= pcombo
             if row:
-                self.pivot_rows.append(((row & -row).bit_length() - 1, row, combo))
+                low = row & -row
+                by_pivot[low] = (row, combo)
+                pivot_mask |= low
+                self.pivot_rows.append((low.bit_length() - 1, row, combo))
             else:
                 self.zero_combos.append(combo)
 
@@ -240,33 +255,67 @@ def hermite_normal_form(rows: Iterable[list[int] | tuple[int, ...]], ncols: int)
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
     and pivot columns strictly increase, so the output is unique per lattice.
+
+    The working rows are sparse, {col: value}, bucketed by leading column.
+    Column by column, the rows led there are reduced by the one with the
+    smallest leading entry until a single row is left; an update walks only
+    the pivot row's entries, and a row whose lead cancels moves to the bucket
+    of its new lead.  Back-reduction then updates only the basis rows with an
+    entry in the pivot column.  Rows come in and go out dense.
     """
-    work = [list(r) for r in rows if any(r)]
-    basis: list[tuple[int, list[int]]] = []  # (pivot col, row)
+    led_by: dict[int, list[dict[int, int]]] = {}
+    for r in rows:
+        if len(r) != ncols:
+            raise ValueError(f"row of length {len(r)} in a matrix with {ncols} columns")
+        row = dict(compress(enumerate(r), r))
+        if row:
+            led_by.setdefault(next(iter(row)), []).append(row)
+    basis: list[tuple[int, dict[int, int]]] = []  # (pivot col, row)
     for c in range(ncols):
-        idx = [i for i, r in enumerate(work) if r[c]]
-        if not idx:
+        led = led_by.pop(c, None)
+        if led is None:
             continue
-        while len(idx) > 1:
-            idx.sort(key=lambda i: abs(work[i][c]))
-            i0 = idx[0]
-            for i in idx[1:]:
-                q = work[i][c] // work[i0][c]
+        while len(led) > 1:
+            led.sort(key=lambda r: abs(r[c]))
+            prow = led[0]
+            keep = [prow]
+            for r in led[1:]:
+                q = r[c] // prow[c]
                 if q:
-                    work[i] = [x - q * y for x, y in zip(work[i], work[i0])]
-            idx = [i for i in idx if work[i][c]]
-        row = work.pop(idx[0])
+                    _sub_multiple(r, q, prow)
+                if c in r:
+                    keep.append(r)
+                elif r:
+                    led_by.setdefault(min(r), []).append(r)
+            led = keep
+        row = led[0]
         if row[c] < 0:
-            row = [-x for x in row]
+            row = {j: -x for j, x in row.items()}
         basis.append((c, row))
-    for k in range(len(basis)):
-        c, row = basis[k]
-        for j in range(k):
-            cj, rj = basis[j]
-            q = rj[c] // row[c]
-            if q:
-                basis[j] = (cj, [x - q * y for x, y in zip(rj, row)])
-    return [row for _, row in basis]
+    for k, (c, row) in enumerate(basis):
+        pivot = row[c]
+        for _, rj in basis[:k]:
+            x = rj.get(c)
+            if x is not None and (q := x // pivot):
+                _sub_multiple(rj, q, row)
+    out = []
+    for _, row in basis:
+        dense = [0] * ncols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(dense)
+    return out
+
+
+def _sub_multiple(r: dict[int, int], q: int, prow: dict[int, int]) -> None:
+    """r -= q·prow on sparse rows, in place, dropping the entries that cancel."""
+    get = r.get
+    for j, y in prow.items():
+        v = get(j, 0) - q * y
+        if v:
+            r[j] = v
+        else:
+            del r[j]
 
 
 def _columns(a: IntMatrix) -> IntMatrix:

@@ -362,13 +362,20 @@ def enumerate_flags(m: OrientedMatroid, complete: bool = True) -> list[Flag]:
 def tope_flag_set(m: OrientedMatroid, flag: Flag) -> list[SignVector]:
     """Topes whose restriction away from every flag flat stays a covector.
 
-    Cached per flag; each call returns a fresh list, so a caller that
-    changes it leaves the cache intact.
+    Each restriction is probed as the integer code `plus | minus << n`
+    against the matroid's cached set of covector codes.  Cached per flag;
+    each call returns a fresh list, so a caller that changes it leaves the
+    cache intact.
     """
-    return list(m.memo(("tope_flag_set", flag.flats), lambda: tuple(
-        t for t in m.topes
-        if all(zero_out(t, f) in m.covector_set for f in flag.flats)
-    )))
+    def build():
+        n = m.n
+        codes = m.memo("covector_codes", lambda: frozenset(
+            v.plus | v.minus << n for v in m.covectors))
+        keeps = [~(f | f << n) for f in flag.flats]
+        return tuple(t for t in m.topes
+                     if all((t.plus | t.minus << n) & k in codes for k in keeps))
+
+    return list(m.memo(("tope_flag_set", flag.flats), build))
 
 
 def tope_flag_members(m: OrientedMatroid, flag: Flag) -> frozenset[SignVector]:

@@ -27,11 +27,6 @@ from .om import OrientedMatroid, SignVector, compose
 CellKey = tuple[SignVector, SignVector]
 
 
-def _key_sort(key: CellKey):
-    l, t = key
-    return (l.plus, l.minus, t.plus, t.minus)
-
-
 class IncidenceError(ValueError):
     """The face poset does not orient as a regular CW complex."""
 
@@ -91,13 +86,13 @@ class SalvettiComplex:
     def __init__(self, m: OrientedMatroid):
         self.m = m
         self.dim = m.rank
+        # l <= t on the masks; covectors and topes are both in (plus, minus)
+        # order, so each dimension's cells come out in (L, T) order
         cells: list[list[CellKey]] = [[] for _ in range(self.dim + 1)]
         for l in m.covectors:
-            d = m.dim_of[l]
-            for t in m.topes:
-                if compose(l, t) == t:
-                    cells[d].append((l, t))
-        self.cells = [sorted(cs, key=_key_sort) for cs in cells]
+            cells[m.dim_of[l]].extend((l, t) for t in m.topes
+                                      if not (l.plus & ~t.plus or l.minus & ~t.minus))
+        self.cells = cells
         self.index: list[dict[CellKey, int]] = [
             {key: i for i, key in enumerate(cs)} for cs in self.cells
         ]
@@ -111,17 +106,41 @@ class SalvettiComplex:
             return [0] * self.n_cells(0)
 
         def build():
-            lower = [v for v in self.m.covectors if self.m.dim_of[v] == d - 1]
+            m = self.m
+            # a (d-1)-cell by its covector code and its tope's minus mask
+            lower = {(l.plus | l.minus << m.n, t.minus): i
+                     for i, (l, t) in enumerate(self.cells[d - 1])}
+            cofaces = self._cofaces(d)
             out = []
             for l, t in self.cells[d]:
                 mask = 0
-                for l2 in lower:
-                    if l.le(l2) and l != l2:
-                        mask |= 1 << self.index[d - 1][(l2, compose(l2, t))]
+                # the facet (l2, l2∘t) of (l, t), for each coface l2 of l
+                for code, minus, zero in cofaces[l]:
+                    mask |= 1 << lower[code, minus | t.minus & zero]
                 out.append(mask)
             return out
 
         return self.m.memo(("boundary_masks", d), build)
+
+    def _cofaces(self, d: int) -> dict[SignVector, list[tuple[int, int, int]]]:
+        """For each d-dimensional covector l, its (d-1)-dimensional cofaces
+        l2 > l as (code, minus mask, zero set), code = plus | minus << n.
+
+        The faces of l2 in dimension d are its restrictions away from the
+        rank-d flats that contain its zero set, those that are covectors."""
+        m = self.m
+        by_code = {v.plus | v.minus << m.n: v for v in m.covectors if m.dim_of[v] == d}
+        out: dict[SignVector, list[tuple[int, int, int]]] = {v: [] for v in by_code.values()}
+        for l2 in m.covectors:
+            if m.dim_of[l2] != d - 1:
+                continue
+            zero, code = l2.zero_set, l2.plus | l2.minus << m.n
+            for f in m.flats_by_rank[d]:
+                if not zero & ~f:
+                    face = by_code.get(code & ~(f | f << m.n))
+                    if face is not None:
+                        out[face].append((code, l2.minus, zero))
+        return out
 
     def signed_boundary(self, d: int) -> list[dict[int, int]]:
         """For each d-cell, its integral boundary as {(d-1)-cell: +-1}."""

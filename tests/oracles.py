@@ -38,6 +38,7 @@ from topespace.om import (
     compose,
     enumerate_flags,
     tope_flag_set,
+    zero_out,
 )
 from topespace.salvetti import FineComplex, IntegralHomology, get_salvetti
 
@@ -191,6 +192,36 @@ def maximal_covector_not_tope_by_scan(covectors: Iterable[SignVector]) -> bool:
     return any(v.support != full for v in maximal)
 
 
+def salvetti_cells_by_scan(m: OrientedMatroid) -> list[list[tuple[SignVector, SignVector]]]:
+    """The cells (L, T) of the coarse complex per dimension, by composing
+    every covector with every tope, in (L, T) mask order."""
+    cells: list[list[tuple[SignVector, SignVector]]] = [[] for _ in range(m.rank + 1)]
+    for l in m.covectors:
+        for t in m.topes:
+            if compose(l, t) == t:
+                cells[m.dim_of[l]].append((l, t))
+    return [sorted(cs, key=lambda c: (c[0].plus, c[0].minus, c[1].plus, c[1].minus))
+            for cs in cells]
+
+
+def boundary_masks_by_scan(m: OrientedMatroid, d: int) -> list[int]:
+    """Mod-2 boundary of each coarse d-cell (L, T): for every (d-1)-dimensional
+    covector L2 above L, the cell (L2, L2∘T)."""
+    sal = get_salvetti(m)
+    if d == 0:
+        return [0] * sal.n_cells(0)
+    index = {key: i for i, key in enumerate(sal.cells[d - 1])}
+    lower = [v for v in m.covectors if m.dim_of[v] == d - 1]
+    out = []
+    for l, t in sal.cells[d]:
+        mask = 0
+        for l2 in lower:
+            if l.le(l2) and l != l2:
+                mask |= 1 << index[(l2, compose(l2, t))]
+        out.append(mask)
+    return out
+
+
 def kalinin_K_by_projection(m: OrientedMatroid, p: int) -> SubspaceGF2:
     """Degree-p chain-level piece as a projection: the ladder system with
     gamma moved to the unknowns, (gamma, beta_1, ..., beta_p), is homogeneous,
@@ -205,6 +236,56 @@ def kalinin_K_by_projection(m: OrientedMatroid, p: int) -> SubspaceGF2:
         rows[sal.vertex_of_tope(t)] ^= 1 << j
     kern = gf2_kernel(rows, nt + col_off[p])
     return SubspaceGF2.from_generators(nt, [v & ((1 << nt) - 1) for v in kern.rows])
+
+
+def hermite_normal_form_dense(rows, ncols: int) -> IntMatrix:
+    """Canonical row-style HNF by dense row updates: each column's rows are
+    found by scanning every working row, and every update and back-reduction
+    step rewrites whole rows."""
+    work = [list(r) for r in rows if any(r)]
+    basis: list[tuple[int, list[int]]] = []  # (pivot col, row)
+    for c in range(ncols):
+        idx = [i for i, r in enumerate(work) if r[c]]
+        if not idx:
+            continue
+        while len(idx) > 1:
+            idx.sort(key=lambda i: abs(work[i][c]))
+            i0 = idx[0]
+            for i in idx[1:]:
+                q = work[i][c] // work[i0][c]
+                if q:
+                    work[i] = [x - q * y for x, y in zip(work[i], work[i0])]
+            idx = [i for i in idx if work[i][c]]
+        row = work.pop(idx[0])
+        if row[c] < 0:
+            row = [-x for x in row]
+        basis.append((c, row))
+    for k in range(len(basis)):
+        c, row = basis[k]
+        for j in range(k):
+            cj, rj = basis[j]
+            q = rj[c] // row[c]
+            if q:
+                basis[j] = (cj, [x - q * y for x, y in zip(rj, row)])
+    return [row for _, row in basis]
+
+
+def gf2_solver_by_scan(rows: Iterable[int]) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """`GF2Solver`'s (pivot_rows, zero_combos), clearing each new row by
+    testing every earlier pivot in the order the pivots were found."""
+    pivot_rows: list[tuple[int, int, int]] = []
+    zero_combos: list[int] = []
+    for i, row in enumerate(rows):
+        combo = 1 << i
+        for piv, prow, pcombo in pivot_rows:
+            if (row >> piv) & 1:
+                row ^= prow
+                combo ^= pcombo
+        if row:
+            pivot_rows.append(((row & -row).bit_length() - 1, row, combo))
+        else:
+            zero_combos.append(combo)
+    return pivot_rows, zero_combos
 
 
 def int_rank(a: IntMatrix) -> int:
@@ -507,6 +588,26 @@ def asymptotic_member(m: OrientedMatroid, gamma: IntChain, p: int) -> bool:
                 if sum(c for c, sep in seps if smask & ~sep == 0):
                     return False
     return True
+
+
+def asymptotic_rows_by_tuples(m: OrientedMatroid, p: int) -> list[list[int]]:
+    """The equations of the degree-p asymptotic piece as 0/1 tuples, one per
+    tope t2 and subset s of fewer than p elements, deduplicated and sorted."""
+    rows: set[tuple[int, ...]] = set()
+    for t2 in m.topes:
+        seps = [t.separator(t2) for t in m.topes]
+        for q in range(p):
+            for s in combinations(range(m.n), q):
+                smask = mask_from_bits(s)
+                rows.add(tuple(1 if smask & ~sep == 0 else 0 for sep in seps))
+    return [list(r) for r in sorted(rows)]
+
+
+def tope_flag_set_by_sign_vectors(m: OrientedMatroid, flag: Flag) -> list[SignVector]:
+    """Topes whose restriction away from every flag flat is in the covector
+    set, each restriction built as a SignVector."""
+    return [t for t in m.topes
+            if all(zero_out(t, f) in m.covector_set for f in flag.flats)]
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -6,9 +6,12 @@ from itertools import combinations
 import pytest
 from oracles import (
     asymptotic_member,
+    asymptotic_rows_by_tuples,
+    gf2_solver_by_scan,
     heaviside_eval,
     kalinin_K_by_projection,
     tilde_a_dense,
+    tope_flag_set_by_sign_vectors,
     int_rank,
     lattice_saturated,
     quillen_Q_oracle,
@@ -49,6 +52,7 @@ from topespace.filtrations import (
     verify_theorem_B,
     vg_lower,
     viro_bv,
+    _asymptotic_rows,
     _ladder_rows,
     _ladder_solver,
     _quillen_solver,
@@ -433,6 +437,13 @@ def test_ladder_is_factored_once_and_each_degree_is_a_prefix(monkeypatch):
                     assert solver.solve(b) == own.solve(b), (name, p)
 
 
+@pytest.mark.parametrize("name", ["u34", "a3", "gen4_6"])
+def test_ladder_factorization_matches_the_scanning_elimination(name):
+    rows, _, col_off = _ladder_rows(fresh(name))
+    solver = GF2Solver(rows, col_off[-1])
+    assert (solver.pivot_rows, solver.zero_combos) == gf2_solver_by_scan(rows)
+
+
 @pytest.mark.parametrize("name", ["u23", "u34", "a3"])
 def test_kalinin_piece_is_solvability_of_the_ladder(name):
     m = load(name)
@@ -668,6 +679,20 @@ def test_kernel_lattices_are_already_canonical(name):
     for p in range(m.rank + 2):
         for lat in (vg_lower(m, p), asymptotic(m, p), cordovil_dual(m, p)):
             assert lat == LatticeZ.from_generators(lat.ambient_dim, lat.basis)
+
+
+@pytest.mark.parametrize("name", ["u34", "a3", "gen3_6", "gen4_6"])
+def test_asymptotic_rows_match_the_tuple_oracle(name):
+    m = fresh(name)
+    for p in range(1, m.rank + 2):
+        assert _asymptotic_rows(m, p) == asymptotic_rows_by_tuples(m, p), p
+
+
+@pytest.mark.parametrize("name", ["u34", "a3", "gen3_6", "gen4_6"])
+def test_flag_tope_sets_match_sign_vector_probes(name):
+    m = fresh(name)
+    for flag in enumerate_flags(m) + enumerate_flags(m, complete=False):
+        assert tope_flag_set(m, flag) == tope_flag_set_by_sign_vectors(m, flag)
 
 
 def test_asymptotic_membership_goldens():

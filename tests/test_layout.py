@@ -8,9 +8,10 @@ every other module gets kernels, intersections, solves and invariant
 factors through its lattice, subspace and solver helpers,
 and `om.py` names `Fraction` only to hold and parse arrangements;
 the Theorem C verifiers push chains through tope index maps, never
-through dense stalk matrices; and the Theorem B verifier, integral homology
+through dense stalk matrices; the Theorem B verifier, integral homology
 and the CLI work on the coarse Salvetti complex, never on its fine
-subdivision.
+subdivision; and the coarse cells and boundaries come from mask tests and
+coface lists, never from composing every pair of covector and tope.
 """
 
 import ast
@@ -152,3 +153,18 @@ def test_cli_never_names_the_fine_complex():
     path = PACKAGE / "cli.py"
     lines = _fine_complex_lines(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     assert lines == [], f"cli.py: fine complex named at lines {lines}"
+
+
+PAIRWISE_SCAN = {"compose", "le"}
+
+
+@pytest.mark.parametrize("method", ["__init__", "boundary_masks", "_cofaces"])
+def test_salvetti_cells_and_boundaries_never_compose_pairs(method):
+    path = PACKAGE / "salvetti.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "SalvettiComplex"]
+    (fn,) = [node for node in cls.body
+             if isinstance(node, ast.FunctionDef) and node.name == method]
+    lines = _named_lines(fn, PAIRWISE_SCAN)
+    assert lines == [], f"SalvettiComplex.{method}: compose or le named at lines {lines}"

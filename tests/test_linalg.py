@@ -8,6 +8,8 @@ from math import gcd
 
 import pytest
 from oracles import (
+    gf2_solver_by_scan,
+    hermite_normal_form_dense,
     int_rank,
     lattice_saturated,
     mat_mul,
@@ -149,6 +151,20 @@ def test_rref_and_solver_on_random_systems():
             for i in bits_of(combo):
                 total ^= rows[i]
             assert total == 0
+
+
+def test_solver_factorization_matches_the_scanning_elimination():
+    # the pivot lookup gives the pivot rows, combinations and zero combos of
+    # testing every earlier pivot in turn, in the same order
+    rng = random.Random(73)
+    for _ in range(150):
+        nrows, ncols = rng.randrange(0, 30), rng.randrange(1, 40)
+        rows = [rng.getrandbits(ncols) & rng.getrandbits(ncols) for _ in range(nrows)]
+        for i in range(nrows):
+            if i >= 2 and rng.random() < 0.3:
+                rows[i] = rows[rng.randrange(i)] ^ rows[rng.randrange(i)]
+        solver = GF2Solver(rows, ncols)
+        assert (solver.pivot_rows, solver.zero_combos) == gf2_solver_by_scan(rows)
 
 
 def test_prefix_is_the_factorization_of_the_leading_equations():
@@ -312,6 +328,36 @@ def test_hnf_canonical_and_idempotent():
             mixed[0] = [x + 3 * y for x, y in zip(mixed[0], mixed[1])]
             mixed.append([-x for x in mixed[1]])
         assert hermite_normal_form(mixed, n) == h
+
+
+def _hnf_draws(rng: random.Random):
+    """Seeded Hermite-form inputs: small matrices with entries in ±3, zero
+    rows and negative leading entries, then the `[Aᵀ | I]` shape of
+    `int_kernel` for wide 0/1 rows A."""
+    for _ in range(200):
+        nrows, ncols = rng.randrange(0, 9), rng.randrange(1, 9)
+        rows = [[rng.randrange(-3, 4) for _ in range(ncols)] for _ in range(nrows)]
+        for r in rows:
+            if rng.random() < 0.15:
+                r[:] = [0] * ncols
+            elif r[0] > 0 and rng.random() < 0.5:
+                r[0] = -r[0]
+        yield rows, ncols
+    for _ in range(40):
+        m, n = rng.randrange(1, 12), rng.randrange(10, 50)
+        a = [[int(rng.random() < 0.4) for _ in range(n)] for _ in range(m)]
+        yield [[a[i][j] for i in range(m)] + [int(k == j) for k in range(n)]
+               for j in range(n)], m + n
+
+
+def test_hnf_matches_the_dense_oracle():
+    for rows, ncols in _hnf_draws(random.Random(71)):
+        assert hermite_normal_form(rows, ncols) == hermite_normal_form_dense(rows, ncols)
+
+
+def test_hnf_rejects_rows_of_the_wrong_length():
+    with pytest.raises(ValueError, match="length 2"):
+        hermite_normal_form([[1, 0, 0], [1, 2]], 3)
 
 
 def test_lattice_membership_and_equality():

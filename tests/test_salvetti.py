@@ -5,7 +5,13 @@ from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
-from oracles import bz_cochain_eval_by_simplex, coarse_to_fine, homology_Z_by_fine
+from oracles import (
+    boundary_masks_by_scan,
+    bz_cochain_eval_by_simplex,
+    coarse_to_fine,
+    homology_Z_by_fine,
+    salvetti_cells_by_scan,
+)
 from test_cosheaf import b3
 from test_filtrations import fresh
 
@@ -48,6 +54,16 @@ def popcount(x: int) -> int:
 def test_u23_cell_counts():
     sal = get_salvetti(om_from_arrangement(U23))
     assert [sal.n_cells(d) for d in range(3)] == [6, 12, 6]
+
+
+@pytest.mark.parametrize("name", [*names(), "gen3_6", "b3", "gen4_6"])
+def test_cells_and_boundary_masks_match_the_pairwise_scan(name):
+    # separate matroids, so neither path reads what the other cached
+    m, oracle = fresh(name), fresh(name)
+    sal = get_salvetti(m)
+    assert sal.cells == salvetti_cells_by_scan(oracle)
+    for d in range(sal.dim + 1):
+        assert sal.boundary_masks(d) == boundary_masks_by_scan(oracle, d), d
 
 
 def test_u11_is_a_circle():
