@@ -21,6 +21,7 @@ from .linalg import (
     bits_of,
     int_kernel,
     mask_from_bits,
+    xor_span,
 )
 from .om import Flag, OrientedMatroid, SignVector, tope_flag_members
 
@@ -63,17 +64,10 @@ def signed_circuits(m: OrientedMatroid) -> list[SignVector]:
     def build():
         out: list[SignVector] = []
         for mask in circuits(m):
-            elems = bits_of(mask)
-            rest = elems[1:]
+            rest = mask & (mask - 1)  # the support after its smallest element
             valid: list[SignVector] = []
-            for signs in range(1 << len(rest)):
-                plus, minus = 1 << elems[0], 0
-                for i, e in enumerate(rest):
-                    if (signs >> i) & 1:
-                        minus |= 1 << e
-                    else:
-                        plus |= 1 << e
-                cand = SignVector(m.n, plus, minus)
+            for minus in xor_span([1 << e for e in bits_of(rest)]):
+                cand = SignVector(m.n, mask ^ minus, minus)
                 if all(_orthogonal(cand, v) for v in m.covectors):
                     valid.append(cand)
             if len(valid) != 1:
@@ -244,16 +238,8 @@ def cordovil_dual(m: OrientedMatroid, p: int) -> LatticeZ:
     Cached per matroid and degree; `LatticeZ` is frozen, so every caller may
     share the one result.
     """
-
-    def build():
-        dim = len(subset_index(m.n, p))
-        rows = cordovil_relation_rows(m, p)
-        if not rows:
-            return LatticeZ.full(dim)
-        # int_kernel returns the canonical HNF basis already
-        return LatticeZ(dim, tuple(map(tuple, int_kernel(rows))))
-
-    return m.memo(("cordovil_dual", p), build)
+    return m.memo(("cordovil_dual", p), lambda: int_kernel(
+        cordovil_relation_rows(m, p), len(subset_index(m.n, p))))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +254,8 @@ def epsilon(m: OrientedMatroid, flag: Flag, v: SignVector, p: int) -> SFPoly:
     """
     if v not in tope_flag_members(m, flag):
         raise ValueError("origin tope is not in the tope set of the flag")
-    if p > flag.length:
-        raise ValueError("degree exceeds the flag length")
+    if not 0 <= p <= flag.length:
+        raise ValueError(f"degree {p} outside 0..{flag.length}")
     out: SFPoly = {(): 1}
     for block in flag.blocks()[:p]:
         form = {(j,): v.sign(j) for j in bits_of(block)}

@@ -4,13 +4,14 @@ Inputs are builtin corpus names, arrangement files (header "n d" followed by
 n rows of d rationals), or covector files (one sign vector per line).  Every
 command produces a deterministic JSON report of per-check records; exit code
 0 means every check passed, 1 means a verification failed, 2 means the input
-could not be read or validated.
+could not be read or validated or the report path cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from time import perf_counter
@@ -79,6 +80,18 @@ def resolve_input(spec: str) -> tuple[str, OrientedMatroid]:
     except NotCovectors as e:
         raise InputError(str(e)) from None
     return spec, m
+
+
+def _check_report_path(path: str) -> None:
+    """Raise InputError unless a report can be written at `path`; a file the
+    probe creates is removed again."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as e:
+        raise InputError(f"cannot write report {path!r}: {e}") from None
+    if not existed:
+        os.remove(path)
 
 
 def _parse_order(text: Optional[str], n: int) -> Optional[tuple[int, ...]]:
@@ -245,6 +258,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.json_path:
+            _check_report_path(args.json_path)
         if args.command == "describe":
             target, m = resolve_input(args.input)
             order = _parse_order(args.order, m.n)

@@ -28,6 +28,8 @@ from .linalg import (
     gf2_kernel,
     int_kernel,
     mask_from_bits,
+    parity,
+    xor_span,
 )
 from .om import (
     Flag,
@@ -104,18 +106,9 @@ def vg_lower(m: OrientedMatroid, p: int, ring: str = "z"):
     def build():
         nt = len(m.topes)
         if ring == "z":
-            if p <= 0:
-                return LatticeZ.full(nt)
-            # int_kernel returns the canonical HNF basis already
-            return LatticeZ(nt, tuple(map(tuple, int_kernel(_monomial_rows_int(m, p - 1)))))
+            return int_kernel(_monomial_rows_int(m, p - 1), nt)
         if ring == "z2":
-            if p <= 0:
-                return SubspaceGF2.full(nt)
-            rows = [
-                mask_from_bits(i for i, x in enumerate(row) if x)
-                for row in _monomial_rows_int(m, p - 1)
-            ]
-            return gf2_kernel(rows, nt)
+            return gf2_kernel(map(chain_mod2, _monomial_rows_int(m, p - 1)), nt)
         raise ValueError(f"unknown ring {ring!r}")
 
     return m.memo(("vg_lower", p, ring), build)
@@ -137,14 +130,8 @@ def _coset_chain(m: OrientedMatroid, blocks: list[int], v: SignVector,
     # signed sum over the coset v + <d_i : i in positions>, the sign of a
     # point being the parity of its expansion in the chosen block vectors
     out = [0] * len(m.topes)
-    dmasks = [blocks[i - 1] for i in positions]
-    for bitspat in range(1 << len(dmasks)):
-        minus = v.minus
-        for k, d in enumerate(dmasks):
-            if (bitspat >> k) & 1:
-                minus ^= d
-        idx = m.tope_by_minus[minus]
-        out[idx] += -1 if bitspat.bit_count() & 1 else 1
+    for k, x in enumerate(xor_span([blocks[i - 1] for i in positions])):
+        out[m.tope_by_minus[v.minus ^ x]] += -1 if parity(k) else 1
     return tuple(out)
 
 
@@ -191,9 +178,7 @@ def quillen_cosets(m: OrientedMatroid, p: int) -> list[tuple[int, int]]:
                 for mono, c in wedge_masks(dmasks, m.n).items():
                     if c & 1:
                         wedge |= 1 << index[mono]
-                span = {0}
-                for d in dmasks:
-                    span |= {x ^ d for x in span}
+                span = xor_span(dmasks)
                 done: set[int] = set()
                 for t in tf:
                     if t.minus in done:
@@ -454,12 +439,13 @@ def viro_bv(m: OrientedMatroid, gamma: int, p: int,
 # ---------------------------------------------------------------------------
 # bricks
 
-def brick(m: OrientedMatroid, flag: Flag, v: SignVector, p: int, ring: str = "z"):
+def brick(m: OrientedMatroid, flag: Flag, v: SignVector, p: int) -> tuple[int, ...]:
     """Signed cell chain of the degree-p coset of a flag at an origin tope.
 
     Each coset point contributes the cell whose covector kills the p-th flag
-    flat of the origin tope, weighted by the parity sign of the point; mod 2
-    the signs drop and the chain is returned as a bitmask.
+    flat of the origin tope, weighted by the parity sign of the point.  A
+    coefficient is a sum of one sign per point on its cell, so `chain_mod2`
+    of the chain is the mod-2 brick.
     """
     blocks = _complete_flag_data(m, flag, v)
     if not 0 <= p <= m.rank:
@@ -467,23 +453,12 @@ def brick(m: OrientedMatroid, flag: Flag, v: SignVector, p: int, ring: str = "z"
     sal = get_salvetti(m)
     l = zero_out(v, flag.flats[p])
     coeffs = [0] * sal.n_cells(p)
-    mask = 0
-    for bitspat in range(1 << p):
-        minus = v.minus
-        for k in range(p):
-            if (bitspat >> k) & 1:
-                minus ^= blocks[k]
-        u = m.tope_from_minus(minus)
-        d, bit = sal.cell_bit(l, u)
+    for k, x in enumerate(xor_span(blocks[:p])):
+        d, bit = sal.cell_bit(l, m.tope_from_minus(v.minus ^ x))
         if d != p:
             raise RuntimeError(f"brick cell has dimension {d}, not the degree {p}")
-        coeffs[bit.bit_length() - 1] += -1 if bitspat.bit_count() & 1 else 1
-        mask ^= bit
-    if ring == "z":
-        return tuple(coeffs)
-    if ring == "z2":
-        return mask
-    raise ValueError(f"unknown ring {ring!r}")
+        coeffs[bit.bit_length() - 1] += -1 if parity(k) else 1
+    return tuple(coeffs)
 
 
 def brick_certificate(m: OrientedMatroid, flag: Flag, v: SignVector, p: int) -> KalininCertificate:
@@ -508,12 +483,8 @@ def brick_certificate(m: OrientedMatroid, flag: Flag, v: SignVector, p: int) -> 
         vt = m.tope_from_minus(minus_v)
         l = zero_out(vt, flag.flats[q])
         top = 0
-        for bitspat in range(1 << (q - 1)):
-            minus = minus_v
-            for k in range(q - 1):
-                if (bitspat >> k) & 1:
-                    minus ^= blocks[k]
-            top ^= sal.cell_bit(l, m.tope_from_minus(minus))[1]
+        for x in xor_span(blocks[:q - 1]):
+            top ^= sal.cell_bit(l, m.tope_from_minus(minus_v ^ x))[1]
         a = ladder(minus_v, q - 1)
         b = ladder(minus_v ^ blocks[q - 1], q - 1)
         out = tuple(x ^ y for x, y in zip(a, b)) + (top,)
@@ -575,14 +546,8 @@ def _asymptotic_rows(m: OrientedMatroid, p: int) -> list[list[int]]:
 def asymptotic(m: OrientedMatroid, p: int) -> LatticeZ:
     """Integer lattice of chains passing the degree-p difference criterion:
     the kernel of `_asymptotic_rows`."""
-
-    def build():
-        nt = len(m.topes)
-        if p <= 0:
-            return LatticeZ.full(nt)
-        return LatticeZ(nt, tuple(map(tuple, int_kernel(_asymptotic_rows(m, p)))))
-
-    return m.memo(("asymptotic", p), build)
+    return m.memo(("asymptotic", p),
+                  lambda: int_kernel(_asymptotic_rows(m, p), len(m.topes)))
 
 
 # ---------------------------------------------------------------------------
@@ -635,12 +600,13 @@ def verify_theorem_B(m: OrientedMatroid, order: Optional[Sequence[int]] = None) 
     for p in range(m.rank + 1):
         nbcs = nbc_sets(m, p, order)
         index = subset_index(m.n, p)
-        gens: dict[int, tuple] = {}
+        # the distinct mod-2 prefix chains, in order of first appearance; the
+        # coset points are distinct topes, so each carries coefficient +-1
+        gens: dict[int, None] = {}
         for flag in enumerate_flags(m):
+            span = xor_span(flag.blocks()[:p])
             for v in tope_flag_set(m, flag):
-                mask = chain_mod2(prefix_chain(m, flag, v, p))
-                if mask not in gens:
-                    gens[mask] = (flag, v)
+                gens.setdefault(mask_from_bits(m.tope_by_minus[v.minus ^ x] for x in span))
         checked = 0
         for mask in gens:
             rep, _ = viro_bv(m, mask, p)

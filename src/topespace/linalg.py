@@ -43,6 +43,15 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
+def xor_span(masks: Sequence[int]) -> list[int]:
+    """Every XOR of a subset of `masks`: the subset with bit k set sits at
+    position k, so `parity(k)` is the size parity of its subset."""
+    out = [0]
+    for d in masks:
+        out += [x ^ d for x in out]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # GF(2)
 
@@ -354,20 +363,19 @@ def int_relations(images: Sequence, labels: Sequence) -> IntMatrix:
     return int_image_and_relations(images, labels)[1]
 
 
-def int_kernel(a: IntMatrix) -> IntMatrix:
-    """HNF basis (rows) of {x in Z^n : a·x = 0}; spans a saturated lattice."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0:
-        return int_identity(n)
-    kern = int_relations(_columns(a), int_identity(n))
+def int_kernel(rows: IntMatrix, ncols: int) -> "LatticeZ":
+    """The saturated lattice {x in Z^ncols : a·x = 0}, a the matrix of
+    `rows`, in its canonical HNF basis; Z^ncols when there are no rows."""
+    if any(len(r) != ncols for r in rows):
+        raise ValueError(f"ragged matrix: an equation has other than {ncols} entries")
+    kern = int_relations([[r[j] for r in rows] for j in range(ncols)], int_identity(ncols))
     # check a·x = 0 on the nonzero entries of x only: kernel rows are sparse
     # where the rows of a are wide
     for x in kern:
         support = [(j, v) for j, v in enumerate(x) if v]
-        if any(sum(row[j] * v for j, v in support) for row in a):
+        if any(sum(row[j] * v for j, v in support) for row in rows):
             raise RuntimeError("int_kernel check failed: a·x != 0 for a returned row")
-    return kern
+    return LatticeZ(ncols, tuple(map(tuple, kern)))
 
 
 @dataclass(frozen=True)
@@ -385,10 +393,6 @@ class LatticeZ:
     @classmethod
     def zero(cls, ambient_dim: int) -> "LatticeZ":
         return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "LatticeZ":
-        return cls.from_generators(ambient_dim, int_identity(ambient_dim))
 
     @property
     def rank(self) -> int:

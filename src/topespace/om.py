@@ -17,7 +17,7 @@ from itertools import combinations, product
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .linalg import LatticeZ, bits_of, int_identity, int_kernel, mask_from_bits
+from .linalg import LatticeZ, bits_of, int_kernel, mask_from_bits
 
 
 class ParseError(ValueError):
@@ -240,7 +240,7 @@ class OrientedMatroid:
 
     def _init_flats(self):
         zero_sets = {v.zero_set for v in self.covectors}
-        ordered = sorted(zero_sets, key=lambda m: (bin(m).count("1"), m))
+        ordered = sorted(zero_sets, key=lambda m: (m.bit_count(), m))
         ranks: dict[int, int] = {}
         for f in ordered:
             below = [ranks[g] for g in ranks if g != f and g & ~f == 0]
@@ -535,9 +535,7 @@ def om_from_arrangement(arr: Arrangement) -> OrientedMatroid:
 
     cocircuits: set[SignVector] = set()
     for flat in hyperflats:
-        rows = [normals[i] for i in bits_of(flat)]
-        # an empty matrix has no width, so int_kernel([]) is 0 x 0
-        basis = int_kernel(rows) if rows else int_identity(d)
+        basis = int_kernel([normals[i] for i in bits_of(flat)], d).basis
         found = next((x for x in basis if any(dot(x, v) for v in normals)), None)
         if found is None:
             raise RuntimeError("corank-one flat without a normal direction")

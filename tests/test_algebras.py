@@ -87,7 +87,7 @@ def test_signed_circuits_match_rational_dependencies():
         for c in signed_circuits(m):
             elems = bits_of(c.support)
             rows = [[int(normals[e][i]) for e in elems] for i in range(d)]
-            kernel = int_kernel(rows)
+            kernel = int_kernel(rows, len(elems)).basis
             assert len(kernel) == 1
             lam = kernel[0]
             assert all(x != 0 for x in lam)
@@ -187,7 +187,7 @@ def test_os_dual_u23_degree_two_generators():
 def test_cordovil_u23_golden():
     m = load("u23")
     a1 = cordovil_dual(m, 1)
-    assert lattice_equal(a1, LatticeZ.full(3))
+    assert lattice_equal(a1, int_kernel([], 3))
     a2 = cordovil_dual(m, 2)
     assert lattice_equal(a2, LatticeZ.from_generators(3, [[1, 1, 0], [0, 1, 1]]))
     a3 = cordovil_dual(m, 3)
@@ -212,8 +212,7 @@ def test_cordovil_dual_cached_per_matroid_and_degree(name):
         assert cordovil_dual(m, p) is lat
         dim = len(subset_index(m.n, p))
         rows = cordovil_relation_rows(fresh, p)
-        # int_kernel of no rows has no columns to read the dimension from
-        expected = LatticeZ.from_generators(dim, int_kernel(rows)) if rows else LatticeZ.full(dim)
+        expected = LatticeZ.from_generators(dim, int_kernel(rows, dim).basis)
         assert lattice_equal(lat, expected)
 
 
@@ -242,6 +241,15 @@ def test_epsilon_golden_values():
     assert epsilon(m, flag, b, 2) == {(0, 1): -1, (0, 2): -1}
     with pytest.raises(ValueError):
         epsilon(m, flag, sv("--+"), 1)
+
+
+def test_epsilon_rejects_degrees_outside_the_flag():
+    m = load("u34")
+    for flag in enumerate_flags(m):
+        v = tope_flag_set(m, flag)[0]
+        for p in (-1, -flag.length, flag.length + 1):
+            with pytest.raises(ValueError, match="outside"):
+                epsilon(m, flag, v, p)
 
 
 def test_epsilon_lies_in_cordovil_dual():

@@ -221,6 +221,29 @@ def test_verify_p_outside_its_targets_is_an_input_error(which, p, message, capsy
     assert out.err.splitlines() == [out.err.strip()] and message in out.err
 
 
+@pytest.mark.parametrize("argv", [["describe", "u11"], ["verify", "u22", "all"], ["corpus"]],
+                         ids=["describe", "verify", "corpus"])
+def test_unwritable_report_path_fails_before_loading(argv, tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("input loaded before the report path was checked")
+
+    monkeypatch.setattr(cli, "resolve_input", refuse)
+    monkeypatch.setattr(cli, "load", refuse)
+    path = str(tmp_path / "missing" / "x.json")
+    code = cli.main([*argv, "--json", path])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [out.err.strip()]
+    assert out.err.startswith(f"error: cannot write report {path!r}")
+
+
+def test_report_path_probe_leaves_no_file_behind(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert cli.main(["describe", "nosucharrangement", "--json", str(path)]) == 2
+    assert not path.exists()
+
+
 def test_verify_bad_order(capsys):
     code = cli.main(["verify", "u23", "thmB", "--order", "2,2,0"])
     assert code == 2

@@ -582,7 +582,7 @@ def test_brick_goldens():
         ("000", "+++"): 1, ("000", "-++"): -1,
         ("000", "---"): 1, ("000", "+--"): -1,
     }
-    mask1 = brick(m, flag, a, 1, ring="z2")
+    mask1 = chain_mod2(brick(m, flag, a, 1))
     assert mask1 == sal.cell_bit(alpha, a)[1] | sal.cell_bit(alpha, b)[1]
 
 
@@ -598,7 +598,7 @@ def test_brick_certificate_ladder_holds_everywhere():
                     assert cert.verify(m)
                     top = cert.betas[-1]
                     symm = top ^ sal.conj_chain(p, top)
-                    assert symm == brick(m, flag, v, p, ring="z2")
+                    assert symm == chain_mod2(brick(m, flag, v, p))
 
 
 def test_brick_represents_the_viro_value():
@@ -610,7 +610,7 @@ def test_brick_represents_the_viro_value():
                 for p in range(1, m.rank + 1):
                     mask = chain_mod2(prefix_chain(m, flag, v, p))
                     rep, _ = viro_bv(m, mask, p)
-                    assert hom.class_of(p, brick(m, flag, v, p, "z2")) == rep
+                    assert hom.class_of(p, chain_mod2(brick(m, flag, v, p))) == rep
 
 
 # -- the pairing map --------------------------------------------------------
@@ -781,6 +781,28 @@ def test_cochain_values_match_wedge_coordinates_u23_degree_one():
     wedge = qbv(m, mask, 1)
     for s in nbc_sets(m, 1):
         assert (wedge >> idx[s]) & 1 == values[s]
+
+
+@pytest.mark.parametrize("name", [*names(), "gen3_6", "gen4_6"])
+def test_theorem_B_generators_are_the_mod2_prefix_chains(name, monkeypatch):
+    # the generators, in the order they are checked, are the distinct
+    # chain_mod2(prefix_chain(...)) over every flag, origin and degree
+    m = fresh(name)
+    checked = []
+    real = filtrations.viro_bv
+
+    def recording(m, gamma, p, rng=None):
+        checked.append((p, gamma))
+        return real(m, gamma, p, rng)
+
+    monkeypatch.setattr(filtrations, "viro_bv", recording)
+    assert verify_theorem_B(m).ok
+    expect = []
+    for p in range(m.rank + 1):
+        masks = [chain_mod2(prefix_chain(m, flag, v, p))
+                 for flag in enumerate_flags(m) for v in tope_flag_set(m, flag)]
+        expect += [(p, mask) for mask in dict.fromkeys(masks)]
+    assert checked == expect
 
 
 def test_theorem_B_builds_no_fine_complex():

@@ -10,8 +10,10 @@ and `om.py` names `Fraction` only to hold and parse arrangements;
 the Theorem C verifiers push chains through tope index maps, never
 through dense stalk matrices; the Theorem B verifier, integral homology
 and the CLI work on the coarse Salvetti complex, never on its fine
-subdivision; and the coarse cells and boundaries come from mask tests and
-coface lists, never from composing every pair of covector and tope.
+subdivision; the coarse cells and boundaries come from mask tests and
+coface lists, never from composing every pair of covector and tope; and
+every XOR over the subsets of a list of masks comes from `linalg.xor_span`,
+never from a `range(1 << k)` loop over bit patterns.
 """
 
 import ast
@@ -71,6 +73,25 @@ def test_gf2_rref_only_in_linalg(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = _named_lines(tree, {"gf2_rref"})
     assert lines == [], f"{path.name}: gf2_rref named at lines {lines}"
+
+
+def _bit_pattern_loops(tree: ast.AST) -> list[int]:
+    """Lines that call `range(1 << k)`."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "range"
+        and any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.LShift)
+                and isinstance(a.left, ast.Constant) and a.left.value == 1
+                for a in node.args)
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_subset_xors_come_from_xor_span(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _bit_pattern_loops(tree)
+    assert lines == [], f"{path.name}: range(1 << k) loop at lines {lines}"
 
 
 FRACTION_OWNERS = {"Arrangement", "parse_arrangement"}

@@ -27,6 +27,7 @@ from topespace.linalg import (
     gf2_kernel,
     gf2_rref,
     hermite_normal_form,
+    int_identity,
     int_image_and_relations,
     int_kernel,
     lattice_equal,
@@ -36,6 +37,7 @@ from topespace.linalg import (
     smith_normal_form,
     snf_diagonal_sparse,
     solve_diophantine,
+    xor_span,
 )
 from topespace.salvetti import get_fine
 
@@ -297,13 +299,20 @@ def test_smith_normal_form_random_against_minor_gcd_oracle():
 
 def test_int_kernel_annihilates_and_is_saturated():
     a = [[1, 2, 3], [2, 4, 6]]
-    kern = int_kernel(a)
-    assert len(kern) == 2
-    for x in kern:
-        assert mat_vec(a, x) == [0, 0]
+    lat = int_kernel(a, 3)
+    assert lat.rank == 2
+    for x in lat.basis:
+        assert mat_vec(a, list(x)) == [0, 0]
+    # the basis is the canonical HNF one
+    assert lat == LatticeZ.from_generators(3, lat.basis)
     # saturation: reducing the kernel basis mod 2 keeps full rank
-    lat = LatticeZ.from_generators(3, kern)
     assert lat.mod2().dim == 2
+
+
+def test_int_kernel_of_no_equations_is_everything():
+    for n in range(5):
+        assert int_kernel([], n) == LatticeZ.from_generators(n, int_identity(n))
+        assert int_kernel([[0] * n], n) == int_kernel([], n)
 
 
 def test_int_rank_matches_snf():
@@ -390,7 +399,7 @@ def test_lattice_intersection():
     b = LatticeZ.from_generators(2, [[3, 0], [0, 1]])
     got = a.intersect(b)
     assert lattice_equal(got, LatticeZ.from_generators(2, [[6, 0], [0, 1]]))
-    full = LatticeZ.full(3)
+    full = int_kernel([], 3)
     assert lattice_equal(full.intersect(LatticeZ.zero(3)), LatticeZ.zero(3))
 
 
@@ -421,22 +430,22 @@ def test_int_kernel_random_differential():
     cases += [random_int_matrix(random.Random(seed), 20, 25, (3,)) for seed in (1, 2, 3)]
     for a in cases:
         n = len(a[0])
-        kern = int_kernel(a)
+        lat = int_kernel(a, n)
+        kern = [list(x) for x in lat.basis]
         for x in kern:
             assert mat_vec(a, x) == [0] * len(a)
         assert len(kern) == n - int_rank(a)
-        lat = LatticeZ.from_generators(n, kern)
         assert lattice_saturated(lat)
         assert max((abs(v) for x in kern for v in x), default=0).bit_length() < 64
 
 
 def test_int_kernel_check_rejects_a_wrong_row(monkeypatch):
     a = [[1, 1, 0], [0, 1, 1]]
-    assert int_kernel(a) == [[1, -1, 1]]
+    assert int_kernel(a, 3).basis == ((1, -1, 1),)
     # the check reads only the nonzero entries of a row, and still every row of a
     monkeypatch.setattr(linalg, "int_relations", lambda images, labels: [[1, -1, 0]])
     with pytest.raises(RuntimeError, match="a·x != 0"):
-        int_kernel(a)
+        int_kernel(a, 3)
 
 
 def test_int_image_and_relations_matches_separate_forms():
@@ -450,7 +459,7 @@ def test_int_image_and_relations_matches_separate_forms():
         assert LatticeZ.from_generators(w, images).basis == tuple(map(tuple, image))
         # relations as the parent computed them: the kernel of the
         # transposed images, recombined over the labels
-        combos = int_kernel([list(col) for col in zip(*images)])
+        combos = int_kernel([list(col) for col in zip(*images)], k).basis
         recombined = [[sum(c * row[j] for c, row in zip(x, labels)) for j in range(lw)]
                       for x in combos]
         assert relations == hermite_normal_form(recombined, lw)
@@ -492,7 +501,9 @@ def test_solve_diophantine_random_differential():
 
 def test_int_kernel_and_solve_reject_ragged_matrices():
     with pytest.raises(ValueError, match="ragged"):
-        int_kernel([[1, 2], [3]])
+        int_kernel([[1, 2], [3]], 2)
+    with pytest.raises(ValueError, match="ragged"):
+        int_kernel([[1, 2]], 3)
     with pytest.raises(ValueError, match="ragged"):
         solve_diophantine([[1, 2], [3]], [0, 0])
 
@@ -627,3 +638,26 @@ def test_mat_mul_rejects_mismatched_shapes():
 def test_mask_helpers():
     assert mask_from_bits([0, 2]) == 0b101
     assert parity(0b1011) == 1
+
+
+def test_xor_span_matches_a_bit_pattern_loop():
+    rng = random.Random(59)
+    cases = [[], [0b1], [0b110, 0b110], [0b1, 0b10, 0b100]]
+    cases += [[rng.getrandbits(8) for _ in range(rng.randint(1, 6))] for _ in range(30)]
+    for masks in cases:
+        expect, sizes = [], []
+        for pattern in range(1 << len(masks)):
+            x = size = 0
+            for k, d in enumerate(masks):
+                if pattern >> k & 1:
+                    x ^= d
+                    size += 1
+            expect.append(x)
+            sizes.append(size)
+        span = xor_span(masks)
+        assert span == expect
+        assert [parity(k) for k in range(len(span))] == [size & 1 for size in sizes]
+    assert xor_span([]) == [0]
+    # on disjoint single bits a point's popcount is the size of its subset
+    singles = [1 << e for e in (0, 3, 4, 7)]
+    assert [parity(x) for x in xor_span(singles)] == [parity(k) for k in range(16)]
