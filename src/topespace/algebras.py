@@ -116,26 +116,6 @@ def nbc_sets(m: OrientedMatroid, p: int, order: Optional[Sequence[int]] = None) 
     return out
 
 
-def nbc_flag(m: OrientedMatroid, s: Sequence[int], order: Optional[Sequence[int]] = None) -> Flag:
-    """A complete flag whose k-th flat is the closure of the k order-largest
-    elements of the independent set s; missing ranks are filled with the
-    smallest available flat."""
-    pos = _order_positions(m.n, order)
-    elems = sorted(s, key=lambda e: pos[e], reverse=True)
-    flats = [0]
-    mask = 0
-    for k, e in enumerate(elems):
-        mask |= 1 << e
-        f = m.closure(mask)
-        if m.flats[f] != k + 1:
-            raise ValueError("set is not independent")
-        flats.append(f)
-    while len(flats) <= m.rank:
-        r = len(flats)
-        flats.append(next(g for g in m.flats_by_rank[r] if flats[-1] & ~g == 0))
-    return Flag(tuple(flats))
-
-
 # ---------------------------------------------------------------------------
 # exterior and square-free coordinates
 

@@ -63,13 +63,6 @@ def fan_cones(m: OrientedMatroid) -> list[FanCone]:
     ])
 
 
-def cone_of(m: OrientedMatroid, flag: Flag) -> FanCone:
-    for cone in fan_cones(m):
-        if cone.flag == flag:
-            return cone
-    raise ValueError("flag does not index a cone of the fan")
-
-
 def stalk_matroid(m: OrientedMatroid, flag: Flag) -> OrientedMatroid:
     """Initial matroid of a flag; the trivial flag gives back m.
 

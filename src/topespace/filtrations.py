@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebras import SFPoly, nbc_sets, subset_index, wedge_masks
 from .linalg import (
@@ -115,7 +115,7 @@ def vg_lower(m: OrientedMatroid, p: int, ring: str = "z"):
 
 
 # ---------------------------------------------------------------------------
-# prefix chains and affine coordinate chains
+# prefix chains
 
 def _complete_flag_data(m: OrientedMatroid, flag: Flag, v: SignVector):
     if not is_complete_flag(m, flag):
@@ -125,32 +125,17 @@ def _complete_flag_data(m: OrientedMatroid, flag: Flag, v: SignVector):
     return flag.blocks()
 
 
-def _coset_chain(m: OrientedMatroid, blocks: list[int], v: SignVector,
-                 positions: Sequence[int]) -> tuple[int, ...]:
-    # signed sum over the coset v + <d_i : i in positions>, the sign of a
-    # point being the parity of its expansion in the chosen block vectors
-    out = [0] * len(m.topes)
-    for k, x in enumerate(xor_span([blocks[i - 1] for i in positions])):
-        out[m.tope_by_minus[v.minus ^ x]] += -1 if parity(k) else 1
-    return tuple(out)
-
-
 def prefix_chain(m: OrientedMatroid, flag: Flag, v: SignVector, p: int) -> tuple[int, ...]:
-    """The degree-p signed chain of the flag with the given origin tope."""
+    """The degree-p signed chain of the flag with the given origin tope: the
+    signed sum over the coset v + <d_1, ..., d_p> of the first p block
+    directions, the sign of a point being the parity of its expansion."""
     blocks = _complete_flag_data(m, flag, v)
     if not 0 <= p <= m.rank:
         raise ValueError("degree out of range")
-    return _coset_chain(m, blocks, v, range(1, p + 1))
-
-
-def affine_coordinate_chain(m: OrientedMatroid, flag: Flag, v: SignVector,
-                            s: Iterable[int]) -> tuple[int, ...]:
-    """Signed chain of the coset of block directions indexed by s (1-based)."""
-    blocks = _complete_flag_data(m, flag, v)
-    positions = sorted(set(s))
-    if positions and (positions[0] < 1 or positions[-1] > m.rank):
-        raise ValueError("block positions out of range")
-    return _coset_chain(m, blocks, v, positions)
+    out = [0] * len(m.topes)
+    for k, x in enumerate(xor_span(blocks[:p])):
+        out[m.tope_by_minus[v.minus ^ x]] += -1 if parity(k) else 1
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

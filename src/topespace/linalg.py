@@ -368,12 +368,18 @@ def int_kernel(rows: IntMatrix, ncols: int) -> "LatticeZ":
     `rows`, in its canonical HNF basis; Z^ncols when there are no rows."""
     if any(len(r) != ncols for r in rows):
         raise ValueError(f"ragged matrix: an equation has other than {ncols} entries")
-    kern = int_relations([[r[j] for r in rows] for j in range(ncols)], int_identity(ncols))
-    # check a·x = 0 on the nonzero entries of x only: kernel rows are sparse
-    # where the rows of a are wide
+    cols = [[r[j] for r in rows] for j in range(ncols)]
+    kern = int_relations(cols, int_identity(ncols))
+    # check a·x = 0 as the sum of x_j times the nonzeros of column j, over
+    # the support of x only: kernel rows and the columns of a are sparse
+    sparse = [[(i, a) for i, a in enumerate(col) if a] for col in cols]
     for x in kern:
-        support = [(j, v) for j, v in enumerate(x) if v]
-        if any(sum(row[j] * v for j, v in support) for row in rows):
+        ax = [0] * len(rows)
+        for j, v in enumerate(x):
+            if v:
+                for i, a in sparse[j]:
+                    ax[i] += a * v
+        if any(ax):
             raise RuntimeError("int_kernel check failed: a·x != 0 for a returned row")
     return LatticeZ(ncols, tuple(map(tuple, kern)))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .linalg import LatticeZ, bits_of, int_kernel, mask_from_bits
 
@@ -116,91 +116,125 @@ class AxiomReport:
     def __bool__(self) -> bool:
         return self.ok
 
+    def message(self) -> str:
+        """The failure as one line, naming the axiom and the witness."""
+        msg = f"covector axioms fail ({self.axiom})"
+        if self.witness:
+            msg += " witness: " + " ".join(
+                w.to_str() if isinstance(w, SignVector) else f"element {w}"
+                for w in self.witness
+            )
+        return msg
+
+
+def compositions(generators: Sequence[int], n: int) -> Iterator[tuple[int, int, int]]:
+    """The compositions of sign vector codes `plus | minus << n`, breadth first.
+
+    Yields (v, c, v∘c) for each code v∘c other than zero and the generators,
+    the first time it is reached, with c a generator and v a generator or an
+    earlier yield.  The order is fixed by the order of `generators`.
+    """
+    full = (1 << n) - 1
+    found = {0, *generators}
+    frontier = list(generators)
+    while frontier:
+        new = []
+        for v in frontier:
+            z = ~(v | v >> n) & full
+            keep = z | z << n
+            for c in generators:
+                w = v | (c & keep)
+                if w not in found:
+                    found.add(w)
+                    new.append(w)
+                    yield v, c, w
+        frontier = new
+
 
 def check_covector_axioms(vectors: Iterable[SignVector]) -> AxiomReport:
-    """Validate the covector axioms, reporting a witness for a failure.
+    """Validate the covector axioms through the cocircuits, with a witness
+    for a failure.
 
-    Checks, in this order: zero vector present, closure under negation,
-    closure under composition, and elimination over every ordered pair and
-    every separating element.  The first failure is reported with the pair
-    (l, k) that comes first in `product(vectors, repeat=2)` order and, for
-    elimination, the smallest failing element e.
-
-    Each sign vector is one int `code = plus | minus << n`, so the zero,
-    negation and composition tests are probes into one set of codes.
-    Elimination for (l, k, e) asks for a covector zero at e that agrees with
-    l∘k off the separator S of the pair, so it depends only on S and on
-    `want`, the code of l∘k masked off S.  For each S met, an index maps
-    the code masked off S of every covector zero somewhere in S to the union
-    of the zero sets of the covectors with that masked code; it is built on
-    the first pair with separator S.  One probe then tests a pair for every
-    e in S at once: the failing elements are `S & ~index[S][want]`.
+    A set L of sign vectors is the covector set of an oriented matroid
+    exactly when it contains 0, its nonzero elements of minimal support
+    (the cocircuits) satisfy the cocircuit axioms, and L is the set of
+    compositions of cocircuits (Björner, Las Vergnas, Sturmfels, White &
+    Ziegler, Oriented Matroids, 1999, section 3.7).  Checks, in this order:
+    - zero: 0 is in L;
+    - negation: -v is in L, witness (v,);
+    - elimination: for cocircuits X != -Y and each e where their signs are
+      opposite, some cocircuit Z is zero at e with Z+ inside X+ ∪ Y+ and Z-
+      inside X- ∪ Y-, witness (X, Y, e).  The test is symmetric in X and Y,
+      so each pair is taken once.  Two cocircuits on one support that are
+      not opposite fail it, since Z would have a smaller support;
+    - composition: each of the `compositions` v∘c of the cocircuits is in
+      L, witness (v, c);
+    - cocircuit closure: each v in L is a composition of cocircuits,
+      witness (v,).
+    Sign vectors, cocircuits and compositions are taken in the order of
+    `vectors`, so the witness is deterministic.  Each sign vector is one int
+    `code = plus | minus << n`, so every test is a probe into a set of codes.
     """
-    vecs = list(dict.fromkeys(vectors))
+    vecs = list(vectors)
     if not vecs:
         return AxiomReport(False, "zero", ())
     n = vecs[0].n
     if any(v.n != n for v in vecs):
         raise ValueError("ground set mismatch")
     full = (1 << n) - 1
-    codes = [v.plus | v.minus << n for v in vecs]
-    code_set = set(codes)
-    if 0 not in code_set:
+    by_code = {v.plus | v.minus << n: v for v in vecs}
+    if 0 not in by_code:
         return AxiomReport(False, "zero", ())
-    for v, c in zip(vecs, codes):
-        if c >> n | (c & full) << n not in code_set:
+    for c, v in by_code.items():
+        if c >> n | (c & full) << n not in by_code:
             return AxiomReport(False, "negation", (v,))
-    zeros = [~(c | c >> n) & full for c in codes]
-    # `off[i]` clears the support of vecs[i] from a code: l∘k = l | k & off
-    off = [z | z << n for z in zeros]
-    for i, lc in enumerate(codes):
-        keep = off[i]
-        for j, kc in enumerate(codes):
-            if lc | (kc & keep) not in code_set:
-                return AxiomReport(False, "composition", (vecs[i], vecs[j]))
-    index: dict[int, dict[int, int]] = {}
-    for i, lc in enumerate(codes):
-        lp, lm, keep = lc & full, lc >> n, off[i]
-        for j, kc in enumerate(codes):
-            sep = (lp & kc >> n) | (lm & kc & full)
-            if not sep:
+    support = {c: (c | c >> n) & full for c in by_code}
+    minimal: set[int] = set()
+    for s in sorted(set(support.values()) - {0}, key=int.bit_count):
+        if all(t & ~s for t in minimal):
+            minimal.add(s)
+    cocircuits = [c for c in by_code if support[c] in minimal]
+    for i, x in enumerate(cocircuits):
+        for y in cocircuits[i + 1:]:
+            sep = (x & y >> n) | (x >> n & y)
+            if not sep or y == x >> n | (x & full) << n:
                 continue
-            clear = ~(sep | sep << n)
-            zero_at = index.get(sep)
-            if zero_at is None:
-                zero_at = index[sep] = {}
-                for c, z in zip(codes, zeros):
-                    if z & sep:
-                        w = c & clear
-                        zero_at[w] = zero_at.get(w, 0) | z
-            missing = sep & ~zero_at.get((lc | (kc & keep)) & clear, 0)
+            missing = sep
+            for z in cocircuits:
+                if not z & ~(x | y):
+                    missing &= support[z]
             if missing:
                 e = (missing & -missing).bit_length() - 1
-                return AxiomReport(False, "elimination", (vecs[i], vecs[j], e))
+                return AxiomReport(False, "elimination", (by_code[x], by_code[y], e))
+    reached = {0, *cocircuits}
+    for v, c, w in compositions(cocircuits, n):
+        if w not in by_code:
+            return AxiomReport(False, "composition", (by_code[v], by_code[c]))
+        reached.add(w)
+    for c, v in by_code.items():
+        if c not in reached:
+            return AxiomReport(False, "cocircuit closure", (v,))
     return AxiomReport(True)
+
+
+def _canonical(vectors: Iterable[SignVector]) -> list[SignVector]:
+    """The distinct sign vectors in canonical (plus, minus) order; raises
+    `NotCovectors` when there are none or their ground sets differ."""
+    covs = sorted(set(vectors), key=lambda v: (v.plus, v.minus))
+    if not covs:
+        raise NotCovectors("empty covector set")
+    if any(v.n != covs[0].n for v in covs):
+        raise NotCovectors("mixed ground set sizes")
+    return covs
 
 
 class OrientedMatroid:
     """A loopless oriented matroid given by its full covector set."""
 
-    def __init__(self, covectors: Iterable[SignVector], validate_axioms: bool = False):
-        covs = sorted(set(covectors), key=lambda v: (v.plus, v.minus))
-        if not covs:
-            raise NotCovectors("empty covector set")
+    def __init__(self, covectors: Iterable[SignVector]):
+        covs = _canonical(covectors)
         self.n = covs[0].n
-        if any(v.n != self.n for v in covs):
-            raise NotCovectors("mixed ground set sizes")
         self.full_mask = (1 << self.n) - 1
-        if validate_axioms:
-            report = check_covector_axioms(covs)
-            if not report:
-                msg = f"covector axioms fail ({report.axiom})"
-                if report.witness:
-                    msg += " witness: " + " ".join(
-                        w.to_str() if isinstance(w, SignVector) else f"element {w}"
-                        for w in report.witness
-                    )
-                raise NotCovectors(msg)
         self.covectors: tuple[SignVector, ...] = tuple(covs)
         self.covector_set = frozenset(covs)
         if SignVector.zero(self.n) not in self.covector_set:
@@ -490,18 +524,23 @@ def parse_covector_lines(text: str) -> list[SignVector]:
 
 
 def om_from_covectors(vectors: Iterable[SignVector]) -> OrientedMatroid:
-    """Build an oriented matroid from an explicit covector list, validating axioms."""
-    return OrientedMatroid(vectors, validate_axioms=True)
+    """Build an oriented matroid from an explicit covector list after one
+    check of the covector axioms; `NotCovectors` names a failing axiom."""
+    covs = _canonical(vectors)
+    report = check_covector_axioms(covs)
+    if not report:
+        raise NotCovectors(report.message())
+    return OrientedMatroid(covs)
 
 
 def om_from_arrangement(arr: Arrangement) -> OrientedMatroid:
-    """Covector set of a central arrangement, via cocircuits plus composition.
+    """Covector set of a central arrangement: zero, the cocircuits and their
+    `compositions`, checked once by `check_covector_axioms`.
 
     Each normal is scaled by the lcm of its denominators, which keeps every
     sign.  For each corank-one flat of the normal-vector matroid, the first
     integer kernel vector of the normals in the flat that is not orthogonal
-    to every normal yields a cocircuit pair; the covector set is the
-    composition closure of the cocircuits together with zero.
+    to every normal yields a cocircuit pair.
     """
     d, n = arr.dim, arr.n
     normals = []
@@ -533,7 +572,8 @@ def om_from_arrangement(arr: Arrangement) -> OrientedMatroid:
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))
 
-    cocircuits: set[SignVector] = set()
+    full = (1 << n) - 1
+    cocircuits: set[int] = set()
     for flat in hyperflats:
         basis = int_kernel([normals[i] for i in bits_of(flat)], d).basis
         found = next((x for x in basis if any(dot(x, v) for v in normals)), None)
@@ -546,23 +586,14 @@ def om_from_arrangement(arr: Arrangement) -> OrientedMatroid:
                 plus |= 1 << i
             elif s < 0:
                 minus |= 1 << i
-        sv = SignVector(n, plus, minus)
-        if sv.zero_set != flat:
+        if full & ~(plus | minus) != flat:
             raise RuntimeError("cocircuit zero set does not match its flat")
-        cocircuits.add(sv)
-        cocircuits.add(sv.negate())
+        cocircuits.update((plus | minus << n, minus | plus << n))
 
-    covs = {SignVector.zero(n)} | cocircuits
-    ordered = sorted(cocircuits, key=lambda u: (u.plus, u.minus))
-    frontier = list(covs)
-    while frontier:
-        new = []
-        for v in sorted(frontier, key=lambda u: (u.plus, u.minus)):
-            for c in ordered:
-                w = compose(v, c)
-                if w not in covs:
-                    covs.add(w)
-                    new.append(w)
-        frontier = new
-    om = OrientedMatroid(covs, validate_axioms=True)
-    return om
+    generators = sorted(cocircuits)
+    codes = {0, *generators, *(w for _, _, w in compositions(generators, n))}
+    covs = _canonical(SignVector(n, c & full, c >> n) for c in codes)
+    report = check_covector_axioms(covs)
+    if not report:
+        raise NotCovectors(report.message())
+    return OrientedMatroid(covs)

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from typing import Iterable
+from typing import Iterable, Optional, Sequence
 
-from topespace.algebras import SFPoly, cordovil_dual, sf_vector, subset_index, wedge_masks
+from topespace.algebras import (
+    SFPoly,
+    _order_positions,
+    cordovil_dual,
+    sf_vector,
+    subset_index,
+    wedge_masks,
+)
 from topespace.cosheaf import (
     NaturalityReport,
     SESReport,
@@ -14,7 +21,13 @@ from topespace.cosheaf import (
     fan_cones,
     stalk_matroid,
 )
-from topespace.filtrations import IntChain, _ladder_rows, prefix_chain, vg_lower
+from topespace.filtrations import (
+    IntChain,
+    _complete_flag_data,
+    _ladder_rows,
+    prefix_chain,
+    vg_lower,
+)
 from topespace.linalg import (
     IntMatrix,
     LatticeZ,
@@ -37,6 +50,7 @@ from topespace.om import (
     SignVector,
     compose,
     enumerate_flags,
+    om_from_covectors,
     tope_flag_set,
     zero_out,
 )
@@ -139,6 +153,70 @@ def homology_Z_by_fine(fine: FineComplex) -> IntegralHomology:
         betti.append(fine.n_simplices(p) - len(diags[p]) - len(diags[p + 1]))
         torsion.append([x for x in diags[p + 1] if abs(x) > 1])
     return IntegralHomology(betti, torsion)
+
+
+def check_covector_axioms_by_index(vectors: Iterable[SignVector]) -> AxiomReport:
+    """The covector axioms over every pair of covectors, with a witness for
+    a failure.
+
+    Checks, in this order: zero vector present, closure under negation,
+    closure under composition, and elimination over every ordered pair and
+    every separating element.  The first failure is reported with the pair
+    (l, k) that comes first in `product(vectors, repeat=2)` order and, for
+    elimination, the smallest failing element e.
+
+    Each sign vector is one int `code = plus | minus << n`, so the zero,
+    negation and composition tests are probes into one set of codes.
+    Elimination for (l, k, e) asks for a covector zero at e that agrees with
+    l∘k off the separator S of the pair, so it depends only on S and on
+    `want`, the code of l∘k masked off S.  For each S met, an index maps
+    the code masked off S of every covector zero somewhere in S to the union
+    of the zero sets of the covectors with that masked code; it is built on
+    the first pair with separator S.  One probe then tests a pair for every
+    e in S at once: the failing elements are `S & ~index[S][want]`.
+    """
+    vecs = list(dict.fromkeys(vectors))
+    if not vecs:
+        return AxiomReport(False, "zero", ())
+    n = vecs[0].n
+    if any(v.n != n for v in vecs):
+        raise ValueError("ground set mismatch")
+    full = (1 << n) - 1
+    codes = [v.plus | v.minus << n for v in vecs]
+    code_set = set(codes)
+    if 0 not in code_set:
+        return AxiomReport(False, "zero", ())
+    for v, c in zip(vecs, codes):
+        if c >> n | (c & full) << n not in code_set:
+            return AxiomReport(False, "negation", (v,))
+    zeros = [~(c | c >> n) & full for c in codes]
+    # `off[i]` clears the support of vecs[i] from a code: l∘k = l | k & off
+    off = [z | z << n for z in zeros]
+    for i, lc in enumerate(codes):
+        keep = off[i]
+        for j, kc in enumerate(codes):
+            if lc | (kc & keep) not in code_set:
+                return AxiomReport(False, "composition", (vecs[i], vecs[j]))
+    index: dict[int, dict[int, int]] = {}
+    for i, lc in enumerate(codes):
+        lp, lm, keep = lc & full, lc >> n, off[i]
+        for j, kc in enumerate(codes):
+            sep = (lp & kc >> n) | (lm & kc & full)
+            if not sep:
+                continue
+            clear = ~(sep | sep << n)
+            zero_at = index.get(sep)
+            if zero_at is None:
+                zero_at = index[sep] = {}
+                for c, z in zip(codes, zeros):
+                    if z & sep:
+                        w = c & clear
+                        zero_at[w] = zero_at.get(w, 0) | z
+            missing = sep & ~zero_at.get((lc | (kc & keep)) & clear, 0)
+            if missing:
+                e = (missing & -missing).bit_length() - 1
+                return AxiomReport(False, "elimination", (vecs[i], vecs[j], e))
+    return AxiomReport(True)
 
 
 def check_covector_axioms_by_scan(vectors: Iterable[SignVector]) -> AxiomReport:
@@ -882,4 +960,43 @@ def om_from_arrangement_by_fractions(arr: Arrangement) -> OrientedMatroid:
                     covs.add(w)
                     new.append(w)
         frontier = new
-    return OrientedMatroid(covs, validate_axioms=True)
+    return om_from_covectors(covs)
+
+
+def nbc_flag(m: OrientedMatroid, s: Sequence[int], order: Optional[Sequence[int]] = None) -> Flag:
+    """A complete flag whose k-th flat is the closure of the k order-largest
+    elements of the independent set s; missing ranks are filled with the
+    smallest available flat."""
+    pos = _order_positions(m.n, order)
+    elems = sorted(s, key=lambda e: pos[e], reverse=True)
+    flats = [0]
+    mask = 0
+    for k, e in enumerate(elems):
+        mask |= 1 << e
+        f = m.closure(mask)
+        if m.flats[f] != k + 1:
+            raise ValueError("set is not independent")
+        flats.append(f)
+    while len(flats) <= m.rank:
+        r = len(flats)
+        flats.append(next(g for g in m.flats_by_rank[r] if flats[-1] & ~g == 0))
+    return Flag(tuple(flats))
+
+
+def affine_coordinate_chain(m: OrientedMatroid, flag: Flag, v: SignVector,
+                            s: Iterable[int]) -> tuple[int, ...]:
+    """Signed chain of the coset of block directions indexed by s (1-based):
+    the point v + (sum of a subset of those directions) gets the sign
+    (-1)^(size of the subset), enumerated subset by subset."""
+    blocks = _complete_flag_data(m, flag, v)
+    positions = sorted(set(s))
+    if positions and (positions[0] < 1 or positions[-1] > m.rank):
+        raise ValueError("block positions out of range")
+    out = [0] * len(m.topes)
+    for size in range(len(positions) + 1):
+        for subset in combinations(positions, size):
+            x = 0
+            for i in subset:
+                x ^= blocks[i - 1]
+            out[m.tope_by_minus[v.minus ^ x]] += (-1) ** size
+    return tuple(out)

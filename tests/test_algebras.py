@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from oracles import lattice_saturated, os_dual, rank_graded_chains
+from oracles import lattice_saturated, nbc_flag, os_dual, rank_graded_chains
 
 from topespace.algebras import (
     broken_circuits,
@@ -11,7 +11,6 @@ from topespace.algebras import (
     cordovil_dual,
     cordovil_relation_rows,
     epsilon,
-    nbc_flag,
     nbc_sets,
     sf_mul,
     sf_vector,

@@ -103,8 +103,12 @@ def test_describe_axiom_failure(tmp_path, capsys):
 
 
 def test_covector_file_checks_axioms_once(tmp_path, monkeypatch):
-    path = tmp_path / "u23.txt"
-    path.write_text("\n".join(v.to_str() for v in load("u23").covectors) + "\n")
+    covectors = tmp_path / "u23.txt"
+    covectors.write_text("\n".join(v.to_str() for v in load("u23").covectors) + "\n")
+    normals = CORPUS["u23"].normals
+    arrangement = tmp_path / "u23.arr"
+    arrangement.write_text("\n".join([f"{len(normals)} {len(normals[0])}"]
+                                     + [" ".join(map(str, row)) for row in normals]) + "\n")
     original = om.check_covector_axioms
     calls = []
 
@@ -116,14 +120,17 @@ def test_covector_file_checks_axioms_once(tmp_path, monkeypatch):
         if (getattr(module, "__name__", "").startswith("topespace")
                 and getattr(module, "check_covector_axioms", None) is original):
             monkeypatch.setattr(module, "check_covector_axioms", counted)
-    assert cli.main(["describe", str(path)]) == 0
-    assert len(calls) == 1
+    for path in (covectors, arrangement):
+        calls.clear()
+        assert cli.main(["describe", str(path)]) == 0
+        assert len(calls) == 1, path.name
 
 
 @pytest.mark.parametrize("text, message", [
     ("000\n+++\n---\n++-\n", "covector axioms fail (negation) witness: ++-"),
     ("00\n++\n--\n+-\n-+\n", "covector axioms fail (elimination) witness: -- +- element 0"),
     ("++\n--\n", "covector axioms fail (zero)"),
+    ("00\n0+\n0-\n++\n--\n+-\n-+\n", "covector axioms fail (cocircuit closure) witness: --"),
 ])
 def test_axiom_failure_names_axiom_and_witness(tmp_path, capsys, text, message):
     path = tmp_path / "bad.txt"

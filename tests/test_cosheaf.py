@@ -10,7 +10,6 @@ from topespace import cosheaf
 from topespace.algebras import cordovil_dual, nbc_sets
 from topespace.corpus import CORPUS, load, names
 from topespace.cosheaf import (
-    cone_of,
     fan_cones,
     flag_lift,
     impossibility_check,
@@ -64,10 +63,6 @@ def test_fan_cone_fields():
         assert cone.generators == cone.flag.interior
         assert cone.lineality == m.full_mask
         assert cone.dim == len(cone.generators) + 1
-    trivial = make_flag(m, [])
-    assert cone_of(m, trivial).dim == 1
-    with pytest.raises(ValueError):
-        cone_of(m, Flag((0, 0b011, 0b111)))
 
 
 def test_stalk_matroid_trivial_flag_is_identity():

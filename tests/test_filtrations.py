@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 from oracles import (
+    affine_coordinate_chain,
     asymptotic_member,
     asymptotic_rows_by_tuples,
     gf2_solver_by_scan,
@@ -33,7 +34,6 @@ from topespace.algebras import (
 from topespace.cli import verify_checks
 from topespace.corpus import CORPUS, load, names
 from topespace.filtrations import (
-    affine_coordinate_chain,
     asymptotic,
     brick,
     brick_certificate,

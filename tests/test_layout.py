@@ -11,9 +11,11 @@ the Theorem C verifiers push chains through tope index maps, never
 through dense stalk matrices; the Theorem B verifier, integral homology
 and the CLI work on the coarse Salvetti complex, never on its fine
 subdivision; the coarse cells and boundaries come from mask tests and
-coface lists, never from composing every pair of covector and tope; and
+coface lists, never from composing every pair of covector and tope;
 every XOR over the subsets of a list of masks comes from `linalg.xor_span`,
-never from a `range(1 << k)` loop over bit patterns.
+never from a `range(1 << k)` loop over bit patterns; and the covector
+axiom check and the arrangement build compose covectors through the one
+closure `om.compositions`.
 """
 
 import ast
@@ -189,3 +191,11 @@ def test_salvetti_cells_and_boundaries_never_compose_pairs(method):
              if isinstance(node, ast.FunctionDef) and node.name == method]
     lines = _named_lines(fn, PAIRWISE_SCAN)
     assert lines == [], f"SalvettiComplex.{method}: compose or le named at lines {lines}"
+
+
+@pytest.mark.parametrize("name", ["check_covector_axioms", "om_from_arrangement"])
+def test_covector_compositions_come_from_one_closure(name):
+    fn = _function("om.py", name)
+    assert _named_lines(fn, {"compositions"}), f"{name} does not call om.compositions"
+    loops = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.While)]
+    assert loops == [], f"{name}: while loop at lines {loops}"

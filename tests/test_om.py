@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 from oracles import (
+    check_covector_axioms_by_index,
     check_covector_axioms_by_scan,
     maximal_covector_not_tope_by_scan,
     om_from_arrangement_by_fractions,
@@ -190,7 +191,7 @@ def mutate(vecs: list[SignVector], rng: random.Random) -> list[SignVector]:
 def test_axiom_check_matches_scan_oracle():
     rng = random.Random(20261018)
     sets = covector_sets()
-    # gen4_6 takes the oracle over a second per full scan, so it gets fewer draws
+    # gen4_6 takes the scan over a second per full pass, so it gets fewer draws
     cases = [list(vecs) for vecs in sets.values()]
     for name, vecs in sets.items():
         for _ in range(4 if name == "gen4_6" else 20):
@@ -198,10 +199,87 @@ def test_axiom_check_matches_scan_oracle():
     assert len(cases) >= 100 + len(sets)
     seen = set()
     for vecs in cases:
-        report = check_covector_axioms(vecs)
+        report = check_covector_axioms_by_index(vecs)
         assert report == check_covector_axioms_by_scan(vecs)
         seen.add(report.axiom)
     assert seen >= {None, "negation", "composition", "elimination"}
+
+
+def mutate_signs(vecs: list[SignVector], rng: random.Random) -> list[SignVector]:
+    """Drop a nonzero covector, flip one of its signs or zero one of its
+    coordinates, to it alone or to it and its negative alike; then shuffle."""
+    vecs = list(vecs)
+    v = rng.choice([w for w in vecs if w.support])
+    targets = [v] if rng.random() < 0.25 else [v, v.negate()]
+    e = rng.choice([i for i in range(v.n) if v.sign(i)])
+    kind = rng.choice(("drop", "flip", "zero"))
+    for w in targets:
+        vecs.remove(w)
+        if kind == "flip":
+            vecs.append(SignVector(w.n, w.plus ^ 1 << e, w.minus ^ 1 << e))
+        elif kind == "zero":
+            vecs.append(zero_out(w, 1 << e))
+    rng.shuffle(vecs)
+    return list(dict.fromkeys(vecs))
+
+
+def cocircuits_by_scan(vecs: list[SignVector]) -> list[SignVector]:
+    """The nonzero sign vectors with no nonzero one of strictly smaller support."""
+    nonzero = [v for v in vecs if v.support]
+    return [v for v in nonzero
+            if not any(w.support != v.support and w.support & ~v.support == 0
+                       for w in nonzero)]
+
+
+def witness_holds(vecs: list[SignVector], report) -> bool:
+    """Whether the witness of a failed report violates the condition its
+    axiom names, re-checked by direct scan over `vecs`."""
+    vset = set(vecs)
+    n = vecs[0].n
+    if report.axiom == "zero":
+        return SignVector.zero(n) not in vset
+    if report.axiom == "negation":
+        (v,) = report.witness
+        return v in vset and v.negate() not in vset
+    if report.axiom == "composition":
+        v, c = report.witness
+        return v in vset and c in vset and compose(v, c) not in vset
+    cocircuits = cocircuits_by_scan(vecs)
+    if report.axiom == "elimination":
+        x, y, e = report.witness
+        return (x in cocircuits and y in cocircuits and x != y.negate()
+                and (x.separator(y) >> e) & 1
+                and not any(z.sign(e) == 0 and z.plus & ~(x.plus | y.plus) == 0
+                            and z.minus & ~(x.minus | y.minus) == 0
+                            for z in cocircuits))
+    if report.axiom == "cocircuit closure":
+        (v,) = report.witness
+        closure = {SignVector.zero(n), *cocircuits}
+        while more := {compose(a, c) for a in closure for c in cocircuits} - closure:
+            closure |= more
+        return v in vset and v not in closure
+    raise AssertionError(f"unknown axiom {report.axiom!r}")
+
+
+def test_cocircuit_check_matches_index_oracle():
+    rng = random.Random(16)
+    sets = dict(covector_sets())
+    sets["b3"] = b3().covectors
+    sets["a4"] = om_from_arrangement(braid(5)).covectors
+    assert set(sets) >= {"u11", "u22", "u23", "u34", "a3", "gen3_6", "gen4_6"}
+    cases = [list(vecs) for vecs in sets.values()]
+    for vecs in sets.values():
+        for _ in range(14):
+            cases.append(mutate_signs(vecs, rng))
+    assert len(cases) >= 124 + len(sets)
+    seen = set()
+    for vecs in cases:
+        report = check_covector_axioms(vecs)
+        assert report.ok == check_covector_axioms_by_index(vecs).ok
+        if not report.ok:
+            assert witness_holds(vecs, report), report
+        seen.add(report.axiom)
+    assert seen >= {None, "negation", "elimination", "composition", "cocircuit closure"}
 
 
 def test_maximal_covector_not_tope_is_rejected():
