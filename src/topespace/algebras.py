@@ -32,17 +32,21 @@ SFPoly = dict
 # circuits
 
 
-def circuits(m: OrientedMatroid) -> list[int]:
-    """Masks of the minimal dependent subsets, sorted."""
-    found: list[int] = []
-    for size in range(2, m.rank + 2):
-        for combo in combinations(range(m.n), size):
-            mask = mask_from_bits(combo)
-            if any(c & ~mask == 0 for c in found):
-                continue
-            if m.subset_rank(mask) < size:
-                found.append(mask)
-    return sorted(found)
+def circuits(m: OrientedMatroid) -> tuple[int, ...]:
+    """Masks of the minimal dependent subsets, sorted; cached per matroid."""
+
+    def build():
+        found: list[int] = []
+        for size in range(2, m.rank + 2):
+            for combo in combinations(range(m.n), size):
+                mask = mask_from_bits(combo)
+                if any(c & ~mask == 0 for c in found):
+                    continue
+                if m.subset_rank(mask) < size:
+                    found.append(mask)
+        return tuple(sorted(found))
+
+    return m.memo("circuits", build)
 
 
 def _orthogonal(x: SignVector, y: SignVector) -> bool:
@@ -181,33 +185,29 @@ def sf_vector(poly: SFPoly, n: int, p: int) -> list[int]:
 # Cordovil dual
 
 
-def cordovil_relation_rows(m: OrientedMatroid, p: int) -> list[list[int]]:
+def cordovil_relation_rows(m: OrientedMatroid, p: int) -> list[dict[int, int]]:
     """Degree-p relation rows m0 * dC over signed circuits C and square-free
-    monomials m0, in p-subset coordinates.
+    monomials m0, as sparse rows in p-subset coordinates.
 
     dC drops one circuit element at a time with its sign; multiplication is
     commutative and a term dies when the monomial meets the remaining
-    support.
+    support.  The surviving terms of one row are distinct monomials.
     """
     index = subset_index(m.n, p)
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     for c in signed_circuits(m):
-        t = len(bits_of(c.support))
-        extra = p - t + 1
+        support = bits_of(c.support)
+        extra = p - len(support) + 1
         if extra < 0:
             continue
         for mono in combinations(range(m.n), extra):
             mono_mask = mask_from_bits(mono)
-            row = [0] * len(index)
-            hit = False
-            for e in bits_of(c.support):
+            row = {}
+            for e in support:
                 rest = c.support & ~(1 << e)
-                if mono_mask & rest:
-                    continue
-                key = tuple(sorted(mono + tuple(bits_of(rest))))
-                row[index[key]] += c.sign(e)
-                hit = True
-            if hit and any(row):
+                if not mono_mask & rest:
+                    row[index[tuple(sorted(mono + tuple(bits_of(rest))))]] = c.sign(e)
+            if row:
                 rows.append(row)
     return rows
 

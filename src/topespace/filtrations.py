@@ -83,17 +83,6 @@ def pair_chain(m: OrientedMatroid, gamma: IntChain, p: int) -> list[int]:
     return [sum(map(at, topes)) for topes in heaviside_pairing(m, p)]
 
 
-def _monomial_rows_int(m: OrientedMatroid, max_deg: int) -> list[list[int]]:
-    rows = []
-    for q in range(max_deg + 1):
-        for topes in heaviside_pairing(m, q):
-            row = [0] * len(m.topes)
-            for i in topes:
-                row[i] = 1
-            rows.append(row)
-    return rows
-
-
 def vg_lower(m: OrientedMatroid, p: int, ring: str = "z"):
     """Degree-p piece of the lower filtration: chains annihilated by every
     Heaviside monomial of degree < p.
@@ -105,10 +94,11 @@ def vg_lower(m: OrientedMatroid, p: int, ring: str = "z"):
 
     def build():
         nt = len(m.topes)
+        supports = [topes for q in range(p) for topes in heaviside_pairing(m, q)]
         if ring == "z":
-            return int_kernel(_monomial_rows_int(m, p - 1), nt)
+            return int_kernel([dict.fromkeys(topes, 1) for topes in supports], nt)
         if ring == "z2":
-            return gf2_kernel(map(chain_mod2, _monomial_rows_int(m, p - 1)), nt)
+            return gf2_kernel(map(mask_from_bits, supports), nt)
         raise ValueError(f"unknown ring {ring!r}")
 
     return m.memo(("vg_lower", p, ring), build)
@@ -502,20 +492,19 @@ def tilde_a(m: OrientedMatroid, gamma: IntChain, p: int) -> SFPoly:
 # the asymptotic filtration
 
 def _asymptotic_rows(m: OrientedMatroid, p: int) -> list[list[int]]:
-    """The equations of the degree-p asymptotic piece, distinct and sorted.
+    """The supports of the equations of the degree-p asymptotic piece,
+    distinct and sorted by their tope masks.
 
-    For each tope t2 and each subset s of fewer than p elements, the
-    indicator of the topes t that t2 separates on all of s.  Each is a tope
-    mask: the AND over e in s of the topes separated from t2 at e, which are
-    the topes of the other sign at e.  Tope i sits at bit nt - 1 - i, so the
-    masks sort as the 0/1 rows do, and a mask's binary digits are its row.
+    For each tope t2 and each subset s of fewer than p elements, the topes t
+    that t2 separates on all of s.  Each is a tope mask: the AND over e in s
+    of the topes separated from t2 at e, which are the topes of the other
+    sign at e.
     """
-    nt = len(m.topes)
-    full = (1 << nt) - 1
+    full = (1 << len(m.topes)) - 1
     negative = [0] * m.n  # negative[e]: the topes with sign - at e
     for i, t in enumerate(m.topes):
         for e in bits_of(t.minus):
-            negative[e] |= 1 << (nt - 1 - i)
+            negative[e] |= 1 << i
     rows: set[int] = set()
     for t2 in m.topes:
         at = [full ^ neg if t2.minus >> e & 1 else neg for e, neg in enumerate(negative)]
@@ -525,14 +514,14 @@ def _asymptotic_rows(m: OrientedMatroid, p: int) -> list[list[int]]:
                 for sep in s:
                     row &= sep
                 rows.add(row)
-    return [list(map(int, format(r, f"0{nt}b"))) for r in sorted(rows)]
+    return [bits_of(r) for r in sorted(rows)]
 
 
 def asymptotic(m: OrientedMatroid, p: int) -> LatticeZ:
     """Integer lattice of chains passing the degree-p difference criterion:
-    the kernel of `_asymptotic_rows`."""
-    return m.memo(("asymptotic", p),
-                  lambda: int_kernel(_asymptotic_rows(m, p), len(m.topes)))
+    the kernel of the equations `_asymptotic_rows`, each one on its support."""
+    return m.memo(("asymptotic", p), lambda: int_kernel(
+        [dict.fromkeys(s, 1) for s in _asymptotic_rows(m, p)], len(m.topes)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Exact linear algebra over GF(2) and over the integers.
 
 GF(2) vectors are Python ints used as bitmasks (bit i = coordinate i), so a
-matrix is just a list of row masks and row reduction is XOR.  Integer matrices
-are lists of rows of Python ints.  Everything is arbitrary precision; no
-floating point is used anywhere in this package.
+matrix is just a list of row masks and row reduction is XOR.  Integer
+equations are sparse rows {col: value}; lattice bases and the matrices of
+the Smith form are lists of rows of Python ints.  Everything is arbitrary
+precision; no floating point is used anywhere in this package.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -223,14 +223,6 @@ def gf2_kernel(rows: Iterable[int], ncols: int) -> SubspaceGF2:
 IntMatrix = list[list[int]]
 
 
-def int_identity(n: int) -> IntMatrix:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a: IntMatrix, x: list[int]) -> list[int]:
-    return [sum(v * xv for v, xv in zip(row, x)) for row in a]
-
-
 def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
     """Invariant factors of an integer matrix.
 
@@ -243,14 +235,14 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
     invariant factors.  The diagonal is then sorted into the divisibility
     chain by pairwise gcd and lcm, which keeps, for each prime, the multiset
     of its exponents.  No transforms are kept, since kernels and solutions
-    come from the Hermite form (`int_relations`).
+    come from labelled Hermite forms (`int_kernel`).
     """
     n = len(a[0]) if a else 0
     if any(len(r) != n for r in a):
         raise ValueError("ragged matrix")
     h = hermite_normal_form(a, n)
     while any(sum(1 for x in row if x) != 1 for row in h):
-        h = hermite_normal_form(_columns(h), len(h))
+        h = hermite_normal_form(list(zip(*h)), len(h))
     diag = sorted(x for row in h for x in row if x)
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
@@ -260,25 +252,34 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
 
 
 def hermite_normal_form(rows: Iterable[list[int] | tuple[int, ...]], ncols: int) -> list[list[int]]:
-    """Canonical row-style HNF basis of the lattice spanned by `rows`.
-
-    Pivots are positive, entries above a pivot are reduced into [0, pivot),
-    and pivot columns strictly increase, so the output is unique per lattice.
-
-    The working rows are sparse, {col: value}, bucketed by leading column.
-    Column by column, the rows led there are reduced by the one with the
-    smallest leading entry until a single row is left; an update walks only
-    the pivot row's entries, and a row whose lead cancels moves to the bucket
-    of its new lead.  Back-reduction then updates only the basis rows with an
-    entry in the pivot column.  Rows come in and go out dense.
-    """
-    led_by: dict[int, list[dict[int, int]]] = {}
+    """Canonical row-style HNF basis of the lattice spanned by `rows`: the
+    dense front of `_hermite_rows`."""
+    sparse = []
     for r in rows:
         if len(r) != ncols:
             raise ValueError(f"row of length {len(r)} in a matrix with {ncols} columns")
-        row = dict(compress(enumerate(r), r))
+        sparse.append(_sparse(r))
+    return [_dense(row, 0, ncols) for _, row in _hermite_rows(sparse, ncols)]
+
+
+def _hermite_rows(rows: Iterable[dict[int, int]], ncols: int) -> list[tuple[int, dict[int, int]]]:
+    """The canonical HNF basis of the lattice spanned by sparse rows
+    {col: value} (nonzero values, columns 0..ncols-1), as (pivot col, row)
+    pairs in increasing pivot order.  The rows are reduced in place.
+
+    Pivots are positive, entries above a pivot are reduced into [0, pivot),
+    and pivot columns strictly increase, so the output is unique per lattice.
+    The working rows are bucketed by leading column.  Column by column, the
+    rows led there are reduced by the one with the smallest leading entry
+    until a single row is left; an update walks only the pivot row's entries,
+    and a row whose lead cancels moves to the bucket of its new lead.
+    Back-reduction then updates only the basis rows with an entry in the
+    pivot column.
+    """
+    led_by: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
         if row:
-            led_by.setdefault(next(iter(row)), []).append(row)
+            led_by.setdefault(min(row), []).append(row)
     basis: list[tuple[int, dict[int, int]]] = []  # (pivot col, row)
     for c in range(ncols):
         led = led_by.pop(c, None)
@@ -307,13 +308,7 @@ def hermite_normal_form(rows: Iterable[list[int] | tuple[int, ...]], ncols: int)
             x = rj.get(c)
             if x is not None and (q := x // pivot):
                 _sub_multiple(rj, q, row)
-    out = []
-    for _, row in basis:
-        dense = [0] * ncols
-        for j, x in row.items():
-            dense[j] = x
-        out.append(dense)
-    return out
+    return basis
 
 
 def _sub_multiple(r: dict[int, int], q: int, prow: dict[int, int]) -> None:
@@ -327,61 +322,76 @@ def _sub_multiple(r: dict[int, int], q: int, prow: dict[int, int]) -> None:
             del r[j]
 
 
-def _columns(a: IntMatrix) -> IntMatrix:
-    n = len(a[0]) if a else 0
-    if any(len(r) != n for r in a):
-        raise ValueError("ragged matrix")
-    return [[r[j] for r in a] for j in range(n)]
+def _sparse(v: Sequence[int], start: int = 0) -> dict[int, int]:
+    """The nonzero entries of a dense vector, at columns start, start + 1, ..."""
+    return {start + j: x for j, x in enumerate(v) if x}
+
+
+def _dense(row: dict[int, int], start: int, width: int) -> list[int]:
+    """Columns start..start + width - 1 of a sparse row, as a dense list."""
+    out = [0] * width
+    for j, x in row.items():
+        if start <= j < start + width:
+            out[j - start] = x
+    return out
 
 
 def int_image_and_relations(images: Sequence, labels: Sequence) -> tuple[IntMatrix, IntMatrix]:
     """HNF bases of the image lattice spanned by `images` and of the
     relations {sum c_k·labels[k] : c integral, sum c_k·images[k] = 0}.
 
-    Puts the rows images[k] + labels[k] in Hermite form.  Pivot columns
-    increase, so the rows whose image part is nonzero come first and their
-    image parts are the HNF basis of the image lattice; the rows whose image
-    part vanishes come last, and their label parts are the HNF basis of the
-    relations (H. Cohen, A Course in Computational Algebraic Number Theory,
-    1993, section 2.4).
+    Puts the rows images[k] + labels[k] in Hermite form.  The rows whose
+    pivot lies in the image columns come first and their image parts are the
+    HNF basis of the image lattice; the rows whose pivot lies in the label
+    columns have no image part, and their label parts are the HNF basis of
+    the relations (H. Cohen, A Course in Computational Algebraic Number
+    Theory, 1993, section 2.4).
     """
     if len(images) != len(labels):
         raise ValueError(f"{len(images)} images but {len(labels)} labels")
-    if not images:
-        return [], []
-    w, lw = len(images[0]), len(labels[0])
+    w = len(images[0]) if images else 0
+    lw = len(labels[0]) if labels else 0
     if any(len(v) != w for v in images) or any(len(v) != lw for v in labels):
         raise ValueError("ragged images or labels")
-    h = hermite_normal_form([list(v) + list(t) for v, t in zip(images, labels)], w + lw)
-    image = [row[:w] for row in h if any(row[:w])]
-    return image, [row[w:] for row in h if not any(row[:w])]
+    rows = [{**_sparse(v), **_sparse(t, w)} for v, t in zip(images, labels)]
+    image, relations = [], []
+    for c, row in _hermite_rows(rows, w + lw):
+        if c < w:
+            image.append(_dense(row, 0, w))
+        else:
+            relations.append(_dense(row, w, lw))
+    return image, relations
 
 
-def int_relations(images: Sequence, labels: Sequence) -> IntMatrix:
-    """HNF basis of {sum c_k·labels[k] : c integral, sum c_k·images[k] = 0};
-    see `int_image_and_relations`."""
-    return int_image_and_relations(images, labels)[1]
+def int_kernel(rows: Sequence[dict[int, int]], ncols: int) -> "LatticeZ":
+    """The saturated lattice {x in Z^ncols : a·x = 0}, each of `rows` one
+    equation of a as a sparse row {col: value}, in its canonical HNF basis;
+    Z^ncols when no equation has a nonzero entry.
 
-
-def int_kernel(rows: IntMatrix, ncols: int) -> "LatticeZ":
-    """The saturated lattice {x in Z^ncols : a·x = 0}, a the matrix of
-    `rows`, in its canonical HNF basis; Z^ncols when there are no rows."""
-    if any(len(r) != ncols for r in rows):
-        raise ValueError(f"ragged matrix: an equation has other than {ncols} entries")
-    cols = [[r[j] for r in rows] for j in range(ncols)]
-    kern = int_relations(cols, int_identity(ncols))
-    # check a·x = 0 as the sum of x_j times the nonzeros of column j, over
-    # the support of x only: kernel rows and the columns of a are sparse
-    sparse = [[(i, a) for i, a in enumerate(col) if a] for col in cols]
+    With w equations, the labelled columns {i: a_ij, w + j: 1} span the
+    lattice of the pairs (a·x, x), so the Hermite rows whose pivot is a label
+    column are the pairs (0, x) of a basis of the kernel.  A column index
+    outside 0..ncols-1 raises ValueError; zero values are skipped.
+    """
+    w = len(rows)
+    cols: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            if not 0 <= j < ncols:
+                raise ValueError(f"equation {i} has column {j}, outside 0..{ncols - 1}")
+            if a:
+                cols[j][i] = a
+    labelled = [{**col, w + j: 1} for j, col in enumerate(cols)]
+    kern = [row for c, row in _hermite_rows(labelled, w + ncols) if c >= w]
+    # check a·x = 0 as the sum of x_j times column j, over the support of x
     for x in kern:
-        ax = [0] * len(rows)
-        for j, v in enumerate(x):
-            if v:
-                for i, a in sparse[j]:
-                    ax[i] += a * v
-        if any(ax):
+        ax: dict[int, int] = defaultdict(int)
+        for k, v in x.items():
+            for i, a in cols[k - w].items():
+                ax[i] += a * v
+        if any(ax.values()):
             raise RuntimeError("int_kernel check failed: a·x != 0 for a returned row")
-    return LatticeZ(ncols, tuple(map(tuple, kern)))
+    return LatticeZ(ncols, tuple(tuple(_dense(x, w, ncols)) for x in kern))
 
 
 @dataclass(frozen=True)
@@ -442,15 +452,16 @@ class LatticeZ:
         return SubspaceGF2.from_generators(self.ambient_dim, gens)
 
     def intersect(self, other: "LatticeZ") -> "LatticeZ":
-        if self.ambient_dim != other.ambient_dim:
+        """The relations among both bases, each row of this basis labelled by
+        itself and each row of the other by nothing: their label parts span
+        the intersection, in its canonical HNF basis."""
+        w = self.ambient_dim
+        if w != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        b1, b2 = self.basis, other.basis
-        if not b1 or not b2:
-            return LatticeZ.zero(self.ambient_dim)
-        zeros = ((0,) * self.ambient_dim,) * len(b2)
-        # int_relations returns an HNF basis, which is the canonical one
-        gens = int_relations(b1 + b2, b1 + zeros)
-        return LatticeZ(self.ambient_dim, tuple(tuple(r) for r in gens))
+        rows = [{**_sparse(r), **_sparse(r, w)} for r in self.basis]
+        rows += [_sparse(r) for r in other.basis]
+        gens = [_dense(row, w, w) for c, row in _hermite_rows(rows, 2 * w) if c >= w]
+        return LatticeZ(w, tuple(map(tuple, gens)))
 
 
 def lattice_equal(a: LatticeZ, b: LatticeZ) -> bool:
@@ -460,23 +471,20 @@ def lattice_equal(a: LatticeZ, b: LatticeZ) -> bool:
 
 
 def solve_diophantine(a: IntMatrix, b: list[int]) -> Optional[list[int]]:
-    """One integer solution of a·x = b, or None if the system is infeasible."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if len(b) != m:
+    """One integer solution of a·x = b, or None if the system is infeasible.
+
+    x solves it exactly when (1, x) lies in the kernel of [-b | a], and the
+    first HNF basis row of that kernel starts with 1 exactly when one does.
+    """
+    n = len(a[0]) if a else 0
+    if len(b) != len(a):
         raise ValueError("right-hand side length mismatch")
-    if m == 0:
-        return [0] * n
-    # relations c·(-b) + a·x = 0, with c as the first label: the first HNF
-    # row has c = 1 exactly when some integral x solves a·x = b
-    images = [[-v for v in b]] + _columns(a)
-    rel = int_relations(images, int_identity(n + 1))
-    if not rel or rel[0][0] != 1:
+    if any(len(r) != n for r in a):
+        raise ValueError("ragged matrix")
+    kern = int_kernel([{0: -v, **_sparse(r, 1)} for r, v in zip(a, b)], n + 1).basis
+    if not kern or kern[0][0] != 1:
         return None
-    x = rel[0][1:]
-    if mat_vec(a, x) != b:
-        raise RuntimeError("solve_diophantine back-substitution check failed: a·x != b")
-    return x
+    return list(kern[0][1:])
 
 
 def snf_diagonal_sparse(entries: dict[tuple[int, int], int], nrows: int, ncols: int) -> list[int]:

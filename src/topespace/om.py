@@ -573,9 +573,10 @@ def om_from_arrangement(arr: Arrangement) -> OrientedMatroid:
         return sum(x * y for x, y in zip(a, b))
 
     full = (1 << n) - 1
+    sparse = [{j: x for j, x in enumerate(v) if x} for v in normals]
     cocircuits: set[int] = set()
     for flat in hyperflats:
-        basis = int_kernel([normals[i] for i in bits_of(flat)], d).basis
+        basis = int_kernel([sparse[i] for i in bits_of(flat)], d).basis
         found = next((x for x in basis if any(dot(x, v) for v in normals)), None)
         if found is None:
             raise RuntimeError("corank-one flat without a normal direction")

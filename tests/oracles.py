@@ -10,6 +10,7 @@ from topespace.algebras import (
     SFPoly,
     _order_positions,
     cordovil_dual,
+    signed_circuits,
     sf_vector,
     subset_index,
     wedge_masks,
@@ -34,11 +35,9 @@ from topespace.linalg import (
     SubspaceGF2,
     bits_of,
     gf2_kernel,
-    int_identity,
-    int_relations,
+    hermite_normal_form,
     lattice_equal,
     mask_from_bits,
-    mat_vec,
     smith_normal_form,
     snf_diagonal_sparse,
 )
@@ -364,6 +363,63 @@ def gf2_solver_by_scan(rows: Iterable[int]) -> tuple[list[tuple[int, int, int]],
         else:
             zero_combos.append(combo)
     return pivot_rows, zero_combos
+
+
+def int_identity(n: int) -> IntMatrix:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def mat_vec(a: IntMatrix, x: list[int]) -> list[int]:
+    return [sum(v * xv for v, xv in zip(row, x)) for row in a]
+
+
+def int_relations_dense(images: Sequence, labels: Sequence) -> IntMatrix:
+    """HNF basis of {sum c_k·labels[k] : sum c_k·images[k] = 0}: the label
+    parts of the Hermite rows of the dense rows images[k] + labels[k] whose
+    image part is zero."""
+    w = len(images[0]) if images else 0
+    lw = len(labels[0]) if labels else 0
+    h = hermite_normal_form([list(v) + list(t) for v, t in zip(images, labels)], w + lw)
+    return [row[w:] for row in h if not any(row[:w])]
+
+
+def int_kernel_dense(rows: IntMatrix, ncols: int) -> LatticeZ:
+    """The integer kernel of dense equations: the transposed rows labelled
+    by a dense identity block, then the a·x = 0 check on every kernel row."""
+    if any(len(r) != ncols for r in rows):
+        raise ValueError(f"ragged matrix: an equation has other than {ncols} entries")
+    cols = [[r[j] for r in rows] for j in range(ncols)]
+    kern = int_relations_dense(cols, int_identity(ncols))
+    for x in kern:
+        if any(mat_vec(rows, x)):
+            raise RuntimeError("int_kernel_dense check failed: a·x != 0 for a returned row")
+    return LatticeZ(ncols, tuple(map(tuple, kern)))
+
+
+def vg_lower_dense(m: OrientedMatroid, p: int) -> LatticeZ:
+    """The degree-p lower piece as the kernel of dense 0/1 Heaviside rows."""
+    rows = [[int(mask_from_bits(s) & ~t.plus == 0) for t in m.topes]
+            for q in range(p) for s in combinations(range(m.n), q)]
+    return int_kernel_dense(rows, len(m.topes))
+
+
+def cordovil_relation_rows_dense(m: OrientedMatroid, p: int) -> IntMatrix:
+    """The degree-p relation rows m0 * dC as dense rows, a term added per
+    dropped circuit element, keeping the rows that are not zero."""
+    index = subset_index(m.n, p)
+    rows: IntMatrix = []
+    for c in signed_circuits(m):
+        support = bits_of(c.support)
+        extra = p - len(support) + 1
+        for mono in combinations(range(m.n), extra) if extra >= 0 else ():
+            row = [0] * len(index)
+            for e in support:
+                rest = c.support & ~(1 << e)
+                if not mask_from_bits(mono) & rest:
+                    row[index[tuple(sorted(mono + tuple(bits_of(rest))))]] += c.sign(e)
+            if any(row):
+                rows.append(row)
+    return rows
 
 
 def int_rank(a: IntMatrix) -> int:
@@ -781,7 +837,7 @@ def verify_ses_dense(m: OrientedMatroid, flag: Flag, p: int) -> SESReport:
     imgs = [sf_vector(tilde_a_dense(mf, list(row), p), m.n, p) for row in lower.basis]
     image = LatticeZ.from_generators(ncoords, imgs)
     surjective = lattice_equal(image, a)
-    kernel = int_relations(imgs, lower.basis)
+    kernel = int_relations_dense(imgs, lower.basis)
     kernel_ok = lattice_equal(LatticeZ(len(mf.topes), tuple(tuple(r) for r in kernel)), nxt)
     return SESReport(
         flag.flats, p, lower.rank, nxt.rank, a.rank,

@@ -38,10 +38,24 @@ def sv(s: str) -> SignVector:
 
 
 def test_circuits_of_small_members():
-    assert circuits(load("u11")) == []
-    assert circuits(load("u22")) == []
-    assert circuits(load("u23")) == [0b111]
-    assert circuits(load("u34")) == [0b1111]
+    assert circuits(load("u11")) == ()
+    assert circuits(load("u22")) == ()
+    assert circuits(load("u23")) == (0b111,)
+    assert circuits(load("u34")) == (0b1111,)
+
+
+def test_circuits_built_once_per_matroid(monkeypatch):
+    m = om_from_arrangement(Arrangement(CORPUS["a3"].normals))
+    first = nbc_sets(m, 2)
+    cs = circuits(m)
+
+    def no_probe(mask):
+        raise AssertionError("circuits rebuilt by subset-rank probes")
+
+    # a second nbc_sets call reads the cached circuits, with no rank probe
+    monkeypatch.setattr(m, "subset_rank", no_probe)
+    assert nbc_sets(m, 2) == first
+    assert circuits(m) is cs
 
 
 def test_circuits_of_braid_arrangement():
@@ -85,7 +99,7 @@ def test_signed_circuits_match_rational_dependencies():
         d = len(normals[0])
         for c in signed_circuits(m):
             elems = bits_of(c.support)
-            rows = [[int(normals[e][i]) for e in elems] for i in range(d)]
+            rows = [{k: int(normals[e][i]) for k, e in enumerate(elems)} for i in range(d)]
             kernel = int_kernel(rows, len(elems)).basis
             assert len(kernel) == 1
             lam = kernel[0]
@@ -196,10 +210,10 @@ def test_cordovil_u23_golden():
 def test_cordovil_relation_rows_u23():
     # the lone signed circuit contributes one degree-2 row with signs +,-,+
     rows = cordovil_relation_rows(load("u23"), 2)
-    assert rows == [[1, -1, 1]]
+    assert rows == [{0: 1, 1: -1, 2: 1}]
     # degree-3 rows kill the single monomial one element at a time
     rows3 = cordovil_relation_rows(load("u23"), 3)
-    assert sorted(rows3) == [[-1], [1], [1]]
+    assert sorted(rows3, key=lambda r: r[0]) == [{0: -1}, {0: 1}, {0: 1}]
 
 
 @pytest.mark.parametrize("name", ["u34", "a3"])

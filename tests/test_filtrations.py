@@ -8,16 +8,19 @@ from oracles import (
     affine_coordinate_chain,
     asymptotic_member,
     asymptotic_rows_by_tuples,
+    cordovil_relation_rows_dense,
     gf2_solver_by_scan,
     heaviside_eval,
     kalinin_K_by_projection,
     tilde_a_dense,
     tope_flag_set_by_sign_vectors,
+    int_kernel_dense,
     int_rank,
     lattice_saturated,
     quillen_Q_oracle,
     quillen_Z_by_products,
     vg_lower_by_prefix,
+    vg_lower_dense,
 )
 from test_cosheaf import b3
 from test_om import moment_curve
@@ -685,7 +688,21 @@ def test_kernel_lattices_are_already_canonical(name):
 def test_asymptotic_rows_match_the_tuple_oracle(name):
     m = fresh(name)
     for p in range(1, m.rank + 2):
-        assert _asymptotic_rows(m, p) == asymptotic_rows_by_tuples(m, p), p
+        supports = [[i for i, x in enumerate(row) if x] for row in asymptotic_rows_by_tuples(m, p)]
+        assert sorted(_asymptotic_rows(m, p)) == sorted(supports), p
+
+
+@pytest.mark.parametrize("name", names() + ["gen3_6", "gen4_6"])
+def test_sparse_kernels_match_the_dense_path(name):
+    # vg_lower, asymptotic and cordovil_dual hand sparse equations to
+    # int_kernel; the oracle transposes dense rows under an identity block
+    m = fresh(name)
+    nt = len(m.topes)
+    for p in range(m.rank + 2):
+        assert vg_lower(m, p) == vg_lower_dense(m, p), p
+        assert asymptotic(m, p) == int_kernel_dense(asymptotic_rows_by_tuples(m, p), nt), p
+        dim = len(subset_index(m.n, p))
+        assert cordovil_dual(m, p) == int_kernel_dense(cordovil_relation_rows_dense(m, p), dim), p
 
 
 @pytest.mark.parametrize("name", ["u34", "a3", "gen3_6", "gen4_6"])

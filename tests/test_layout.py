@@ -13,7 +13,9 @@ and the CLI work on the coarse Salvetti complex, never on its fine
 subdivision; the coarse cells and boundaries come from mask tests and
 coface lists, never from composing every pair of covector and tope;
 every XOR over the subsets of a list of masks comes from `linalg.xor_span`,
-never from a `range(1 << k)` loop over bit patterns; and the covector
+never from a `range(1 << k)` loop over bit patterns; integer equations
+reach the labelled Hermite form as sparse rows, never through a dense
+identity label block (`int_identity`, `mat_vec`, `int_relations`); and the covector
 axiom check and the arrangement build compose covectors through the one
 closure `om.compositions`.
 """
@@ -145,6 +147,18 @@ def test_cosheaf_does_not_import_mat_mul():
 
 def test_cosheaf_does_not_import_mat_vec():
     assert "mat_vec" not in _imported_names(PACKAGE / "cosheaf.py")
+
+
+DENSE_LABEL_BLOCKS = {"int_identity", "mat_vec", "int_relations"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_integer_equations_stay_sparse(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _named_lines(tree, DENSE_LABEL_BLOCKS) + [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in DENSE_LABEL_BLOCKS]
+    assert lines == [], f"{path.name}: dense identity label helper at lines {sorted(lines)}"
 
 
 FINE_COMPLEX = {"get_fine", "coarse_to_fine", "FineComplex"}

@@ -10,9 +10,12 @@ import pytest
 from oracles import (
     gf2_solver_by_scan,
     hermite_normal_form_dense,
+    int_identity,
+    int_kernel_dense,
     int_rank,
     lattice_saturated,
     mat_mul,
+    mat_vec,
     rank_mod,
     smith_normal_form_by_pivots,
 )
@@ -27,12 +30,10 @@ from topespace.linalg import (
     gf2_kernel,
     gf2_rref,
     hermite_normal_form,
-    int_identity,
     int_image_and_relations,
     int_kernel,
     lattice_equal,
     mask_from_bits,
-    mat_vec,
     parity,
     smith_normal_form,
     snf_diagonal_sparse,
@@ -297,9 +298,14 @@ def test_smith_normal_form_random_against_minor_gcd_oracle():
                 assert g == 0
 
 
+def sparse(a):
+    """The equations of a dense matrix as sparse rows {col: value}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
 def test_int_kernel_annihilates_and_is_saturated():
     a = [[1, 2, 3], [2, 4, 6]]
-    lat = int_kernel(a, 3)
+    lat = int_kernel(sparse(a), 3)
     assert lat.rank == 2
     for x in lat.basis:
         assert mat_vec(a, list(x)) == [0, 0]
@@ -312,7 +318,8 @@ def test_int_kernel_annihilates_and_is_saturated():
 def test_int_kernel_of_no_equations_is_everything():
     for n in range(5):
         assert int_kernel([], n) == LatticeZ.from_generators(n, int_identity(n))
-        assert int_kernel([[0] * n], n) == int_kernel([], n)
+        assert int_kernel([{}], n) == int_kernel([], n)
+        assert int_kernel([dict.fromkeys(range(n), 0)], n) == int_kernel([], n)
 
 
 def test_int_rank_matches_snf():
@@ -430,7 +437,7 @@ def test_int_kernel_random_differential():
     cases += [random_int_matrix(random.Random(seed), 20, 25, (3,)) for seed in (1, 2, 3)]
     for a in cases:
         n = len(a[0])
-        lat = int_kernel(a, n)
+        lat = int_kernel(sparse(a), n)
         kern = [list(x) for x in lat.basis]
         for x in kern:
             assert mat_vec(a, x) == [0] * len(a)
@@ -440,10 +447,11 @@ def test_int_kernel_random_differential():
 
 
 def test_int_kernel_check_rejects_a_wrong_row(monkeypatch):
-    a = [[1, 1, 0], [0, 1, 1]]
+    a = [{0: 1, 1: 1}, {1: 1, 2: 1}]
     assert int_kernel(a, 3).basis == ((1, -1, 1),)
-    # the check reads only the nonzero entries of a row, and still every row of a
-    monkeypatch.setattr(linalg, "int_relations", lambda images, labels: [[1, -1, 0]])
+    # a Hermite row with a label pivot (column >= 2, the number of
+    # equations) whose label part (1, -1, 0) misses the second equation
+    monkeypatch.setattr(linalg, "_hermite_rows", lambda rows, ncols: [(2, {2: 1, 3: -1})])
     with pytest.raises(RuntimeError, match="a·x != 0"):
         int_kernel(a, 3)
 
@@ -459,7 +467,7 @@ def test_int_image_and_relations_matches_separate_forms():
         assert LatticeZ.from_generators(w, images).basis == tuple(map(tuple, image))
         # relations as the parent computed them: the kernel of the
         # transposed images, recombined over the labels
-        combos = int_kernel([list(col) for col in zip(*images)], k).basis
+        combos = int_kernel(sparse(zip(*images)), k).basis
         recombined = [[sum(c * row[j] for c, row in zip(x, labels)) for j in range(lw)]
                       for x in combos]
         assert relations == hermite_normal_form(recombined, lw)
@@ -499,13 +507,61 @@ def test_solve_diophantine_random_differential():
     assert 0 < feasible < 60
 
 
-def test_int_kernel_and_solve_reject_ragged_matrices():
-    with pytest.raises(ValueError, match="ragged"):
-        int_kernel([[1, 2], [3]], 2)
-    with pytest.raises(ValueError, match="ragged"):
-        int_kernel([[1, 2]], 3)
+def test_int_kernel_rejects_columns_out_of_range_and_solve_ragged_matrices():
+    with pytest.raises(ValueError, match="column 2, outside 0..1"):
+        int_kernel([{0: 1}, {2: 3}], 2)
+    with pytest.raises(ValueError, match="column -1"):
+        int_kernel([{-1: 1}], 3)
+    with pytest.raises(ValueError, match="outside 0..-1"):
+        int_kernel([{0: 1}], 0)
     with pytest.raises(ValueError, match="ragged"):
         solve_diophantine([[1, 2], [3]], [0, 0])
+    with pytest.raises(ValueError, match="right-hand side"):
+        solve_diophantine([[1, 2], [3, 4]], [0])
+
+
+def _sparse_kernel_draws(rng: random.Random):
+    """Seeded equations with zero rows, empty columns, negated and repeated
+    rows, and no rows at all, each as dense rows and their width."""
+    for _ in range(120):
+        nrows, ncols = rng.randrange(0, 10), rng.randrange(0, 12)
+        empty = set(rng.sample(range(ncols), rng.randrange(0, ncols + 1) // 2))
+        rows = [[0 if j in empty or rng.random() < 0.6 else rng.choice((1, -1, 2, -3))
+                 for j in range(ncols)] for _ in range(nrows)]
+        for r in list(rows):
+            roll = rng.random()
+            if roll < 0.15:
+                rows.append([0] * ncols)
+            elif roll < 0.3:
+                rows.append([-x for x in r])
+            elif roll < 0.45:
+                rows.append(list(r))
+        rng.shuffle(rows)
+        yield rows, ncols
+
+
+def test_int_kernel_matches_the_dense_oracle():
+    for rows, ncols in _sparse_kernel_draws(random.Random(61)):
+        assert int_kernel(sparse(rows), ncols) == int_kernel_dense(rows, ncols)
+
+
+def test_intersect_and_solve_on_sparse_draws():
+    rng = random.Random(67)
+    for rows, ncols in _sparse_kernel_draws(rng):
+        # the kernel of all the equations is the meet of the kernels of two
+        # halves; a basis that is empty meets anything in zero
+        half = len(rows) // 2
+        whole = int_kernel_dense(rows, ncols)
+        low, high = int_kernel_dense(rows[:half], ncols), int_kernel_dense(rows[half:], ncols)
+        assert low.intersect(high) == whole
+        assert whole.intersect(LatticeZ.zero(ncols)) == LatticeZ.zero(ncols)
+        assert LatticeZ.zero(ncols).intersect(whole) == LatticeZ.zero(ncols)
+        b = [rng.randrange(-3, 4) for _ in rows]
+        x = solve_diophantine(rows, b)
+        columns = LatticeZ.from_generators(len(rows), list(zip(*rows)))
+        assert (x is not None) == columns.contains(b)
+        if x is not None:
+            assert mat_vec(rows, x) == b
 
 
 def test_snf_diagonal_sparse_matches_dense():
