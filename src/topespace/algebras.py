@@ -11,9 +11,8 @@ and memberships are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .linalg import (
     LatticeZ,
@@ -247,8 +246,7 @@ def epsilon(m: OrientedMatroid, flag: Flag, v: SignVector, p: int) -> SFPoly:
 # projectivization
 
 
-@dataclass(frozen=True)
-class ProjectivizationReport:
+class ProjectivizationReport(NamedTuple):
     p: int
     rank_b: int
     dim_projective: int

@@ -9,11 +9,9 @@ could not be read or validated or the report path cannot be written.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from time import perf_counter
 from typing import Optional, Sequence
 
@@ -119,9 +117,19 @@ def _record(check_id: str, target: str, params: dict, runner) -> dict:
     }
 
 
+def _json(value):
+    """A report value made JSON-ready: each NamedTuple, nested ones too,
+    becomes a dict of its fields."""
+    if hasattr(value, "_asdict"):
+        return {k: _json(v) for k, v in value._asdict().items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_json, value))
+    return value
+
+
 def _report(report) -> tuple[bool, dict]:
     """A theorem report as (pass flag, JSON-ready fields)."""
-    return report.ok, asdict(report)
+    return report.ok, _json(report)
 
 
 def describe_check(m: OrientedMatroid, target: str,
@@ -189,7 +197,7 @@ def verify_checks(m: OrientedMatroid, which: str, target: str,
             degrees = [p] if p is not None else list(range(m.rank + 1))
 
             def run_proj():
-                rows = [asdict(projectivize(m, q, order)) for q in degrees]
+                rows = [_json(projectivize(m, q, order)) for q in degrees]
                 return all(r["ok"] for r in rows), {"reports": rows}
 
             out.append(_record("proj", target, params, run_proj))
@@ -234,6 +242,7 @@ def _emit(checks: list[dict], json_path: Optional[str]) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    import argparse  # here, so that importing the library skips it
     parser = argparse.ArgumentParser(
         prog="topespace",
         description="Exact verification of tope-space filtrations and cosheaves.",

@@ -7,9 +7,9 @@ validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .om import Arrangement, OrientedMatroid, om_from_arrangement
 
@@ -18,8 +18,7 @@ def _fr(rows) -> tuple:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     normals: tuple
     covectors: int

@@ -12,8 +12,7 @@ to index-map identities, lattice containments and coordinate comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebras import cordovil_dual, subset_index
 from .filtrations import chain_mod2, pair_chain, qbv, vg_lower
@@ -37,8 +36,7 @@ from .om import (
 # the fan and its stalks
 
 
-@dataclass(frozen=True)
-class FanCone:
+class FanCone(NamedTuple):
     """A cone of the fan of the underlying matroid.
 
     The cone of a flag is spanned by the indicator vectors of its interior
@@ -154,8 +152,7 @@ def _lower_images(mf: OrientedMatroid, p: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # stalk exactness
 
-@dataclass
-class SESReport:
+class SESReport(NamedTuple):
     flag: tuple[int, ...]
     p: int
     rank_p: int
@@ -197,8 +194,7 @@ def verify_ses(m: OrientedMatroid, flag: Flag, p: int) -> SESReport:
 # ---------------------------------------------------------------------------
 # naturality
 
-@dataclass
-class NaturalityReport:
+class NaturalityReport(NamedTuple):
     sub: tuple[int, ...]
     sup: tuple[int, ...]
     p: int
@@ -270,8 +266,7 @@ def flag_lift(m: OrientedMatroid, flag: Flag, g: Flag) -> Flag:
 # ---------------------------------------------------------------------------
 # the fan-wide verification
 
-@dataclass
-class TheoremCReport:
+class TheoremCReport(NamedTuple):
     cones: int
     ses: list[SESReport]
     naturality: list[NaturalityReport]
@@ -334,8 +329,7 @@ def verify_theorem_C(m: OrientedMatroid) -> TheoremCReport:
 # ---------------------------------------------------------------------------
 # the integral lifting obstruction
 
-@dataclass
-class ImpossibilityReport:
+class ImpossibilityReport(NamedTuple):
     unknowns: int
     equations: int
     feasible: bool

@@ -15,9 +15,8 @@ are bitmasks over the canonical cell order of their dimension.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebras import SFPoly, nbc_sets, subset_index, wedge_masks
 from .linalg import (
@@ -137,22 +136,24 @@ def quillen_cosets(m: OrientedMatroid, p: int) -> list[tuple[int, int]]:
     For each complete flag, every coset of every span of p block directions
     inside the tope set contributes its indicator chain; the attached wedge of
     the block vectors only depends on the coset's direction space, so the
-    first occurrence of a tope mask fixes it.
+    first occurrence of a tope mask fixes it.  Flags share blocks, so each
+    wedge is computed once per distinct tuple of block directions.
     """
 
     def build():
         index = subset_index(m.n, p)
         out: list[tuple[int, int]] = []
         seen: set[int] = set()
+        wedges: dict[tuple[int, ...], int] = {}
         for flag in enumerate_flags(m):
             blocks = flag.blocks()
             tf = tope_flag_set(m, flag)
             for s in combinations(range(1, m.rank + 1), p):
-                dmasks = [blocks[i - 1] for i in s]
-                wedge = 0
-                for mono, c in wedge_masks(dmasks, m.n).items():
-                    if c & 1:
-                        wedge |= 1 << index[mono]
+                dmasks = tuple(blocks[i - 1] for i in s)
+                if dmasks not in wedges:
+                    wedges[dmasks] = mask_from_bits(
+                        index[mono] for mono, c in wedge_masks(dmasks, m.n).items() if c & 1)
+                wedge = wedges[dmasks]
                 span = xor_span(dmasks)
                 done: set[int] = set()
                 for t in tf:
@@ -259,8 +260,7 @@ def _quillen_Z_lattice(m: OrientedMatroid, p: int) -> LatticeZ:
 # ---------------------------------------------------------------------------
 # the chain-level filtration
 
-@dataclass(frozen=True)
-class KalininCertificate:
+class KalininCertificate(NamedTuple):
     """A mod-2 chain on topes with the ladder of cell chains that places it
     in the degree-p piece: the first chain bounds the vertex image of gamma
     and each later one bounds its predecessor plus the conjugate."""
@@ -527,8 +527,7 @@ def asymptotic(m: OrientedMatroid, p: int) -> LatticeZ:
 # ---------------------------------------------------------------------------
 # theorem verifications
 
-@dataclass
-class TheoremAReport:
+class TheoremAReport(NamedTuple):
     dims: list[dict]
     ok: bool
     discrepancy: Optional[str]
@@ -553,8 +552,7 @@ def verify_theorem_A(m: OrientedMatroid) -> TheoremAReport:
     return TheoremAReport(dims, discrepancy is None, discrepancy)
 
 
-@dataclass
-class TheoremBReport:
+class TheoremBReport(NamedTuple):
     degrees: list[dict]
     failures: list[str]
     ok: bool

@@ -12,10 +12,9 @@ from __future__ import annotations
 import heapq
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 def parity(x: int) -> int:
@@ -80,8 +79,7 @@ def gf2_rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     return [r for _, r in out], [b.bit_length() - 1 for b, _ in out]
 
 
-@dataclass(frozen=True)
-class SubspaceGF2:
+class SubspaceGF2(NamedTuple):
     """A subspace of GF(2)^ambient_dim in canonical RREF form.
 
     Equal subspaces compare equal because the RREF basis is unique.
@@ -394,12 +392,14 @@ def int_kernel(rows: Sequence[dict[int, int]], ncols: int) -> "LatticeZ":
     return LatticeZ(ncols, tuple(tuple(_dense(x, w, ncols)) for x in kern))
 
 
-@dataclass(frozen=True)
-class LatticeZ:
-    """A sublattice of Z^ambient_dim with a canonical HNF basis."""
-
+class _LatticeZFields(NamedTuple):
     ambient_dim: int
     basis: tuple[tuple[int, ...], ...]
+
+
+class LatticeZ(_LatticeZFields):
+    """A sublattice of Z^ambient_dim with a canonical HNF basis; unlike its
+    fields base it has an instance dict, which holds `_reducers`."""
 
     @classmethod
     def from_generators(cls, ambient_dim: int, gens: Iterable) -> "LatticeZ":

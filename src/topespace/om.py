@@ -11,11 +11,10 @@ nonzero sign on some covector, and the zero vector is always a covector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .linalg import LatticeZ, bits_of, int_kernel, mask_from_bits
 
@@ -32,19 +31,24 @@ class NotCovectors(ValueError):
     """Raised when a purported covector set fails validation."""
 
 
-@dataclass(frozen=True, order=True)
-class SignVector:
-    """A vector in {+, -, 0}^n encoded by disjoint plus/minus bitmasks."""
-
+class _SignVectorFields(NamedTuple):
     n: int
     plus: int
     minus: int
 
-    def __post_init__(self):
-        if self.plus & self.minus:
+
+class SignVector(_SignVectorFields):
+    """A vector in {+, -, 0}^n encoded by disjoint plus/minus bitmasks; it
+    compares, orders and hashes as the tuple (n, plus, minus)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, plus: int, minus: int):
+        if plus & minus:
             raise ValueError("overlapping plus and minus supports")
-        if self.plus >> self.n or self.minus >> self.n:
+        if plus >> n or minus >> n:
             raise ValueError("support exceeds ground set")
+        return tuple.__new__(cls, (n, plus, minus))
 
     @classmethod
     def zero(cls, n: int) -> "SignVector":
@@ -107,8 +111,7 @@ def zero_out(t: SignVector, coords: int) -> SignVector:
     return SignVector(t.n, t.plus & ~coords, t.minus & ~coords)
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     ok: bool
     axiom: Optional[str] = None
     witness: Optional[tuple] = None
@@ -313,8 +316,7 @@ class OrientedMatroid:
 # flags of flats
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """A chain of flats, normalized to run from the empty set to the full set."""
 
     flats: tuple[int, ...]
@@ -453,8 +455,7 @@ def initial_matroid(m: OrientedMatroid, flag: Flag) -> OrientedMatroid:
 # arrangements over Q
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(NamedTuple):
     """A central hyperplane arrangement given by rational normal vectors."""
 
     normals: tuple[tuple[Fraction, ...], ...]

@@ -18,8 +18,7 @@ Chains are bitmasks over the canonical cell order of their dimension.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import SubspaceGF2, bits_of, mask_from_bits, parity, snf_diagonal_sparse
 from .om import OrientedMatroid, SignVector, compose
@@ -342,8 +341,7 @@ def homology_mod2(sal: SalvettiComplex) -> Mod2Homology:
     ))
 
 
-@dataclass
-class IntegralHomology:
+class IntegralHomology(NamedTuple):
     betti: list[int]
     torsion: list[list[int]]  # invariant factors > 1, per degree
 

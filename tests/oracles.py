@@ -40,6 +40,7 @@ from topespace.linalg import (
     mask_from_bits,
     smith_normal_form,
     snf_diagonal_sparse,
+    xor_span,
 )
 from topespace.om import (
     Arrangement,
@@ -659,6 +660,35 @@ def quillen_Q_oracle(m: OrientedMatroid, p: int) -> SubspaceGF2:
                 done.update(members)
                 gens.add(mask_from_bits(m.tope_by_minus[mm] for mm in members))
     return SubspaceGF2.from_generators(len(m.topes), sorted(gens))
+
+
+def quillen_cosets_by_flag(m: OrientedMatroid, p: int) -> list[tuple[int, int]]:
+    """`quillen_cosets` without its memo, taking the wedge of the block
+    directions afresh for every flag and block subset."""
+    index = subset_index(m.n, p)
+    out: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    for flag in enumerate_flags(m):
+        blocks = flag.blocks()
+        tf = tope_flag_set(m, flag)
+        for s in combinations(range(1, m.rank + 1), p):
+            dmasks = [blocks[i - 1] for i in s]
+            wedge = 0
+            for mono, c in wedge_masks(dmasks, m.n).items():
+                if c & 1:
+                    wedge |= 1 << index[mono]
+            span = xor_span(dmasks)
+            done: set[int] = set()
+            for t in tf:
+                if t.minus in done:
+                    continue
+                members = [t.minus ^ x for x in span]
+                done.update(members)
+                cmask = mask_from_bits(m.tope_by_minus[mm] for mm in members)
+                if cmask not in seen:
+                    seen.add(cmask)
+                    out.append((cmask, wedge))
+    return out
 
 
 def quillen_Z_by_products(m: OrientedMatroid, p: int) -> LatticeZ:

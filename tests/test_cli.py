@@ -2,13 +2,19 @@
 
 import json
 import random
+import subprocess
 import sys
-from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from topespace import cli, om
 from topespace.corpus import CORPUS, load
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 def run(argv, tmp_path, name="out.json"):
@@ -270,8 +276,7 @@ def test_removed_options_are_rejected(argv, capsys):
 
 
 def test_verify_failure_sets_exit_code(tmp_path, monkeypatch, capsys):
-    @dataclass
-    class Forced:
+    class Forced(NamedTuple):
         reason: str = "forced"
         ok: bool = False
 
@@ -281,6 +286,7 @@ def test_verify_failure_sets_exit_code(tmp_path, monkeypatch, capsys):
     assert code == 1
     report = json.loads(path.read_text())
     assert check_by_id(report, "thmA")["pass"] is False
+    assert check_by_id(report, "thmA")["data"] == {"reason": "forced", "ok": False}
     assert "[FAIL] thmA" in capsys.readouterr().out
 
 
@@ -317,6 +323,32 @@ def test_reports_are_deterministic(tmp_path):
         ]
 
     assert strip(rep1) == strip(rep2)
+
+
+@pytest.mark.parametrize("argv", [["describe"], ["verify", "all"]], ids="-".join)
+@pytest.mark.parametrize("name", ["u23", "a3"])
+def test_reports_match_goldens(name, argv, tmp_path, capsys):
+    """The report, apart from `wall_ms`, equals the recorded one as sorted-key
+    JSON text: every report type reaches the file as an object of its
+    fields, never as an array, and no value changes."""
+    code, report = run([argv[0], name, *argv[1:]], tmp_path)
+    assert code == 0
+    for c in report["checks"]:
+        del c["wall_ms"]
+    golden = GOLDEN / f"{name}-{'-'.join(argv)}.json"
+    assert json.dumps(report, sort_keys=True) + "\n" == golden.read_text()
+
+
+def test_cli_import_skips_dataclasses_inspect_and_argparse():
+    """A bare interpreter (`-S`, no site hooks) that imports the CLI loads
+    none of the modules that dataclass decorators and option parsing need."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import topespace.cli; "
+             "print(topespace.cli.__file__); "
+             "print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)],
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert Path(out[0]).resolve() == SRC / "topespace" / "cli.py"
+    assert out[1] == "[]"
 
 
 def mutated_arrangement(name: str, rng: random.Random) -> str:

@@ -18,6 +18,7 @@ from oracles import (
     int_rank,
     lattice_saturated,
     quillen_Q_oracle,
+    quillen_cosets_by_flag,
     quillen_Z_by_products,
     vg_lower_by_prefix,
     vg_lower_dense,
@@ -33,6 +34,7 @@ from topespace.algebras import (
     projectivize,
     sf_vector,
     subset_index,
+    wedge_masks,
 )
 from topespace.cli import verify_checks
 from topespace.corpus import CORPUS, load, names
@@ -49,6 +51,7 @@ from topespace.filtrations import (
     qbv,
     quillen_Q,
     quillen_Z_demo,
+    quillen_cosets,
     tilde_a,
     tope_vertex_chain,
     verify_theorem_A,
@@ -238,6 +241,22 @@ def test_quillen_matches_exhaustive_oracle():
         m = load(name)
         for p in range(m.rank + 2):
             assert quillen_Q(m, p) == quillen_Q_oracle(m, p)
+
+
+@pytest.mark.parametrize("name", [*CORPUS, "gen3_6", "gen4_6"])
+def test_quillen_cosets_match_the_per_flag_oracle(name, monkeypatch):
+    """The same (tope mask, wedge) list, order included, in every degree,
+    with one wedge per distinct tuple of block directions."""
+    m = fresh(name)
+    calls = []
+    monkeypatch.setattr(filtrations, "wedge_masks",
+                        lambda masks, n: calls.append(masks) or wedge_masks(masks, n))
+    for p in range(m.rank + 2):
+        calls.clear()
+        assert quillen_cosets(m, p) == quillen_cosets_by_flag(m, p), p
+        distinct = {tuple(flag.blocks()[i - 1] for i in s) for flag in enumerate_flags(m)
+                    for s in combinations(range(1, m.rank + 1), p)}
+        assert sorted(calls) == sorted(distinct), p
 
 
 def test_one_origin_per_flag_generates_too_little_on_u22():
@@ -769,6 +788,18 @@ def test_theorem_A_reports_on_corpus():
         report = verify_theorem_A(m)
         assert report.ok, report.discrepancy
         assert [row["quillen"] for row in report.dims] == expected[name]
+
+
+def test_theorem_A_compares_pieces_of_one_type():
+    """Value types compare as their field tuples, whatever their class (a
+    zero lattice equals a zero GF(2) subspace), so the equalities Theorem A
+    tests must be between three `SubspaceGF2` values."""
+    assert LatticeZ(3, ()) == SubspaceGF2(3, ())
+    for name in ("u11", "u23", "a3"):
+        m = load(name)
+        for p in range(m.rank + 2):
+            pieces = (quillen_Q(m, p), vg_lower(m, p, "z").mod2(), kalinin_K(m, p))
+            assert {type(x) for x in pieces} == {SubspaceGF2}, (name, p)
 
 
 def test_filtration_inclusions_hold_degreewise():

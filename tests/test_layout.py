@@ -17,7 +17,9 @@ never from a `range(1 << k)` loop over bit patterns; integer equations
 reach the labelled Hermite form as sparse rows, never through a dense
 identity label block (`int_identity`, `mat_vec`, `int_relations`); and the covector
 axiom check and the arrangement build compose covectors through the one
-closure `om.compositions`.
+closure `om.compositions`; and no module imports `dataclasses`: value and
+report types are `typing.NamedTuple`s, so importing the package never loads
+`dataclasses` and the `inspect` machinery that comes with it.
 """
 
 import ast
@@ -213,3 +215,13 @@ def test_covector_compositions_come_from_one_closure(name):
     assert _named_lines(fn, {"compositions"}), f"{name} does not call om.compositions"
     loops = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.While)]
     assert loops == [], f"{name}: while loop at lines {loops}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Import)
+                 and any(alias.name == "dataclasses" for alias in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")]
+    assert lines == [], f"{path.name}: dataclasses imported at lines {lines}"

@@ -18,6 +18,7 @@ from test_cosheaf import b3, b3_arrangement
 from topespace.corpus import CORPUS, load, names
 from topespace.om import (
     Arrangement,
+    AxiomReport,
     Flag,
     NotCovectors,
     OrientedMatroid,
@@ -71,6 +72,35 @@ def test_sign_vector_roundtrip_and_accessors():
     assert v.negate() == sv("-+0-")
     with pytest.raises(ValueError):
         SignVector(2, 0b01, 0b01)
+
+
+@pytest.mark.parametrize("n, plus, minus, message", [
+    (3, 0b110, 0b011, "overlapping plus and minus supports"),
+    (2, 0b100, 0b001, "support exceeds ground set"),
+    (2, 0b001, 0b100, "support exceeds ground set"),
+    (0, 0, 0b1, "support exceeds ground set"),
+])
+def test_sign_vector_rejects_bad_supports(n, plus, minus, message):
+    with pytest.raises(ValueError, match=message):
+        SignVector(n, plus, minus)
+
+
+def test_sign_vector_is_its_field_tuple():
+    """Hash, order and equality are those of (n, plus, minus), as for the
+    frozen ordered record it replaces, so set and dict orders are kept."""
+    v = sv("+-0")
+    assert hash(v) == hash((3, 0b001, 0b010))
+    assert sorted([sv("-0"), sv("+0"), sv("0")]) == [sv("0"), sv("-0"), sv("+0")]
+    assert v == (3, 0b001, 0b010) and isinstance(v.negate(), SignVector)
+
+
+def test_failing_axiom_report_is_falsy():
+    report = check_covector_axioms([sv("+"), sv("-")])
+    assert report.axiom == "zero"
+    assert not report and bool(report) is False
+    assert check_covector_axioms([sv("0"), sv("+"), sv("-")])
+    assert not AxiomReport(False, "negation", (sv("+"),))
+    assert AxiomReport(True)
 
 
 def test_compose_matches_componentwise_rule():
