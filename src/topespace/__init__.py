@@ -44,7 +44,6 @@ from .om import (
     SignVector,
     check_covector_axioms,
     enumerate_flags,
-    initial_matroid,
     make_flag,
     om_from_arrangement,
     om_from_covectors,
@@ -77,7 +76,6 @@ __all__ = [
     "homology_Z",
     "homology_mod2",
     "impossibility_check",
-    "initial_matroid",
     "kalinin_K",
     "load",
     "make_flag",

@@ -18,7 +18,6 @@ from .linalg import (
     LatticeZ,
     SubspaceGF2,
     bits_of,
-    int_kernel,
     mask_from_bits,
     xor_span,
 )
@@ -58,20 +57,22 @@ def signed_circuits(m: OrientedMatroid) -> list[SignVector]:
     """One signed circuit per circuit support, its smallest element positive.
 
     Candidate sign vectors on the support are screened by orthogonality to
-    every covector: whenever the two agree with nonzero sign somewhere they
-    must also disagree with nonzero sign somewhere.  Exactly one candidate
-    per support survives once the global negation is fixed.  Cached per
-    matroid; each call returns a fresh list.
+    every cocircuit (the covectors whose zero set is a hyperplane), which
+    leaves the vectors (Björner et al. 1999, §3.7): whenever the two agree
+    with nonzero sign somewhere they must also disagree with nonzero sign
+    somewhere.  Exactly one candidate per support survives once the global
+    negation is fixed.  Cached per matroid; each call returns a fresh list.
     """
 
     def build():
         out: list[SignVector] = []
+        cocircuits = [v for v in m.covectors if m.dim_of[v] == m.rank - 1]
         for mask in circuits(m):
             rest = mask & (mask - 1)  # the support after its smallest element
             valid: list[SignVector] = []
             for minus in xor_span([1 << e for e in bits_of(rest)]):
                 cand = SignVector(m.n, mask ^ minus, minus)
-                if all(_orthogonal(cand, v) for v in m.covectors):
+                if all(_orthogonal(cand, v) for v in cocircuits):
                     valid.append(cand)
             if len(valid) != 1:
                 raise ValueError(
@@ -184,41 +185,48 @@ def sf_vector(poly: SFPoly, n: int, p: int) -> list[int]:
 # Cordovil dual
 
 
-def cordovil_relation_rows(m: OrientedMatroid, p: int) -> list[dict[int, int]]:
-    """Degree-p relation rows m0 * dC over signed circuits C and square-free
-    monomials m0, as sparse rows in p-subset coordinates.
-
-    dC drops one circuit element at a time with its sign; multiplication is
-    commutative and a term dies when the monomial meets the remaining
-    support.  The surviving terms of one row are distinct monomials.
-    """
-    index = subset_index(m.n, p)
-    rows: list[dict[int, int]] = []
-    for c in signed_circuits(m):
-        support = bits_of(c.support)
-        extra = p - len(support) + 1
-        if extra < 0:
-            continue
-        for mono in combinations(range(m.n), extra):
-            mono_mask = mask_from_bits(mono)
-            row = {}
-            for e in support:
-                rest = c.support & ~(1 << e)
-                if not mono_mask & rest:
-                    row[index[tuple(sorted(mono + tuple(bits_of(rest))))]] = c.sign(e)
-            if row:
-                rows.append(row)
-    return rows
-
-
 def cordovil_dual(m: OrientedMatroid, p: int) -> LatticeZ:
-    """Degree-p annihilator of the circuit relations in the square-free ring.
+    """Degree-p annihilator of the circuit relations m0·dC in the square-free
+    ring, dC = sum over e in C of C(e)·x_{C-e}.
 
-    Cached per matroid and degree; `LatticeZ` is frozen, so every caller may
-    share the one result.
+    The degree-p quotient is free on the nbc monomials (Cordovil, DCG 27,
+    2002; Orlik & Terao 1992, section 3.1), so the annihilator has the dual
+    basis f_B(e_S) = the coefficient of e_B in the straightening of e_S.  A
+    set S holding a broken circuit C - min C straightens at the first one:
+    e_S = 0 if S holds all of C, else e_S = -sum over e in C - min C of
+    C(e)·e_{S-e+min C} (min C is positive), each set lex smaller than S.  So
+    one pass in lex order straightens every set, and f_B, with 1 at B, 0 at
+    the other nbc sets and its other nonzeros past B, is a canonical HNF row.
+    Cached per matroid and degree; every caller shares the frozen result.
     """
-    return m.memo(("cordovil_dual", p), lambda: int_kernel(
-        cordovil_relation_rows(m, p), len(subset_index(m.n, p))))
+
+    def build():
+        rules = []  # (broken circuit C - min C, min C, straightening terms)
+        for c in signed_circuits(m):
+            broken = c.support & (c.support - 1)
+            terms = [(1 << e, -c.sign(e)) for e in bits_of(broken)]
+            rules.append((broken, c.support ^ broken, terms))
+        sets = [mask_from_bits(t) for t in combinations(range(m.n), p)]
+        straight: dict[int, dict[int, int]] = {}  # set -> {nbc set: coefficient}
+        rows: dict[int, list[int]] = {}  # nbc set -> its dual basis row
+        for s in sets:
+            rule = next((r for r in rules if not r[0] & ~s), None)
+            if rule is None:
+                straight[s], rows[s] = {s: 1}, [0] * len(sets)
+                continue
+            _, low, terms = rule
+            out = straight[s] = {}
+            if s & low:  # S holds all of C, so e_S = 0
+                continue
+            for bit, sign in terms:
+                for b, v in straight[(s ^ bit) | low].items():
+                    out[b] = out.get(b, 0) + sign * v
+        for j, s in enumerate(sets):
+            for b, v in straight[s].items():
+                rows[b][j] = v
+        return LatticeZ(len(sets), tuple(map(tuple, rows.values())))
+
+    return m.memo(("cordovil_dual", p), build)
 
 
 # ---------------------------------------------------------------------------

@@ -80,26 +80,20 @@ def stalk_matroid(m: OrientedMatroid, flag: Flag) -> OrientedMatroid:
 
 
 # ---------------------------------------------------------------------------
-# stalk maps
+# stalk maps, which depend on a nested pair of flags only through its stalks:
+# each is cached once per pair (or triple) of stalks, on the subflag's stalk
 
-def _stalk_pair(m: OrientedMatroid, sub: Flag, sup: Flag) -> tuple[OrientedMatroid, OrientedMatroid]:
-    if not sub.is_subflag_of(sup):
-        raise ValueError("first flag is not a subflag of the second")
-    return stalk_matroid(m, sub), stalk_matroid(m, sup)
-
-
-def _tope_map(m: OrientedMatroid, sub: Flag, sup: Flag) -> tuple[int, ...]:
+def _tope_map(m_sub: OrientedMatroid, m_sup: OrientedMatroid) -> tuple[int, ...]:
     """The sign map of a nested pair as an index map: entry j is the index,
     among the subflag's stalk topes, of the superflag's stalk tope j."""
 
     def build():
-        m_sub, m_sup = _stalk_pair(m, sub, sup)
         try:
             return tuple(m_sub.tope_index[t] for t in m_sup.topes)
         except KeyError:
             raise ValueError("tope sets of the stalks are not nested") from None
 
-    return m.memo(("tope_map", sub.flats, sup.flats), build)
+    return m_sub.memo(("tope_map", m_sup), build)
 
 
 def _scatter(idx: tuple[int, ...], chain, size: int) -> list[int]:
@@ -111,14 +105,13 @@ def _scatter(idx: tuple[int, ...], chain, size: int) -> list[int]:
     return out
 
 
-def _pushed_lower(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) -> list[list[int]]:
+def _pushed_lower(m_sub: OrientedMatroid, m_sup: OrientedMatroid, p: int) -> list[list[int]]:
     """The superflag's degree-p lower basis pushed into the subflag's stalk,
     after checking that each pushed row lies in the subflag's degree-p piece.
     The outcome, a failed check included, is cached per pair and degree."""
 
     def build():
-        m_sub, m_sup = _stalk_pair(m, sub, sup)
-        idx = _tope_map(m, sub, sup)
+        idx = _tope_map(m_sub, m_sup)
         target = vg_lower(m_sub, p)
         pushed = []
         for row in vg_lower(m_sup, p).basis:
@@ -128,14 +121,13 @@ def _pushed_lower(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) -> list[list
             pushed.append(out)
         return pushed
 
-    pushed = m.memo(("pushed_lower", sub.flats, sup.flats, p), build)
+    pushed = m_sub.memo(("pushed_lower", m_sup, p), build)
     if isinstance(pushed, str):
         raise ValueError(pushed)
     return pushed
 
 
-def _check_dual_pieces(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) -> None:
-    m_sub, m_sup = _stalk_pair(m, sub, sup)
+def _check_dual_pieces(m_sub: OrientedMatroid, m_sup: OrientedMatroid, p: int) -> None:
     if not cordovil_dual(m_sub, p).contains_lattice(cordovil_dual(m_sup, p)):
         raise ValueError(f"inclusion does not respect the degree-{p} dual-algebra piece")
 
@@ -215,27 +207,31 @@ def verify_naturality(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) -> Natur
     the source's pairing images with the target's pairing of the pushed row
     coordinatewise.
     """
-    detail = ""
-    try:
-        pushed = _pushed_lower(m, sub, sup, p)
-        _pushed_lower(m, sub, sup, p + 1)
-        _check_dual_pieces(m, sub, sup, p)
-        inclusions_ok = True
-    except ValueError as e:
-        return NaturalityReport(sub.flats, sup.flats, p, False, False, 0, str(e), False)
-    m_sub, m_sup = _stalk_pair(m, sub, sup)
-    square_ok = True
-    checked = 0
-    for direct, row in zip(_lower_images(m_sup, p), pushed):
-        checked += 1
-        if direct != pair_chain(m_sub, row, p):
-            square_ok = False
-            detail = f"pairing square fails on a degree-{p} basis chain"
-            break
-    return NaturalityReport(
-        sub.flats, sup.flats, p, inclusions_ok, square_ok, checked, detail,
-        inclusions_ok and square_ok,
-    )
+    if not sub.is_subflag_of(sup):
+        detail = "first flag is not a subflag of the second"
+        return NaturalityReport(sub.flats, sup.flats, p, False, False, 0, detail, False)
+    return _naturality(sub, sup, p, stalk_matroid(m, sub), stalk_matroid(m, sup))
+
+
+def _naturality(sub: Flag, sup: Flag, p: int, m_sub: OrientedMatroid,
+                m_sup: OrientedMatroid) -> NaturalityReport:
+    """`verify_naturality` for flags with these stalks, once per stalk pair and degree."""
+
+    def build():
+        try:
+            pushed = _pushed_lower(m_sub, m_sup, p)
+            _pushed_lower(m_sub, m_sup, p + 1)
+            _check_dual_pieces(m_sub, m_sup, p)
+        except ValueError as e:
+            return False, False, 0, str(e)
+        for checked, (direct, row) in enumerate(zip(_lower_images(m_sup, p), pushed), 1):
+            if direct != pair_chain(m_sub, row, p):
+                return True, False, checked, f"pairing square fails on a degree-{p} basis chain"
+        return True, True, len(pushed), ""
+
+    inclusions_ok, square_ok, checked, detail = m_sub.memo(("naturality", m_sup, p), build)
+    return NaturalityReport(sub.flats, sup.flats, p, inclusions_ok, square_ok, checked,
+                            detail, inclusions_ok and square_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +271,16 @@ class TheoremCReport(NamedTuple):
     ok: bool
 
 
+def _composes(m_sub: OrientedMatroid, m_mid: OrientedMatroid, m_sup: OrientedMatroid) -> bool:
+    """Whether a stalk triple's sign map is the composite of its two steps."""
+
+    def build():
+        first, second = _tope_map(m_sub, m_mid), _tope_map(m_mid, m_sup)
+        return _tope_map(m_sub, m_sup) == tuple(first[j] for j in second)
+
+    return m_sub.memo(("composes", m_mid, m_sup), build)
+
+
 def verify_theorem_C(m: OrientedMatroid) -> TheoremCReport:
     """Stalk exactness and functoriality over the whole fan, all degrees.
 
@@ -285,6 +291,10 @@ def verify_theorem_C(m: OrientedMatroid) -> TheoremCReport:
     construction.
     """
     flags = [cone.flag for cone in fan_cones(m)]
+    stalk = {flag: stalk_matroid(m, flag) for flag in flags}
+    flat_sets = {flag: frozenset(flag.flats) for flag in flags}
+    # the proper subflags of each flag, in flag order
+    below = {sup: [sub for sub in flags if flat_sets[sub] < flat_sets[sup]] for sup in flags}
     failures: list[str] = []
     ses = []
     for flag in flags:
@@ -295,11 +305,9 @@ def verify_theorem_C(m: OrientedMatroid) -> TheoremCReport:
                 failures.append(f"exactness fails at flag {flag.flats} degree {p}")
     naturality = []
     for sup in flags:
-        for sub in flags:
-            if sub == sup or not sub.is_subflag_of(sup):
-                continue
+        for sub in below[sup]:
             for p in range(m.rank + 1):
-                rep = verify_naturality(m, sub, sup, p)
+                rep = _naturality(sub, sup, p, stalk[sub], stalk[sup])
                 naturality.append(rep)
                 if not rep.ok:
                     failures.append(
@@ -307,16 +315,10 @@ def verify_theorem_C(m: OrientedMatroid) -> TheoremCReport:
                     )
     compositions = 0
     for sup in flags:
-        subs = [f for f in flags if f.is_subflag_of(sup) and f != sup]
-        for mid in subs:
-            for sub in subs:
-                if sub == mid or not sub.is_subflag_of(mid):
-                    continue
-                direct = _tope_map(m, sub, sup)
-                first, second = _tope_map(m, sub, mid), _tope_map(m, mid, sup)
-                two_step = tuple(first[j] for j in second)
+        for mid in below[sup]:
+            for sub in below[mid]:
                 compositions += 1
-                if direct != two_step:
+                if not _composes(stalk[sub], stalk[mid], stalk[sup]):
                     failures.append(
                         f"composition fails through {mid.flats} between "
                         f"{sub.flats} and {sup.flats}"
@@ -386,11 +388,9 @@ def impossibility_check(m: OrientedMatroid) -> ImpossibilityReport:
         for j in range(n):
             add_constraint(coeffs, j, None)
 
-    trivial = make_flag(m, [])
     for f in m.flats_by_rank[1]:
-        flag = make_flag(m, [f])
-        mf = stalk_matroid(m, flag)
-        idx = _tope_map(m, trivial, flag)
+        mf = stalk_matroid(m, make_flag(m, [f]))
+        idx = _tope_map(m, mf)  # the trivial flag's stalk is m
         for brow in vg_lower(mf, 1).basis:
             pushed = _scatter(idx, brow, len(m.topes))
             coeffs = lower.coords_of(pushed)

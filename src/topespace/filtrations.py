@@ -26,6 +26,7 @@ from .linalg import (
     bits_of,
     gf2_kernel,
     int_kernel,
+    int_kernel_prefixes,
     mask_from_bits,
     parity,
     xor_span,
@@ -88,16 +89,25 @@ def vg_lower(m: OrientedMatroid, p: int, ring: str = "z"):
 
     Square-free monomials suffice because the indicator functions are
     idempotent.  Over the integers the kernel lattice is saturated; over GF(2)
-    the kernel of the reduced matrix is returned instead.
+    the kernel of the reduced matrix is returned instead.  The equations of a
+    degree are a prefix of those of the next, so the integer pieces of every
+    degree up to rank + 1 come from one Hermite form (`int_kernel_prefixes`).
     """
+    top = max(p, m.rank + 1)
+
+    def ladder():
+        rows, ends = [], [0]  # the equations of degrees below q: rows[:ends[q]]
+        for q in range(top):
+            rows += [dict.fromkeys(topes, 1) for topes in heaviside_pairing(m, q)]
+            ends.append(len(rows))
+        return int_kernel_prefixes(rows, len(m.topes), ends)
 
     def build():
-        nt = len(m.topes)
-        supports = [topes for q in range(p) for topes in heaviside_pairing(m, q)]
         if ring == "z":
-            return int_kernel([dict.fromkeys(topes, 1) for topes in supports], nt)
+            return m.memo(("vg_ladder", top), ladder)[p]
         if ring == "z2":
-            return gf2_kernel(map(mask_from_bits, supports), nt)
+            return gf2_kernel((mask_from_bits(topes) for q in range(p)
+                               for topes in heaviside_pairing(m, q)), len(m.topes))
         raise ValueError(f"unknown ring {ring!r}")
 
     return m.memo(("vg_lower", p, ring), build)
@@ -136,14 +146,16 @@ def quillen_cosets(m: OrientedMatroid, p: int) -> list[tuple[int, int]]:
     For each complete flag, every coset of every span of p block directions
     inside the tope set contributes its indicator chain; the attached wedge of
     the block vectors only depends on the coset's direction space, so the
-    first occurrence of a tope mask fixes it.  Flags share blocks, so each
+    first occurrence of a coset fixes it.  The blocks are disjoint, so a
+    coset is keyed by its sorted directions and its member with the lowest
+    bit of every block clear, and its tope mask is built once per key.  Each
     wedge is computed once per distinct tuple of block directions.
     """
 
     def build():
         index = subset_index(m.n, p)
         out: list[tuple[int, int]] = []
-        seen: set[int] = set()
+        seen: set[tuple[tuple[int, ...], int]] = set()
         wedges: dict[tuple[int, ...], int] = {}
         for flag in enumerate_flags(m):
             blocks = flag.blocks()
@@ -153,18 +165,13 @@ def quillen_cosets(m: OrientedMatroid, p: int) -> list[tuple[int, int]]:
                 if dmasks not in wedges:
                     wedges[dmasks] = mask_from_bits(
                         index[mono] for mono, c in wedge_masks(dmasks, m.n).items() if c & 1)
-                wedge = wedges[dmasks]
-                span = xor_span(dmasks)
-                done: set[int] = set()
+                dirs = tuple(sorted(dmasks))
                 for t in tf:
-                    if t.minus in done:
-                        continue
-                    members = [t.minus ^ x for x in span]
-                    done.update(members)
-                    cmask = mask_from_bits(m.tope_by_minus[mm] for mm in members)
-                    if cmask not in seen:
-                        seen.add(cmask)
-                        out.append((cmask, wedge))
+                    rep = t.minus ^ sum(d for d in dmasks if t.minus & d & -d)
+                    if (dirs, rep) not in seen:
+                        seen.add((dirs, rep))
+                        out.append((mask_from_bits(m.tope_by_minus[rep ^ x]
+                                                   for x in xor_span(dmasks)), wedges[dmasks]))
         return out
 
     return m.memo(("quillen_cosets", p), build)

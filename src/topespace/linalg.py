@@ -361,15 +361,18 @@ def int_image_and_relations(images: Sequence, labels: Sequence) -> tuple[IntMatr
     return image, relations
 
 
-def int_kernel(rows: Sequence[dict[int, int]], ncols: int) -> "LatticeZ":
-    """The saturated lattice {x in Z^ncols : a·x = 0}, each of `rows` one
-    equation of a as a sparse row {col: value}, in its canonical HNF basis;
-    Z^ncols when no equation has a nonzero entry.
+def int_kernel_prefixes(rows: Sequence[dict[int, int]], ncols: int,
+                        prefixes: Sequence[int]) -> list["LatticeZ"]:
+    """For each k in `prefixes`, the saturated lattice {x in Z^ncols :
+    a_i·x = 0 for i < k} in its canonical HNF basis, all from one labelled
+    Hermite form; each of `rows` is one equation as a sparse row {col: value}.
 
-    With w equations, the labelled columns {i: a_ij, w + j: 1} span the
-    lattice of the pairs (a·x, x), so the Hermite rows whose pivot is a label
-    column are the pairs (0, x) of a basis of the kernel.  A column index
-    outside 0..ncols-1 raises ValueError; zero values are skipped.
+    With w equations, the labelled columns {i: a_ij, w + j: 1} span the pairs
+    (a·x, x).  The pairs that vanish on the first k equations are spanned by
+    the Hermite rows with pivot at k or beyond, whose label parts are so a
+    basis of the prefix's kernel: canonical for k = w, and put in Hermite form
+    otherwise, longest prefix first, each form starting from the canonical
+    basis of the prefix before.  A column outside 0..ncols-1 raises ValueError.
     """
     w = len(rows)
     cols: list[dict[int, int]] = [{} for _ in range(ncols)]
@@ -379,17 +382,35 @@ def int_kernel(rows: Sequence[dict[int, int]], ncols: int) -> "LatticeZ":
                 raise ValueError(f"equation {i} has column {j}, outside 0..{ncols - 1}")
             if a:
                 cols[j][i] = a
-    labelled = [{**col, w + j: 1} for j, col in enumerate(cols)]
-    kern = [row for c, row in _hermite_rows(labelled, w + ncols) if c >= w]
-    # check a·x = 0 as the sum of x_j times column j, over the support of x
-    for x in kern:
-        ax: dict[int, int] = defaultdict(int)
-        for k, v in x.items():
-            for i, a in cols[k - w].items():
-                ax[i] += a * v
-        if any(ax.values()):
-            raise RuntimeError("int_kernel check failed: a·x != 0 for a returned row")
-    return LatticeZ(ncols, tuple(tuple(_dense(x, w, ncols)) for x in kern))
+    hermite = _hermite_rows([{**col, w + j: 1} for j, col in enumerate(cols)], w + ncols)
+    kernels: dict[int, LatticeZ] = {}
+    kern: list[dict[int, int]] = []
+    done = w + ncols  # kern is the canonical basis for the rows with pivot >= done
+    for k in sorted(set(prefixes), reverse=True):
+        kern += [{j - w: x for j, x in row.items() if j >= w}
+                 for c, row in hermite if k <= c < done]
+        done = k
+        if k < w:
+            kern = [row for _, row in _hermite_rows(kern, ncols)]
+        # check a·x = 0 on the prefix, summing x_j times column j (by equation)
+        for x in kern:
+            ax: dict[int, int] = defaultdict(int)
+            for j, v in x.items():
+                for i, a in cols[j].items():
+                    if i >= k:
+                        break
+                    ax[i] += a * v
+            if any(ax.values()):
+                raise RuntimeError("int_kernel check failed: a·x != 0 for a returned row")
+        kernels[k] = LatticeZ(ncols, tuple(tuple(_dense(x, 0, ncols)) for x in kern))
+    return [kernels[k] for k in prefixes]
+
+
+def int_kernel(rows: Sequence[dict[int, int]], ncols: int) -> "LatticeZ":
+    """The saturated lattice {x in Z^ncols : a·x = 0} in its canonical HNF
+    basis, Z^ncols when no equation has a nonzero entry: the whole-system
+    prefix of `int_kernel_prefixes`."""
+    return int_kernel_prefixes(rows, ncols, [len(rows)])[0]
 
 
 class _LatticeZFields(NamedTuple):
@@ -430,7 +451,7 @@ class LatticeZ(_LatticeZFields):
         v = list(v)
         coords = []
         for c, pivot, support in self._reducers:
-            q, r = divmod(v[c], pivot)
+            q, r = divmod(v[c], pivot) if v[c] else (0, 0)
             if r:
                 return None
             if q:

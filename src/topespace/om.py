@@ -363,8 +363,12 @@ def enumerate_flags(m: OrientedMatroid, complete: bool = True) -> list[Flag]:
 
     A complete flag has one flat of every rank 0..r.  A proper flag is any
     strictly increasing chain of proper nonempty flats, including the empty
-    chain.
+    chain.  Cached per matroid; each call returns a fresh list.
     """
+    return list(m.memo(("flags", complete), lambda: tuple(_flags(m, complete))))
+
+
+def _flags(m: OrientedMatroid, complete: bool) -> list[Flag]:
     if complete:
         out: list[Flag] = []
 
@@ -444,11 +448,6 @@ def initial_covectors(m: OrientedMatroid, flag: Flag) -> frozenset[SignVector]:
             minus |= mi
         covs.append(SignVector(m.n, plus, minus))
     return frozenset(covs)
-
-
-def initial_matroid(m: OrientedMatroid, flag: Flag) -> OrientedMatroid:
-    """The initial matroid of m along a flag (see `initial_covectors`)."""
-    return OrientedMatroid(initial_covectors(m, flag))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from topespace.linalg import (
     bits_of,
     gf2_kernel,
     hermite_normal_form,
+    int_kernel,
     lattice_equal,
     mask_from_bits,
     smith_normal_form,
@@ -50,6 +51,7 @@ from topespace.om import (
     SignVector,
     compose,
     enumerate_flags,
+    initial_covectors,
     om_from_covectors,
     tope_flag_set,
     zero_out,
@@ -402,6 +404,38 @@ def vg_lower_dense(m: OrientedMatroid, p: int) -> LatticeZ:
     rows = [[int(mask_from_bits(s) & ~t.plus == 0) for t in m.topes]
             for q in range(p) for s in combinations(range(m.n), q)]
     return int_kernel_dense(rows, len(m.topes))
+
+
+def cordovil_relation_rows(m: OrientedMatroid, p: int) -> list[dict[int, int]]:
+    """Degree-p relation rows m0 * dC over signed circuits C and square-free
+    monomials m0, as sparse rows in p-subset coordinates.
+
+    dC drops one circuit element at a time with its sign; multiplication is
+    commutative and a term dies when the monomial meets the remaining
+    support.  The surviving terms of one row are distinct monomials.
+    """
+    index = subset_index(m.n, p)
+    rows: list[dict[int, int]] = []
+    for c in signed_circuits(m):
+        support = bits_of(c.support)
+        extra = p - len(support) + 1
+        if extra < 0:
+            continue
+        for mono in combinations(range(m.n), extra):
+            mono_mask = mask_from_bits(mono)
+            row = {}
+            for e in support:
+                rest = c.support & ~(1 << e)
+                if not mono_mask & rest:
+                    row[index[tuple(sorted(mono + tuple(bits_of(rest))))]] = c.sign(e)
+            if row:
+                rows.append(row)
+    return rows
+
+
+def cordovil_dual_by_kernel(m: OrientedMatroid, p: int) -> LatticeZ:
+    """The degree-p Cordovil dual as the integer kernel of the relation rows."""
+    return int_kernel(cordovil_relation_rows(m, p), len(subset_index(m.n, p)))
 
 
 def cordovil_relation_rows_dense(m: OrientedMatroid, p: int) -> IntMatrix:
@@ -765,6 +799,12 @@ def asymptotic_rows_by_tuples(m: OrientedMatroid, p: int) -> list[list[int]]:
                 smask = mask_from_bits(s)
                 rows.add(tuple(1 if smask & ~sep == 0 else 0 for sep in seps))
     return [list(r) for r in sorted(rows)]
+
+
+def initial_matroid(m: OrientedMatroid, flag: Flag) -> OrientedMatroid:
+    """The initial matroid of m along a flag, built afresh from
+    `initial_covectors` (`cosheaf.stalk_matroid` shares one per covector set)."""
+    return OrientedMatroid(initial_covectors(m, flag))
 
 
 def tope_flag_set_by_sign_vectors(m: OrientedMatroid, flag: Flag) -> list[SignVector]:

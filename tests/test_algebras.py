@@ -3,13 +3,19 @@
 from itertools import combinations
 
 import pytest
-from oracles import lattice_saturated, nbc_flag, os_dual, rank_graded_chains
+from oracles import (
+    cordovil_dual_by_kernel,
+    cordovil_relation_rows,
+    lattice_saturated,
+    nbc_flag,
+    os_dual,
+    rank_graded_chains,
+)
 
 from topespace.algebras import (
     broken_circuits,
     circuits,
     cordovil_dual,
-    cordovil_relation_rows,
     epsilon,
     nbc_sets,
     sf_mul,
@@ -223,10 +229,7 @@ def test_cordovil_dual_cached_per_matroid_and_degree(name):
     for p in range(m.rank + 1):
         lat = cordovil_dual(m, p)
         assert cordovil_dual(m, p) is lat
-        dim = len(subset_index(m.n, p))
-        rows = cordovil_relation_rows(fresh, p)
-        expected = LatticeZ.from_generators(dim, int_kernel(rows, dim).basis)
-        assert lattice_equal(lat, expected)
+        assert lattice_equal(lat, cordovil_dual_by_kernel(fresh, p))
 
 
 def test_cordovil_rank_equals_nbc_count_and_saturated():

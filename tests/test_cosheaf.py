@@ -89,10 +89,8 @@ def test_one_stalk_object_per_covector_set(name, cones, distinct):
 
 def test_sign_map_embeds_stalk_topes():
     m = load("u23")
-    trivial = make_flag(m, [])
-    flag = make_flag(m, [0b001])
-    idx = cosheaf._tope_map(m, trivial, flag)
-    mf = stalk_matroid(m, flag)
+    mf = stalk_matroid(m, make_flag(m, [0b001]))
+    idx = cosheaf._tope_map(stalk_matroid(m, make_flag(m, [])), mf)
     assert len(idx) == len(mf.topes) == 4
     assert len(set(idx)) == 4 and all(0 <= i < 6 for i in idx)
     assert [m.topes[i] for i in idx] == list(mf.topes)
@@ -101,40 +99,43 @@ def test_sign_map_embeds_stalk_topes():
 def test_identity_pair_gives_identity_matrix():
     # as an index map, the identity matrix is the identity tuple
     m = load("u23")
-    flag = make_flag(m, [0b001])
-    assert cosheaf._tope_map(m, flag, flag) == (0, 1, 2, 3)
+    mf = stalk_matroid(m, make_flag(m, [0b001]))
+    assert cosheaf._tope_map(mf, mf) == (0, 1, 2, 3)
 
 
 def test_map_rejects_non_subflags():
     m = load("u23")
-    with pytest.raises(ValueError):
-        cosheaf._tope_map(m, make_flag(m, [0b001]), make_flag(m, [0b010]))
+    sub, sup = make_flag(m, [0b001]), make_flag(m, [0b010])
+    rep = verify_naturality(m, sub, sup, 1)
+    assert not rep.ok and rep.detail == "first flag is not a subflag of the second"
+    assert rep == verify_naturality_dense(m, sub, sup, 1)
+    # the two stalks' tope sets are not nested either
+    with pytest.raises(ValueError, match="not nested"):
+        cosheaf._tope_map(stalk_matroid(m, sub), stalk_matroid(m, sup))
 
 
 def test_filtered_and_algebra_kinds():
     # the stalk map respects the lower pieces and the dual-algebra pieces
     m = load("u23")
-    trivial = make_flag(m, [])
-    flag = make_flag(m, [0b001])
-    idx = cosheaf._tope_map(m, trivial, flag)
-    mf = stalk_matroid(m, flag)
+    mf = stalk_matroid(m, make_flag(m, [0b001]))
+    idx = cosheaf._tope_map(m, mf)
     for p in (1, 2):
-        pushed = cosheaf._pushed_lower(m, trivial, flag, p)
+        pushed = cosheaf._pushed_lower(m, mf, p)
         assert len(pushed) == vg_lower(mf, p).rank
         for row, out in zip(vg_lower(mf, p).basis, pushed):
             assert [out[i] for i in idx] == list(row)
             assert vg_lower(m, p).contains(out)
-        cosheaf._check_dual_pieces(m, trivial, flag, p)
+        cosheaf._check_dual_pieces(m, mf, p)
 
 
 def test_sign_map_composition():
     m = load("u34")
-    trivial = make_flag(m, [])
-    mid = make_flag(m, [0b0001])
-    sup = make_flag(m, [0b0001, 0b0011])
-    direct = cosheaf._tope_map(m, trivial, sup)
-    first, second = cosheaf._tope_map(m, trivial, mid), cosheaf._tope_map(m, mid, sup)
+    mid = stalk_matroid(m, make_flag(m, [0b0001]))
+    sup = stalk_matroid(m, make_flag(m, [0b0001, 0b0011]))
+    direct = cosheaf._tope_map(m, sup)
+    first, second = cosheaf._tope_map(m, mid), cosheaf._tope_map(mid, sup)
     assert direct == tuple(first[j] for j in second)
+    assert cosheaf._composes(m, mid, sup)
 
 
 # -- stalk exactness --------------------------------------------------------
@@ -202,9 +203,13 @@ def test_naturality_pushes_each_lower_piece_once(monkeypatch):
     pairs = [(sub, sup) for sup in flags for sub in flags
              if sub != sup and sub.is_subflag_of(sup)]
     assert len(report.naturality) == len(pairs) * (m.rank + 1)
-    # degrees 0..rank+1 are each pushed once per pair, one scatter per basis row
-    assert len(calls) == sum(len(vg_lower(stalk_matroid(m, sup), q).basis)
-                             for _, sup in pairs for q in range(m.rank + 2))
+    # degrees 0..rank+1 are each pushed once per distinct pair of stalks, one
+    # scatter per basis row
+    stalk_pairs = {(stalk_matroid(m, sub), stalk_matroid(m, sup)) for sub, sup in pairs}
+    assert len(stalk_pairs) < len(pairs)
+    assert len(calls) == 608
+    assert len(calls) == sum(len(vg_lower(m_sup, q).basis)
+                             for _, m_sup in stalk_pairs for q in range(m.rank + 2))
 
 
 
@@ -317,12 +322,19 @@ def b3():
     return om_from_arrangement(b3_arrangement())
 
 
+def gen3_6():
+    # six generic planes in R^3, normals on the moment curve
+    return om_from_arrangement(Arrangement(tuple(
+        (Fraction(1), Fraction(i), Fraction(i * i)) for i in range(1, 7))))
+
+
 def fresh(name):
     return om_from_arrangement(Arrangement(CORPUS[name].normals))
 
 
-@pytest.mark.parametrize("build", [lambda: fresh("u34"), lambda: fresh("a3"), b3],
-                         ids=["u34", "a3", "b3"])
+@pytest.mark.parametrize("build", [lambda: fresh("u34"), lambda: fresh("a3"), b3,
+                                   gen3_6],
+                         ids=["u34", "a3", "b3", "gen3_6"])
 def test_theorem_C_matches_dense_oracle(build):
     # separate matroids, so neither path reads what the other cached
     report, oracle = verify_theorem_C(build()), verify_theorem_C_dense(build())
@@ -338,12 +350,12 @@ def test_theorem_C_matches_dense_oracle(build):
 def test_naturality_matches_dense_oracle_when_a_lower_piece_is_wrong(monkeypatch):
     # the trivial flag's degree-1 piece is replaced by its degree-2 piece, so
     # the inclusion of the degree-1 piece of the superflag's stalk must fail
-    m = fresh("u23")
+    m, m_dense = fresh("u23"), fresh("u23")
     sub, sup = make_flag(m, []), make_flag(m, [0b001])
     real = vg_lower
 
     def wrong(mm, p, ring="z"):
-        return real(mm, 2 if (mm is m and p == 1) else p, ring)
+        return real(mm, 2 if (mm in (m, m_dense) and p == 1) else p, ring)
 
     monkeypatch.setattr(cosheaf, "vg_lower", wrong)
     monkeypatch.setattr(oracles, "vg_lower", wrong)
@@ -354,6 +366,33 @@ def test_naturality_matches_dense_oracle_when_a_lower_piece_is_wrong(monkeypatch
         assert rep.detail == "inclusion does not respect the degree-1 lower piece"
     assert verify_naturality(m, sub, sup, 2) == verify_naturality_dense(m, sub, sup, 2)
     assert verify_naturality(m, sub, sup, 2).ok
+    # and the whole report, every pair below the trivial flag included
+    report = verify_theorem_C(m)
+    assert report == verify_theorem_C_dense(m_dense)
+    assert not report.ok
+
+
+def test_theorem_C_matches_dense_oracle_when_a_shared_stalk_is_wrong(monkeypatch):
+    # a stalk shared by several cones gets its degree-0 piece in place of its
+    # degree-1 piece, so pushing it into a subflag's stalk fails; the outcome
+    # is cached per pair of stalks and must show on every pair of flags with
+    # those stalks, as the dense oracle finds it pair by pair
+    flag = Flag((0, 0b0001, 0b0011, 0b1111))
+    m, m_dense = fresh("u34"), fresh("u34")
+    targets = {stalk_matroid(m, flag), stalk_matroid(m_dense, flag)}
+    real = vg_lower
+
+    def wrong(mm, p, ring="z"):
+        return real(mm, 0 if (mm in targets and p == 1) else p, ring)
+
+    monkeypatch.setattr(cosheaf, "vg_lower", wrong)
+    monkeypatch.setattr(oracles, "vg_lower", wrong)
+    report, oracle = verify_theorem_C(m), verify_theorem_C_dense(m_dense)
+    assert report == oracle
+    assert not report.ok and not all(r.ok for r in report.ses)
+    failing = [(stalk_matroid(m, Flag(r.sub)), stalk_matroid(m, Flag(r.sup)), r.p)
+               for r in report.naturality if not r.ok]
+    assert len(failing) == 10 and len(set(failing)) == 6
 
 
 # -- the integral lifting obstruction ---------------------------------------

@@ -8,6 +8,7 @@ from oracles import (
     affine_coordinate_chain,
     asymptotic_member,
     asymptotic_rows_by_tuples,
+    cordovil_dual_by_kernel,
     cordovil_relation_rows_dense,
     gf2_solver_by_scan,
     heaviside_eval,
@@ -37,6 +38,7 @@ from topespace.algebras import (
     wedge_masks,
 )
 from topespace.cli import verify_checks
+from topespace.cosheaf import fan_cones, stalk_matroid
 from topespace.corpus import CORPUS, load, names
 from topespace.filtrations import (
     asymptotic,
@@ -722,6 +724,17 @@ def test_sparse_kernels_match_the_dense_path(name):
         assert asymptotic(m, p) == int_kernel_dense(asymptotic_rows_by_tuples(m, p), nt), p
         dim = len(subset_index(m.n, p))
         assert cordovil_dual(m, p) == int_kernel_dense(cordovil_relation_rows_dense(m, p), dim), p
+
+
+@pytest.mark.parametrize("name", names() + ["gen3_6", "b3", "gen4_6"])
+def test_cordovil_dual_matches_the_kernel_oracle_on_every_stalk(name):
+    # the nbc dual basis against the kernel of the circuit relations, on
+    # every distinct stalk of the fan and one degree past the rank
+    m = fresh(name)
+    stalks = {id(s): s for s in (stalk_matroid(m, cone.flag) for cone in fan_cones(m))}
+    for mf in stalks.values():
+        for p in range(mf.rank + 2):
+            assert cordovil_dual(mf, p) == cordovil_dual_by_kernel(mf, p), p
 
 
 @pytest.mark.parametrize("name", ["u34", "a3", "gen3_6", "gen4_6"])

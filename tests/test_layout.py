@@ -17,7 +17,9 @@ never from a `range(1 << k)` loop over bit patterns; integer equations
 reach the labelled Hermite form as sparse rows, never through a dense
 identity label block (`int_identity`, `mat_vec`, `int_relations`); and the covector
 axiom check and the arrangement build compose covectors through the one
-closure `om.compositions`; and no module imports `dataclasses`: value and
+closure `om.compositions`; the Cordovil dual is read off the nbc
+straightening, so `algebras.py` names neither `int_kernel` nor the circuit
+relation rows; and no module imports `dataclasses`: value and
 report types are `typing.NamedTuple`s, so importing the package never loads
 `dataclasses` and the `inspect` machinery that comes with it.
 """
@@ -215,6 +217,15 @@ def test_covector_compositions_come_from_one_closure(name):
     assert _named_lines(fn, {"compositions"}), f"{name} does not call om.compositions"
     loops = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.While)]
     assert loops == [], f"{name}: while loop at lines {loops}"
+
+
+def test_cordovil_dual_takes_no_integer_kernel():
+    path = PACKAGE / "algebras.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _named_lines(tree, {"int_kernel", "cordovil_relation_rows"}) + [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "cordovil_relation_rows"]
+    assert lines == [], f"algebras.py: integer kernel or relation rows at lines {sorted(lines)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

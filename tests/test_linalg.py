@@ -32,6 +32,7 @@ from topespace.linalg import (
     hermite_normal_form,
     int_image_and_relations,
     int_kernel,
+    int_kernel_prefixes,
     lattice_equal,
     mask_from_bits,
     parity,
@@ -543,6 +544,30 @@ def _sparse_kernel_draws(rng: random.Random):
 def test_int_kernel_matches_the_dense_oracle():
     for rows, ncols in _sparse_kernel_draws(random.Random(61)):
         assert int_kernel(sparse(rows), ncols) == int_kernel_dense(rows, ncols)
+
+
+def test_kernel_prefixes_match_the_dense_oracle():
+    # one Hermite form serves every prefix of the equations, the empty and
+    # the whole one included
+    rng = random.Random(71)
+    for rows, ncols in _sparse_kernel_draws(random.Random(73)):
+        ks = rng.sample(range(len(rows) + 1), min(3, len(rows) + 1))
+        ks.sort(reverse=rng.random() < 0.5)
+        lattices = int_kernel_prefixes(sparse(rows), ncols, ks)
+        assert lattices == [int_kernel_dense(rows[:k], ncols) for k in ks], ks
+
+
+def test_kernel_prefixes_check_each_prefix(monkeypatch):
+    # a Hermite row of the whole system with its pivot at equation 1 and
+    # label part (0, 1, 0), which misses equation 0: the kernel of the
+    # whole system is empty, that of the first equation fails its check
+    real = linalg._hermite_rows
+    a = [{0: 1, 1: 1}, {1: 1, 2: 1}]
+    monkeypatch.setattr(linalg, "_hermite_rows", lambda rows, ncols: (
+        [(1, {1: 1, 3: 1})] if ncols == 5 else real(rows, ncols)))
+    assert int_kernel_prefixes(a, 3, [2])[0].basis == ()
+    with pytest.raises(RuntimeError, match="a·x != 0"):
+        int_kernel_prefixes(a, 3, [2, 1])
 
 
 def test_intersect_and_solve_on_sparse_draws():

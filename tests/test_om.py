@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     check_covector_axioms_by_index,
     check_covector_axioms_by_scan,
+    initial_matroid,
     maximal_covector_not_tope_by_scan,
     om_from_arrangement_by_fractions,
 )
@@ -27,7 +28,6 @@ from topespace.om import (
     check_covector_axioms,
     compose,
     enumerate_flags,
-    initial_matroid,
     is_complete_flag,
     make_flag,
     om_from_arrangement,
