@@ -282,7 +282,7 @@ def projectivize(m: OrientedMatroid, p: int, order: Optional[Sequence[int]] = No
         row[j] -= 1
         theta_gens.append(row)
     theta = LatticeZ.from_generators(ntopes, theta_gens)
-    inter = theta.intersect(vg_lower(m, p, ring="z"))
+    inter = theta.intersect(vg_lower(m, p))
     dim = len(subset_index(m.n, p))
     b = LatticeZ.from_generators(
         dim, [sf_vector(tilde_a(m, list(g), p), m.n, p) for g in inter.basis]

@@ -153,8 +153,8 @@ def describe_check(m: OrientedMatroid, target: str,
             "nbc": {str(p): [list(s) for s in nbc_sets(m, p, order)]
                     for p in range(m.rank + 1)},
             "vg_ranks": {
-                str(p): (vg_lower(m, p, ring).rank if ring == "z"
-                         else vg_lower(m, p, ring).dim)
+                str(p): (vg_lower(m, p).rank if ring == "z"
+                         else vg_lower(m, p).mod2().dim)
                 for p in range(m.rank + 2)
             },
         }
@@ -211,7 +211,7 @@ def verify_checks(m: OrientedMatroid, which: str, target: str,
                     rows.append({
                         "p": q,
                         "rank": lat.rank,
-                        "equal": lattice_equal(lat, vg_lower(m, q, "z")),
+                        "equal": lattice_equal(lat, vg_lower(m, q)),
                     })
                 return all(r["equal"] for r in rows), {"reports": rows}
 

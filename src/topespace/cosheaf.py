@@ -12,6 +12,7 @@ to index-map identities, lattice containments and coordinate comparisons.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .algebras import cordovil_dual, subset_index
@@ -105,31 +106,17 @@ def _scatter(idx: tuple[int, ...], chain, size: int) -> list[int]:
     return out
 
 
-def _pushed_lower(m_sub: OrientedMatroid, m_sup: OrientedMatroid, p: int) -> list[list[int]]:
-    """The superflag's degree-p lower basis pushed into the subflag's stalk,
-    after checking that each pushed row lies in the subflag's degree-p piece.
-    The outcome, a failed check included, is cached per pair and degree."""
+def _lower_included(m_sub: OrientedMatroid, m_sup: OrientedMatroid, q: int) -> bool:
+    """Whether the tope index map carries the superflag's degree-q lower piece
+    into the subflag's, tested on scattered basis rows.  Only the verdict is
+    cached, per pair and degree."""
 
     def build():
-        idx = _tope_map(m_sub, m_sup)
-        target = vg_lower(m_sub, p)
-        pushed = []
-        for row in vg_lower(m_sup, p).basis:
-            out = _scatter(idx, row, len(m_sub.topes))
-            if not target.contains(out):
-                return f"inclusion does not respect the degree-{p} lower piece"
-            pushed.append(out)
-        return pushed
+        idx, target = _tope_map(m_sub, m_sup), vg_lower(m_sub, q)
+        return all(target.contains(_scatter(idx, row, len(m_sub.topes)))
+                   for row in vg_lower(m_sup, q).basis)
 
-    pushed = m_sub.memo(("pushed_lower", m_sup, p), build)
-    if isinstance(pushed, str):
-        raise ValueError(pushed)
-    return pushed
-
-
-def _check_dual_pieces(m_sub: OrientedMatroid, m_sup: OrientedMatroid, p: int) -> None:
-    if not cordovil_dual(m_sub, p).contains_lattice(cordovil_dual(m_sup, p)):
-        raise ValueError(f"inclusion does not respect the degree-{p} dual-algebra piece")
+    return m_sub.memo(("lower_included", m_sup, q), build)
 
 
 def _lower_images(mf: OrientedMatroid, p: int) -> list[list[int]]:
@@ -219,15 +206,19 @@ def _naturality(sub: Flag, sup: Flag, p: int, m_sub: OrientedMatroid,
 
     def build():
         try:
-            pushed = _pushed_lower(m_sub, m_sup, p)
-            _pushed_lower(m_sub, m_sup, p + 1)
-            _check_dual_pieces(m_sub, m_sup, p)
+            idx = _tope_map(m_sub, m_sup)
         except ValueError as e:
             return False, False, 0, str(e)
-        for checked, (direct, row) in enumerate(zip(_lower_images(m_sup, p), pushed), 1):
-            if direct != pair_chain(m_sub, row, p):
+        for q in (p, p + 1):
+            if not _lower_included(m_sub, m_sup, q):
+                return False, False, 0, f"inclusion does not respect the degree-{q} lower piece"
+        if not cordovil_dual(m_sub, p).contains_lattice(cordovil_dual(m_sup, p)):
+            return False, False, 0, f"inclusion does not respect the degree-{p} dual-algebra piece"
+        basis = vg_lower(m_sup, p).basis
+        for checked, (direct, row) in enumerate(zip(_lower_images(m_sup, p), basis), 1):
+            if direct != pair_chain(m_sub, _scatter(idx, row, len(m_sub.topes)), p):
                 return True, False, checked, f"pairing square fails on a degree-{p} basis chain"
-        return True, True, len(pushed), ""
+        return True, True, len(basis), ""
 
     inclusions_ok, square_ok, checked, detail = m_sub.memo(("naturality", m_sup, p), build)
     return NaturalityReport(sub.flats, sup.flats, p, inclusions_ok, square_ok, checked,
@@ -281,6 +272,23 @@ def _composes(m_sub: OrientedMatroid, m_mid: OrientedMatroid, m_sup: OrientedMat
     return m_sub.memo(("composes", m_mid, m_sup), build)
 
 
+def _proper_subflags(flags: list[Flag]) -> dict[Flag, list[Flag]]:
+    """The proper subflags of each flag of a fan, in the order of `flags`.
+
+    Every chain of proper flats is a cone of the fan, so the proper subflags
+    of a flag are the flags on the proper subsets of its interior flats.
+    """
+    position = {flag.flats: i for i, flag in enumerate(flags)}
+
+    def subflags(sup: Flag) -> list[Flag]:
+        lo, hi, inner = sup.flats[0], sup.flats[-1], sup.interior
+        return [flags[i] for i in sorted(position[(lo, *s, hi)]
+                                         for k in range(len(inner))
+                                         for s in combinations(inner, k))]
+
+    return {sup: subflags(sup) for sup in flags}
+
+
 def verify_theorem_C(m: OrientedMatroid) -> TheoremCReport:
     """Stalk exactness and functoriality over the whole fan, all degrees.
 
@@ -292,9 +300,7 @@ def verify_theorem_C(m: OrientedMatroid) -> TheoremCReport:
     """
     flags = [cone.flag for cone in fan_cones(m)]
     stalk = {flag: stalk_matroid(m, flag) for flag in flags}
-    flat_sets = {flag: frozenset(flag.flats) for flag in flags}
-    # the proper subflags of each flag, in flag order
-    below = {sup: [sub for sub in flags if flat_sets[sub] < flat_sets[sup]] for sup in flags}
+    below = _proper_subflags(flags)
     failures: list[str] = []
     ses = []
     for flag in flags:

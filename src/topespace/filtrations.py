@@ -83,15 +83,15 @@ def pair_chain(m: OrientedMatroid, gamma: IntChain, p: int) -> list[int]:
     return [sum(map(at, topes)) for topes in heaviside_pairing(m, p)]
 
 
-def vg_lower(m: OrientedMatroid, p: int, ring: str = "z"):
+def vg_lower(m: OrientedMatroid, p: int) -> LatticeZ:
     """Degree-p piece of the lower filtration: chains annihilated by every
     Heaviside monomial of degree < p.
 
     Square-free monomials suffice because the indicator functions are
-    idempotent.  Over the integers the kernel lattice is saturated; over GF(2)
-    the kernel of the reduced matrix is returned instead.  The equations of a
-    degree are a prefix of those of the next, so the integer pieces of every
-    degree up to rank + 1 come from one Hermite form (`int_kernel_prefixes`).
+    idempotent.  The kernel lattice is saturated, and its reduction mod 2 is
+    the GF(2) piece.  The equations of a degree are a prefix of those of the
+    next, so the pieces of every degree up to rank + 1 come from one Hermite
+    form (`int_kernel_prefixes`).
     """
     top = max(p, m.rank + 1)
 
@@ -102,15 +102,7 @@ def vg_lower(m: OrientedMatroid, p: int, ring: str = "z"):
             ends.append(len(rows))
         return int_kernel_prefixes(rows, len(m.topes), ends)
 
-    def build():
-        if ring == "z":
-            return m.memo(("vg_ladder", top), ladder)[p]
-        if ring == "z2":
-            return gf2_kernel((mask_from_bits(topes) for q in range(p)
-                               for topes in heaviside_pairing(m, q)), len(m.topes))
-        raise ValueError(f"unknown ring {ring!r}")
-
-    return m.memo(("vg_lower", p, ring), build)
+    return m.memo(("vg_ladder", top), ladder)[p]
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +481,7 @@ def tilde_a(m: OrientedMatroid, gamma: IntChain, p: int) -> SFPoly:
     g = list(gamma)
     if len(g) != len(m.topes):
         raise ValueError("chain length does not match the tope count")
-    if not vg_lower(m, p, "z").contains(g):
+    if not vg_lower(m, p).contains(g):
         raise ValueError("chain is not in the degree-p lower piece")
     coords = pair_chain(m, g, p)
     return {s: c for s, c in zip(combinations(range(m.n), p), coords) if c}
@@ -546,7 +538,7 @@ def verify_theorem_A(m: OrientedMatroid) -> TheoremAReport:
     discrepancy = None
     for p in range(m.rank + 2):
         q = quillen_Q(m, p)
-        vb = vg_lower(m, p, "z").mod2()
+        vb = vg_lower(m, p).mod2()
         k = kalinin_K(m, p)
         dims.append({"p": p, "quillen": q.dim, "vg_mod2": vb.dim, "kalinin": k.dim})
         if discrepancy is None and not (q == vb and vb == k):

@@ -16,7 +16,7 @@ from itertools import combinations, product
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .linalg import LatticeZ, bits_of, int_kernel, mask_from_bits
+from .linalg import int_kernel
 
 
 class ParseError(ValueError):
@@ -538,9 +538,10 @@ def om_from_arrangement(arr: Arrangement) -> OrientedMatroid:
     `compositions`, checked once by `check_covector_axioms`.
 
     Each normal is scaled by the lcm of its denominators, which keeps every
-    sign.  For each corank-one flat of the normal-vector matroid, the first
-    integer kernel vector of the normals in the flat that is not orthogonal
-    to every normal yields a cocircuit pair.
+    sign.  The rank r is d minus the rank of the kernel of all normals.  An
+    (r-1)-subset of normals is independent when its kernel has d - r + 1
+    basis rows, and the first of them that is not orthogonal to every normal
+    yields the cocircuit pair of the corank-one flat the subset spans.
     """
     d, n = arr.dim, arr.n
     normals = []
@@ -548,38 +549,18 @@ def om_from_arrangement(arr: Arrangement) -> OrientedMatroid:
         scale = lcm(*(x.denominator for x in v))
         normals.append([int(x * scale) for x in v])
 
-    rank_cache: dict[int, int] = {}
-
-    def subset_rank(mask: int) -> int:
-        if mask not in rank_cache:
-            rows = [normals[i] for i in bits_of(mask)]
-            rank_cache[mask] = LatticeZ.from_generators(d, rows).rank
-        return rank_cache[mask]
-
-    r = subset_rank((1 << n) - 1)
-    hyperflats: set[int] = set()
-    if r >= 1:
-        for subset in combinations(range(n), r - 1):
-            mask = mask_from_bits(subset)
-            if subset_rank(mask) != r - 1:
-                continue
-            flat = 0
-            for j in range(n):
-                if subset_rank(mask | (1 << j)) == r - 1:
-                    flat |= 1 << j
-            hyperflats.add(flat)
-
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))
 
     full = (1 << n) - 1
     sparse = [{j: x for j, x in enumerate(v) if x} for v in normals]
+    r = d - int_kernel(sparse, d).rank
     cocircuits: set[int] = set()
-    for flat in hyperflats:
-        basis = int_kernel([sparse[i] for i in bits_of(flat)], d).basis
-        found = next((x for x in basis if any(dot(x, v) for v in normals)), None)
-        if found is None:
-            raise RuntimeError("corank-one flat without a normal direction")
+    for subset in combinations(range(n), max(r - 1, 0)):
+        basis = int_kernel([sparse[i] for i in subset], d).basis
+        if len(basis) != d - r + 1:
+            continue
+        found = next(x for x in basis if any(dot(x, v) for v in normals))
         plus = minus = 0
         for i, v in enumerate(normals):
             s = dot(found, v)
@@ -587,8 +568,6 @@ def om_from_arrangement(arr: Arrangement) -> OrientedMatroid:
                 plus |= 1 << i
             elif s < 0:
                 minus |= 1 << i
-        if full & ~(plus | minus) != flat:
-            raise RuntimeError("cocircuit zero set does not match its flat")
         cocircuits.update((plus | minus << n, minus | plus << n))
 
     generators = sorted(cocircuits)

@@ -26,6 +26,7 @@ from topespace.filtrations import (
     IntChain,
     _complete_flag_data,
     _ladder_rows,
+    heaviside_pairing,
     prefix_chain,
     vg_lower,
 )
@@ -404,6 +405,13 @@ def vg_lower_dense(m: OrientedMatroid, p: int) -> LatticeZ:
     rows = [[int(mask_from_bits(s) & ~t.plus == 0) for t in m.topes]
             for q in range(p) for s in combinations(range(m.n), q)]
     return int_kernel_dense(rows, len(m.topes))
+
+
+def vg_lower_mod2(m: OrientedMatroid, p: int) -> SubspaceGF2:
+    """The degree-p lower piece over GF(2): the kernel of the Heaviside
+    equations of degree < p reduced mod 2."""
+    return gf2_kernel((mask_from_bits(topes) for q in range(p)
+                       for topes in heaviside_pairing(m, q)), len(m.topes))
 
 
 def cordovil_relation_rows(m: OrientedMatroid, p: int) -> list[dict[int, int]]:
@@ -852,7 +860,7 @@ def tilde_a_dense(m: OrientedMatroid, gamma: IntChain, p: int) -> SFPoly:
     g = list(gamma)
     if len(g) != len(m.topes):
         raise ValueError("chain length does not match the tope count")
-    if not vg_lower(m, p, "z").contains(g):
+    if not vg_lower(m, p).contains(g):
         raise ValueError("chain is not in the degree-p lower piece")
     out: SFPoly = {}
     for s in combinations(range(m.n), p):
@@ -942,6 +950,13 @@ def verify_naturality_dense(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) ->
         sub.flats, sup.flats, p, inclusions_ok, square_ok, checked, detail,
         inclusions_ok and square_ok,
     )
+
+
+def proper_subflags_by_scan(flags: list[Flag]) -> dict[Flag, list[Flag]]:
+    """The proper subflags of each flag, in the order of `flags`, by
+    comparing every pair of flags as sets of flats."""
+    flat_sets = {flag: frozenset(flag.flats) for flag in flags}
+    return {sup: [sub for sub in flags if flat_sets[sub] < flat_sets[sup]] for sup in flags}
 
 
 def verify_theorem_C_dense(m: OrientedMatroid) -> TheoremCReport:

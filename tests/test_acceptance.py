@@ -120,7 +120,7 @@ def test_04_dimension_bookkeeping(capsys):
         hom = homology_mod2(get_salvetti(m))
         q = [quillen_Q(m, p).dim for p in range(m.rank + 2)]
         k = [kalinin_K(m, p).dim for p in range(m.rank + 2)]
-        r = [vg_lower(m, p, "z").rank for p in range(m.rank + 2)]
+        r = [vg_lower(m, p).rank for p in range(m.rank + 2)]
         for p in range(m.rank + 1):
             steps = (q[p] - q[p + 1], k[p] - k[p + 1], r[p] - r[p + 1])
             expected = len(nbc_sets(m, p))
@@ -279,7 +279,7 @@ def test_10_property_suites(capsys):
     for name in names():
         m = load(name)
         for p in range(m.rank + 2):
-            if not lattice_equal(asymptotic(m, p), vg_lower(m, p, "z")):
+            if not lattice_equal(asymptotic(m, p), vg_lower(m, p)):
                 problems.append(f"{name} p={p}: limit != lower")
 
     # negative control: no integral lift exists over the triangle

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import oracles
 import pytest
-from oracles import verify_naturality_dense, verify_theorem_C_dense
+from oracles import proper_subflags_by_scan, verify_naturality_dense, verify_theorem_C_dense
 
 from topespace import cosheaf
 from topespace.algebras import cordovil_dual, nbc_sets
@@ -114,18 +114,27 @@ def test_map_rejects_non_subflags():
         cosheaf._tope_map(stalk_matroid(m, sub), stalk_matroid(m, sup))
 
 
-def test_filtered_and_algebra_kinds():
+def test_filtered_and_algebra_kinds(monkeypatch):
     # the stalk map respects the lower pieces and the dual-algebra pieces
     m = load("u23")
     mf = stalk_matroid(m, make_flag(m, [0b001]))
     idx = cosheaf._tope_map(m, mf)
     for p in (1, 2):
-        pushed = cosheaf._pushed_lower(m, mf, p)
-        assert len(pushed) == vg_lower(mf, p).rank
-        for row, out in zip(vg_lower(mf, p).basis, pushed):
+        assert cosheaf._lower_included(m, mf, p)
+        for row in vg_lower(mf, p).basis:
+            out = cosheaf._scatter(idx, row, len(m.topes))
             assert [out[i] for i in idx] == list(row)
             assert vg_lower(m, p).contains(out)
-        cosheaf._check_dual_pieces(m, mf, p)
+        assert cordovil_dual(m, p).contains_lattice(cordovil_dual(mf, p))
+    # with the target's degree-1 piece shrunk to its degree-2 piece, the
+    # verdict is false, and it is cached per pair and degree
+    m = fresh("u23")
+    mf = stalk_matroid(m, make_flag(m, [0b001]))
+    monkeypatch.setattr(cosheaf, "vg_lower",
+                        lambda mm, p: vg_lower(mm, 2 if (mm is m and p == 1) else p))
+    assert not cosheaf._lower_included(m, mf, 1)
+    monkeypatch.setattr(cosheaf, "vg_lower", vg_lower)
+    assert not cosheaf._lower_included(m, mf, 1)
 
 
 def test_sign_map_composition():
@@ -203,13 +212,39 @@ def test_naturality_pushes_each_lower_piece_once(monkeypatch):
     pairs = [(sub, sup) for sup in flags for sub in flags
              if sub != sup and sub.is_subflag_of(sup)]
     assert len(report.naturality) == len(pairs) * (m.rank + 1)
-    # degrees 0..rank+1 are each pushed once per distinct pair of stalks, one
-    # scatter per basis row
+    # once per distinct pair of stalks, the inclusion tests scatter each basis
+    # row of degrees 0..rank+1, and the pairing square scatters each basis
+    # row of degrees 0..rank again
     stalk_pairs = {(stalk_matroid(m, sub), stalk_matroid(m, sup)) for sub, sup in pairs}
     assert len(stalk_pairs) < len(pairs)
-    assert len(calls) == 608
-    assert len(calls) == sum(len(vg_lower(m_sup, q).basis)
-                             for _, m_sup in stalk_pairs for q in range(m.rank + 2))
+    inclusions = sum(len(vg_lower(m_sup, q).basis)
+                     for _, m_sup in stalk_pairs for q in range(m.rank + 2))
+    square = sum(len(vg_lower(m_sup, q).basis)
+                 for _, m_sup in stalk_pairs for q in range(m.rank + 1))
+    assert inclusions == 608
+    assert len(calls) == inclusions + square == 1216
+
+
+@pytest.mark.parametrize("name", ["u34", "a3"])
+def test_stalk_pair_caches_hold_no_chains(name):
+    # what is cached per pair of stalks are index maps and verdicts: no entry
+    # keyed by another stalk holds a list of pushed rows
+    m = fresh(name)
+    assert verify_theorem_C(m).ok
+    stalks = {id(s): s for s in (stalk_matroid(m, c.flag) for c in fan_cones(m))}
+    pair_entries = [(key, value) for s in stalks.values() for key, value in s._cache.items()
+                    if isinstance(key, tuple) and any(id(k) in stalks for k in key[1:])]
+    assert {key[0] for key, _ in pair_entries} == {
+        "tope_map", "lower_included", "naturality", "composes"}
+    assert not any(isinstance(value, list) for _, value in pair_entries)
+
+
+@pytest.mark.parametrize("name", [*names(), "gen3_6", "b3", "a4"])
+def test_proper_subflags_match_the_pairwise_scan(name):
+    builders = {"gen3_6": gen3_6, "b3": b3, "a4": a4}
+    m = builders[name]() if name in builders else load(name)
+    flags = [cone.flag for cone in fan_cones(m)]
+    assert cosheaf._proper_subflags(flags) == proper_subflags_by_scan(flags)
 
 
 
@@ -328,6 +363,13 @@ def gen3_6():
         (Fraction(1), Fraction(i), Fraction(i * i)) for i in range(1, 7))))
 
 
+def a4():
+    # the braid arrangement A4: normals e_i - e_j in R^5
+    return om_from_arrangement(Arrangement(tuple(
+        tuple(Fraction((k == i) - (k == j)) for k in range(5))
+        for i in range(5) for j in range(i + 1, 5))))
+
+
 def fresh(name):
     return om_from_arrangement(Arrangement(CORPUS[name].normals))
 
@@ -354,8 +396,8 @@ def test_naturality_matches_dense_oracle_when_a_lower_piece_is_wrong(monkeypatch
     sub, sup = make_flag(m, []), make_flag(m, [0b001])
     real = vg_lower
 
-    def wrong(mm, p, ring="z"):
-        return real(mm, 2 if (mm in (m, m_dense) and p == 1) else p, ring)
+    def wrong(mm, p):
+        return real(mm, 2 if (mm in (m, m_dense) and p == 1) else p)
 
     monkeypatch.setattr(cosheaf, "vg_lower", wrong)
     monkeypatch.setattr(oracles, "vg_lower", wrong)
@@ -382,8 +424,8 @@ def test_theorem_C_matches_dense_oracle_when_a_shared_stalk_is_wrong(monkeypatch
     targets = {stalk_matroid(m, flag), stalk_matroid(m_dense, flag)}
     real = vg_lower
 
-    def wrong(mm, p, ring="z"):
-        return real(mm, 0 if (mm in targets and p == 1) else p, ring)
+    def wrong(mm, p):
+        return real(mm, 0 if (mm in targets and p == 1) else p)
 
     monkeypatch.setattr(cosheaf, "vg_lower", wrong)
     monkeypatch.setattr(oracles, "vg_lower", wrong)

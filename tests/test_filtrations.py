@@ -23,6 +23,7 @@ from oracles import (
     quillen_Z_by_products,
     vg_lower_by_prefix,
     vg_lower_dense,
+    vg_lower_mod2,
 )
 from test_cosheaf import b3
 from test_om import moment_curve
@@ -173,7 +174,7 @@ def test_vg_lower_gf2_matches_integer_reduction():
     for name in names():
         m = load(name)
         for p in range(m.rank + 2):
-            assert vg_lower(m, p, "z2") == vg_lower(m, p, "z").mod2()
+            assert vg_lower_mod2(m, p) == vg_lower(m, p).mod2()
 
 
 # -- prefix chains and affine coordinate chains -----------------------------
@@ -407,7 +408,7 @@ def test_kalinin_piece_is_zero_above_the_top_degree():
     m = load("u22")
     zero = SubspaceGF2.zero(len(m.topes))
     for p in (m.rank + 1, m.rank + 2, 7):
-        assert kalinin_K(m, p) == quillen_Q(m, p) == vg_lower(m, p, "z2") == zero
+        assert kalinin_K(m, p) == quillen_Q(m, p) == vg_lower_mod2(m, p) == zero
 
 
 def _solvers_built(monkeypatch) -> list:
@@ -811,7 +812,7 @@ def test_theorem_A_compares_pieces_of_one_type():
     for name in ("u11", "u23", "a3"):
         m = load(name)
         for p in range(m.rank + 2):
-            pieces = (quillen_Q(m, p), vg_lower(m, p, "z").mod2(), kalinin_K(m, p))
+            pieces = (quillen_Q(m, p), vg_lower(m, p).mod2(), kalinin_K(m, p))
             assert {type(x) for x in pieces} == {SubspaceGF2}, (name, p)
 
 
