@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .algebras import SFPoly, nbc_sets, subset_index, wedge_masks
 from .linalg import (
@@ -37,6 +37,7 @@ from .om import (
     SignVector,
     enumerate_flags,
     is_complete_flag,
+    tope_flag_mask,
     tope_flag_members,
     tope_flag_set,
     zero_out,
@@ -132,38 +133,53 @@ def prefix_chain(m: OrientedMatroid, flag: Flag, v: SignVector, p: int) -> tuple
 # ---------------------------------------------------------------------------
 # the group-algebra filtration
 
+def _flag_cosets(m: OrientedMatroid, positions: Sequence[tuple[int, ...]]
+                 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """For each complete flag and each tuple of 1-based block positions, the
+    block directions there and the tope masks, by lowest tope, of the cosets
+    of their span in the flag's tope set that no earlier flag met.
+
+    A tope set is a union of such cosets, and a coset fixes its directions
+    (the blocks are disjoint), so the cosets met before are those inside the
+    earlier tope masks with the same sorted directions.
+    """
+    covered: dict[tuple[int, ...], int] = {}
+    for flag in enumerate_flags(m):
+        blocks = flag.blocks()
+        tf = tope_flag_mask(m, flag)
+        for s in positions:
+            dmasks = tuple(blocks[i - 1] for i in s)
+            dirs = tuple(sorted(dmasks))
+            seen = covered.get(dirs, 0)
+            covered[dirs] = seen | tf
+            span, new, cosets = xor_span(dmasks), tf & ~seen, []
+            while new:
+                low = m.topes[(new & -new).bit_length() - 1].minus
+                coset = mask_from_bits(m.tope_by_minus[low ^ x] for x in span)
+                cosets.append(coset)
+                new &= ~coset
+            yield dmasks, cosets
+
+
 def quillen_cosets(m: OrientedMatroid, p: int) -> list[tuple[int, int]]:
     """Deduplicated degree-p generators as (tope mask, block wedge) pairs.
 
     For each complete flag, every coset of every span of p block directions
-    inside the tope set contributes its indicator chain; the attached wedge of
-    the block vectors only depends on the coset's direction space, so the
-    first occurrence of a coset fixes it.  The blocks are disjoint, so a
-    coset is keyed by its sorted directions and its member with the lowest
-    bit of every block clear, and its tope mask is built once per key.  Each
-    wedge is computed once per distinct tuple of block directions.
+    inside the tope set contributes its indicator chain (`_flag_cosets`); the
+    attached wedge of the block vectors only depends on the coset's direction
+    space, so the first occurrence of a coset fixes it.  Each wedge is
+    computed once per distinct tuple of block directions.
     """
 
     def build():
         index = subset_index(m.n, p)
         out: list[tuple[int, int]] = []
-        seen: set[tuple[tuple[int, ...], int]] = set()
         wedges: dict[tuple[int, ...], int] = {}
-        for flag in enumerate_flags(m):
-            blocks = flag.blocks()
-            tf = tope_flag_set(m, flag)
-            for s in combinations(range(1, m.rank + 1), p):
-                dmasks = tuple(blocks[i - 1] for i in s)
-                if dmasks not in wedges:
-                    wedges[dmasks] = mask_from_bits(
-                        index[mono] for mono, c in wedge_masks(dmasks, m.n).items() if c & 1)
-                dirs = tuple(sorted(dmasks))
-                for t in tf:
-                    rep = t.minus ^ sum(d for d in dmasks if t.minus & d & -d)
-                    if (dirs, rep) not in seen:
-                        seen.add((dirs, rep))
-                        out.append((mask_from_bits(m.tope_by_minus[rep ^ x]
-                                                   for x in xor_span(dmasks)), wedges[dmasks]))
+        for dmasks, cosets in _flag_cosets(m, list(combinations(range(1, m.rank + 1), p))):
+            if dmasks not in wedges:
+                wedges[dmasks] = mask_from_bits(
+                    index[mono] for mono, c in wedge_masks(dmasks, m.n).items() if c & 1)
+            out += [(c, wedges[dmasks]) for c in cosets]
         return out
 
     return m.memo(("quillen_cosets", p), build)
@@ -573,11 +589,7 @@ def verify_theorem_B(m: OrientedMatroid, order: Optional[Sequence[int]] = None) 
         index = subset_index(m.n, p)
         # the distinct mod-2 prefix chains, in order of first appearance; the
         # coset points are distinct topes, so each carries coefficient +-1
-        gens: dict[int, None] = {}
-        for flag in enumerate_flags(m):
-            span = xor_span(flag.blocks()[:p])
-            for v in tope_flag_set(m, flag):
-                gens.setdefault(mask_from_bits(m.tope_by_minus[v.minus ^ x] for x in span))
+        gens = [c for _, cosets in _flag_cosets(m, [tuple(range(1, p + 1))]) for c in cosets]
         checked = 0
         for mask in gens:
             rep, _ = viro_bv(m, mask, p)

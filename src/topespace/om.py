@@ -16,7 +16,7 @@ from itertools import combinations, product
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .linalg import int_kernel
+from .linalg import bits_of, int_kernel, mask_from_bits
 
 
 class ParseError(ValueError):
@@ -399,29 +399,36 @@ def _flags(m: OrientedMatroid, complete: bool) -> list[Flag]:
     return cones
 
 
-def tope_flag_set(m: OrientedMatroid, flag: Flag) -> list[SignVector]:
-    """Topes whose restriction away from every flag flat stays a covector.
-
-    Each restriction is probed as the integer code `plus | minus << n`
-    against the matroid's cached set of covector codes.  Cached per flag;
-    each call returns a fresh list, so a caller that changes it leaves the
-    cache intact.
+def tope_flag_mask(m: OrientedMatroid, flag: Flag) -> int:
+    """Tope-index mask of the topes whose restriction away from every flag
+    flat stays a covector: the AND of one cached mask per flat, whose build
+    probes each (flat, tope) restriction once, as the integer code
+    `plus | minus << n`, against the cached set of covector codes.
     """
     def build():
         n = m.n
         codes = m.memo("covector_codes", lambda: frozenset(
             v.plus | v.minus << n for v in m.covectors))
-        keeps = [~(f | f << n) for f in flag.flats]
-        return tuple(t for t in m.topes
-                     if all((t.plus | t.minus << n) & k in codes for k in keeps))
+        tope_codes = [t.plus | t.minus << n for t in m.topes]
+        return {f: mask_from_bits(i for i, c in enumerate(tope_codes)
+                                  if c & ~(f | f << n) in codes)
+                for f in m.flats}
 
-    return list(m.memo(("tope_flag_set", flag.flats), build))
+    masks = m.memo("flat_tope_masks", build)
+    out = masks[flag.flats[0]]
+    for f in flag.flats[1:]:
+        out &= masks[f]
+    return out
+
+
+def tope_flag_set(m: OrientedMatroid, flag: Flag) -> list[SignVector]:
+    """The topes of `tope_flag_mask`, in tope order, as a fresh list."""
+    return [m.topes[i] for i in bits_of(tope_flag_mask(m, flag))]
 
 
 def tope_flag_members(m: OrientedMatroid, flag: Flag) -> frozenset[SignVector]:
-    """The tope set of a flag as a cached set, for membership tests."""
-    return m.memo(("tope_flag_members", flag.flats),
-                  lambda: frozenset(tope_flag_set(m, flag)))
+    """The tope set of a flag as a set, for membership tests."""
+    return frozenset(tope_flag_set(m, flag))
 
 
 def initial_covectors(m: OrientedMatroid, flag: Flag) -> frozenset[SignVector]:

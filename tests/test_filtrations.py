@@ -82,6 +82,7 @@ from topespace.om import (
     enumerate_flags,
     make_flag,
     om_from_arrangement,
+    tope_flag_mask,
     tope_flag_set,
 )
 from topespace.salvetti import (
@@ -738,11 +739,47 @@ def test_cordovil_dual_matches_the_kernel_oracle_on_every_stalk(name):
             assert cordovil_dual(mf, p) == cordovil_dual_by_kernel(mf, p), p
 
 
-@pytest.mark.parametrize("name", ["u34", "a3", "gen3_6", "gen4_6"])
+def _flag_tope_set_mismatches(m):
+    """The complete and proper flags whose tope set, order included, differs
+    from the oracle's."""
+    return [flag for flag in enumerate_flags(m) + enumerate_flags(m, complete=False)
+            if tope_flag_set(m, flag) != tope_flag_set_by_sign_vectors(m, flag)]
+
+
+@pytest.mark.parametrize("name", [*CORPUS, "gen3_6", "b3", "gen4_6"])
 def test_flag_tope_sets_match_sign_vector_probes(name):
-    m = fresh(name)
+    assert _flag_tope_set_mismatches(fresh(name)) == []
+
+
+def test_flag_tope_set_comparison_catches_a_dropped_flat_tope(monkeypatch):
+    # drop one tope from one cached flat mask: exactly the flags through that
+    # flat whose tope set held the tope must disagree with the oracle
+    m = fresh("gen4_6")
+    flag = enumerate_flags(m)[0]
+    flat, tope = flag.flats[2], bits_of(tope_flag_mask(m, flag))[0]
+    masks = m.memo("flat_tope_masks", dict)
+    monkeypatch.setitem(masks, flat, masks[flat] & ~(1 << tope))
+    want = [f for f in enumerate_flags(m) + enumerate_flags(m, complete=False)
+            if flat in f.flats and m.topes[tope] in tope_flag_set_by_sign_vectors(m, f)]
+    assert flag in want
+    assert _flag_tope_set_mismatches(m) == want
+
+
+def test_flag_tope_sets_take_one_probe_per_flat_and_tope():
+    m = fresh("gen4_6")
+    probes = []
+
+    class CountingCodes(frozenset):
+        def __contains__(self, code):
+            probes.append(code)
+            return frozenset.__contains__(self, code)
+
+    codes = m.memo("covector_codes", lambda: CountingCodes(
+        v.plus | v.minus << m.n for v in m.covectors))
+    assert isinstance(codes, CountingCodes)
     for flag in enumerate_flags(m) + enumerate_flags(m, complete=False):
-        assert tope_flag_set(m, flag) == tope_flag_set_by_sign_vectors(m, flag)
+        tope_flag_set(m, flag)
+    assert len(probes) == len(m.flats) * len(m.topes) == 43 * 52
 
 
 def test_asymptotic_membership_goldens():
@@ -845,7 +882,7 @@ def test_cochain_values_match_wedge_coordinates_u23_degree_one():
         assert (wedge >> idx[s]) & 1 == values[s]
 
 
-@pytest.mark.parametrize("name", [*names(), "gen3_6", "gen4_6"])
+@pytest.mark.parametrize("name", [*names(), "gen3_6", "b3", "gen4_6"])
 def test_theorem_B_generators_are_the_mod2_prefix_chains(name, monkeypatch):
     # the generators, in the order they are checked, are the distinct
     # chain_mod2(prefix_chain(...)) over every flag, origin and degree
