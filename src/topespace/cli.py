@@ -158,10 +158,14 @@ def describe_check(m: OrientedMatroid, target: str,
                 for p in range(m.rank + 2)
             },
         }
+        nbc_counts = [len(sets) for sets in data["nbc"].values()]
+        vg_ranks = list(data["vg_ranks"].values())
         consistent = (
             sum(dims) == len(m.topes)
             and integral.betti == dims
             and all(not t for t in integral.torsion)
+            and dims == nbc_counts
+            and [a - b for a, b in zip(vg_ranks, vg_ranks[1:])] == nbc_counts
         )
         return consistent, data
 

@@ -6,8 +6,9 @@ filtration, with the dual-algebra pieces as graded quotients.  The stalk map
 of a nested pair of flags is the inclusion of one tope set into another, kept
 as a tope index map: pushing a chain is a scatter, and composing two maps is
 composing index tuples.  The pairing into the dual algebra is one cached
-subset-to-topes incidence per stalk and degree.  Every diagram check reduces
-to index-map identities, lattice containments and coordinate comparisons.
+subset-to-topes incidence per stalk and degree, and a pairing square compares
+incidences pulled back along the index map.  Every diagram check reduces to
+index-map identities, lattice containments and coordinate comparisons.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .algebras import cordovil_dual, subset_index
-from .filtrations import chain_mod2, pair_chain, qbv, vg_lower
+from .filtrations import chain_mod2, heaviside_pairing, pair_chain, qbv, vg_lower
 from .linalg import (
     LatticeZ,
     bits_of,
@@ -119,15 +120,6 @@ def _lower_included(m_sub: OrientedMatroid, m_sup: OrientedMatroid, q: int) -> b
     return m_sub.memo(("lower_included", m_sup, q), build)
 
 
-def _lower_images(mf: OrientedMatroid, p: int) -> list[list[int]]:
-    """Pairing images of the basis of a stalk's degree-p lower piece, by
-    p-subset; cached per stalk and degree.  The basis rows lie in the piece
-    by construction, so no membership guard runs."""
-    return mf.memo(("lower_images", p), lambda: [
-        pair_chain(mf, row, p) for row in vg_lower(mf, p).basis
-    ])
-
-
 # ---------------------------------------------------------------------------
 # stalk exactness
 
@@ -158,7 +150,8 @@ def verify_ses(m: OrientedMatroid, flag: Flag, p: int) -> SESReport:
         nxt = vg_lower(mf, p + 1)
         a = cordovil_dual(mf, p)
         ncoords = len(subset_index(mf.n, p))
-        image, kernel = int_image_and_relations(_lower_images(mf, p), lower.basis)
+        images = [pair_chain(mf, row, p) for row in lower.basis]
+        image, kernel = int_image_and_relations(images, lower.basis)
         surjective = lattice_equal(LatticeZ(ncoords, tuple(map(tuple, image))), a)
         kernel_ok = lattice_equal(LatticeZ(len(mf.topes), tuple(map(tuple, kernel))), nxt)
         return lower.rank, nxt.rank, a.rank, surjective, kernel_ok
@@ -189,10 +182,10 @@ def verify_naturality(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) -> Natur
 
     The two inclusion squares hold once the tope index map carries the lower
     pieces of degrees p and p+1 into the target's and the dual-algebra pieces
-    are nested; the pairing square is checked on the basis of the source's
-    degree-p piece, scattering each row through the index map and comparing
-    the source's pairing images with the target's pairing of the pushed row
-    coordinatewise.
+    are nested.  The pairing square holds on every chain for each p-subset
+    whose support on the source's stalk is the pullback, along the index
+    map, of its support on the target's; the other subsets are evaluated on
+    the basis of the source's degree-p piece, row by row.
     """
     if not sub.is_subflag_of(sup):
         detail = "first flag is not a subflag of the second"
@@ -214,9 +207,13 @@ def _naturality(sub: Flag, sup: Flag, p: int, m_sub: OrientedMatroid,
                 return False, False, 0, f"inclusion does not respect the degree-{q} lower piece"
         if not cordovil_dual(m_sub, p).contains_lattice(cordovil_dual(m_sup, p)):
             return False, False, 0, f"inclusion does not respect the degree-{p} dual-algebra piece"
+        back = {i: j for j, i in enumerate(idx)}
+        pulled = (tuple(sorted(back[i] for i in topes if i in back))
+                  for topes in heaviside_pairing(m_sub, p))
+        differ = [(a, b) for a, b in zip(heaviside_pairing(m_sup, p), pulled) if a != b]
         basis = vg_lower(m_sup, p).basis
-        for checked, (direct, row) in enumerate(zip(_lower_images(m_sup, p), basis), 1):
-            if direct != pair_chain(m_sub, _scatter(idx, row, len(m_sub.topes)), p):
+        for checked, row in enumerate(basis, 1):
+            if any(sum(row[j] for j in a) != sum(row[j] for j in b) for a, b in differ):
                 return True, False, checked, f"pairing square fails on a degree-{p} basis chain"
         return True, True, len(basis), ""
 

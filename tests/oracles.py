@@ -19,6 +19,9 @@ from topespace.cosheaf import (
     NaturalityReport,
     SESReport,
     TheoremCReport,
+    _lower_included,
+    _scatter,
+    _tope_map,
     fan_cones,
     stalk_matroid,
 )
@@ -27,6 +30,7 @@ from topespace.filtrations import (
     _complete_flag_data,
     _ladder_rows,
     heaviside_pairing,
+    pair_chain,
     prefix_chain,
     vg_lower,
 )
@@ -950,6 +954,34 @@ def verify_naturality_dense(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) ->
         sub.flats, sup.flats, p, inclusions_ok, square_ok, checked, detail,
         inclusions_ok and square_ok,
     )
+
+
+def naturality_square_by_rows(sub: Flag, sup: Flag, p: int, m_sub: OrientedMatroid,
+                              m_sup: OrientedMatroid) -> NaturalityReport:
+    """`cosheaf._naturality` without its cache, with the pairing square checked
+    row by row: each basis row of the superflag's degree-p piece is scattered
+    through the tope index map, and its pairing on the subflag's stalk is
+    compared with its pairing on the superflag's, coordinate by coordinate."""
+
+    def report(inclusions_ok, square_ok, checked, detail):
+        return NaturalityReport(sub.flats, sup.flats, p, inclusions_ok, square_ok, checked,
+                                detail, inclusions_ok and square_ok)
+
+    try:
+        idx = _tope_map(m_sub, m_sup)
+    except ValueError as e:
+        return report(False, False, 0, str(e))
+    for q in (p, p + 1):
+        if not _lower_included(m_sub, m_sup, q):
+            return report(False, False, 0, f"inclusion does not respect the degree-{q} lower piece")
+    if not cordovil_dual(m_sub, p).contains_lattice(cordovil_dual(m_sup, p)):
+        return report(False, False, 0,
+                      f"inclusion does not respect the degree-{p} dual-algebra piece")
+    basis = vg_lower(m_sup, p).basis
+    for checked, row in enumerate(basis, 1):
+        if pair_chain(m_sup, row, p) != pair_chain(m_sub, _scatter(idx, row, len(m_sub.topes)), p):
+            return report(True, False, checked, f"pairing square fails on a degree-{p} basis chain")
+    return report(True, True, len(basis), "")
 
 
 def proper_subflags_by_scan(flags: list[Flag]) -> dict[Flag, list[Flag]]:

@@ -9,9 +9,9 @@ no tolerances.
 import random
 from time import perf_counter
 
+from closed_forms import braid
 from oracles import quillen_Q_oracle
 from test_cosheaf import b3
-from test_om import braid
 
 from topespace.algebras import epsilon, nbc_sets, projectivize
 from topespace.cli import describe_check

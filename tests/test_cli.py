@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from closed_forms import generic, type_a, type_b, type_d
 
 from topespace import cli, om
 from topespace.corpus import CORPUS, load
@@ -66,6 +67,58 @@ def test_describe_counts_match_loaded_data(tmp_path):
     assert data["covectors"] == len(m.covectors)
     assert data["topes"] == len(m.topes)
     assert sum(data["betti_mod2"]) == len(m.topes)
+
+
+def test_closed_forms_count_known_topes():
+    assert type_b(3).nbc == [1, 9, 23, 15]
+    assert type_a(4).nbc == [1, 10, 35, 50, 24]
+    assert [sum(cf.nbc) for cf in (type_a(4), type_a(5), type_b(4), type_d(4))] == [
+        120, 720, 384, 192]
+    assert generic(3, 6).nbc == [1, 6, 15, 10]
+
+
+CLOSED_FORMS = {"d4": lambda: type_d(4), "gen4_8": lambda: generic(4, 8),
+                "b4": lambda: type_b(4)}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+def test_describe_matches_the_closed_form(name):
+    form = CLOSED_FORMS[name]()
+    check = cli.describe_check(om.om_from_arrangement(form.arrangement), name, None, "z")
+    data = check["data"]
+    ranks = list(data["vg_ranks"].values())
+    assert check["pass"]
+    assert data["betti_mod2"] == data["betti_int"] == form.nbc
+    assert [len(sets) for sets in data["nbc"].values()] == form.nbc
+    assert [a - b for a, b in zip(ranks, ranks[1:])] == form.nbc
+    assert data["topes"] == sum(form.nbc)
+
+
+def test_closed_form_rejects_b4_with_a_normal_dropped():
+    # negative control: a consistent arrangement that is not B4
+    b4 = type_b(4)
+    m = om.om_from_arrangement(om.Arrangement(b4.arrangement.normals[1:]))
+    check = cli.describe_check(m, "b4 without e_1", None, "z")
+    assert check["pass"]
+    assert check["data"]["betti_mod2"] != b4.nbc
+    assert check["data"]["topes"] != sum(b4.nbc)
+
+
+@pytest.mark.parametrize("patched", ["nbc_sets", "vg_lower"])
+def test_describe_fails_when_nbc_counts_disagree(monkeypatch, patched):
+    # one nbc set of degree 1 is lost, or the degree-2 lower piece is read
+    # in place of the degree-1 piece: either breaks an equality the pass
+    # flag requires, though the Betti numbers still sum to the tope count
+    real = getattr(cli, patched)
+    if patched == "nbc_sets":
+        monkeypatch.setattr(cli, "nbc_sets",
+                            lambda m, p, order=None: real(m, p, order)[:-1] if p == 1
+                            else real(m, p, order))
+    else:
+        monkeypatch.setattr(cli, "vg_lower", lambda m, p: real(m, 2 if p == 1 else p))
+    check = cli.describe_check(om.om_from_arrangement(type_a(3).arrangement), "a3", None, "z")
+    assert sum(check["data"]["betti_mod2"]) == check["data"]["topes"]
+    assert not check["pass"]
 
 
 def test_describe_arrangement_file(tmp_path):

@@ -1,12 +1,16 @@
 """Tests for the fan cosheaves: stalks, maps, exactness, and the obstruction."""
 
-from fractions import Fraction
-
 import oracles
 import pytest
-from oracles import proper_subflags_by_scan, verify_naturality_dense, verify_theorem_C_dense
+from closed_forms import braid, moment_curve, type_b
+from oracles import (
+    naturality_square_by_rows,
+    proper_subflags_by_scan,
+    verify_naturality_dense,
+    verify_theorem_C_dense,
+)
 
-from topespace import cosheaf
+from topespace import cosheaf, filtrations
 from topespace.algebras import cordovil_dual, nbc_sets
 from topespace.corpus import CORPUS, load, names
 from topespace.cosheaf import (
@@ -213,22 +217,20 @@ def test_naturality_pushes_each_lower_piece_once(monkeypatch):
              if sub != sup and sub.is_subflag_of(sup)]
     assert len(report.naturality) == len(pairs) * (m.rank + 1)
     # once per distinct pair of stalks, the inclusion tests scatter each basis
-    # row of degrees 0..rank+1, and the pairing square scatters each basis
-    # row of degrees 0..rank again
+    # row of degrees 0..rank+1; the pairing square compares supports and
+    # scatters nothing
     stalk_pairs = {(stalk_matroid(m, sub), stalk_matroid(m, sup)) for sub, sup in pairs}
     assert len(stalk_pairs) < len(pairs)
     inclusions = sum(len(vg_lower(m_sup, q).basis)
                      for _, m_sup in stalk_pairs for q in range(m.rank + 2))
-    square = sum(len(vg_lower(m_sup, q).basis)
-                 for _, m_sup in stalk_pairs for q in range(m.rank + 1))
-    assert inclusions == 608
-    assert len(calls) == inclusions + square == 1216
+    assert len(calls) == inclusions == 608
 
 
 @pytest.mark.parametrize("name", ["u34", "a3"])
 def test_stalk_pair_caches_hold_no_chains(name):
     # what is cached per pair of stalks are index maps and verdicts: no entry
-    # keyed by another stalk holds a list of pushed rows
+    # keyed by another stalk holds a list of pushed rows, and no stalk keeps
+    # the pairing images of its lower bases
     m = fresh(name)
     assert verify_theorem_C(m).ok
     stalks = {id(s): s for s in (stalk_matroid(m, c.flag) for c in fan_cones(m))}
@@ -237,6 +239,8 @@ def test_stalk_pair_caches_hold_no_chains(name):
     assert {key[0] for key, _ in pair_entries} == {
         "tope_map", "lower_included", "naturality", "composes"}
     assert not any(isinstance(value, list) for _, value in pair_entries)
+    assert not any(isinstance(key, tuple) and key[0] == "lower_images"
+                   for s in stalks.values() for key in s._cache)
 
 
 @pytest.mark.parametrize("name", [*names(), "gen3_6", "b3", "a4"])
@@ -341,33 +345,18 @@ def test_theorem_C_u34():
     assert all(row.ok for row in report.naturality)
 
 
-def b3_arrangement():
-    # the Coxeter arrangement B3: normals e_i and e_i +- e_j in R^3
-    normals = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for sign in (1, -1):
-                v = [0, 0, 0]
-                v[i], v[j] = 1, sign
-                normals.append(tuple(v))
-    return Arrangement(tuple(tuple(Fraction(x) for x in v) for v in normals))
-
-
 def b3():
-    return om_from_arrangement(b3_arrangement())
+    return om_from_arrangement(type_b(3).arrangement)
 
 
 def gen3_6():
     # six generic planes in R^3, normals on the moment curve
-    return om_from_arrangement(Arrangement(tuple(
-        (Fraction(1), Fraction(i), Fraction(i * i)) for i in range(1, 7))))
+    return om_from_arrangement(moment_curve(3, 6))
 
 
 def a4():
     # the braid arrangement A4: normals e_i - e_j in R^5
-    return om_from_arrangement(Arrangement(tuple(
-        tuple(Fraction((k == i) - (k == j)) for k in range(5))
-        for i in range(5) for j in range(i + 1, 5))))
+    return om_from_arrangement(braid(5))
 
 
 def fresh(name):
@@ -412,6 +401,56 @@ def test_naturality_matches_dense_oracle_when_a_lower_piece_is_wrong(monkeypatch
     report = verify_theorem_C(m)
     assert report == verify_theorem_C_dense(m_dense)
     assert not report.ok
+
+
+def stalk_pair_reports(m, m_oracle):
+    """For one nested pair of flags per distinct pair of stalks of m, and each
+    degree, the naturality report on m and the row-by-row oracle's on
+    m_oracle, which shares no cache with m."""
+    flags = [cone.flag for cone in fan_cones(m)]
+    pairs = {}
+    for sup, subs in cosheaf._proper_subflags(flags).items():
+        for sub in subs:
+            pairs.setdefault((stalk_matroid(m, sub), stalk_matroid(m, sup)), (sub, sup))
+    return [(cosheaf._naturality(sub, sup, p, m_sub, m_sup),
+             naturality_square_by_rows(sub, sup, p, stalk_matroid(m_oracle, sub),
+                                       stalk_matroid(m_oracle, sup)))
+            for (m_sub, m_sup), (sub, sup) in pairs.items() for p in range(m.rank + 1)]
+
+
+@pytest.mark.parametrize("build", [lambda: fresh("u34"), lambda: fresh("a3"), b3, gen3_6],
+                         ids=["u34", "a3", "b3", "gen3_6"])
+def test_pairing_square_on_supports_matches_the_row_by_row_square(build):
+    reports = stalk_pair_reports(build(), build())
+    assert [new for new, _ in reports] == [old for _, old in reports]
+    assert all(new.ok for new, _ in reports)
+
+
+def test_pairing_square_on_supports_catches_a_dropped_tope(monkeypatch):
+    # the lowest tope is dropped from the support of the third 3-subset on
+    # the trivial flag's stalk, m itself; the top degree feeds only the zero
+    # piece of degree 4, so every inclusion still holds and the square fails,
+    # on the second basis row for some stalk pairs
+    m, m_oracle = fresh("u34"), fresh("u34")
+    real = filtrations.heaviside_pairing
+
+    def planted(mm, p):
+        supports = real(mm, p)
+        if mm in (m, m_oracle) and p == 3:
+            supports = (*supports[:2], supports[2][1:], *supports[3:])
+        return supports
+
+    monkeypatch.setattr(filtrations, "heaviside_pairing", planted)
+    monkeypatch.setattr(cosheaf, "heaviside_pairing", planted)
+    reports = stalk_pair_reports(m, m_oracle)
+    assert [new for new, _ in reports] == [old for _, old in reports]
+    failing = [new for new, _ in reports if not new.ok]
+    assert failing and all(r.inclusions_ok and not r.square_ok and r.p == 3 for r in failing)
+    assert {r.detail for r in failing} == {"pairing square fails on a degree-3 basis chain"}
+    assert any(r.checked > 1 for r in failing)
+    report = verify_theorem_C(m)
+    assert not report.ok
+    assert any("naturality fails" in f for f in report.failures)
 
 
 def test_theorem_C_matches_dense_oracle_when_a_shared_stalk_is_wrong(monkeypatch):

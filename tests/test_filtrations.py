@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
+from closed_forms import moment_curve
 from oracles import (
     affine_coordinate_chain,
     asymptotic_member,
@@ -26,7 +27,6 @@ from oracles import (
     vg_lower_mod2,
 )
 from test_cosheaf import b3
-from test_om import moment_curve
 
 from topespace import filtrations
 from topespace.algebras import (

@@ -8,9 +8,11 @@ every other module gets kernels, intersections, solves and invariant
 factors through its lattice, subspace and solver helpers,
 and `om.py` names `Fraction` only to hold and parse arrangements;
 the Theorem C verifiers push chains through tope index maps, never
-through dense stalk matrices; the Theorem B verifier, integral homology
-and the CLI work on the coarse Salvetti complex, never on its fine
-subdivision; the coarse cells and boundaries come from mask tests and
+through dense stalk matrices, and the pairing square of a naturality check
+compares Heaviside supports, so `cosheaf._naturality` neither pairs
+(`pair_chain`) nor scatters (`_scatter`) a chain; the Theorem B verifier,
+integral homology and the CLI work on the coarse Salvetti complex, never on
+its fine subdivision; the coarse cells and boundaries come from mask tests and
 coface lists, never from composing every pair of covector and tope;
 every XOR over the subsets of a list of masks comes from `linalg.xor_span`,
 never from a `range(1 << k)` loop over bit patterns; integer equations
@@ -178,6 +180,11 @@ def _function(module: str, name: str) -> ast.FunctionDef:
     (fn,) = [node for node in tree.body
              if isinstance(node, ast.FunctionDef) and node.name == name]
     return fn
+
+
+def test_pairing_square_neither_pairs_nor_scatters_chains():
+    lines = _named_lines(_function("cosheaf.py", "_naturality"), {"pair_chain", "_scatter"})
+    assert lines == [], f"_naturality: pair_chain or _scatter named at lines {lines}"
 
 
 def test_theorem_B_evaluates_on_the_coarse_complex():

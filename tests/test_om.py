@@ -7,6 +7,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
+from closed_forms import braid, moment_curve, type_b
 from oracles import (
     check_covector_axioms_by_index,
     check_covector_axioms_by_scan,
@@ -14,7 +15,7 @@ from oracles import (
     maximal_covector_not_tope_by_scan,
     om_from_arrangement_by_fractions,
 )
-from test_cosheaf import b3, b3_arrangement
+from test_cosheaf import b3
 
 from topespace.corpus import CORPUS, load, names
 from topespace.om import (
@@ -172,13 +173,6 @@ def test_axioms_catch_elimination_gap():
     for z in vecs:
         if z.sign(e) == 0:
             assert (z.plus & keep, z.minus & keep) != (lk.plus & keep, lk.minus & keep)
-
-
-def moment_curve(d: int, n: int) -> Arrangement:
-    """n generic hyperplanes in R^d: the normals (1, i, ..., i^(d-1)), i = 1..n."""
-    return Arrangement(tuple(
-        tuple(Fraction(i ** j) for j in range(d)) for i in range(1, n + 1)
-    ))
 
 
 @lru_cache(maxsize=None)
@@ -604,18 +598,6 @@ def test_parse_covector_lines():
 # -- braid-style sanity ------------------------------------------------------
 
 
-def braid(k: int) -> Arrangement:
-    """The braid arrangement: normals e_i - e_j, 0 <= i < j < k, in R^k."""
-    normals = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            v = [Fraction(0)] * k
-            v[i] = Fraction(1)
-            v[j] = Fraction(-1)
-            normals.append(tuple(v))
-    return Arrangement(tuple(normals))
-
-
 def test_braid_arrangement_counts():
     m = om_from_arrangement(braid(4))
     assert m.n == 6
@@ -634,7 +616,7 @@ def rationals(*rows):
 DIFFERENTIAL_ARRANGEMENTS = {
     **{name: Arrangement(CORPUS[name].normals) for name in names()},
     "gen3_6": moment_curve(3, 6),
-    "b3": b3_arrangement(),
+    "b3": type_b(3).arrangement,
     "a4": braid(5),
     "parallel": rationals((1, 2), (2, 4), (-3, -6), (1, 0), (0, 5)),
     "halves": rationals((1, "-1/2", 0), ("-1/2", 1, "1/3"), (0, "-1/2", "-1/2"),
