@@ -60,6 +60,9 @@ def resolve_input(spec: str) -> tuple[str, OrientedMatroid]:
             text = fh.read()
     except OSError as e:
         raise InputError(f"cannot read input {spec!r}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"input {spec!r} is not UTF-8 text: byte {e.start} "
+                         f"is {e.object[e.start:e.start + 1].hex()}") from None
     first = next(
         (s for s in (line.strip() for line in text.splitlines())
          if s and not s.startswith("#")),

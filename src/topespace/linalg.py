@@ -9,7 +9,6 @@ precision; no floating point is used anywhere in this package.
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections import defaultdict
 from functools import cached_property
@@ -263,16 +262,24 @@ def hermite_normal_form(rows: Iterable[list[int] | tuple[int, ...]], ncols: int)
 def _hermite_rows(rows: Iterable[dict[int, int]], ncols: int) -> list[tuple[int, dict[int, int]]]:
     """The canonical HNF basis of the lattice spanned by sparse rows
     {col: value} (nonzero values, columns 0..ncols-1), as (pivot col, row)
-    pairs in increasing pivot order.  The rows are reduced in place.
+    pairs in increasing pivot order: the echelon pass, then back-reduction.
+    The rows are reduced in place.
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
     and pivot columns strictly increase, so the output is unique per lattice.
+    """
+    return _back_reduce(_echelon_rows(rows, ncols))
+
+
+def _echelon_rows(rows: Iterable[dict[int, int]], ncols: int) -> list[tuple[int, dict[int, int]]]:
+    """A row echelon basis of the lattice spanned by sparse rows, as
+    (pivot col, row) pairs with positive pivots in increasing pivot order;
+    entries above a pivot are left as they fall.
+
     The working rows are bucketed by leading column.  Column by column, the
     rows led there are reduced by the one with the smallest leading entry
     until a single row is left; an update walks only the pivot row's entries,
     and a row whose lead cancels moves to the bucket of its new lead.
-    Back-reduction then updates only the basis rows with an entry in the
-    pivot column.
     """
     led_by: dict[int, list[dict[int, int]]] = {}
     for row in rows:
@@ -300,6 +307,13 @@ def _hermite_rows(rows: Iterable[dict[int, int]], ncols: int) -> list[tuple[int,
         if row[c] < 0:
             row = {j: -x for j, x in row.items()}
         basis.append((c, row))
+    return basis
+
+
+def _back_reduce(basis: list[tuple[int, dict[int, int]]]) -> list[tuple[int, dict[int, int]]]:
+    """Reduce the entries above each pivot of an echelon basis into
+    [0, pivot), in place, updating only the rows with an entry in the pivot
+    column; returns the basis."""
     for k, (c, row) in enumerate(basis):
         pivot = row[c]
         for _, rj in basis[:k]:
@@ -511,76 +525,25 @@ def solve_diophantine(a: IntMatrix, b: list[int]) -> Optional[list[int]]:
 def snf_diagonal_sparse(entries: dict[tuple[int, int], int], nrows: int, ncols: int) -> list[int]:
     """Invariant factors of a sparse integer nrows x ncols matrix given as {(i, j): value}.
 
-    Entries of absolute value one are eliminated structurally (rows and
-    columns removed as they are used); whatever survives without a unit pivot
-    is handed to `smith_normal_form`, whose alternating Hermite forms keep
-    its entries bounded.  Intended for cellular boundary matrices, whose
-    entries are 0 and +-1.
-
-    Pivots follow Markowitz order: the sparsest column that holds a unit, and
-    in it the unit in the shortest row (lowest row index on ties).  Columns
-    sit in a lazy min-heap keyed by their entry count (Dumas, Saunders &
-    Villard, JSC 2001), so no pivot search rescans the whole matrix.
+    The rows, one per row index i, are put in echelon form (`_echelon_rows`).
+    When every pivot is 1 the minor on the pivot columns is 1, so every
+    invariant factor is 1 and nothing more is done; so it is on every signed
+    Salvetti boundary from the corpus up to A5, the matrices this is meant
+    for.  Otherwise the rows are back-reduced to the Hermite form, where the
+    column of a unit pivot holds nothing else, so each unit row splits off as
+    a factor 1 and only the rows with a larger pivot go to
+    `smith_normal_form`.
     """
     rows: dict[int, dict[int, int]] = defaultdict(dict)
-    cols: dict[int, set[int]] = defaultdict(set)
     for (i, j), v in entries.items():
         if not (0 <= i < nrows and 0 <= j < ncols):
             raise ValueError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
         if v:
             rows[i][j] = v
-            cols[j].add(i)
-    # (count, column) pairs; one is stale once its column is gone or has a
-    # different count.  A column popped without a unit is not pushed again
-    # until fill-in changes it, since only then can it gain a unit.
-    heap = [(len(members), j) for j, members in cols.items()]
-    heapq.heapify(heap)
-    n_units = 0
-    while heap:
-        count, j = heapq.heappop(heap)
-        members = cols.get(j)
-        if members is None or len(members) != count:
-            continue
-        units = [i for i in members if rows[i][j] in (1, -1)]
-        if not units:
-            continue
-        i = min(units, key=lambda r: (len(rows[r]), r))
-        v = rows[i][j]
-        prow = rows.pop(i)
-        for jj in prow:
-            cols[jj].discard(i)
-            if not cols[jj]:
-                cols.pop(jj, None)
-        for i2 in list(cols.get(j, ())):
-            f = rows[i2][j] * v  # v is +-1
-            r2 = rows[i2]
-            for jj, pv in prow.items():
-                nv = r2.get(jj, 0) - f * pv
-                if nv:
-                    r2[jj] = nv
-                    cols[jj].add(i2)
-                else:
-                    if jj in r2:
-                        del r2[jj]
-                        cols[jj].discard(i2)
-                        if not cols[jj]:
-                            cols.pop(jj, None)
-            if not r2:
-                rows.pop(i2)
-        cols.pop(j, None)
-        n_units += 1
-        # only the pivot row's columns changed
-        for jj in prow:
-            members = cols.get(jj)
-            if members:
-                heapq.heappush(heap, (len(members), jj))
-    diag = [1] * n_units
-    if rows:
-        rindex = {i: k for k, i in enumerate(sorted(rows))}
-        cindex = {j: k for k, j in enumerate(sorted(cols))}
-        dense = [[0] * len(cindex) for _ in rindex]
-        for i, r in rows.items():
-            for j, v in r.items():
-                dense[rindex[i]][cindex[j]] = v
-        diag.extend(smith_normal_form(dense))
-    return diag
+    echelon = _echelon_rows(rows.values(), ncols)
+    if all(row[c] == 1 for c, row in echelon):
+        return [1] * len(echelon)
+    rest = [row for c, row in _back_reduce(echelon) if row[c] != 1]
+    cols = sorted({j for row in rest for j in row})
+    dense = [[row.get(j, 0) for j in cols] for row in rest]
+    return [1] * (len(echelon) - len(rest)) + list(smith_normal_form(dense))

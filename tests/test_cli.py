@@ -210,6 +210,19 @@ def test_parse_error_names_the_sniffed_format(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, targets", [("describe", []), ("verify", ["all"])])
+def test_non_utf8_input_is_an_input_error(tmp_path, command, targets):
+    """Exit 2 with one stderr line and no traceback, in a fresh interpreter."""
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe\n")
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); from topespace.cli import main; "
+             "sys.exit(main(sys.argv[2:]))")
+    done = subprocess.run([sys.executable, "-c", probe, str(SRC), command, str(path), *targets],
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr == f"error: input {str(path)!r} is not UTF-8 text: byte 0 is ff\n"
+
+
 def test_describe_unknown_input(capsys):
     code = cli.main(["describe", "nosucharrangement"])
     assert code == 2

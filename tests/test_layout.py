@@ -17,9 +17,12 @@ coface lists, never from composing every pair of covector and tope;
 every XOR over the subsets of a list of masks comes from `linalg.xor_span`,
 never from a `range(1 << k)` loop over bit patterns; integer equations
 reach the labelled Hermite form as sparse rows, never through a dense
-identity label block (`int_identity`, `mat_vec`, `int_relations`); and the covector
-axiom check and the arrangement build compose covectors through the one
-closure `om.compositions`; the Cordovil dual is read off the nbc
+identity label block (`int_identity`, `mat_vec`, `int_relations`); the one
+integer row operation, `linalg._sub_multiple`, is called only by the echelon
+pass `_echelon_rows` and the back-reduction `_back_reduce`, and `linalg.py`
+imports no `heapq`, so the sparse Smith form runs no elimination of its own;
+the covector axiom check and the arrangement build compose covectors through
+the one closure `om.compositions`; the Cordovil dual is read off the nbc
 straightening, so `algebras.py` names neither `int_kernel` nor the circuit
 relation rows; and no module imports `dataclasses`: value and
 report types are `typing.NamedTuple`s, so importing the package never loads
@@ -145,6 +148,22 @@ def _imported_names(path: Path) -> set[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return {alias.name for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+def test_linalg_imports_no_heapq():
+    assert "heapq" not in _imported_names(PACKAGE / "linalg.py")
+
+
+ROW_OPERATION_OWNERS = {"_echelon_rows", "_back_reduce"}
+
+
+def test_integer_row_operations_only_in_the_echelon_pass_and_back_reduction():
+    allowed = {f"linalg.py:{line}" for name in ROW_OPERATION_OWNERS
+               for line in _named_lines(_function("linalg.py", name), {"_sub_multiple"})}
+    lines = [f"{path.name}:{line}" for path in MODULES
+             for line in _named_lines(ast.parse(path.read_text(encoding="utf-8")), {"_sub_multiple"})]
+    lines = [line for line in lines if line not in allowed]
+    assert lines == [], f"_sub_multiple named outside {sorted(ROW_OPERATION_OWNERS)} at {lines}"
 
 
 def test_cosheaf_does_not_import_mat_mul():

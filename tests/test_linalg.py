@@ -7,6 +7,7 @@ from itertools import product
 from math import gcd
 
 import pytest
+from closed_forms import generic, type_b
 from oracles import (
     gf2_solver_by_scan,
     hermite_normal_form_dense,
@@ -41,7 +42,8 @@ from topespace.linalg import (
     solve_diophantine,
     xor_span,
 )
-from topespace.salvetti import get_fine
+from topespace.om import om_from_arrangement
+from topespace.salvetti import get_fine, get_salvetti
 
 
 def brute_kernel_gf2(rows, ncols):
@@ -686,18 +688,55 @@ def test_snf_of_a_draw_the_pivoting_form_does_not_finish():
 
 @pytest.mark.parametrize("a", [[[1, 2], [1, 3]], [[2, 1], [3, 1]]])
 def test_snf_diagonal_sparse_finds_units_made_by_fill_in(dense_calls, a):
-    # The column of 2 and 3 holds a unit only after the other column is
-    # eliminated; in the second matrix it is popped, and dropped, first.
+    # The column of 2 and 3 gets its unit pivot only from reducing the two
+    # rows against each other: after the other column's pivot in the first
+    # matrix, and as the leading column itself in the second.
     assert snf_diagonal_sparse(sparse_entries(a), 2, 2) == list(smith_normal_form(a)) == [1, 1]
     assert dense_calls == []
 
 
-@pytest.mark.parametrize("name", ["u22", "u23"])
-def test_snf_diagonal_sparse_fine_boundaries(dense_calls, name):
-    fine = get_fine(load(name))
+@pytest.mark.parametrize("a, expected, remainder", [
+    ([[2, 3]], [1], (1, 2)),  # the pivot is 2, but there is no torsion
+    ([[2, 4]], [2], (1, 2)),
+    ([[1, 3], [0, 2]], [1, 2], (1, 1)),  # a unit row splits off above a row led by 2
+    ([[2, 1], [0, 1]], [1, 2], (1, 1)),  # only back-reduction clears the 1 above a unit
+])
+def test_snf_diagonal_sparse_falls_back_past_a_non_unit_pivot(dense_calls, a, expected, remainder):
+    assert snf_diagonal_sparse(sparse_entries(a), len(a), len(a[0])) == expected
+    assert list(smith_normal_form_by_pivots(a)) == expected
+    assert dense_calls == [remainder]
+
+
+def fine_boundaries(m):
+    fine = get_fine(m)
     for p in range(1, fine.sal.dim + 1):
-        entries = fine.boundary_entries(p)
-        nrows, ncols = fine.n_simplices(p - 1), fine.n_simplices(p)
+        yield fine.boundary_entries(p), fine.n_simplices(p - 1), fine.n_simplices(p)
+
+
+def coarse_boundaries(m):
+    sal = get_salvetti(m)
+    for d in range(1, sal.dim + 1):
+        entries = {(r, c): v for c, col in enumerate(sal.signed_boundary(d))
+                   for r, v in col.items()}
+        yield entries, sal.n_cells(d - 1), sal.n_cells(d)
+
+
+BOUNDARIES = {
+    "u22": lambda: fine_boundaries(load("u22")),
+    "u23": lambda: fine_boundaries(load("u23")),
+    "u34": lambda: coarse_boundaries(load("u34")),
+    "a3": lambda: coarse_boundaries(load("a3")),
+    "gen3_6": lambda: coarse_boundaries(om_from_arrangement(generic(3, 6).arrangement)),
+    "b3": lambda: coarse_boundaries(om_from_arrangement(type_b(3).arrangement)),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARIES)
+def test_snf_diagonal_sparse_fine_boundaries(dense_calls, name):
+    # The fine boundaries of u22 and u23 and the coarse signed boundaries of
+    # the rest: every echelon pivot is 1, so no remainder reaches the dense
+    # form, whose own diagonal takes at most a few ms here.
+    for entries, nrows, ncols in BOUNDARIES[name]():
         a = [[0] * ncols for _ in range(nrows)]
         for (i, j), v in entries.items():
             a[i][j] = v
