@@ -12,6 +12,7 @@ and memberships are exact.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import (
@@ -21,7 +22,7 @@ from .linalg import (
     mask_from_bits,
     xor_span,
 )
-from .om import Flag, OrientedMatroid, SignVector, tope_flag_members
+from .om import Flag, OrientedMatroid, SignVector, tope_flag_mask
 
 # A square-free polynomial: sorted index tuple -> integer coefficient.
 SFPoly = dict
@@ -239,7 +240,8 @@ def epsilon(m: OrientedMatroid, flag: Flag, v: SignVector, p: int) -> SFPoly:
     The i-th factor is the sum of sign(v_j) * x_j over j in the i-th block;
     blocks are disjoint, so the product is square-free of degree p.
     """
-    if v not in tope_flag_members(m, flag):
+    i = m.tope_index.get(v)
+    if i is None or not tope_flag_mask(m, flag) >> i & 1:
         raise ValueError("origin tope is not in the tope set of the flag")
     if not 0 <= p <= flag.length:
         raise ValueError(f"degree {p} outside 0..{flag.length}")
@@ -273,17 +275,15 @@ def projectivize(m: OrientedMatroid, p: int, order: Optional[Sequence[int]] = No
     """
     from .filtrations import tilde_a, vg_lower
 
-    ntopes = len(m.topes)
-    theta_gens = []
+    # the antipodal lattice in HNF: e_i - e_j for each opposite pair i < j,
+    # whose column j is no pivot
+    nt = len(m.topes)
+    theta = []
     for i, t in enumerate(m.topes):
-        j = m.tope_index[t.negate()]
-        row = [0] * ntopes
-        row[i] += 1
-        row[j] -= 1
-        theta_gens.append(row)
-    theta = LatticeZ.from_generators(ntopes, theta_gens)
-    inter = theta.intersect(vg_lower(m, p))
-    dim = len(subset_index(m.n, p))
+        if i < (j := m.tope_index[t.negate()]):
+            theta.append(tuple(int(k == i) - int(k == j) for k in range(nt)))
+    inter = LatticeZ(nt, tuple(theta)).intersect(vg_lower(m, p))
+    dim = comb(m.n, p)
     b = LatticeZ.from_generators(
         dim, [sf_vector(tilde_a(m, list(g), p), m.n, p) for g in inter.basis]
     )
@@ -294,7 +294,8 @@ def projectivize(m: OrientedMatroid, p: int, order: Optional[Sequence[int]] = No
             p, b.rank, a.rank, "even", ok,
             f"antipodal image rank {b.rank}; quotient of rank {a.rank} unchanged",
         )
-    doubled = LatticeZ.from_generators(dim, [[2 * x for x in row] for row in a.basis])
+    # HNF(2A) = 2·HNF(A): doubling keeps the pivots and the reduced range
+    doubled = LatticeZ(dim, tuple(tuple(2 * x for x in row) for row in a.basis))
     sandwiched = a.contains_lattice(b) and b.contains_lattice(doubled)
     if not sandwiched:
         return ProjectivizationReport(

@@ -14,6 +14,7 @@ index-map identities, lattice containments and coordinate comparisons.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import NamedTuple, Optional
 
 from .algebras import cordovil_dual, subset_index
@@ -149,7 +150,7 @@ def verify_ses(m: OrientedMatroid, flag: Flag, p: int) -> SESReport:
         lower = vg_lower(mf, p)
         nxt = vg_lower(mf, p + 1)
         a = cordovil_dual(mf, p)
-        ncoords = len(subset_index(mf.n, p))
+        ncoords = comb(mf.n, p)
         images = [pair_chain(mf, row, p) for row in lower.basis]
         image, kernel = int_image_and_relations(images, lower.basis)
         surjective = lattice_equal(LatticeZ(ncoords, tuple(map(tuple, image))), a)

@@ -38,7 +38,6 @@ from .om import (
     enumerate_flags,
     is_complete_flag,
     tope_flag_mask,
-    tope_flag_members,
     tope_flag_set,
     zero_out,
 )
@@ -112,7 +111,8 @@ def vg_lower(m: OrientedMatroid, p: int) -> LatticeZ:
 def _complete_flag_data(m: OrientedMatroid, flag: Flag, v: SignVector):
     if not is_complete_flag(m, flag):
         raise ValueError("flag must be complete")
-    if v not in tope_flag_members(m, flag):
+    i = m.tope_index.get(v)
+    if i is None or not tope_flag_mask(m, flag) >> i & 1:
         raise ValueError("origin tope is not in the tope set of the flag")
     return flag.blocks()
 
@@ -277,8 +277,9 @@ def _quillen_Z_lattice(m: OrientedMatroid, p: int) -> LatticeZ:
 
 class KalininCertificate(NamedTuple):
     """A mod-2 chain on topes with the ladder of cell chains that places it
-    in the degree-p piece: the first chain bounds the vertex image of gamma
-    and each later one bounds its predecessor plus the conjugate."""
+    in the degree-p piece: the first chain bounds gamma, read as a 0-chain
+    (vertex i is tope i), and each later one bounds its predecessor plus the
+    conjugate."""
 
     gamma: int
     betas: tuple[int, ...]
@@ -291,7 +292,7 @@ class KalininCertificate(NamedTuple):
         sal = get_salvetti(m)
         if not self.betas:
             return True
-        if sal.boundary_of(1, self.betas[0]) != tope_vertex_chain(m, self.gamma):
+        if sal.boundary_of(1, self.betas[0]) != self.gamma:
             return False
         for i in range(2, self.p + 1):
             prev = self.betas[i - 2]
@@ -299,15 +300,6 @@ class KalininCertificate(NamedTuple):
             if sal.boundary_of(i, self.betas[i - 1]) != want:
                 return False
         return True
-
-
-def tope_vertex_chain(m: OrientedMatroid, gamma: int) -> int:
-    """Image of a mod-2 tope chain under the vertex inclusion."""
-    sal = get_salvetti(m)
-    out = 0
-    for i in bits_of(gamma):
-        out ^= 1 << sal.vertex_of_tope(m.topes[i])
-    return out
 
 
 def _ladder_rows(m: OrientedMatroid) -> tuple[list[int], list[int], list[int]]:
@@ -318,10 +310,10 @@ def _ladder_rows(m: OrientedMatroid) -> tuple[list[int], list[int], list[int]]:
     Row block i starts at row_off[i] and column block i at col_off[i - 1].
     Row blocks are indexed by cells of dimensions 0..r.  Block i holds the
     boundary of beta_i and, from i = 2 on, the chain beta_{i-1} plus its
-    conjugate; the right-hand side of the first block is the vertex image of
-    gamma, and of every later block zero.  Block i meets column blocks i - 1
-    and i only, so the degree-p system is the first row_off[p + 1] rows over
-    the first col_off[p] columns.
+    conjugate; the right-hand side of the first block is gamma itself, as
+    vertex i is tope i, and of every later block zero.  Block i meets column
+    blocks i - 1 and i only, so the degree-p system is the first
+    row_off[p + 1] rows over the first col_off[p] columns.
     """
     sal = get_salvetti(m)
     top = m.rank + 1
@@ -350,7 +342,7 @@ def _ladder_rows(m: OrientedMatroid) -> tuple[list[int], list[int], list[int]]:
 
 def _ladder_solver(m: OrientedMatroid, p: int) -> tuple[GF2Solver, list[int]]:
     """The factorization of the degree-p ladder system, for 1 <= p <= rank + 1,
-    with its column offsets; the right-hand side is the vertex image of gamma.
+    with its column offsets; the right-hand side is gamma as a 0-chain.
 
     The top-degree system of `_ladder_rows` is factored once per matroid and
     each degree is a prefix of that factorization.  Cached per matroid and
@@ -371,14 +363,14 @@ def _ladder_solver(m: OrientedMatroid, p: int) -> tuple[GF2Solver, list[int]]:
 def kalinin_K(m: OrientedMatroid, p: int) -> SubspaceGF2:
     """Degree-p piece of the chain-level filtration.
 
-    gamma is in the piece exactly when the ladder system with the vertex
-    image of gamma on the right is solvable, that is, when that image is
-    orthogonal to every relation among the ladder equations.  Only the
-    vertex rows meet the right-hand side, so each relation the solver found
-    is pulled back to tope coordinates through the vertex of each tope, and
-    the piece is the kernel of the pulled-back relations.  For p one above
-    the rank the top beta block is empty and the last equation forces the
-    previous chain to be conjugation-symmetric; above that the piece is zero.
+    gamma is in the piece exactly when the ladder system with gamma on the
+    right is solvable, that is, when gamma is orthogonal to every relation
+    among the ladder equations.  Only the vertex rows, the first ones, meet
+    the right-hand side, and vertex i is tope i, so the low bits of each
+    relation the solver found are already in tope coordinates, and the piece
+    is the kernel of those bits.  For p one above the rank the top beta block
+    is empty and the last equation forces the previous chain to be
+    conjugation-symmetric; above that the piece is zero.
     """
 
     def build():
@@ -387,13 +379,8 @@ def kalinin_K(m: OrientedMatroid, p: int) -> SubspaceGF2:
             return SubspaceGF2.full(nt)
         if p > m.rank + 1:
             return SubspaceGF2.zero(nt)
-        sal = get_salvetti(m)
-        tope_of_vertex = {sal.vertex_of_tope(t): j for j, t in enumerate(m.topes)}
-        vertices = (1 << sal.n_cells(0)) - 1
         solver, _ = _ladder_solver(m, p)
-        relations = [mask_from_bits(map(tope_of_vertex.__getitem__, bits_of(combo & vertices)))
-                     for combo in solver.zero_combos]
-        return gf2_kernel(relations, nt)
+        return gf2_kernel([combo & ((1 << nt) - 1) for combo in solver.zero_combos], nt)
 
     return m.memo(("kalinin_K", p), build)
 
@@ -413,9 +400,9 @@ def viro_bv(m: OrientedMatroid, gamma: int, p: int,
     sal = get_salvetti(m)
     hom = homology_mod2(sal)
     if p == 0:
-        return hom.class_of(0, tope_vertex_chain(m, gamma)), KalininCertificate(gamma, ())
+        return hom.class_of(0, gamma), KalininCertificate(gamma, ())
     solver, col_off = _ladder_solver(m, p)
-    sol = solver.solve(tope_vertex_chain(m, gamma), rng)
+    sol = solver.solve(gamma, rng)
     if sol is None:
         raise ValueError(f"chain is not in the degree-{p} chain-level piece")
     betas = []

@@ -426,11 +426,6 @@ def tope_flag_set(m: OrientedMatroid, flag: Flag) -> list[SignVector]:
     return [m.topes[i] for i in bits_of(tope_flag_mask(m, flag))]
 
 
-def tope_flag_members(m: OrientedMatroid, flag: Flag) -> frozenset[SignVector]:
-    """The tope set of a flag as a set, for membership tests."""
-    return frozenset(tope_flag_set(m, flag))
-
-
 def initial_covectors(m: OrientedMatroid, flag: Flag) -> frozenset[SignVector]:
     """Covector set of the degeneration of m along a flag, on the same ground set.
 

@@ -12,7 +12,9 @@ The fine complex, the order complex of the face poset of coarse cells, serves
 no package path; it is kept for the benchmark's `salvetti.fine` span and as
 the test oracle's integral homology.
 
-Chains are bitmasks over the canonical cell order of their dimension.
+Chains are bitmasks over the canonical cell order of their dimension.  The
+0-cells are the pairs (T, T) in tope order, so vertex i is tope i and a
+mod-2 chain on topes is already a 0-chain.
 """
 
 from __future__ import annotations
@@ -168,9 +170,6 @@ class SalvettiComplex:
         for i in bits_of(chain):
             out |= 1 << perm[i]
         return out
-
-    def vertex_of_tope(self, t: SignVector) -> int:
-        return self.index[0][(t, t)]
 
     def cell_bit(self, l: SignVector, t: SignVector) -> tuple[int, int]:
         """(dim, bitmask) of the cell with covector l and any tope t >= l.

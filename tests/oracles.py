@@ -318,7 +318,7 @@ def kalinin_K_by_projection(m: OrientedMatroid, p: int) -> SubspaceGF2:
     ladder, row_off, col_off = _ladder_rows(m)
     rows = [row << nt for row in ladder[:row_off[p + 1]]]
     for j, t in enumerate(m.topes):
-        rows[sal.vertex_of_tope(t)] ^= 1 << j
+        rows[sal.index[0][(t, t)]] ^= 1 << j
     kern = gf2_kernel(rows, nt + col_off[p])
     return SubspaceGF2.from_generators(nt, [v & ((1 << nt) - 1) for v in kern.rows])
 

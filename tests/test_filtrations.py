@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from closed_forms import moment_curve
+from closed_forms import braid, moment_curve
 from oracles import (
     affine_coordinate_chain,
     asymptotic_member,
@@ -56,7 +56,6 @@ from topespace.filtrations import (
     quillen_Z_demo,
     quillen_cosets,
     tilde_a,
-    tope_vertex_chain,
     verify_theorem_A,
     verify_theorem_B,
     vg_lower,
@@ -82,11 +81,14 @@ from topespace.om import (
     enumerate_flags,
     make_flag,
     om_from_arrangement,
+    om_from_covectors,
+    parse_covector_lines,
     tope_flag_mask,
     tope_flag_set,
 )
 from topespace.salvetti import (
     FineComplex,
+    SalvettiComplex,
     bz_cochain_eval,
     get_salvetti,
     homology_mod2,
@@ -98,12 +100,19 @@ def sv(s: str) -> SignVector:
 
 
 def fresh(name: str):
-    """A newly built matroid with an empty memo: a corpus member, b3, or
-    gen3_6 / gen4_6 (generic hyperplanes on the moment curve in R^3 / R^4)."""
+    """A newly built matroid with an empty memo: a corpus member, b3, a4 (the
+    braid arrangement, normals e_i - e_j in R^5), gen3_6 / gen4_6 (generic
+    hyperplanes on the moment curve in R^3 / R^4), or gen4_6_cov (gen4_6
+    read back from a covector file, its lines in reverse canonical order)."""
     if name in CORPUS:
         return om_from_arrangement(Arrangement(CORPUS[name].normals))
     if name == "b3":
         return b3()
+    if name == "a4":
+        return om_from_arrangement(braid(5))
+    if name == "gen4_6_cov":
+        lines = [v.to_str() for v in fresh("gen4_6").covectors]
+        return om_from_covectors(parse_covector_lines("\n".join(reversed(lines))))
     d, n = {"gen3_6": (3, 6), "gen4_6": (4, 6)}[name]
     return om_from_arrangement(moment_curve(d, n))
 
@@ -397,12 +406,29 @@ def test_kalinin_steps_are_homology_dimensions():
         assert steps == hom.dims()
 
 
-@pytest.mark.parametrize("name", [*names(), "gen3_6", "b3", "gen4_6"])
+@pytest.mark.parametrize("name", [*names(), "gen3_6", "b3", "gen4_6", "gen4_6_cov", "a4"])
 def test_kalinin_projection_matches_kernel_oracle(name):
     # separate matroids, so neither path reads what the other cached
     m, oracle = fresh(name), fresh(name)
     for p in range(m.rank + 2):
         assert kalinin_K(m, p) == kalinin_K_by_projection(oracle, p), p
+
+
+def test_kalinin_piece_reads_vertex_i_as_tope_i(monkeypatch):
+    # with 0-cells 0 and 1 swapped, the oracle still finds each tope's vertex
+    # through the cell index, but kalinin_K takes vertex i for tope i
+    init = SalvettiComplex.__init__
+
+    def swapped(self, m):
+        init(self, m)
+        cells = self.cells[0]
+        cells[0], cells[1] = cells[1], cells[0]
+        self.index[0] = {key: i for i, key in enumerate(cells)}
+
+    monkeypatch.setattr(SalvettiComplex, "__init__", swapped)
+    m, oracle = fresh("u23"), fresh("u23")
+    assert any(kalinin_K(m, p) != kalinin_K_by_projection(oracle, p)
+               for p in range(m.rank + 2))
 
 
 def test_kalinin_piece_is_zero_above_the_top_degree():
@@ -480,7 +506,7 @@ def test_kalinin_piece_is_solvability_of_the_ladder(name):
         solver, _ = _ladder_solver(m, p)
         chains = list(piece.rows) + [rng.getrandbits(nt) for _ in range(30)]
         for gamma in chains:
-            solvable = solver.solve(tope_vertex_chain(m, gamma)) is not None
+            solvable = solver.solve(gamma) is not None
             assert piece.contains(gamma) == solvable
 
 
@@ -543,7 +569,7 @@ def test_viro_degree_zero_is_vertex_inclusion():
     single = 1 << m.tope_index[sv("+++")]
     rep, cert = viro_bv(m, single, 0)
     assert cert.betas == ()
-    assert rep == hom.class_of(0, tope_vertex_chain(m, single))
+    assert rep == hom.class_of(0, single)
 
 
 def test_viro_value_is_choice_independent():
@@ -821,6 +847,45 @@ def test_projectivize_passes_on_corpus():
         m = load(name)
         for p in range(m.rank + 1):
             assert projectivize(m, p).ok, (name, p)
+
+
+@pytest.mark.parametrize("name", [*names(), "gen3_6", "b3", "gen4_6_cov", "a4"])
+def test_projectivize_writes_the_antipodal_and_doubled_hermite_forms(name, monkeypatch):
+    # projectivize intersects the antipodal lattice with the lower piece and
+    # tests the doubled Cordovil lattice last for membership; both are written
+    # down, and must be the Hermite forms of the generators they stand for
+    m = fresh(name)
+    nt = len(m.topes)
+    theta_gens = [[int(k == i) - int(k == m.tope_index[t.negate()]) for k in range(nt)]
+                  for i, t in enumerate(m.topes)]
+    seen = []
+    intersect, contains = LatticeZ.intersect, LatticeZ.contains_lattice
+    monkeypatch.setattr(LatticeZ, "intersect",
+                        lambda self, other: seen.append(("theta", self)) or intersect(self, other))
+    monkeypatch.setattr(LatticeZ, "contains_lattice",
+                        lambda self, other: seen.append(("in", other)) or contains(self, other))
+    for p in range(m.rank + 1):
+        seen.clear()
+        assert projectivize(m, p).ok, p
+        expect = [("theta", LatticeZ.from_generators(nt, theta_gens))]
+        if p % 2:  # seen[1] is the antipodal image, tested inside A
+            a = cordovil_dual(m, p)
+            expect.append(("in", LatticeZ.from_generators(
+                a.ambient_dim, [[2 * x for x in row] for row in a.basis])))
+        assert seen[:1] + seen[2:] == expect, p
+
+
+@pytest.mark.parametrize("name", ["u23", "a3"])
+def test_origin_outside_the_flag_tope_set_is_rejected(name):
+    m = load(name)
+    flag = enumerate_flags(m)[0]
+    inside = tope_flag_mask(m, flag)
+    outside = next(t for i, t in enumerate(m.topes) if not inside >> i & 1)
+    non_tope = SignVector.zero(m.n)
+    for v in (outside, non_tope):
+        for call in (lambda: prefix_chain(m, flag, v, 1), lambda: epsilon(m, flag, v, 1)):
+            with pytest.raises(ValueError, match="origin tope is not in the tope set"):
+                call()
 
 
 # -- the filtration comparison ----------------------------------------------

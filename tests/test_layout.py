@@ -24,7 +24,11 @@ imports no `heapq`, so the sparse Smith form runs no elimination of its own;
 the covector axiom check and the arrangement build compose covectors through
 the one closure `om.compositions`; the Cordovil dual is read off the nbc
 straightening, so `algebras.py` names neither `int_kernel` nor the circuit
-relation rows; and no module imports `dataclasses`: value and
+relation rows; vertex i of the Salvetti complex is tope i, so no module
+names a tope-to-vertex lookup (`vertex_of_tope`, `tope_vertex_chain`);
+`algebras.projectivize` writes the antipodal and doubled Cordovil lattices
+in Hermite form and names `LatticeZ.from_generators` only once, for the
+antipodal image; and no module imports `dataclasses`: value and
 report types are `typing.NamedTuple`s, so importing the package never loads
 `dataclasses` and the `inspect` machinery that comes with it.
 """
@@ -252,6 +256,25 @@ def test_cordovil_dual_takes_no_integer_kernel():
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name == "cordovil_relation_rows"]
     assert lines == [], f"algebras.py: integer kernel or relation rows at lines {sorted(lines)}"
+
+
+VERTEX_LOOKUPS = {"vertex_of_tope", "tope_vertex_chain"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_tope_to_vertex_lookup(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _named_lines(tree, VERTEX_LOOKUPS) + [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in VERTEX_LOOKUPS]
+    assert lines == [], f"{path.name}: tope-to-vertex lookup at lines {sorted(lines)}"
+
+
+def test_projectivize_takes_one_hermite_form():
+    lines = [node.lineno for node in ast.walk(_function("algebras.py", "projectivize"))
+             if isinstance(node, ast.Attribute) and node.attr == "from_generators"
+             and isinstance(node.value, ast.Name) and node.value.id == "LatticeZ"]
+    assert len(lines) == 1, f"projectivize: LatticeZ.from_generators at lines {lines}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -35,7 +35,6 @@ from topespace.om import (
     om_from_covectors,
     parse_arrangement,
     parse_covector_lines,
-    tope_flag_members,
     tope_flag_set,
     zero_out,
 )
@@ -503,7 +502,6 @@ def test_tope_flag_set_is_cached_and_copied(name):
                   if all(zero_out(t, g) in m.covector_set for g in f.flats)]
         got = tope_flag_set(m, f)
         assert got == direct
-        assert tope_flag_members(m, f) == frozenset(direct)
         got.clear()
         got.append(m.topes[0])
         assert tope_flag_set(m, f) == direct

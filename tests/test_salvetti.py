@@ -75,12 +75,12 @@ def test_u11_is_a_circle():
 
 
 def test_vertices_align_with_topes():
-    m = om_from_arrangement(U23)
-    sal = get_salvetti(m)
-    assert [key[1] for key in sal.cells[0]] == list(m.topes)
-    assert [key[0] for key in sal.cells[0]] == list(m.topes)
-    for i, t in enumerate(m.topes):
-        assert sal.vertex_of_tope(t) == i
+    # vertex i is tope i, which the ladder and Kalinin code rely on
+    for name in [*names(), "gen3_6", "b3", "gen4_6_cov", "a4"]:
+        m = fresh(name)
+        sal = get_salvetti(m)
+        assert [key[1] for key in sal.cells[0]] == list(m.topes), name
+        assert [key[0] for key in sal.cells[0]] == list(m.topes), name
 
 
 def test_boundary_squares_to_zero_mod2():
