@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional
 
-from .algebras import cordovil_dual, subset_index
+from .algebras import cordovil_dual
 from .filtrations import chain_mod2, heaviside_pairing, pair_chain, qbv, vg_lower
 from .linalg import (
     LatticeZ,
@@ -110,13 +110,13 @@ def _scatter(idx: tuple[int, ...], chain, size: int) -> list[int]:
 
 def _lower_included(m_sub: OrientedMatroid, m_sup: OrientedMatroid, q: int) -> bool:
     """Whether the tope index map carries the superflag's degree-q lower piece
-    into the subflag's, tested on scattered basis rows.  Only the verdict is
-    cached, per pair and degree."""
+    into the subflag's: true if that saturated piece has full rank (Z^n), else
+    tested on scattered basis rows.  The verdict is cached per pair and degree."""
 
     def build():
         idx, target = _tope_map(m_sub, m_sup), vg_lower(m_sub, q)
-        return all(target.contains(_scatter(idx, row, len(m_sub.topes)))
-                   for row in vg_lower(m_sup, q).basis)
+        return target.rank == target.ambient_dim or all(
+            target.contains(_scatter(idx, row, len(m_sub.topes))) for row in vg_lower(m_sup, q).basis)
 
     return m_sub.memo(("lower_included", m_sup, q), build)
 
@@ -206,7 +206,8 @@ def _naturality(sub: Flag, sup: Flag, p: int, m_sub: OrientedMatroid,
         for q in (p, p + 1):
             if not _lower_included(m_sub, m_sup, q):
                 return False, False, 0, f"inclusion does not respect the degree-{q} lower piece"
-        if not cordovil_dual(m_sub, p).contains_lattice(cordovil_dual(m_sup, p)):
+        dual = cordovil_dual(m_sub, p)  # its pivots are 1, so of full rank it is Z^n
+        if dual.rank < dual.ambient_dim and not dual.contains_lattice(cordovil_dual(m_sup, p)):
             return False, False, 0, f"inclusion does not respect the degree-{p} dual-algebra piece"
         back = {i: j for j, i in enumerate(idx)}
         pulled = (tuple(sorted(back[i] for i in topes if i in back))
@@ -361,11 +362,9 @@ def impossibility_check(m: OrientedMatroid) -> ImpossibilityReport:
     basis = [list(row) for row in lower.basis]
     r = len(basis)
     n = m.n
-    index = subset_index(n, 1)
-    residues = []
-    for chain in basis:
-        w = qbv(m, chain_mod2(chain), 1)
-        residues.append([(w >> index[(j,)]) & 1 for j in range(n)])
+    # wedge bit j is the 1-subset (j,): `subset_index(n, 1)` is the identity
+    wedges = [qbv(m, chain_mod2(chain), 1) for chain in basis]
+    residues = [[w >> j & 1 for j in range(n)] for w in wedges]
 
     rows: list[list[int]] = []
     rhs: list[int] = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .algebras import SFPoly, nbc_sets, subset_index, wedge_masks
@@ -185,41 +186,38 @@ def quillen_cosets(m: OrientedMatroid, p: int) -> list[tuple[int, int]]:
     return m.memo(("quillen_cosets", p), build)
 
 
-def quillen_Q(m: OrientedMatroid, p: int) -> SubspaceGF2:
-    """GF(2) span of the degree-p coset generators over all complete flags."""
-    return m.memo(("quillen_Q", p), lambda: SubspaceGF2.from_generators(
-        len(m.topes), [c for c, _ in quillen_cosets(m, p)]
-    ))
+def _quillen_span(m: OrientedMatroid, p: int) -> SubspaceGF2:
+    """Span of the rows `c | w << nt` of the `quillen_cosets` pairs (nt
+    topes), cached per degree.  A reduced row with no tope bit would make the
+    wedge no function of the chain, and raises RuntimeError."""
 
-
-def _quillen_solver(m: OrientedMatroid, p: int) -> tuple[GF2Solver, list[tuple[int, int]]]:
     def build():
-        cosets = quillen_cosets(m, p)
-        rows = [0] * len(m.topes)
-        for j, (cmask, _) in enumerate(cosets):
-            for i in bits_of(cmask):
-                rows[i] |= 1 << j
-        return GF2Solver(rows, len(cosets)), cosets
+        nt = len(m.topes)
+        span = SubspaceGF2.from_generators(
+            nt + comb(m.n, p), [c | w << nt for c, w in quillen_cosets(m, p)])
+        if any(row & ((1 << nt) - 1) == 0 for row in span.rows):
+            raise RuntimeError(f"p={p}: the wedge is not a function of the chain")
+        return span
 
-    return m.memo(("quillen_solver", p), build)
+    return m.memo(("quillen_span", p), build)
+
+
+def quillen_Q(m: OrientedMatroid, p: int) -> SubspaceGF2:
+    """GF(2) span of the degree-p coset generators over all complete flags:
+    the tope bits of `_quillen_span`, which hold every pivot."""
+    nt = len(m.topes)
+    return SubspaceGF2(nt, tuple(row & ((1 << nt) - 1) for row in _quillen_span(m, p).rows))
 
 
 def qbv(m: OrientedMatroid, gamma: int, p: int) -> int:
-    """Wedge-coordinate image of a mod-2 chain in the degree-p piece.
-
-    The chain is decomposed over the coset generators by a GF(2) solve and
-    each generator is sent to the wedge of its block directions; the result is
-    a bitmask over sorted p-subsets of the ground set.  The value does not
-    depend on the decomposition, which is checked separately as a property.
-    """
-    solver, cosets = _quillen_solver(m, p)
-    x = solver.solve(gamma)
-    if x is None:
+    """Wedge-coordinate image of a mod-2 chain in the degree-p piece, a
+    bitmask over sorted p-subsets of the ground set: the bits above the
+    topes of its reduction by `_quillen_span`, whose tope bits must vanish."""
+    nt = len(m.topes)
+    out = _quillen_span(m, p).reduce(gamma)
+    if out & ((1 << nt) - 1):
         raise ValueError("chain is not in the degree-p group-algebra piece")
-    out = 0
-    for j in bits_of(x):
-        out ^= cosets[j][1]
-    return out
+    return out >> nt
 
 
 def quillen_Z_demo(m: OrientedMatroid, p: int) -> int:

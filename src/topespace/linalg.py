@@ -279,7 +279,8 @@ def _echelon_rows(rows: Iterable[dict[int, int]], ncols: int) -> list[tuple[int,
     The working rows are bucketed by leading column.  Column by column, the
     rows led there are reduced by the one with the smallest leading entry
     until a single row is left; an update walks only the pivot row's entries,
-    and a row whose lead cancels moves to the bucket of its new lead.
+    and a row whose lead cancels moves to the bucket of its new lead.  Ties
+    go to the sparsest, then the furthest-reaching row (no staircase).
     """
     led_by: dict[int, list[dict[int, int]]] = {}
     for row in rows:
@@ -291,7 +292,7 @@ def _echelon_rows(rows: Iterable[dict[int, int]], ncols: int) -> list[tuple[int,
         if led is None:
             continue
         while len(led) > 1:
-            led.sort(key=lambda r: abs(r[c]))
+            led.sort(key=lambda r: (abs(r[c]), len(r), -max(r)))
             prow = led[0]
             keep = [prow]
             for r in led[1:]:

@@ -32,9 +32,11 @@ from topespace.filtrations import (
     heaviside_pairing,
     pair_chain,
     prefix_chain,
+    quillen_cosets,
     vg_lower,
 )
 from topespace.linalg import (
+    GF2Solver,
     IntMatrix,
     LatticeZ,
     SubspaceGF2,
@@ -734,6 +736,30 @@ def quillen_cosets_by_flag(m: OrientedMatroid, p: int) -> list[tuple[int, int]]:
                 if cmask not in seen:
                     seen.add(cmask)
                     out.append((cmask, wedge))
+    return out
+
+
+def qbv_by_solver(m: OrientedMatroid, gamma: int, p: int) -> int:
+    """`qbv` by a GF(2) solve: the chain is written as a sum of the
+    `quillen_cosets` tope masks, over the system of tope rows by coset
+    columns (factored once per matroid and degree), and the wedges of the
+    cosets used are added up.  Raises ValueError off the degree-p piece."""
+
+    def build():
+        cosets = quillen_cosets(m, p)
+        rows = [0] * len(m.topes)
+        for j, (cmask, _) in enumerate(cosets):
+            for i in bits_of(cmask):
+                rows[i] |= 1 << j
+        return GF2Solver(rows, len(cosets)), cosets
+
+    solver, cosets = m.memo(("qbv_by_solver", p), build)
+    x = solver.solve(gamma)
+    if x is None:
+        raise ValueError("chain is not in the degree-p group-algebra piece")
+    out = 0
+    for j in bits_of(x):
+        out ^= cosets[j][1]
     return out
 
 

@@ -23,6 +23,7 @@ from topespace.cosheaf import (
     verify_theorem_C,
 )
 from topespace.filtrations import vg_lower
+from topespace.linalg import LatticeZ
 from topespace.om import (
     Arrangement,
     Flag,
@@ -217,13 +218,39 @@ def test_naturality_pushes_each_lower_piece_once(monkeypatch):
              if sub != sup and sub.is_subflag_of(sup)]
     assert len(report.naturality) == len(pairs) * (m.rank + 1)
     # once per distinct pair of stalks, the inclusion tests scatter each basis
-    # row of degrees 0..rank+1; the pairing square compares supports and
-    # scatters nothing
+    # row of degrees 0..rank+1 into a target piece other than Z^n, which holds
+    # every row untested (240 rows of 608); the pairing square compares
+    # supports and scatters nothing
     stalk_pairs = {(stalk_matroid(m, sub), stalk_matroid(m, sup)) for sub, sup in pairs}
     assert len(stalk_pairs) < len(pairs)
     inclusions = sum(len(vg_lower(m_sup, q).basis)
-                     for _, m_sup in stalk_pairs for q in range(m.rank + 2))
-    assert len(calls) == inclusions == 608
+                     for m_sub, m_sup in stalk_pairs for q in range(m.rank + 2)
+                     if vg_lower(m_sub, q).rank < len(m_sub.topes))
+    assert len(calls) == inclusions == 368
+
+
+def test_theorem_C_tests_no_row_against_all_of_z_n(monkeypatch):
+    # a lower piece or Cordovil dual of full rank is Z^n, which holds every
+    # vector of its length, so neither inclusion test reduces a row against
+    # one: on a3 and gen3_6 that was 1,583 of 3,920 membership tests
+    targets = []
+    coords_of = LatticeZ.coords_of
+
+    def recording(self, v):
+        targets.append(self)
+        return coords_of(self, v)
+
+    monkeypatch.setattr(LatticeZ, "coords_of", recording)
+    for m in (fresh("a3"), gen3_6()):
+        assert verify_theorem_C(m).ok
+        # the skip is sound: every such lattice met is Z^n, its basis the identity
+        for mf in {id(s): s for s in (stalk_matroid(m, c.flag) for c in fan_cones(m))}.values():
+            for lat in [vg_lower(mf, q) for q in range(m.rank + 2)] + [
+                    cordovil_dual(mf, p) for p in range(m.rank + 1)]:
+                if lat.rank == lat.ambient_dim:
+                    assert all(row[i] == 1 for i, row in enumerate(lat.basis))
+    assert all(t.rank < t.ambient_dim for t in targets)
+    assert len(targets) == 3920 - 1583
 
 
 @pytest.mark.parametrize("name", ["u34", "a3"])

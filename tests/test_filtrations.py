@@ -19,6 +19,7 @@ from oracles import (
     int_kernel_dense,
     int_rank,
     lattice_saturated,
+    qbv_by_solver,
     quillen_Q_oracle,
     quillen_cosets_by_flag,
     quillen_Z_by_products,
@@ -63,7 +64,8 @@ from topespace.filtrations import (
     _asymptotic_rows,
     _ladder_rows,
     _ladder_solver,
-    _quillen_solver,
+    _flag_cosets,
+    _quillen_span,
     _quillen_Z_lattice,
 )
 from topespace.linalg import (
@@ -321,15 +323,48 @@ def test_qbv_rejects_chains_outside_the_piece():
 
 
 def test_qbv_is_decomposition_independent():
-    for name in ("u22", "u23", "u34"):
+    # no combination of generators cancels the tope bits but not the wedge:
+    # every reduced row of the span with wedges has its pivot at a tope
+    for name in ("u22", "u23", "u34", "a3"):
         m = load(name)
-        for p in range(m.rank + 1):
-            solver, cosets = _quillen_solver(m, p)
-            for k in solver.kernel_basis():
-                out = 0
-                for j in bits_of(k):
-                    out ^= cosets[j][1]
-                assert out == 0
+        nt = len(m.topes)
+        for p in range(m.rank + 2):
+            for row in _quillen_span(m, p).rows:
+                assert (row & -row).bit_length() <= nt, (name, p)
+
+
+@pytest.mark.parametrize("name", [*names(), "gen3_6", "gen4_6_cov", "b3", "a4"])
+def test_qbv_matches_the_solver_oracle(name):
+    m, oracle = fresh(name), fresh(name)
+    rng = random.Random(name)
+    nt = len(m.topes)
+    for p in range(m.rank + 1):
+        gens = [c for _, cosets in _flag_cosets(m, [tuple(range(1, p + 1))]) for c in cosets]
+        for gamma in gens + list(quillen_Q(m, p).rows):
+            assert qbv(m, gamma, p) == qbv_by_solver(oracle, gamma, p), (p, gamma)
+        for gamma in (rng.getrandbits(nt) for _ in range(10)):
+            try:
+                want = qbv_by_solver(oracle, gamma, p)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    qbv(m, gamma, p)
+            else:
+                assert qbv(m, gamma, p) == want, (p, gamma)
+
+
+def test_a_wrong_wedge_on_one_coset_raises(monkeypatch):
+    m = fresh("a3")
+    cosets = quillen_cosets(m, 1)
+    # a coset in the span of the others, so its wedge is forced by theirs
+    j = next(j for j, (c, _) in enumerate(cosets) if SubspaceGF2.from_generators(
+        len(m.topes), [d for k, (d, _) in enumerate(cosets) if k != j]).contains(c))
+    planted = list(cosets)
+    planted[j] = (cosets[j][0], cosets[j][1] ^ 1)
+    monkeypatch.setattr(filtrations, "quillen_cosets", lambda m, p: planted)
+    with pytest.raises(RuntimeError, match="wedge is not a function of the chain"):
+        _quillen_span(m, 1)
+    with pytest.raises(RuntimeError):
+        qbv(m, planted[0][0], 1)
 
 
 def test_qbv_vanishes_exactly_on_the_next_piece():
@@ -456,11 +491,9 @@ def test_theorem_B_reuses_the_ladder_factorizations_of_theorem_A(monkeypatch):
     built = _solvers_built(monkeypatch)
     assert verify_theorem_A(m).ok
     built.clear()
+    # every ladder solver came from thmA, and qbv reduces by the Quillen spans
     assert verify_theorem_B(m).ok
-    # only the Quillen solvers are new; every ladder solver came from thmA
-    quillen = [_quillen_solver(m, p)[0] for p in range(m.rank + 1)]
-    assert len(built) == m.rank + 1
-    assert {id(s) for s in built} == {id(q) for q in quillen}
+    assert built == []
 
 
 def test_ladder_is_factored_once_and_each_degree_is_a_prefix(monkeypatch):

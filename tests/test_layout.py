@@ -5,7 +5,9 @@ Library invariants raise real exceptions, because `python -O` strips
 other module reaches through `OrientedMatroid.memo`; only `linalg.py`
 names the integer eliminations and the GF(2) reduced row echelon form, so
 every other module gets kernels, intersections, solves and invariant
-factors through its lattice, subspace and solver helpers,
+factors through its lattice, subspace and solver helpers, and
+`filtrations.py` names `GF2Solver` only in `_ladder_solver`, so a Quillen
+degree is factored once, as its span, never again as a solver;
 and `om.py` names `Fraction` only to hold and parse arrangements;
 the Theorem C verifiers push chains through tope index maps, never
 through dense stalk matrices, and the pairing square of a naturality check
@@ -128,6 +130,21 @@ def test_fractions_only_in_arrangement_parsing():
         and id(node) not in allowed
     )
     assert lines == [], f"om.py: Fraction named outside {sorted(FRACTION_OWNERS)} at lines {lines}"
+
+
+def test_filtrations_factors_gf2_solvers_only_for_the_ladder():
+    path = PACKAGE / "filtrations.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = {id(node) for top in tree.body
+               if isinstance(top, ast.FunctionDef) and top.name == "_ladder_solver"
+               for node in ast.walk(top)}
+    lines = sorted(
+        node.lineno for node in ast.walk(tree)
+        if ((isinstance(node, ast.Name) and node.id == "GF2Solver")
+            or (isinstance(node, ast.Attribute) and node.attr == "GF2Solver"))
+        and id(node) not in allowed
+    )
+    assert lines == [], f"filtrations.py: GF2Solver named outside _ladder_solver at lines {lines}"
 
 
 DENSE_STALK_MAPS = {"mat_vec", "mat_mul", "cosheaf_map"}

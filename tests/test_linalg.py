@@ -510,6 +510,18 @@ def test_solve_diophantine_random_differential():
     assert 0 < feasible < 60
 
 
+@pytest.mark.parametrize("n", [2, 50, 720])
+def test_all_ones_equation_takes_at_most_n_row_operations(n, monkeypatch):
+    # a tie at the first column goes to the row reaching furthest, so no
+    # staircase forms: each label row is reduced once
+    calls = []
+    sub = linalg._sub_multiple
+    monkeypatch.setattr(linalg, "_sub_multiple", lambda *a: calls.append(1) or sub(*a))
+    kern = int_kernel([dict.fromkeys(range(n), 1)], n)
+    assert kern.rank == n - 1
+    assert len(calls) <= n
+
+
 def test_int_kernel_rejects_columns_out_of_range_and_solve_ragged_matrices():
     with pytest.raises(ValueError, match="column 2, outside 0..1"):
         int_kernel([{0: 1}, {2: 3}], 2)
