@@ -1,18 +1,19 @@
-"""Orlik-Solomon duals, NBC data, the Cordovil dual, and projectivization.
+"""Circuits, NBC data, the Cordovil dual, epsilon elements, and projectivization.
 
 Degree-p pieces live in a single coordinate chart: the p-th exterior power
 (or the degree-p slice of the square-free polynomial ring) of the free module
-on the ground set, with coordinates indexed by sorted p-subsets.  The dual
-Orlik-Solomon space is the span of block wedges attached to rank-graded
-chains of flats; the Cordovil dual is the annihilator of the circuit
-relations.  Both are kept as integer lattices (or GF(2) subspaces) so ranks
-and memberships are exact.
+on the ground set, with coordinates indexed by sorted p-subsets.  The
+Cordovil dual is the annihilator of the circuit relations, read off the nbc
+straightening; an epsilon element, the product of the tope-signed forms of
+disjoint flag blocks, has a sign on each transversal of the blocks.  The dual
+and the antipodal image are integer lattices and the projective quotient a
+GF(2) subspace, so ranks and memberships are exact.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import comb
+from itertools import combinations, product
+from math import comb, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import (
@@ -129,59 +130,6 @@ def subset_index(n: int, p: int) -> dict:
     return {s: i for i, s in enumerate(combinations(range(n), p))}
 
 
-def wedge_masks(masks: Sequence[int], n: int) -> SFPoly:
-    """Exterior-power coordinates of the wedge of 0/1 vectors given as masks.
-
-    Keys are sorted index tuples; each new factor is inserted in sorted
-    position with the transposition parity applied to the coefficient.
-    """
-    coeffs: SFPoly = {(): 1}
-    for mask in masks:
-        nxt: SFPoly = {}
-        for subset, c in coeffs.items():
-            for j in bits_of(mask):
-                if j in subset:
-                    continue
-                pos = sum(1 for x in subset if x < j)
-                sign = -1 if (len(subset) - pos) & 1 else 1
-                key = subset[:pos] + (j,) + subset[pos:]
-                v = nxt.get(key, 0) + sign * c
-                if v:
-                    nxt[key] = v
-                elif key in nxt:
-                    del nxt[key]
-        coeffs = nxt
-    return coeffs
-
-
-def sf_mul(a: SFPoly, b: SFPoly) -> SFPoly:
-    """Product in Z[x_i]/(x_i^2): terms with overlapping support vanish."""
-    out: SFPoly = {}
-    for s, c in a.items():
-        sm = mask_from_bits(s)
-        for t, d in b.items():
-            if sm & mask_from_bits(t):
-                continue
-            key = tuple(sorted(s + t))
-            v = out.get(key, 0) + c * d
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
-
-
-def sf_vector(poly: SFPoly, n: int, p: int) -> list[int]:
-    """Coordinate row of a homogeneous degree-p square-free polynomial."""
-    index = subset_index(n, p)
-    row = [0] * len(index)
-    for s, c in poly.items():
-        if len(s) != p:
-            raise ValueError("polynomial is not homogeneous of the requested degree")
-        row[index[s]] = c
-    return row
-
-
 # ---------------------------------------------------------------------------
 # Cordovil dual
 
@@ -238,18 +186,16 @@ def epsilon(m: OrientedMatroid, flag: Flag, v: SignVector, p: int) -> SFPoly:
     """Product over the first p flag blocks of the tope-signed linear forms.
 
     The i-th factor is the sum of sign(v_j) * x_j over j in the i-th block;
-    blocks are disjoint, so the product is square-free of degree p.
+    blocks are disjoint, so the product is square-free of degree p, with the
+    sign product on each transversal (one element from each block).
     """
     i = m.tope_index.get(v)
     if i is None or not tope_flag_mask(m, flag) >> i & 1:
         raise ValueError("origin tope is not in the tope set of the flag")
     if not 0 <= p <= flag.length:
         raise ValueError(f"degree {p} outside 0..{flag.length}")
-    out: SFPoly = {(): 1}
-    for block in flag.blocks()[:p]:
-        form = {(j,): v.sign(j) for j in bits_of(block)}
-        out = sf_mul(out, form)
-    return out
+    return {tuple(sorted(t)): prod(map(v.sign, t))
+            for t in product(*map(bits_of, flag.blocks()[:p]))}
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +219,7 @@ def projectivize(m: OrientedMatroid, p: int, order: Optional[Sequence[int]] = No
     zero, while for odd p it must pin the quotient to a GF(2) space whose
     dimension counts the NBC sets avoiding the order-smallest element.
     """
-    from .filtrations import tilde_a, vg_lower
+    from .filtrations import pair_chain, vg_lower
 
     # the antipodal lattice in HNF: e_i - e_j for each opposite pair i < j,
     # whose column j is no pivot
@@ -284,9 +230,7 @@ def projectivize(m: OrientedMatroid, p: int, order: Optional[Sequence[int]] = No
             theta.append(tuple(int(k == i) - int(k == j) for k in range(nt)))
     inter = LatticeZ(nt, tuple(theta)).intersect(vg_lower(m, p))
     dim = comb(m.n, p)
-    b = LatticeZ.from_generators(
-        dim, [sf_vector(tilde_a(m, list(g), p), m.n, p) for g in inter.basis]
-    )
+    b = LatticeZ.from_generators(dim, [pair_chain(m, g, p) for g in inter.basis])
     a = cordovil_dual(m, p)
     if p % 2 == 0:
         ok = b.rank == 0

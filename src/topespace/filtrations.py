@@ -15,11 +15,11 @@ are bitmasks over the canonical cell order of their dimension.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .algebras import SFPoly, nbc_sets, subset_index, wedge_masks
+from .algebras import SFPoly, nbc_sets, subset_index
 from .linalg import (
     GF2Solver,
     LatticeZ,
@@ -137,8 +137,8 @@ def prefix_chain(m: OrientedMatroid, flag: Flag, v: SignVector, p: int) -> tuple
 def _flag_cosets(m: OrientedMatroid, positions: Sequence[tuple[int, ...]]
                  ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """For each complete flag and each tuple of 1-based block positions, the
-    block directions there and the tope masks, by lowest tope, of the cosets
-    of their span in the flag's tope set that no earlier flag met.
+    sorted block directions there and the tope masks, by lowest tope, of the
+    cosets of their span in the flag's tope set that no earlier flag met.
 
     A tope set is a union of such cosets, and a coset fixes its directions
     (the blocks are disjoint), so the cosets met before are those inside the
@@ -149,17 +149,16 @@ def _flag_cosets(m: OrientedMatroid, positions: Sequence[tuple[int, ...]]
         blocks = flag.blocks()
         tf = tope_flag_mask(m, flag)
         for s in positions:
-            dmasks = tuple(blocks[i - 1] for i in s)
-            dirs = tuple(sorted(dmasks))
+            dirs = tuple(sorted(blocks[i - 1] for i in s))
             seen = covered.get(dirs, 0)
             covered[dirs] = seen | tf
-            span, new, cosets = xor_span(dmasks), tf & ~seen, []
+            span, new, cosets = xor_span(dirs), tf & ~seen, []
             while new:
                 low = m.topes[(new & -new).bit_length() - 1].minus
                 coset = mask_from_bits(m.tope_by_minus[low ^ x] for x in span)
                 cosets.append(coset)
                 new &= ~coset
-            yield dmasks, cosets
+            yield dirs, cosets
 
 
 def quillen_cosets(m: OrientedMatroid, p: int) -> list[tuple[int, int]]:
@@ -168,19 +167,20 @@ def quillen_cosets(m: OrientedMatroid, p: int) -> list[tuple[int, int]]:
     For each complete flag, every coset of every span of p block directions
     inside the tope set contributes its indicator chain (`_flag_cosets`); the
     attached wedge of the block vectors only depends on the coset's direction
-    space, so the first occurrence of a coset fixes it.  Each wedge is
-    computed once per distinct tuple of block directions.
+    space, so the first occurrence of a coset fixes it.  The blocks are
+    disjoint, so mod 2 the wedge is the mask of the transversals (one element
+    from each block), taken once per distinct set of block directions.
     """
 
     def build():
         index = subset_index(m.n, p)
         out: list[tuple[int, int]] = []
         wedges: dict[tuple[int, ...], int] = {}
-        for dmasks, cosets in _flag_cosets(m, list(combinations(range(1, m.rank + 1), p))):
-            if dmasks not in wedges:
-                wedges[dmasks] = mask_from_bits(
-                    index[mono] for mono, c in wedge_masks(dmasks, m.n).items() if c & 1)
-            out += [(c, wedges[dmasks]) for c in cosets]
+        for dirs, cosets in _flag_cosets(m, list(combinations(range(1, m.rank + 1), p))):
+            if dirs not in wedges:
+                wedges[dirs] = mask_from_bits(
+                    index[tuple(sorted(t))] for t in product(*map(bits_of, dirs)))
+            out += [(c, wedges[dirs]) for c in cosets]
         return out
 
     return m.memo(("quillen_cosets", p), build)

@@ -11,9 +11,7 @@ from topespace.algebras import (
     _order_positions,
     cordovil_dual,
     signed_circuits,
-    sf_vector,
     subset_index,
-    wedge_masks,
 )
 from topespace.cosheaf import (
     NaturalityReport,
@@ -612,6 +610,61 @@ def smith_normal_form_by_pivots(a: IntMatrix) -> tuple[int, ...]:
                 f"smith normal form divisibility chain broken: {diag[k - 1]} does not divide {diag[k]}"
             )
     return diag
+
+
+def wedge_masks(masks: Sequence[int], n: int) -> SFPoly:
+    """Exterior-power coordinates of the wedge of 0/1 vectors given as masks.
+
+    Keys are sorted index tuples; each new factor is inserted in sorted
+    position with the transposition parity applied to the coefficient.  The
+    reference for the transversal wedges of `quillen_cosets`.
+    """
+    coeffs: SFPoly = {(): 1}
+    for mask in masks:
+        nxt: SFPoly = {}
+        for subset, c in coeffs.items():
+            for j in bits_of(mask):
+                if j in subset:
+                    continue
+                pos = sum(1 for x in subset if x < j)
+                sign = -1 if (len(subset) - pos) & 1 else 1
+                key = subset[:pos] + (j,) + subset[pos:]
+                v = nxt.get(key, 0) + sign * c
+                if v:
+                    nxt[key] = v
+                elif key in nxt:
+                    del nxt[key]
+        coeffs = nxt
+    return coeffs
+
+
+def sf_mul(a: SFPoly, b: SFPoly) -> SFPoly:
+    """Product in Z[x_i]/(x_i^2): terms with overlapping support vanish.  The
+    reference for the transversal products of `epsilon`."""
+    out: SFPoly = {}
+    for s, c in a.items():
+        sm = mask_from_bits(s)
+        for t, d in b.items():
+            if sm & mask_from_bits(t):
+                continue
+            key = tuple(sorted(s + t))
+            v = out.get(key, 0) + c * d
+            if v:
+                out[key] = v
+            elif key in out:
+                del out[key]
+    return out
+
+
+def sf_vector(poly: SFPoly, n: int, p: int) -> list[int]:
+    """Coordinate row of a homogeneous degree-p square-free polynomial."""
+    index = subset_index(n, p)
+    row = [0] * len(index)
+    for s, c in poly.items():
+        if len(s) != p:
+            raise ValueError("polynomial is not homogeneous of the requested degree")
+        row[index[s]] = c
+    return row
 
 
 def rank_graded_chains(m: OrientedMatroid, p: int) -> list[tuple[int, ...]]:

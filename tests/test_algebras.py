@@ -10,7 +10,11 @@ from oracles import (
     nbc_flag,
     os_dual,
     rank_graded_chains,
+    sf_mul,
+    sf_vector,
+    wedge_masks,
 )
+from test_filtrations import fresh
 
 from topespace.algebras import (
     broken_circuits,
@@ -18,11 +22,8 @@ from topespace.algebras import (
     cordovil_dual,
     epsilon,
     nbc_sets,
-    sf_mul,
-    sf_vector,
     signed_circuits,
     subset_index,
-    wedge_masks,
 )
 from topespace.corpus import CORPUS, load, names
 from topespace.linalg import LatticeZ, bits_of, int_kernel, lattice_equal, mask_from_bits
@@ -266,6 +267,22 @@ def test_epsilon_rejects_degrees_outside_the_flag():
         for p in (-1, -flag.length, flag.length + 1):
             with pytest.raises(ValueError, match="outside"):
                 epsilon(m, flag, v, p)
+
+
+@pytest.mark.parametrize("name", [*names(), "gen3_6", "b3"])
+def test_epsilon_is_the_product_of_the_signed_block_forms(name):
+    # the transversal signs against the oracle product of the block forms,
+    # on complete and partial flags, every tope of the flag and every degree
+    m = fresh(name)
+    flags = enumerate_flags(m) + enumerate_flags(m, complete=False)
+    for flag in flags:
+        for v in tope_flag_set(m, flag):
+            forms = [{(j,): v.sign(j) for j in bits_of(block)} for block in flag.blocks()]
+            expect = {(): 1}
+            for p in range(flag.length + 1):
+                assert epsilon(m, flag, v, p) == expect, (flag, v, p)
+                if p < flag.length:
+                    expect = sf_mul(expect, forms[p])
 
 
 def test_epsilon_lies_in_cordovil_dual():

@@ -1,7 +1,7 @@
 """Tests for the three filtrations, their generators, and the induced maps."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from closed_forms import braid, moment_curve
@@ -23,6 +23,7 @@ from oracles import (
     quillen_Q_oracle,
     quillen_cosets_by_flag,
     quillen_Z_by_products,
+    sf_vector,
     vg_lower_by_prefix,
     vg_lower_dense,
     vg_lower_mod2,
@@ -35,9 +36,7 @@ from topespace.algebras import (
     epsilon,
     nbc_sets,
     projectivize,
-    sf_vector,
     subset_index,
-    wedge_masks,
 )
 from topespace.cli import verify_checks
 from topespace.cosheaf import fan_cones, stalk_matroid
@@ -258,18 +257,23 @@ def test_quillen_matches_exhaustive_oracle():
             assert quillen_Q(m, p) == quillen_Q_oracle(m, p)
 
 
-@pytest.mark.parametrize("name", [*CORPUS, "gen3_6", "gen4_6"])
+@pytest.mark.parametrize("name", [*CORPUS, "gen3_6", "b3", "gen4_6"])
 def test_quillen_cosets_match_the_per_flag_oracle(name, monkeypatch):
     """The same (tope mask, wedge) list, order included, in every degree,
-    with one wedge per distinct tuple of block directions."""
+    against the signed wedge of the oracle, with one transversal wedge per
+    distinct set of block directions."""
     m = fresh(name)
     calls = []
-    monkeypatch.setattr(filtrations, "wedge_masks",
-                        lambda masks, n: calls.append(masks) or wedge_masks(masks, n))
+
+    def counted(*blocks):
+        calls.append(tuple(map(mask_from_bits, blocks)))
+        return product(*blocks)
+
+    monkeypatch.setattr(filtrations, "product", counted)
     for p in range(m.rank + 2):
         calls.clear()
         assert quillen_cosets(m, p) == quillen_cosets_by_flag(m, p), p
-        distinct = {tuple(flag.blocks()[i - 1] for i in s) for flag in enumerate_flags(m)
+        distinct = {tuple(sorted(flag.blocks()[i - 1] for i in s)) for flag in enumerate_flags(m)
                     for s in combinations(range(1, m.rank + 1), p)}
         assert sorted(calls) == sorted(distinct), p
 
@@ -865,6 +869,27 @@ def test_asymptotic_equals_lower_filtration_on_corpus():
 # -- projectivization -------------------------------------------------------
 
 
+def antipodal_lattice(m) -> LatticeZ:
+    """The span of e_i - e_j over each tope i and its negation j."""
+    nt = len(m.topes)
+    return LatticeZ.from_generators(nt, [
+        [int(k == i) - int(k == m.tope_index[t.negate()]) for k in range(nt)]
+        for i, t in enumerate(m.topes)])
+
+
+@pytest.mark.parametrize("name", [*names(), "gen3_6", "b3", "a4"])
+def test_antipodal_lower_rows_lie_in_both_lattices(name):
+    # projectivize pairs the rows of theta ∩ vg_lower(m, p) with no membership
+    # check: each lies in both lattices, and its pairing is the checked one
+    m = fresh(name)
+    theta = antipodal_lattice(m)
+    for p in range(m.rank + 1):
+        lower = vg_lower(m, p)
+        for row in theta.intersect(lower).basis:
+            assert theta.contains(list(row)) and lower.contains(list(row)), p
+            assert pair_chain(m, row, p) == sf_vector(tilde_a(m, row, p), m.n, p), p
+
+
 def test_projectivize_goldens_u23():
     m = load("u23")
     r0 = projectivize(m, 0)
@@ -888,9 +913,6 @@ def test_projectivize_writes_the_antipodal_and_doubled_hermite_forms(name, monke
     # tests the doubled Cordovil lattice last for membership; both are written
     # down, and must be the Hermite forms of the generators they stand for
     m = fresh(name)
-    nt = len(m.topes)
-    theta_gens = [[int(k == i) - int(k == m.tope_index[t.negate()]) for k in range(nt)]
-                  for i, t in enumerate(m.topes)]
     seen = []
     intersect, contains = LatticeZ.intersect, LatticeZ.contains_lattice
     monkeypatch.setattr(LatticeZ, "intersect",
@@ -900,7 +922,7 @@ def test_projectivize_writes_the_antipodal_and_doubled_hermite_forms(name, monke
     for p in range(m.rank + 1):
         seen.clear()
         assert projectivize(m, p).ok, p
-        expect = [("theta", LatticeZ.from_generators(nt, theta_gens))]
+        expect = [("theta", antipodal_lattice(m))]
         if p % 2:  # seen[1] is the antipodal image, tested inside A
             a = cordovil_dual(m, p)
             expect.append(("in", LatticeZ.from_generators(

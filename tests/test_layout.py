@@ -30,9 +30,14 @@ relation rows; vertex i of the Salvetti complex is tope i, so no module
 names a tope-to-vertex lookup (`vertex_of_tope`, `tope_vertex_chain`);
 `algebras.projectivize` writes the antipodal and doubled Cordovil lattices
 in Hermite form and names `LatticeZ.from_generators` only once, for the
-antipodal image; and no module imports `dataclasses`: value and
-report types are `typing.NamedTuple`s, so importing the package never loads
-`dataclasses` and the `inspect` machinery that comes with it.
+antipodal image, and pairs that image's rows with `pair_chain` directly,
+naming neither `tilde_a` nor `sf_vector`; no module defines or names the
+general signed wedge, square-free product or coordinate row (`wedge_masks`,
+`sf_mul`, `sf_vector`), because flag blocks are disjoint and the Quillen
+wedges and epsilon elements are read off block transversals; and no module
+imports `dataclasses`: value and report types are `typing.NamedTuple`s, so
+importing the package never loads `dataclasses` and the `inspect` machinery
+that comes with it.
 """
 
 import ast
@@ -292,6 +297,23 @@ def test_projectivize_takes_one_hermite_form():
              if isinstance(node, ast.Attribute) and node.attr == "from_generators"
              and isinstance(node.value, ast.Name) and node.value.id == "LatticeZ"]
     assert len(lines) == 1, f"projectivize: LatticeZ.from_generators at lines {lines}"
+
+
+def test_projectivize_pairs_the_antipodal_rows_directly():
+    lines = _named_lines(_function("algebras.py", "projectivize"), {"tilde_a", "sf_vector"})
+    assert lines == [], f"projectivize: tilde_a or sf_vector named at lines {lines}"
+
+
+GENERAL_ALGEBRA = {"wedge_masks", "sf_mul", "sf_vector"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_general_wedge_or_square_free_product(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _named_lines(tree, GENERAL_ALGEBRA) + [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in GENERAL_ALGEBRA]
+    assert lines == [], f"{path.name}: general wedge or square-free helper at lines {sorted(lines)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
