@@ -214,23 +214,15 @@ class ProjectivizationReport(NamedTuple):
 def projectivize(m: OrientedMatroid, p: int, order: Optional[Sequence[int]] = None) -> ProjectivizationReport:
     """Quotient of the Cordovil dual by the image of antipodal differences.
 
-    The antipodal sublattice of the tope space is intersected with the p-th
-    lower filtration piece and pushed forward; for even p the image must be
+    The antipodal sublattice of the tope space cut with the p-th lower piece
+    (`_antipodal_lower`) is pushed forward; for even p the image must be
     zero, while for odd p it must pin the quotient to a GF(2) space whose
     dimension counts the NBC sets avoiding the order-smallest element.
     """
-    from .filtrations import pair_chain, vg_lower
+    from .filtrations import _antipodal_lower, pair_chain
 
-    # the antipodal lattice in HNF: e_i - e_j for each opposite pair i < j,
-    # whose column j is no pivot
-    nt = len(m.topes)
-    theta = []
-    for i, t in enumerate(m.topes):
-        if i < (j := m.tope_index[t.negate()]):
-            theta.append(tuple(int(k == i) - int(k == j) for k in range(nt)))
-    inter = LatticeZ(nt, tuple(theta)).intersect(vg_lower(m, p))
     dim = comb(m.n, p)
-    b = LatticeZ.from_generators(dim, [pair_chain(m, g, p) for g in inter.basis])
+    b = LatticeZ.from_generators(dim, [pair_chain(m, g, p) for g in _antipodal_lower(m, p).basis])
     a = cordovil_dual(m, p)
     if p % 2 == 0:
         ok = b.rank == 0

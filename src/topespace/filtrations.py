@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 from math import comb
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebras import SFPoly, nbc_sets, subset_index
 from .linalg import (
@@ -27,7 +27,7 @@ from .linalg import (
     bits_of,
     gf2_kernel,
     int_kernel,
-    int_kernel_prefixes,
+    kernel_within,
     mask_from_bits,
     parity,
     xor_span,
@@ -39,7 +39,6 @@ from .om import (
     enumerate_flags,
     is_complete_flag,
     tope_flag_mask,
-    tope_flag_set,
     zero_out,
 )
 from .salvetti import bz_cochain_eval, get_salvetti, homology_mod2
@@ -90,20 +89,40 @@ def vg_lower(m: OrientedMatroid, p: int) -> LatticeZ:
 
     Square-free monomials suffice because the indicator functions are
     idempotent.  The kernel lattice is saturated, and its reduction mod 2 is
-    the GF(2) piece.  The equations of a degree are a prefix of those of the
-    next, so the pieces of every degree up to rank + 1 come from one Hermite
-    form (`int_kernel_prefixes`).
+    the GF(2) piece.  Degree p is degree p - 1 cut by the degree-(p - 1)
+    monomials, built only up to the degree asked for (`_kernel_ladder`).
     """
-    top = max(p, m.rank + 1)
+    return _kernel_ladder(m, "vg_ladder", p, lambda q: heaviside_pairing(m, q))
 
-    def ladder():
-        rows, ends = [], [0]  # the equations of degrees below q: rows[:ends[q]]
-        for q in range(top):
-            rows += [dict.fromkeys(topes, 1) for topes in heaviside_pairing(m, q)]
-            ends.append(len(rows))
-        return int_kernel_prefixes(rows, len(m.topes), ends)
 
-    return m.memo(("vg_ladder", top), ladder)[p]
+def _kernel_ladder(m: OrientedMatroid, key: str, p: int, supports: Callable,
+                   first: Optional[Callable] = None) -> LatticeZ:
+    """Degree p of a ladder of lattices cached per matroid under `key`, built
+    up to p: degree 0 is `first()`, by default Z^topes, and degree q + 1 is
+    degree q cut by the 0/1 equations `supports(q)` unless degree q is 0."""
+    if p < 0:
+        raise ValueError(f"degree must be non-negative, got {p}")
+    ladder = m.memo(key, lambda: [first() if first else int_kernel([], len(m.topes))])
+    while len(ladder) <= p:
+        top = ladder[-1]
+        if top.basis:
+            top = kernel_within(top.basis, supports(len(ladder) - 1), top.ambient_dim)
+        ladder.append(top)
+    return ladder[p]
+
+
+def _antipodal_lower(m: OrientedMatroid, p: int) -> LatticeZ:
+    """The antipodal lattice, spanned by e_i - e_j over each tope i and its
+    negation j, cut with the degree-p lower piece as `vg_lower` is built, and
+    cached per matroid; its HNF basis is e_i - e_j for each such pair i < j."""
+
+    def theta():
+        nt = len(m.topes)
+        return LatticeZ(nt, tuple(
+            tuple(int(k == i) - int(k == j) for k in range(nt))
+            for i, t in enumerate(m.topes) if i < (j := m.tope_index[t.negate()])))
+
+    return _kernel_ladder(m, "antipodal_lower", p, lambda q: heaviside_pairing(m, q), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +248,17 @@ def quillen_Z_demo(m: OrientedMatroid, p: int) -> int:
     Over the integers the chain of spans never reaches zero, unlike its mod-2
     counterpart.
 
-    The span is built degree by degree.  Every p-fold product of the
-    generators g = origin - t is a (p-1)-fold product times one generator, so
-    by bilinearity the products b·g of an HNF basis b of the degree-(p-1)
-    span with each generator span the same lattice; and b·g = b - b·t is b
-    minus b permuted by t.  A degree so takes the HNF of at most
-    rank(degree p-1) × (|tf| - 1) rows, not of one product per multiset of p
-    generators, and each degree is cached for the next.
+    As 1 - gh = (1 - g) + g(1 - h), the augmentation ideal I is the sum of the
+    (1 - g_i)Z[G] over the r block generators g_i = origin ⊕ d_i, which make
+    the 2^r flag topes (else RuntimeError).  So, as I^p = I^(p-1)·I, the
+    b - b·g_i over an HNF basis b of degree p - 1 (the flag topes for p = 1),
+    b·g_i being b permuted by g_i, span degree p: rank(p - 1) × r rows, and
+    each degree is cached for the next.
     """
     if p < 0:
         raise ValueError(f"degree must be non-negative, got {p}")
     if p == 0:
-        return len(tope_flag_set(m, enumerate_flags(m)[0]))
+        return tope_flag_mask(m, enumerate_flags(m)[0]).bit_count()
     return _quillen_Z_lattice(m, p).rank
 
 
@@ -248,23 +266,16 @@ def _quillen_Z_lattice(m: OrientedMatroid, p: int) -> LatticeZ:
     """The lattice of `quillen_Z_demo` in tope coordinates, for p >= 1."""
 
     def build():
-        nt = len(m.topes)
-        tf = tope_flag_set(m, enumerate_flags(m)[0])
-        origin = tf[0].minus
-        cols = [m.tope_index[t] for t in tf]
-        # per generator origin - t, the index of k·t for each flag tope k
-        shifts = [[m.tope_by_minus[m.topes[k].minus ^ t.minus ^ origin] for k in cols]
-                  for t in tf[1:]]
-        # below degree 1 stands the empty product, the identity tope
+        nt, flag = len(m.topes), enumerate_flags(m)[0]
+        tf, blocks = tope_flag_mask(m, flag), flag.blocks()
+        if tf.bit_count() != 1 << len(blocks):
+            raise RuntimeError(f"the flag has {tf.bit_count()} topes, not 2^{len(blocks)}")
+        # per block generator g, the index of k·g for each flag tope k, and k elsewhere
+        perms = [[m.tope_by_minus[t.minus ^ d] if tf >> k & 1 else k for k, t in enumerate(m.topes)]
+                 for d in blocks]
         prev = (_quillen_Z_lattice(m, p - 1).basis if p > 1
-                else [[int(k == cols[0]) for k in range(nt)]])
-        gens = []
-        for b in prev:
-            for shift in shifts:
-                row = [0] * nt
-                for k, kt in zip(cols, shift):
-                    row[k] = b[k] - b[kt]
-                gens.append(row)
+                else [[int(k == j) for k in range(nt)] for j in bits_of(tf)])
+        gens = [[b[k] - b[kg] for k, kg in enumerate(perm)] for b in prev for perm in perms]
         return LatticeZ.from_generators(nt, gens)
 
     return m.memo(("quillen_Z", p), build)
@@ -491,37 +502,26 @@ def tilde_a(m: OrientedMatroid, gamma: IntChain, p: int) -> SFPoly:
 # ---------------------------------------------------------------------------
 # the asymptotic filtration
 
-def _asymptotic_rows(m: OrientedMatroid, p: int) -> list[list[int]]:
-    """The supports of the equations of the degree-p asymptotic piece,
-    distinct and sorted by their tope masks.
-
-    For each tope t2 and each subset s of fewer than p elements, the topes t
-    that t2 separates on all of s.  Each is a tope mask: the AND over e in s
-    of the topes separated from t2 at e, which are the topes of the other
-    sign at e.
-    """
-    full = (1 << len(m.topes)) - 1
-    negative = [0] * m.n  # negative[e]: the topes with sign - at e
-    for i, t in enumerate(m.topes):
-        for e in bits_of(t.minus):
-            negative[e] |= 1 << i
-    rows: set[int] = set()
-    for t2 in m.topes:
-        at = [full ^ neg if t2.minus >> e & 1 else neg for e, neg in enumerate(negative)]
-        for q in range(p):
-            for s in combinations(at, q):
-                row = full
-                for sep in s:
-                    row &= sep
-                rows.add(row)
-    return [bits_of(r) for r in sorted(rows)]
-
-
 def asymptotic(m: OrientedMatroid, p: int) -> LatticeZ:
     """Integer lattice of chains passing the degree-p difference criterion:
-    the kernel of the equations `_asymptotic_rows`, each one on its support."""
-    return m.memo(("asymptotic", p), lambda: int_kernel(
-        [dict.fromkeys(s, 1) for s in _asymptotic_rows(m, p)], len(m.topes)))
+    degree p - 1 cut by the equations of p - 1 separators that no lower
+    degree has (`_kernel_ladder`).  The equation of a tope t2 and q
+    separators holds the topes that t2 separates on all of them, those with
+    the signs of -t2 there: a class of the topes by their signs on q elements."""
+    seen = m.memo("asymptotic_supports", dict)  # support -> the q that first met it
+    ids, plus = list(range(len(m.topes))), [t.plus for t in m.topes]  # one int per tope
+
+    def supports(q: int) -> list[tuple[int, ...]]:
+        new: dict[tuple[int, ...], None] = {}
+        for s in map(mask_from_bits, combinations(range(m.n), q)):
+            classes: dict[int, list[int]] = {}
+            for i, signs in zip(ids, map(s.__and__, plus)):
+                classes.setdefault(signs, []).append(i)
+            new.update((c, None) for c in map(tuple, classes.values())
+                       if seen.setdefault(c, q) == q)
+        return list(new)
+
+    return _kernel_ladder(m, "asymptotic", p, supports)
 
 
 # ---------------------------------------------------------------------------

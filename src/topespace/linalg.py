@@ -10,8 +10,10 @@ precision; no floating point is used anywhere in this package.
 from __future__ import annotations
 
 import random
+import struct
 from collections import defaultdict
 from functools import cached_property
+from itertools import compress
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -376,19 +378,11 @@ def int_image_and_relations(images: Sequence, labels: Sequence) -> tuple[IntMatr
     return image, relations
 
 
-def int_kernel_prefixes(rows: Sequence[dict[int, int]], ncols: int,
-                        prefixes: Sequence[int]) -> list["LatticeZ"]:
-    """For each k in `prefixes`, the saturated lattice {x in Z^ncols :
-    a_i·x = 0 for i < k} in its canonical HNF basis, all from one labelled
-    Hermite form; each of `rows` is one equation as a sparse row {col: value}.
-
-    With w equations, the labelled columns {i: a_ij, w + j: 1} span the pairs
-    (a·x, x).  The pairs that vanish on the first k equations are spanned by
-    the Hermite rows with pivot at k or beyond, whose label parts are so a
-    basis of the prefix's kernel: canonical for k = w, and put in Hermite form
-    otherwise, longest prefix first, each form starting from the canonical
-    basis of the prefix before.  A column outside 0..ncols-1 raises ValueError.
-    """
+def int_kernel(rows: Sequence[dict[int, int]], ncols: int) -> "LatticeZ":
+    """The saturated lattice {x in Z^ncols : a·x = 0} in its canonical HNF
+    basis, for w equations a as sparse rows {col: value}: the label parts of
+    the Hermite rows of the columns {i: a_ij, w + j: 1} with pivot at w or
+    beyond.  A column outside 0..ncols-1 raises ValueError."""
     w = len(rows)
     cols: list[dict[int, int]] = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
@@ -398,34 +392,56 @@ def int_kernel_prefixes(rows: Sequence[dict[int, int]], ncols: int,
             if a:
                 cols[j][i] = a
     hermite = _hermite_rows([{**col, w + j: 1} for j, col in enumerate(cols)], w + ncols)
-    kernels: dict[int, LatticeZ] = {}
-    kern: list[dict[int, int]] = []
-    done = w + ncols  # kern is the canonical basis for the rows with pivot >= done
-    for k in sorted(set(prefixes), reverse=True):
-        kern += [{j - w: x for j, x in row.items() if j >= w}
-                 for c, row in hermite if k <= c < done]
-        done = k
-        if k < w:
-            kern = [row for _, row in _hermite_rows(kern, ncols)]
-        # check a·x = 0 on the prefix, summing x_j times column j (by equation)
-        for x in kern:
-            ax: dict[int, int] = defaultdict(int)
-            for j, v in x.items():
-                for i, a in cols[j].items():
-                    if i >= k:
-                        break
-                    ax[i] += a * v
-            if any(ax.values()):
-                raise RuntimeError("int_kernel check failed: a·x != 0 for a returned row")
-        kernels[k] = LatticeZ(ncols, tuple(tuple(_dense(x, 0, ncols)) for x in kern))
-    return [kernels[k] for k in prefixes]
+    kern = [{j - w: x for j, x in row.items()} for c, row in hermite if c >= w]
+    packed, _ = _packed(kern, ncols, max((abs(a) for row in rows for a in row.values()), default=0))
+    if any(sum(a * packed[j] for j, a in row.items()) for row in rows):
+        raise RuntimeError("int_kernel check failed: a·x != 0 for a returned row")
+    return LatticeZ(ncols, tuple(tuple(_dense(x, 0, ncols)) for x in kern))
 
 
-def int_kernel(rows: Sequence[dict[int, int]], ncols: int) -> "LatticeZ":
-    """The saturated lattice {x in Z^ncols : a·x = 0} in its canonical HNF
-    basis, Z^ncols when no equation has a nonzero entry: the whole-system
-    prefix of `int_kernel_prefixes`."""
-    return int_kernel_prefixes(rows, ncols, [len(rows)])[0]
+def _packed(rows: Sequence[dict[int, int]], ncols: int, scale: int = 1) -> tuple[list[int], int]:
+    """Sparse rows packed by column, and the lane width in bytes: column j is
+    the sum of row_i[j]·2^(8·nbytes·i), a lane holding `scale` times a row's
+    l1 norm below half its range, so an equation's pairing with every row,
+    a sum of columns, has signed digit i its pairing with row i, exactly."""
+    norm = scale * max((sum(map(abs, r.values())) for r in rows), default=0)
+    nbytes = 1 << (norm.bit_length() // 8).bit_length()
+    cols = [0] * ncols
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j] += x << 8 * nbytes * i
+    return cols, nbytes
+
+
+def kernel_within(basis: Sequence[Sequence[int]], supports: Sequence[Sequence[int]],
+                  ncols: int) -> "LatticeZ":
+    """The canonical HNF basis of {x in span B : x sums to 0 on each support},
+    B = `basis` the HNF basis of a saturated lattice in Z^ncols: B^T·ker(E·B^T),
+    E the 0/1 support rows, as the label parts of the Hermite rows of (E·b, b)
+    with no image part (`int_image_and_relations`).  E·B^T is one sum of
+    `_packed` columns per support, one image column per distinct sum; the
+    rows are checked on these equations only (B meets any earlier ones), a
+    failed check raising RuntimeError."""
+    rows = [{j: b[j] for j in compress(range(ncols), b)} for b in basis]
+    cols, nbytes = _packed(rows, ncols)
+    images = dict.fromkeys(v for v in (sum(map(cols.__getitem__, s)) for s in supports) if v)
+    half, w = 1 << 8 * nbytes - 1, len(images)
+    offset = half * ((1 << 8 * nbytes * len(rows)) - 1) // ((1 << 8 * nbytes) - 1)
+    labelled = [{w + j: x for j, x in row.items()} for row in rows]
+    for c, v in enumerate(images):  # the digits plus `half` are plain bytes
+        raw = (v + offset).to_bytes(nbytes * len(rows), "little")
+        lanes = (struct.unpack(f"<{len(rows)}{'BHIQ'[nbytes.bit_length() - 1]}", raw)
+                 if nbytes <= 8 else [int.from_bytes(raw[k:k + nbytes], "little")
+                                      for k in range(0, len(raw), nbytes)])
+        for i, u in enumerate(lanes):
+            if u != half:
+                labelled[i][c] = u - half
+    kern = [{j - w: x for j, x in row.items()}
+            for c, row in _hermite_rows(labelled, w + ncols) if c >= w]
+    cols, _ = _packed(kern, ncols)
+    if any(sum(map(cols.__getitem__, s)) for s in supports):
+        raise RuntimeError("kernel_within check failed: a·x != 0 for a returned row")
+    return LatticeZ(ncols, tuple(tuple(_dense(x, 0, ncols)) for x in kern))
 
 
 class _LatticeZFields(NamedTuple):
@@ -486,18 +502,6 @@ class LatticeZ(_LatticeZFields):
     def mod2(self) -> SubspaceGF2:
         gens = [mask_from_bits(i for i, x in enumerate(row) if x & 1) for row in self.basis]
         return SubspaceGF2.from_generators(self.ambient_dim, gens)
-
-    def intersect(self, other: "LatticeZ") -> "LatticeZ":
-        """The relations among both bases, each row of this basis labelled by
-        itself and each row of the other by nothing: their label parts span
-        the intersection, in its canonical HNF basis."""
-        w = self.ambient_dim
-        if w != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        rows = [{**_sparse(r), **_sparse(r, w)} for r in self.basis]
-        rows += [_sparse(r) for r in other.basis]
-        gens = [_dense(row, w, w) for c, row in _hermite_rows(rows, 2 * w) if c >= w]
-        return LatticeZ(w, tuple(map(tuple, gens)))
 
 
 def lattice_equal(a: LatticeZ, b: LatticeZ) -> bool:

@@ -47,6 +47,9 @@ from topespace.linalg import (
     smith_normal_form,
     snf_diagonal_sparse,
     xor_span,
+    _dense,
+    _hermite_rows,
+    _sparse,
 )
 from topespace.om import (
     Arrangement,
@@ -402,6 +405,19 @@ def int_kernel_dense(rows: IntMatrix, ncols: int) -> LatticeZ:
         if any(mat_vec(rows, x)):
             raise RuntimeError("int_kernel_dense check failed: a·x != 0 for a returned row")
     return LatticeZ(ncols, tuple(map(tuple, kern)))
+
+
+def intersect(a: LatticeZ, b: LatticeZ) -> LatticeZ:
+    """The intersection of two lattices in its canonical HNF basis: the
+    relations among both bases, each row of `a` labelled by itself and each
+    row of `b` by nothing, have label parts spanning it."""
+    w = a.ambient_dim
+    if w != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    rows = [{**_sparse(r), **_sparse(r, w)} for r in a.basis]
+    rows += [_sparse(r) for r in b.basis]
+    gens = [_dense(row, w, w) for c, row in _hermite_rows(rows, 2 * w) if c >= w]
+    return LatticeZ(w, tuple(map(tuple, gens)))
 
 
 def vg_lower_dense(m: OrientedMatroid, p: int) -> LatticeZ:
@@ -821,7 +837,8 @@ def quillen_Z_by_products(m: OrientedMatroid, p: int) -> LatticeZ:
     origin - t of the first complete flag's topes, in tope coordinates.
 
     Enumerates all C(|tf| + p - 2, p) products, each as a dense group-algebra
-    multiplication; degree 0 gives the span of the flag topes.
+    multiplication of the product of its first p - 1 factors (kept for the
+    longer products) with its last; degree 0 gives the span of the flag topes.
     """
     flag = enumerate_flags(m)[0]
     tf = tope_flag_set(m, flag)
@@ -839,23 +856,27 @@ def quillen_Z_by_products(m: OrientedMatroid, p: int) -> LatticeZ:
 
     def mul(a: list[int], b: list[int]) -> list[int]:
         out = [0] * nt
+        terms = [(j, d) for j, d in enumerate(b) if d]
         for i, c in enumerate(a):
             if not c:
                 continue
             mi = m.topes[i].minus
-            for j, d in enumerate(b):
-                if not d:
-                    continue
+            for j, d in terms:
                 k = m.tope_by_minus[mi ^ m.topes[j].minus ^ origin.minus]
                 out[k] += c * d
         return out
 
-    products = []
-    for combo in combinations_with_replacement(range(len(gens1)), p):
-        acc = gens1[combo[0]]
-        for idx in combo[1:]:
-            acc = mul(acc, gens1[idx])
-        products.append(acc)
+    prefixes: dict[tuple[int, ...], list[int]] = {}
+
+    def product_of(combo: tuple[int, ...]) -> list[int]:
+        if len(combo) == 1:
+            return gens1[combo[0]]
+        if combo not in prefixes:
+            prefixes[combo] = mul(product_of(combo[:-1]), gens1[combo[-1]])
+        return prefixes[combo]
+
+    products = [product_of(combo)
+                for combo in combinations_with_replacement(range(len(gens1)), p)]
     return LatticeZ.from_generators(nt, products)
 
 

@@ -18,6 +18,7 @@ from oracles import (
     tope_flag_set_by_sign_vectors,
     int_kernel_dense,
     int_rank,
+    intersect,
     lattice_saturated,
     qbv_by_solver,
     quillen_Q_oracle,
@@ -60,7 +61,7 @@ from topespace.filtrations import (
     verify_theorem_B,
     vg_lower,
     viro_bv,
-    _asymptotic_rows,
+    _antipodal_lower,
     _ladder_rows,
     _ladder_solver,
     _flag_cosets,
@@ -179,6 +180,28 @@ def test_vg_lower_saturated_and_vanishing_beyond_rank():
         for p in range(m.rank + 2):
             assert lattice_saturated(vg_lower(m, p))
         assert vg_lower(m, m.rank + 1).rank == 0
+        zero = LatticeZ.zero(len(m.topes))
+        assert vg_lower(m, m.rank + 2) == asymptotic(m, m.rank + 2) == zero
+
+
+def test_verify_proj_builds_the_lower_ladder_to_the_rank_only(monkeypatch):
+    # proj needs degrees 0..rank: its antipodal ladder, like the vg_lower
+    # ladder asked for degree rank, cuts by the Heaviside equations of the
+    # degrees below the rank only, never by those of degree rank
+    m = fresh("b3")
+    cuts = []
+    real = filtrations.kernel_within
+
+    def spy(basis, supports, ncols):
+        cuts.append(next(q for q in range(m.rank + 2) if supports == heaviside_pairing(m, q)))
+        return real(basis, supports, ncols)
+
+    monkeypatch.setattr(filtrations, "kernel_within", spy)
+    verify_checks(m, "proj", "b3")
+    assert cuts == list(range(m.rank))
+    vg_lower(m, m.rank)
+    assert cuts == list(range(m.rank)) * 2
+    assert len(m.memo("vg_ladder", list)) == len(m.memo("antipodal_lower", list)) == m.rank + 1
 
 
 def test_vg_lower_gf2_matches_integer_reduction():
@@ -409,8 +432,10 @@ def test_quillen_Z_rejects_negative_degree():
 
 
 def test_quillen_Z_multiplies_a_basis_by_each_generator(monkeypatch):
-    # gen4_6: 16 flag topes, so 15 generators and a rank-15 span per degree;
-    # enumerating every multiset of 5 generators would pass 11,628 products
+    # gen4_6: 16 flag topes, the group of r = 4 block generators, and a
+    # rank-15 span per degree; degree 1 takes the 16 flag topes times each
+    # generator, every later degree 15 basis rows times each; enumerating
+    # every multiset of 5 of the 15 augmentation elements would pass 11,628
     m = fresh("gen4_6")
     counts = []
     original = LatticeZ.from_generators.__func__
@@ -422,9 +447,18 @@ def test_quillen_Z_multiplies_a_basis_by_each_generator(monkeypatch):
 
     monkeypatch.setattr(LatticeZ, "from_generators", classmethod(counted))
     assert quillen_Z_demo(m, 5) == 15
-    assert len(counts) == 5 and max(counts) <= 15 * 15
+    assert len(counts) == 5 and max(counts) <= 16 * 4
+    assert counts == [16 * 4] + [15 * 4] * 4
     assert [quillen_Z_demo(m, p) for p in range(1, 6)] == [15] * 5
     assert len(counts) == 5
+
+
+def test_quillen_Z_rejects_a_flag_tope_set_of_other_than_2_to_the_r(monkeypatch):
+    m = fresh("gen4_6")
+    real = filtrations.tope_flag_mask
+    monkeypatch.setattr(filtrations, "tope_flag_mask", lambda m, flag: real(m, flag) & real(m, flag) - 1)
+    with pytest.raises(RuntimeError, match="15 topes, not 2\\^4"):
+        quillen_Z_demo(m, 1)
 
 
 # -- the chain-level filtration ---------------------------------------------
@@ -771,22 +805,57 @@ def test_kernel_lattices_are_already_canonical(name):
 
 
 @pytest.mark.parametrize("name", ["u34", "a3", "gen3_6", "gen4_6"])
-def test_asymptotic_rows_match_the_tuple_oracle(name):
+def test_asymptotic_rows_match_the_tuple_oracle(name, monkeypatch):
+    # each degree cuts the one below by its new equations only: those of
+    # degrees <= p are the oracle's rows, no support comes twice, and past
+    # the first zero piece no equation is built
     m = fresh(name)
+    added = []
+    real = filtrations.kernel_within
+    monkeypatch.setattr(filtrations, "kernel_within",
+                        lambda basis, supports, ncols: added.append(supports) or real(basis, supports, ncols))
     for p in range(1, m.rank + 2):
-        supports = [[i for i, x in enumerate(row) if x] for row in asymptotic_rows_by_tuples(m, p)]
-        assert sorted(_asymptotic_rows(m, p)) == sorted(supports), p
+        asymptotic(m, p)
+        assert len(added) == p
+        rows = [s for new in added for s in new]
+        assert len(set(rows)) == len(rows), p
+        supports = [tuple(i for i, x in enumerate(row) if x) for row in asymptotic_rows_by_tuples(m, p)]
+        assert sorted(rows) == sorted(supports), p
+    assert asymptotic(m, m.rank + 2).rank == 0 and len(added) == m.rank + 1
 
 
-@pytest.mark.parametrize("name", names() + ["gen3_6", "gen4_6"])
+def test_asymptotic_degree_is_rebuilt_after_a_failed_cut(monkeypatch):
+    # a cut that raises leaves the ladder and its supports as they were
+    m = fresh("a3")
+    real = filtrations.kernel_within
+
+    def failing(basis, supports, ncols):
+        raise RuntimeError("planted")
+
+    asymptotic(m, 2)
+    monkeypatch.setattr(filtrations, "kernel_within", failing)
+    with pytest.raises(RuntimeError, match="planted"):
+        asymptotic(m, 3)
+    monkeypatch.setattr(filtrations, "kernel_within", real)
+    rows = asymptotic_rows_by_tuples(m, 3)
+    assert asymptotic(m, 3) == int_kernel_dense(rows, len(m.topes))
+
+
+@pytest.mark.parametrize("name", [*names(), "gen3_6", "b3", "gen4_6", "gen4_6_cov"])
 def test_sparse_kernels_match_the_dense_path(name):
-    # vg_lower, asymptotic and cordovil_dual hand sparse equations to
-    # int_kernel; the oracle transposes dense rows under an identity block
+    # every ladder against its oracle in degrees 0..rank + 2: vg_lower and
+    # asymptotic against dense kernels, the antipodal piece against the
+    # intersection of the two lattices, the Quillen span against products;
+    # and cordovil_dual against the kernel of its dense relation rows
     m = fresh(name)
     nt = len(m.topes)
-    for p in range(m.rank + 2):
+    theta = antipodal_lattice(m)
+    for p in range(m.rank + 3):
         assert vg_lower(m, p) == vg_lower_dense(m, p), p
         assert asymptotic(m, p) == int_kernel_dense(asymptotic_rows_by_tuples(m, p), nt), p
+        assert _antipodal_lower(m, p) == intersect(theta, vg_lower_dense(m, p)), p
+        if p:
+            assert _quillen_Z_lattice(m, p) == quillen_Z_by_products(m, p), p
         dim = len(subset_index(m.n, p))
         assert cordovil_dual(m, p) == int_kernel_dense(cordovil_relation_rows_dense(m, p), dim), p
 
@@ -885,7 +954,7 @@ def test_antipodal_lower_rows_lie_in_both_lattices(name):
     theta = antipodal_lattice(m)
     for p in range(m.rank + 1):
         lower = vg_lower(m, p)
-        for row in theta.intersect(lower).basis:
+        for row in _antipodal_lower(m, p).basis:
             assert theta.contains(list(row)) and lower.contains(list(row)), p
             assert pair_chain(m, row, p) == sf_vector(tilde_a(m, row, p), m.n, p), p
 
@@ -909,25 +978,28 @@ def test_projectivize_passes_on_corpus():
 
 @pytest.mark.parametrize("name", [*names(), "gen3_6", "b3", "gen4_6_cov", "a4"])
 def test_projectivize_writes_the_antipodal_and_doubled_hermite_forms(name, monkeypatch):
-    # projectivize intersects the antipodal lattice with the lower piece and
-    # tests the doubled Cordovil lattice last for membership; both are written
-    # down, and must be the Hermite forms of the generators they stand for
+    # projectivize cuts the antipodal lattice, written down in Hermite form,
+    # by the lower pieces' equations degree by degree, and tests the doubled
+    # Cordovil lattice, also written down, last for membership: both must be
+    # the Hermite forms of the generators they stand for, and the antipodal
+    # piece of each degree its intersection with the lower piece
     m = fresh(name)
     seen = []
-    intersect, contains = LatticeZ.intersect, LatticeZ.contains_lattice
-    monkeypatch.setattr(LatticeZ, "intersect",
-                        lambda self, other: seen.append(("theta", self)) or intersect(self, other))
+    contains = LatticeZ.contains_lattice
     monkeypatch.setattr(LatticeZ, "contains_lattice",
-                        lambda self, other: seen.append(("in", other)) or contains(self, other))
+                        lambda self, other: seen.append(other) or contains(self, other))
+    theta = antipodal_lattice(m)
     for p in range(m.rank + 1):
         seen.clear()
         assert projectivize(m, p).ok, p
-        expect = [("theta", antipodal_lattice(m))]
-        if p % 2:  # seen[1] is the antipodal image, tested inside A
+        assert _antipodal_lower(m, p) == intersect(theta, vg_lower(m, p)), p
+        expect = []
+        if p % 2:  # seen[0] is the antipodal image, tested inside A
             a = cordovil_dual(m, p)
-            expect.append(("in", LatticeZ.from_generators(
-                a.ambient_dim, [[2 * x for x in row] for row in a.basis])))
-        assert seen[:1] + seen[2:] == expect, p
+            expect.append(LatticeZ.from_generators(
+                a.ambient_dim, [[2 * x for x in row] for row in a.basis]))
+        assert seen[1:] == expect, p
+    assert _antipodal_lower(m, 0) == theta
 
 
 @pytest.mark.parametrize("name", ["u23", "a3"])

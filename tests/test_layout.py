@@ -34,8 +34,10 @@ antipodal image, and pairs that image's rows with `pair_chain` directly,
 naming neither `tilde_a` nor `sf_vector`; no module defines or names the
 general signed wedge, square-free product or coordinate row (`wedge_masks`,
 `sf_mul`, `sf_vector`), because flag blocks are disjoint and the Quillen
-wedges and epsilon elements are read off block transversals; and no module
-imports `dataclasses`: value and report types are `typing.NamedTuple`s, so
+wedges and epsilon elements are read off block transversals; each degree of
+a filtration lattice is built inside the one below (`linalg.kernel_within`),
+so no module defines or names a prefix kernel (`int_kernel_prefixes`) or a
+lattice intersection (`intersect`); and no module imports `dataclasses`: value and report types are `typing.NamedTuple`s, so
 importing the package never loads `dataclasses` and the `inspect` machinery
 that comes with it.
 """
@@ -314,6 +316,18 @@ def test_no_general_wedge_or_square_free_product(path):
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name in GENERAL_ALGEBRA]
     assert lines == [], f"{path.name}: general wedge or square-free helper at lines {sorted(lines)}"
+
+
+LADDER_REPLACED = {"int_kernel_prefixes", "intersect"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_prefix_kernels_or_lattice_intersection(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _named_lines(tree, LADDER_REPLACED) + [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in LADDER_REPLACED]
+    assert lines == [], f"{path.name}: prefix kernel or lattice intersection at lines {sorted(lines)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -13,6 +13,7 @@ from oracles import (
     hermite_normal_form_dense,
     int_identity,
     int_kernel_dense,
+    intersect,
     int_rank,
     lattice_saturated,
     mat_mul,
@@ -33,7 +34,7 @@ from topespace.linalg import (
     hermite_normal_form,
     int_image_and_relations,
     int_kernel,
-    int_kernel_prefixes,
+    kernel_within,
     lattice_equal,
     mask_from_bits,
     parity,
@@ -407,10 +408,10 @@ def test_lattice_membership_equivalent_to_solvability():
 def test_lattice_intersection():
     a = LatticeZ.from_generators(2, [[2, 0], [0, 1]])
     b = LatticeZ.from_generators(2, [[3, 0], [0, 1]])
-    got = a.intersect(b)
+    got = intersect(a, b)
     assert lattice_equal(got, LatticeZ.from_generators(2, [[6, 0], [0, 1]]))
     full = int_kernel([], 3)
-    assert lattice_equal(full.intersect(LatticeZ.zero(3)), LatticeZ.zero(3))
+    assert lattice_equal(intersect(full, LatticeZ.zero(3)), LatticeZ.zero(3))
 
 
 def test_solve_diophantine():
@@ -484,7 +485,7 @@ def test_lattice_intersection_against_box_membership():
         lats = [LatticeZ.from_generators(
             n, [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(rng.randint(1, 3))])
             for _ in range(2)]
-        got = lats[0].intersect(lats[1])
+        got = intersect(lats[0], lats[1])
         assert hermite_normal_form(got.basis, n) == [list(r) for r in got.basis]
         assert lats[0].contains_lattice(got) and lats[1].contains_lattice(got)
         for v in product(range(-4, 5), repeat=n):
@@ -561,27 +562,57 @@ def test_int_kernel_matches_the_dense_oracle():
 
 
 def test_kernel_prefixes_match_the_dense_oracle():
-    # one Hermite form serves every prefix of the equations, the empty and
-    # the whole one included
+    # the kernel of a prefix of the equations, cut by 0/1 equations, is the
+    # kernel of the longer system; cutting in two steps gives it as well
     rng = random.Random(71)
     for rows, ncols in _sparse_kernel_draws(random.Random(73)):
-        ks = rng.sample(range(len(rows) + 1), min(3, len(rows) + 1))
-        ks.sort(reverse=rng.random() < 0.5)
-        lattices = int_kernel_prefixes(sparse(rows), ncols, ks)
-        assert lattices == [int_kernel_dense(rows[:k], ncols) for k in ks], ks
+        k = rng.randrange(len(rows) + 1)
+        supports = [sorted(rng.sample(range(ncols), rng.randrange(ncols + 1)))
+                    for _ in range(rng.randrange(4))]
+        dense = [[int(j in s) for j in range(ncols)] for s in supports]
+        want = int_kernel_dense(rows[:k] + dense, ncols)
+        assert kernel_within(int_kernel_dense(rows[:k], ncols).basis, supports, ncols) == want
+        half = len(supports) // 2
+        first = kernel_within(int_kernel_dense(rows[:k], ncols).basis, supports[:half], ncols)
+        assert kernel_within(first.basis, supports[half:], ncols) == want
+
+
+def test_kernel_within_reads_wide_lanes():
+    # the lattice need not be saturated: the result is span B ∩ ker E in
+    # HNF, with entries in every lane width, the widest past 8 bytes
+    rng = random.Random(79)
+    for scale in (1, 1 << 10, 1 << 20, 1 << 40, 1 << 80):
+        for _ in range(12):
+            n = rng.randint(1, 5)
+            gens = [[rng.randrange(-3, 4) * scale + rng.randrange(-2, 3) for _ in range(n)]
+                    for _ in range(rng.randint(1, 3))]
+            lat = LatticeZ.from_generators(n, gens)
+            supports = [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(2)]
+            dense = [[int(j in s) for j in range(n)] for s in supports]
+            assert kernel_within(lat.basis, supports, n) == intersect(lat, int_kernel_dense(dense, n))
+    # a pairing at the edge of a lane, 127 or 128, next to a lane that a
+    # carry out of it would corrupt
+    for k in (127, 128):
+        lat = LatticeZ(k + 1, (tuple([1] * k + [0]), tuple([0] * k + [1])))
+        assert kernel_within(lat.basis, [list(range(k))], k + 1) == LatticeZ(k + 1, lat.basis[1:])
 
 
 def test_kernel_prefixes_check_each_prefix(monkeypatch):
-    # a Hermite row of the whole system with its pivot at equation 1 and
-    # label part (0, 1, 0), which misses equation 0: the kernel of the
-    # whole system is empty, that of the first equation fails its check
+    # drop the first image column, one new equation, from the Hermite form
+    # inside kernel_within: a returned row misses that equation, and the
+    # check on the new equations raises
     real = linalg._hermite_rows
-    a = [{0: 1, 1: 1}, {1: 1, 2: 1}]
-    monkeypatch.setattr(linalg, "_hermite_rows", lambda rows, ncols: (
-        [(1, {1: 1, 3: 1})] if ncols == 5 else real(rows, ncols)))
-    assert int_kernel_prefixes(a, 3, [2])[0].basis == ()
+
+    def dropping(rows, ncols):
+        for row in rows:
+            row.pop(0, None)
+        return real(rows, ncols)
+
+    basis, supports = int_kernel([], 3).basis, [[0, 1], [1, 2]]
+    assert kernel_within(basis, supports, 3) == LatticeZ(3, ((1, -1, 1),))
+    monkeypatch.setattr(linalg, "_hermite_rows", dropping)
     with pytest.raises(RuntimeError, match="a·x != 0"):
-        int_kernel_prefixes(a, 3, [2, 1])
+        kernel_within(basis, supports, 3)
 
 
 def test_intersect_and_solve_on_sparse_draws():
@@ -592,9 +623,9 @@ def test_intersect_and_solve_on_sparse_draws():
         half = len(rows) // 2
         whole = int_kernel_dense(rows, ncols)
         low, high = int_kernel_dense(rows[:half], ncols), int_kernel_dense(rows[half:], ncols)
-        assert low.intersect(high) == whole
-        assert whole.intersect(LatticeZ.zero(ncols)) == LatticeZ.zero(ncols)
-        assert LatticeZ.zero(ncols).intersect(whole) == LatticeZ.zero(ncols)
+        assert intersect(low, high) == whole
+        assert intersect(whole, LatticeZ.zero(ncols)) == LatticeZ.zero(ncols)
+        assert intersect(LatticeZ.zero(ncols), whole) == LatticeZ.zero(ncols)
         b = [rng.randrange(-3, 4) for _ in rows]
         x = solve_diophantine(rows, b)
         columns = LatticeZ.from_generators(len(rows), list(zip(*rows)))
