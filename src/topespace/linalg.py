@@ -10,7 +10,6 @@ precision; no floating point is used anywhere in this package.
 from __future__ import annotations
 
 import random
-import struct
 from collections import defaultdict
 from functools import cached_property
 from itertools import compress
@@ -393,23 +392,27 @@ def int_kernel(rows: Sequence[dict[int, int]], ncols: int) -> "LatticeZ":
                 cols[j][i] = a
     hermite = _hermite_rows([{**col, w + j: 1} for j, col in enumerate(cols)], w + ncols)
     kern = [{j - w: x for j, x in row.items()} for c, row in hermite if c >= w]
-    packed, _ = _packed(kern, ncols, max((abs(a) for row in rows for a in row.values()), default=0))
-    if any(sum(a * packed[j] for j, a in row.items()) for row in rows):
-        raise RuntimeError("int_kernel check failed: a·x != 0 for a returned row")
+    for x in kern:  # a·x, summing x_j times column j (by equation)
+        ax: dict[int, int] = defaultdict(int)
+        for j, v in x.items():
+            for i, a in cols[j].items():
+                ax[i] += a * v
+        if any(ax.values()):
+            raise RuntimeError("int_kernel check failed: a·x != 0 for a returned row")
     return LatticeZ(ncols, tuple(tuple(_dense(x, 0, ncols)) for x in kern))
 
 
-def _packed(rows: Sequence[dict[int, int]], ncols: int, scale: int = 1) -> tuple[list[int], int]:
-    """Sparse rows packed by column, and the lane width in bytes: column j is
-    the sum of row_i[j]·2^(8·nbytes·i), a lane holding `scale` times a row's
-    l1 norm below half its range, so an equation's pairing with every row,
-    a sum of columns, has signed digit i its pairing with row i, exactly."""
-    norm = scale * max((sum(map(abs, r.values())) for r in rows), default=0)
+def _packed(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[int], int]:
+    """Dense rows packed by column, and the lane width in bytes: column j is
+    the sum of row_i[j]·2^(8·nbytes·i), a lane holding a row's l1 norm below
+    half its range, so a 0/1 equation's pairing with every row, a sum of
+    columns, has signed digit i its pairing with row i, exactly."""
+    norm = max((sum(map(abs, r)) for r in rows), default=0)
     nbytes = 1 << (norm.bit_length() // 8).bit_length()
     cols = [0] * ncols
     for i, row in enumerate(rows):
-        for j, x in row.items():
-            cols[j] += x << 8 * nbytes * i
+        for j in compress(range(ncols), row):
+            cols[j] += row[j] << 8 * nbytes * i
     return cols, nbytes
 
 
@@ -417,31 +420,23 @@ def kernel_within(basis: Sequence[Sequence[int]], supports: Sequence[Sequence[in
                   ncols: int) -> "LatticeZ":
     """The canonical HNF basis of {x in span B : x sums to 0 on each support},
     B = `basis` the HNF basis of a saturated lattice in Z^ncols: B^T·ker(E·B^T),
-    E the 0/1 support rows, as the label parts of the Hermite rows of (E·b, b)
-    with no image part (`int_image_and_relations`).  E·B^T is one sum of
-    `_packed` columns per support, one image column per distinct sum; the
+    E the 0/1 support rows, as the relations among the rows b labelled by
+    themselves with image E·b (`int_image_and_relations`).  E·B^T is one sum
+    of `_packed` columns per support, one image column per distinct sum; the
     rows are checked on these equations only (B meets any earlier ones), a
     failed check raising RuntimeError."""
-    rows = [{j: b[j] for j in compress(range(ncols), b)} for b in basis]
-    cols, nbytes = _packed(rows, ncols)
+    cols, nbytes = _packed(basis, ncols)
     images = dict.fromkeys(v for v in (sum(map(cols.__getitem__, s)) for s in supports) if v)
-    half, w = 1 << 8 * nbytes - 1, len(images)
-    offset = half * ((1 << 8 * nbytes * len(rows)) - 1) // ((1 << 8 * nbytes) - 1)
-    labelled = [{w + j: x for j, x in row.items()} for row in rows]
-    for c, v in enumerate(images):  # the digits plus `half` are plain bytes
-        raw = (v + offset).to_bytes(nbytes * len(rows), "little")
-        lanes = (struct.unpack(f"<{len(rows)}{'BHIQ'[nbytes.bit_length() - 1]}", raw)
-                 if nbytes <= 8 else [int.from_bytes(raw[k:k + nbytes], "little")
-                                      for k in range(0, len(raw), nbytes)])
-        for i, u in enumerate(lanes):
-            if u != half:
-                labelled[i][c] = u - half
-    kern = [{j - w: x for j, x in row.items()}
-            for c, row in _hermite_rows(labelled, w + ncols) if c >= w]
+    half, size = 1 << 8 * nbytes - 1, nbytes * len(basis)
+    # a lane's digit plus half is unsigned
+    offset = half * ((1 << 8 * size) - 1) // ((1 << 8 * nbytes) - 1)
+    pairings = [[int.from_bytes(raw[k:k + nbytes], "little") - half for k in range(0, size, nbytes)]
+                for raw in ((v + offset).to_bytes(size, "little") for v in images)]
+    _, kern = int_image_and_relations(list(zip(*pairings)) or [()] * len(basis), basis)
     cols, _ = _packed(kern, ncols)
     if any(sum(map(cols.__getitem__, s)) for s in supports):
         raise RuntimeError("kernel_within check failed: a·x != 0 for a returned row")
-    return LatticeZ(ncols, tuple(tuple(_dense(x, 0, ncols)) for x in kern))
+    return LatticeZ(ncols, tuple(map(tuple, kern)))
 
 
 class _LatticeZFields(NamedTuple):

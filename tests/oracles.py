@@ -837,8 +837,7 @@ def quillen_Z_by_products(m: OrientedMatroid, p: int) -> LatticeZ:
     origin - t of the first complete flag's topes, in tope coordinates.
 
     Enumerates all C(|tf| + p - 2, p) products, each as a dense group-algebra
-    multiplication of the product of its first p - 1 factors (kept for the
-    longer products) with its last; degree 0 gives the span of the flag topes.
+    multiplication; degree 0 gives the span of the flag topes.
     """
     flag = enumerate_flags(m)[0]
     tf = tope_flag_set(m, flag)
@@ -856,28 +855,49 @@ def quillen_Z_by_products(m: OrientedMatroid, p: int) -> LatticeZ:
 
     def mul(a: list[int], b: list[int]) -> list[int]:
         out = [0] * nt
-        terms = [(j, d) for j, d in enumerate(b) if d]
         for i, c in enumerate(a):
             if not c:
                 continue
             mi = m.topes[i].minus
-            for j, d in terms:
+            for j, d in enumerate(b):
+                if not d:
+                    continue
                 k = m.tope_by_minus[mi ^ m.topes[j].minus ^ origin.minus]
                 out[k] += c * d
         return out
 
-    prefixes: dict[tuple[int, ...], list[int]] = {}
-
-    def product_of(combo: tuple[int, ...]) -> list[int]:
-        if len(combo) == 1:
-            return gens1[combo[0]]
-        if combo not in prefixes:
-            prefixes[combo] = mul(product_of(combo[:-1]), gens1[combo[-1]])
-        return prefixes[combo]
-
-    products = [product_of(combo)
-                for combo in combinations_with_replacement(range(len(gens1)), p)]
+    products = []
+    for combo in combinations_with_replacement(range(len(gens1)), p):
+        acc = gens1[combo[0]]
+        for idx in combo[1:]:
+            acc = mul(acc, gens1[idx])
+        products.append(acc)
     return LatticeZ.from_generators(nt, products)
+
+
+def quillen_Z_by_all_generators(m: OrientedMatroid, p: int) -> LatticeZ:
+    """The integral Quillen span of degree p >= 1 built degree by degree from
+    all |tf| - 1 generators origin - t of the first complete flag: an HNF
+    basis b of degree q - 1 times each generator, b - b·t with b·t b permuted
+    by t, spans degree q; below degree 1 stands the identity tope."""
+    nt = len(m.topes)
+    tf = tope_flag_set(m, enumerate_flags(m)[0])
+    origin = tf[0].minus
+    cols = [m.tope_index[t] for t in tf]
+    # per generator origin - t, the index of k·t for each flag tope k
+    shifts = [[m.tope_by_minus[m.topes[k].minus ^ t.minus ^ origin] for k in cols]
+              for t in tf[1:]]
+    lattice = LatticeZ(nt, (tuple(int(k == cols[0]) for k in range(nt)),))
+    for _ in range(p):
+        gens = []
+        for b in lattice.basis:
+            for shift in shifts:
+                row = [0] * nt
+                for k, kt in zip(cols, shift):
+                    row[k] = b[k] - b[kt]
+                gens.append(row)
+        lattice = LatticeZ.from_generators(nt, gens)
+    return lattice
 
 
 def asymptotic_member(m: OrientedMatroid, gamma: IntChain, p: int) -> bool:

@@ -23,6 +23,7 @@ from oracles import (
     qbv_by_solver,
     quillen_Q_oracle,
     quillen_cosets_by_flag,
+    quillen_Z_by_all_generators,
     quillen_Z_by_products,
     sf_vector,
     vg_lower_by_prefix,
@@ -845,8 +846,9 @@ def test_asymptotic_degree_is_rebuilt_after_a_failed_cut(monkeypatch):
 def test_sparse_kernels_match_the_dense_path(name):
     # every ladder against its oracle in degrees 0..rank + 2: vg_lower and
     # asymptotic against dense kernels, the antipodal piece against the
-    # intersection of the two lattices, the Quillen span against products;
-    # and cordovil_dual against the kernel of its dense relation rows
+    # intersection of the two lattices, the Quillen span against products
+    # and against the recurrence over every generator; and cordovil_dual
+    # against the kernel of its dense relation rows
     m = fresh(name)
     nt = len(m.topes)
     theta = antipodal_lattice(m)
@@ -855,7 +857,8 @@ def test_sparse_kernels_match_the_dense_path(name):
         assert asymptotic(m, p) == int_kernel_dense(asymptotic_rows_by_tuples(m, p), nt), p
         assert _antipodal_lower(m, p) == intersect(theta, vg_lower_dense(m, p)), p
         if p:
-            assert _quillen_Z_lattice(m, p) == quillen_Z_by_products(m, p), p
+            lattice = _quillen_Z_lattice(m, p)
+            assert lattice == quillen_Z_by_products(m, p) == quillen_Z_by_all_generators(m, p), p
         dim = len(subset_index(m.n, p))
         assert cordovil_dual(m, p) == int_kernel_dense(cordovil_relation_rows_dense(m, p), dim), p
 
