@@ -7,7 +7,7 @@ chains to the homology of the Salvetti complex, and verify the stalk-level
 structure over the matroid fan.
 """
 
-from .algebras import cordovil_dual, epsilon, nbc_sets, projectivize
+from .algebras import cordovil_dual, nbc_sets, projectivize
 from .corpus import load, names
 from .cosheaf import (
     FanCone,
@@ -29,7 +29,6 @@ from .filtrations import (
     qbv,
     quillen_Q,
     quillen_Z_demo,
-    tilde_a,
     verify_theorem_A,
     verify_theorem_B,
     vg_lower,
@@ -69,7 +68,6 @@ __all__ = [
     "check_covector_axioms",
     "cordovil_dual",
     "enumerate_flags",
-    "epsilon",
     "fan_cones",
     "flag_lift",
     "get_salvetti",
@@ -90,7 +88,6 @@ __all__ = [
     "quillen_Q",
     "quillen_Z_demo",
     "stalk_matroid",
-    "tilde_a",
     "tope_flag_set",
     "verify_naturality",
     "verify_ses",

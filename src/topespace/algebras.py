@@ -1,19 +1,17 @@
-"""Circuits, NBC data, the Cordovil dual, epsilon elements, and projectivization.
+"""Circuits, NBC data, the Cordovil dual, and projectivization.
 
 Degree-p pieces live in a single coordinate chart: the p-th exterior power
 (or the degree-p slice of the square-free polynomial ring) of the free module
 on the ground set, with coordinates indexed by sorted p-subsets.  The
 Cordovil dual is the annihilator of the circuit relations, read off the nbc
-straightening; an epsilon element, the product of the tope-signed forms of
-disjoint flag blocks, has a sign on each transversal of the blocks.  The dual
-and the antipodal image are integer lattices and the projective quotient a
-GF(2) subspace, so ranks and memberships are exact.
+straightening.  The dual and the antipodal image are integer lattices and
+the projective quotient a GF(2) subspace, so ranks and memberships are exact.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from math import comb, prod
+from itertools import combinations
+from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import (
@@ -23,10 +21,7 @@ from .linalg import (
     mask_from_bits,
     xor_span,
 )
-from .om import Flag, OrientedMatroid, SignVector, tope_flag_mask
-
-# A square-free polynomial: sorted index tuple -> integer coefficient.
-SFPoly = dict
+from .om import OrientedMatroid, SignVector
 
 # ---------------------------------------------------------------------------
 # circuits
@@ -179,26 +174,6 @@ def cordovil_dual(m: OrientedMatroid, p: int) -> LatticeZ:
 
 
 # ---------------------------------------------------------------------------
-# epsilon elements
-
-
-def epsilon(m: OrientedMatroid, flag: Flag, v: SignVector, p: int) -> SFPoly:
-    """Product over the first p flag blocks of the tope-signed linear forms.
-
-    The i-th factor is the sum of sign(v_j) * x_j over j in the i-th block;
-    blocks are disjoint, so the product is square-free of degree p, with the
-    sign product on each transversal (one element from each block).
-    """
-    i = m.tope_index.get(v)
-    if i is None or not tope_flag_mask(m, flag) >> i & 1:
-        raise ValueError("origin tope is not in the tope set of the flag")
-    if not 0 <= p <= flag.length:
-        raise ValueError(f"degree {p} outside 0..{flag.length}")
-    return {tuple(sorted(t)): prod(map(v.sign, t))
-            for t in product(*map(bits_of, flag.blocks()[:p]))}
-
-
-# ---------------------------------------------------------------------------
 # projectivization
 
 
@@ -219,10 +194,11 @@ def projectivize(m: OrientedMatroid, p: int, order: Optional[Sequence[int]] = No
     zero, while for odd p it must pin the quotient to a GF(2) space whose
     dimension counts the NBC sets avoiding the order-smallest element.
     """
-    from .filtrations import _antipodal_lower, pair_chain
+    from .filtrations import _antipodal_lower, heaviside_pairing
 
-    dim = comb(m.n, p)
-    b = LatticeZ.from_generators(dim, [pair_chain(m, g, p) for g in _antipodal_lower(m, p).basis])
+    dim, supports = comb(m.n, p), heaviside_pairing(m, p)
+    b = LatticeZ.from_generators(dim, [[sum(map(g.__getitem__, s)) for s in supports]
+                                       for g in _antipodal_lower(m, p).basis])
     a = cordovil_dual(m, p)
     if p % 2 == 0:
         ok = b.rank == 0

@@ -122,7 +122,12 @@ def _record(check_id: str, target: str, params: dict, runner) -> dict:
 
 def _json(value):
     """A report value made JSON-ready: each NamedTuple, nested ones too,
-    becomes a dict of its fields."""
+    becomes a dict of its fields; scalars and tuples of ints are returned
+    as they are, untested for fields."""
+    kind = type(value)
+    if kind in (int, float, str, bool, type(None)) or (
+            kind is tuple and all(type(x) is int for x in value)):
+        return value
     if hasattr(value, "_asdict"):
         return {k: _json(v) for k, v in value._asdict().items()}
     if isinstance(value, (list, tuple)):

@@ -5,32 +5,28 @@ tope space of the initial matroid of its flag, filtered by the lower
 filtration, with the dual-algebra pieces as graded quotients.  The stalk map
 of a nested pair of flags is the inclusion of one tope set into another, kept
 as a tope index map: pushing a chain is a scatter, and composing two maps is
-composing index tuples.  The pairing into the dual algebra is one cached
-subset-to-topes incidence per stalk and degree, and a pairing square compares
-incidences pulled back along the index map.  Every diagram check reduces to
-index-map identities, lattice containments and coordinate comparisons.
+composing index tuples.  A stalk is built from the interval minors of its
+flag.  The pairing into the dual algebra is one cached subset mask per tope,
+stalk and degree, and a pairing square compares the masks of a tope and of
+its image under the index map.  Every diagram check reduces to index-map
+identities, lattice containments and coordinate comparisons.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations
 from math import comb
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
-from .algebras import cordovil_dual
-from .filtrations import chain_mod2, heaviside_pairing, pair_chain, qbv, vg_lower
-from .linalg import (
-    LatticeZ,
-    bits_of,
-    int_image_and_relations,
-    lattice_equal,
-    solve_diophantine,
-)
+from .algebras import circuits, cordovil_dual
+from .filtrations import chain_mod2, heaviside_pairing, lower_step, qbv, vg_lower
+from .linalg import LatticeZ, _packed, bits_of, lattice_equal, mask_from_bits, solve_diophantine
 from .om import (
     Flag,
     OrientedMatroid,
+    SignVector,
     enumerate_flags,
-    initial_covectors,
     is_complete_flag,
     make_flag,
 )
@@ -64,22 +60,63 @@ def fan_cones(m: OrientedMatroid) -> list[FanCone]:
     ])
 
 
+def _interval_minor(m: OrientedMatroid, lo: int, hi: int) -> tuple[tuple[frozenset, tuple[int, ...]], ...]:
+    """The interval minor (M|hi)/lo of two nested flats, cached per pair, as
+    its connected components, each its covector codes `plus | minus << n`
+    (the covectors of m that vanish on lo, restricted to it) and circuits:
+    the minimal nonempty C - lo over the circuits C of m inside hi (Oxley,
+    Matroid Theory, 2011, 3.1.11), none longer than the minor's rank plus
+    one.  Elements share a component when a chain of circuits joins them."""
+
+    def build():
+        n, block, size = m.n, hi & ~lo, m.flats[hi] - m.flats[lo] + 1
+        found: list[int] = []
+        for c in sorted({c & ~lo for c in circuits(m) if not c & ~hi}, key=int.bit_count):
+            if 0 < c.bit_count() <= size and all(d & ~c for d in found):
+                found.append(c)
+        parts = [1 << e for e in bits_of(block)]
+        for c in found:
+            parts = [s for s in parts if not s & c] + [sum(s for s in parts if s & c)]
+        codes = {(v.plus & block) | (v.minus & block) << n for v in m.covectors if not v.support & lo}
+        return tuple((frozenset(c & (s | s << n) for c in codes), tuple(sorted(c for c in found if c & s)))
+                     for s in parts)
+
+    return m.memo(("minor", lo, hi), build)
+
+
 def stalk_matroid(m: OrientedMatroid, flag: Flag) -> OrientedMatroid:
     """Initial matroid of a flag; the trivial flag gives back m.
 
-    Flags with the same initial covector set share one matroid object, so
-    everything cached on a stalk is computed once per distinct stalk.
+    It is the direct sum of the interval minors (M|F_{i+1})/F_i of the flag
+    (Ardila & Klivans, JCTB 96, 2006), so its covectors are the products of
+    the minors' components' covectors and its circuits are theirs.  A stalk
+    is keyed by its set of components, which fixes its covector set: flags
+    with the same stalk share one matroid object, m itself when the
+    components are m's, so everything cached on a stalk is computed once per
+    distinct stalk.
     """
     if flag.interior == ():
         return m
 
     def build():
-        covs = initial_covectors(m, flag)
-        if covs == m.covector_set:
+        parts = frozenset(c for lo, hi in zip(flag.flats, flag.flats[1:])
+                          for c in _interval_minor(m, lo, hi))
+        if parts == frozenset(_interval_minor(m, 0, m.full_mask)):
             return m
-        return m.memo(("stalk", covs), lambda: OrientedMatroid(covs))
+        return m.memo(("stalk", parts), lambda: _direct_sum(m, parts))
 
     return m.memo(("stalk_of", flag.flats), build)
+
+
+def _direct_sum(m: OrientedMatroid, parts: frozenset) -> OrientedMatroid:
+    """The matroid on m's ground set whose components are `parts`."""
+    codes = [0]
+    for covs, _ in parts:
+        codes = [a | b for a in codes for b in covs]
+    mf = OrientedMatroid(SignVector(m.n, c & m.full_mask, c >> m.n) for c in codes)
+    found = tuple(sorted(c for _, circs in parts for c in circs))
+    mf.memo("circuits", lambda: found)
+    return mf
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +125,12 @@ def stalk_matroid(m: OrientedMatroid, flag: Flag) -> OrientedMatroid:
 
 def _tope_map(m_sub: OrientedMatroid, m_sup: OrientedMatroid) -> tuple[int, ...]:
     """The sign map of a nested pair as an index map: entry j is the index,
-    among the subflag's stalk topes, of the superflag's stalk tope j."""
+    among the subflag's stalk topes, of the superflag's stalk tope j, which
+    its minus set fixes."""
 
     def build():
         try:
-            return tuple(m_sub.tope_index[t] for t in m_sup.topes)
+            return tuple(map(m_sub.tope_by_minus.__getitem__, (t.minus for t in m_sup.topes)))
         except KeyError:
             raise ValueError("tope sets of the stalks are not nested") from None
 
@@ -108,15 +146,30 @@ def _scatter(idx: tuple[int, ...], chain, size: int) -> list[int]:
     return out
 
 
+def _subset_masks(m: OrientedMatroid, p: int, supports: Optional[Sequence] = None) -> tuple[int, ...]:
+    """Per tope, the mask of the p-subsets, by `subset_index`, whose support
+    holds it, from `supports` or else `heaviside_pairing`; cached per stalk
+    and degree."""
+
+    def build():
+        subsets: list[list[int]] = [[] for _ in m.topes]
+        for k, topes in enumerate(supports or heaviside_pairing(m, p)):
+            for i in topes:
+                subsets[i].append(k)
+        return tuple(map(mask_from_bits, subsets))
+
+    return m.memo(("subset_masks", p), build)
+
+
 def _lower_included(m_sub: OrientedMatroid, m_sup: OrientedMatroid, q: int) -> bool:
     """Whether the tope index map carries the superflag's degree-q lower piece
     into the subflag's: true if that saturated piece has full rank (Z^n), else
-    tested on scattered basis rows.  The verdict is cached per pair and degree."""
+    tested on all basis rows at once, moved through the index map
+    (`LatticeZ.contains_all`).  The verdict is cached per pair and degree."""
 
     def build():
         idx, target = _tope_map(m_sub, m_sup), vg_lower(m_sub, q)
-        return target.rank == target.ambient_dim or all(
-            target.contains(_scatter(idx, row, len(m_sub.topes))) for row in vg_lower(m_sup, q).basis)
+        return target.rank == target.ambient_dim or target.contains_all(vg_lower(m_sup, q).basis, idx)
 
     return m_sub.memo(("lower_included", m_sup, q), build)
 
@@ -139,23 +192,24 @@ def verify_ses(m: OrientedMatroid, flag: Flag, p: int) -> SESReport:
     """Exactness over the integers of the degree-p stalk sequence at a cone.
 
     The pairing map must carry the stalk's degree-p lower piece onto its dual
-    algebra piece, and the honestly computed kernel lattice must equal the
-    degree-(p+1) piece.  One Hermite form of the pairing images labelled by
-    the lower basis gives both the image lattice and the kernel; it runs once
-    per stalk and degree, shared by every cone with that stalk.
+    algebra piece, and its kernel must equal the degree-(p+1) piece.  Both
+    come from the step of the stalk's `vg_lower` ladder that cuts degree p by
+    the degree-p Heaviside supports (`lower_step`): one Hermite form per
+    stalk and degree, shared by every cone with that stalk.
     """
     mf = stalk_matroid(m, flag)
 
     def build():
-        lower = vg_lower(mf, p)
+        lower, supports = vg_lower(mf, p), heaviside_pairing(mf, p)
+        _subset_masks(mf, p, supports)  # for the naturality checks, from the same supports
+        kernel, image, where = lower_step(mf, lower, p, supports)
         nxt = vg_lower(mf, p + 1)
         a = cordovil_dual(mf, p)
-        ncoords = comb(mf.n, p)
-        images = [pair_chain(mf, row, p) for row in lower.basis]
-        image, kernel = int_image_and_relations(images, lower.basis)
-        surjective = lattice_equal(LatticeZ(ncoords, tuple(map(tuple, image))), a)
-        kernel_ok = lattice_equal(LatticeZ(len(mf.topes), tuple(map(tuple, kernel))), nxt)
-        return lower.rank, nxt.rank, a.rank, surjective, kernel_ok
+        # one coordinate per p-subset: each pivot lands on the first copy of its
+        # column, copies keep reduced entries, so this is the image's HNF there
+        image = tuple(tuple(row[k] if k >= 0 else 0 for k in where) for row in image)
+        surjective = lattice_equal(LatticeZ(comb(mf.n, p), image), a)
+        return lower.rank, nxt.rank, a.rank, surjective, lattice_equal(kernel, nxt)
 
     rank_p, rank_next, rank_a, surjective, kernel_ok = mf.memo(("ses", p), build)
     return SESReport(
@@ -186,7 +240,7 @@ def verify_naturality(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) -> Natur
     are nested.  The pairing square holds on every chain for each p-subset
     whose support on the source's stalk is the pullback, along the index
     map, of its support on the target's; the other subsets are evaluated on
-    the basis of the source's degree-p piece, row by row.
+    all basis rows of the source's degree-p piece at once.
     """
     if not sub.is_subflag_of(sup):
         detail = "first flag is not a subflag of the second"
@@ -199,6 +253,8 @@ def _naturality(sub: Flag, sup: Flag, p: int, m_sub: OrientedMatroid,
     """`verify_naturality` for flags with these stalks, once per stalk pair and degree."""
 
     def build():
+        if m_sub is m_sup:  # the identity map: every square holds
+            return True, True, len(vg_lower(m_sup, p).basis), ""
         try:
             idx = _tope_map(m_sub, m_sup)
         except ValueError as e:
@@ -209,14 +265,24 @@ def _naturality(sub: Flag, sup: Flag, p: int, m_sub: OrientedMatroid,
         dual = cordovil_dual(m_sub, p)  # its pivots are 1, so of full rank it is Z^n
         if dual.rank < dual.ambient_dim and not dual.contains_lattice(cordovil_dual(m_sup, p)):
             return False, False, 0, f"inclusion does not respect the degree-{p} dual-algebra piece"
-        back = {i: j for j, i in enumerate(idx)}
-        pulled = (tuple(sorted(back[i] for i in topes if i in back))
-                  for topes in heaviside_pairing(m_sub, p))
-        differ = [(a, b) for a, b in zip(heaviside_pairing(m_sup, p), pulled) if a != b]
-        basis = vg_lower(m_sup, p).basis
-        for checked, row in enumerate(basis, 1):
-            if any(sum(row[j] for j in a) != sum(row[j] for j in b) for a, b in differ):
-                return True, False, checked, f"pairing square fails on a degree-{p} basis chain"
+        # per tope j, the p-subsets whose support and pulled-back support differ
+        # at j; all rows are paired on those subsets only, on `_packed` lanes
+        basis, sub_masks = vg_lower(m_sup, p).basis, _subset_masks(m_sub, p)
+        differ = [(j, mine, x) for j, (mine, i) in enumerate(zip(_subset_masks(m_sup, p), idx))
+                  if (x := mine ^ sub_masks[i])]
+        if differ:
+            cols, nbytes = _packed(basis, len(idx))
+            sums: dict[int, int] = defaultdict(int)
+            for j, mine, x in differ:
+                for k in bits_of(x & mine):
+                    sums[k] += cols[j]
+                for k in bits_of(x & ~mine):
+                    sums[k] -= cols[j]
+            # the lowest set bit of a sum lies in the lane of its first failing row
+            failing = [(v & -v).bit_length() - 1 for v in sums.values() if v]
+            if failing:
+                return (True, False, min(failing) // (8 * nbytes) + 1,
+                        f"pairing square fails on a degree-{p} basis chain")
         return True, True, len(basis), ""
 
     inclusions_ok, square_ok, checked, detail = m_sub.memo(("naturality", m_sup, p), build)

@@ -19,14 +19,13 @@ from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .algebras import SFPoly, nbc_sets, subset_index
+from .algebras import nbc_sets, subset_index
 from .linalg import (
     GF2Solver,
     LatticeZ,
     SubspaceGF2,
     bits_of,
     gf2_kernel,
-    int_kernel,
     kernel_within,
     mask_from_bits,
     parity,
@@ -67,20 +66,15 @@ def heaviside_pairing(m: OrientedMatroid, p: int) -> tuple[tuple[int, ...], ...]
     indices of the topes whose positive part contains it.
 
     These are the supports of the degree-p Heaviside monomials, so pairing a
-    chain with the monomials is one sum per subset.  Cached per matroid and
-    degree.
+    chain with the monomials is one sum per subset.  Each tope is listed under
+    the p-subsets of its positive part.  Not cached: each ladder step reads
+    them once, and kept for every stalk they would outweigh its lattices.
     """
-    return m.memo(("heaviside_pairing", p), lambda: tuple(
-        tuple(i for i, t in enumerate(m.topes) if smask & ~t.plus == 0)
-        for smask in map(mask_from_bits, combinations(range(m.n), p))
-    ))
-
-
-def pair_chain(m: OrientedMatroid, gamma: IntChain, p: int) -> list[int]:
-    """Coordinates, by p-subset, of the Heaviside monomials evaluated on a
-    chain; no membership check (see `tilde_a`)."""
-    at = gamma.__getitem__
-    return [sum(map(at, topes)) for topes in heaviside_pairing(m, p)]
+    index, out = subset_index(m.n, p), [[] for _ in range(comb(m.n, p))]
+    for i, t in enumerate(m.topes):
+        for s in combinations(bits_of(t.plus), p):
+            out[index[s]].append(i)
+    return tuple(map(tuple, out))
 
 
 def vg_lower(m: OrientedMatroid, p: int) -> LatticeZ:
@@ -95,18 +89,33 @@ def vg_lower(m: OrientedMatroid, p: int) -> LatticeZ:
     return _kernel_ladder(m, "vg_ladder", p, lambda q: heaviside_pairing(m, q))
 
 
+def lower_step(m: OrientedMatroid, lower: LatticeZ, p: int, supports: Sequence[Sequence[int]]):
+    """`kernel_within` of `lower` and the degree-p Heaviside `supports`: the
+    cut with the image of its pairing.  When `lower` is the top of the
+    `vg_lower` ladder, at degree p, the cut is kept as degree p + 1, so a
+    stalk's exactness check and its ladder share one Hermite form."""
+    step = kernel_within(lower.basis, supports, lower.ambient_dim)
+    ladder = m.memo("vg_ladder", list)
+    if len(ladder) == p + 1 and ladder[p] is lower:
+        ladder.append(step[0])
+    return step
+
+
 def _kernel_ladder(m: OrientedMatroid, key: str, p: int, supports: Callable,
                    first: Optional[Callable] = None) -> LatticeZ:
     """Degree p of a ladder of lattices cached per matroid under `key`, built
-    up to p: degree 0 is `first()`, by default Z^topes, and degree q + 1 is
-    degree q cut by the 0/1 equations `supports(q)` unless degree q is 0."""
+    up to p: degree 0 is `first()`, by default Z^topes in its identity basis,
+    and degree q + 1 is degree q cut by the 0/1 equations `supports(q)`
+    unless degree q is 0."""
     if p < 0:
         raise ValueError(f"degree must be non-negative, got {p}")
-    ladder = m.memo(key, lambda: [first() if first else int_kernel([], len(m.topes))])
+    nt = len(m.topes)
+    ladder = m.memo(key, lambda: [first() if first else LatticeZ(nt, tuple(
+        (0,) * i + (1,) + (0,) * (nt - i - 1) for i in range(nt)))])
     while len(ladder) <= p:
         top = ladder[-1]
         if top.basis:
-            top = kernel_within(top.basis, supports(len(ladder) - 1), top.ambient_dim)
+            top = kernel_within(top.basis, supports(len(ladder) - 1), top.ambient_dim)[0]
         ladder.append(top)
     return ladder[p]
 
@@ -482,24 +491,6 @@ def brick_certificate(m: OrientedMatroid, flag: Flag, v: SignVector, p: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# the pairing map into the circuit annihilator
-
-def tilde_a(m: OrientedMatroid, gamma: IntChain, p: int) -> SFPoly:
-    """Degree-p square-free polynomial paired out of a lower-filtration chain.
-
-    The coefficient of a p-subset is the evaluation of its Heaviside monomial
-    on the chain; membership in the degree-p piece is checked first.
-    """
-    g = list(gamma)
-    if len(g) != len(m.topes):
-        raise ValueError("chain length does not match the tope count")
-    if not vg_lower(m, p).contains(g):
-        raise ValueError("chain is not in the degree-p lower piece")
-    coords = pair_chain(m, g, p)
-    return {s: c for s, c in zip(combinations(range(m.n), p), coords) if c}
-
-
-# ---------------------------------------------------------------------------
 # the asymptotic filtration
 
 def asymptotic(m: OrientedMatroid, p: int) -> LatticeZ:
@@ -521,7 +512,10 @@ def asymptotic(m: OrientedMatroid, p: int) -> LatticeZ:
                        if seen.setdefault(c, q) == q)
         return list(new)
 
-    return _kernel_ladder(m, "asymptotic", p, supports)
+    lattice = _kernel_ladder(m, "asymptotic", p, supports)
+    if not m.memo("asymptotic", list)[-1].basis:
+        seen.clear()  # no later degree cuts the zero lattice
+    return lattice
 
 
 # ---------------------------------------------------------------------------

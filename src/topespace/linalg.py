@@ -402,12 +402,12 @@ def int_kernel(rows: Sequence[dict[int, int]], ncols: int) -> "LatticeZ":
     return LatticeZ(ncols, tuple(tuple(_dense(x, 0, ncols)) for x in kern))
 
 
-def _packed(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[int], int]:
+def _packed(rows: Sequence[Sequence[int]], ncols: int, scale: int = 1) -> tuple[list[int], int]:
     """Dense rows packed by column, and the lane width in bytes: column j is
-    the sum of row_i[j]·2^(8·nbytes·i), a lane holding a row's l1 norm below
-    half its range, so a 0/1 equation's pairing with every row, a sum of
-    columns, has signed digit i its pairing with row i, exactly."""
-    norm = max((sum(map(abs, r)) for r in rows), default=0)
+    the sum of row_i[j]·2^(8·nbytes·i), a lane holding `scale` times a row's
+    l1 norm below half its range, so a 0/1 equation's pairing with every row,
+    a sum of columns, has signed digit i its pairing with row i, exactly."""
+    norm = scale * max((sum(map(abs, r)) for r in rows), default=0)
     nbytes = 1 << (norm.bit_length() // 8).bit_length()
     cols = [0] * ncols
     for i, row in enumerate(rows):
@@ -417,26 +417,29 @@ def _packed(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[int], int]:
 
 
 def kernel_within(basis: Sequence[Sequence[int]], supports: Sequence[Sequence[int]],
-                  ncols: int) -> "LatticeZ":
+                  ncols: int) -> tuple["LatticeZ", IntMatrix, tuple[int, ...]]:
     """The canonical HNF basis of {x in span B : x sums to 0 on each support},
     B = `basis` the HNF basis of a saturated lattice in Z^ncols: B^T·ker(E·B^T),
     E the 0/1 support rows, as the relations among the rows b labelled by
-    themselves with image E·b (`int_image_and_relations`).  E·B^T is one sum
-    of `_packed` columns per support, one image column per distinct sum; the
-    rows are checked on these equations only (B meets any earlier ones), a
-    failed check raising RuntimeError."""
+    themselves with image E·b (`int_image_and_relations`), whose image half
+    comes back too.  E·B^T is one sum of `_packed` columns per support, one
+    image column per distinct nonzero sum in order of first appearance, at
+    `where` per support (-1 for zero).  The rows are checked on these
+    equations only (B meets any earlier ones), failing with RuntimeError."""
     cols, nbytes = _packed(basis, ncols)
-    images = dict.fromkeys(v for v in (sum(map(cols.__getitem__, s)) for s in supports) if v)
+    images: dict[int, int] = {}
+    where = tuple(images.setdefault(v, len(images)) if v else -1
+                  for v in (sum(map(cols.__getitem__, s)) for s in supports))
     half, size = 1 << 8 * nbytes - 1, nbytes * len(basis)
     # a lane's digit plus half is unsigned
     offset = half * ((1 << 8 * size) - 1) // ((1 << 8 * nbytes) - 1)
     pairings = [[int.from_bytes(raw[k:k + nbytes], "little") - half for k in range(0, size, nbytes)]
                 for raw in ((v + offset).to_bytes(size, "little") for v in images)]
-    _, kern = int_image_and_relations(list(zip(*pairings)) or [()] * len(basis), basis)
+    image, kern = int_image_and_relations(list(zip(*pairings)) or [()] * len(basis), basis)
     cols, _ = _packed(kern, ncols)
     if any(sum(map(cols.__getitem__, s)) for s in supports):
         raise RuntimeError("kernel_within check failed: a·x != 0 for a returned row")
-    return LatticeZ(ncols, tuple(map(tuple, kern)))
+    return LatticeZ(ncols, tuple(map(tuple, kern))), image, where
 
 
 class _LatticeZFields(NamedTuple):
@@ -491,8 +494,33 @@ class LatticeZ(_LatticeZFields):
     def contains(self, v) -> bool:
         return self.coords_of(v) is not None
 
+    @cached_property
+    def _lane_scale(self) -> int:
+        """1 plus the largest column l1 norm of the basis, 0 if a pivot is not 1."""
+        if any(pivot != 1 for _, pivot, _ in self._reducers):
+            return 0
+        return 1 + max((sum(map(abs, col)) for col in zip(*self.basis)), default=0)
+
+    def contains_all(self, rows: Sequence[Sequence[int]], idx: Optional[Sequence[int]] = None) -> bool:
+        """Whether every row is a member, its entry j moved to coordinate
+        idx[j] if `idx` is given.  With every pivot 1 the basis is the
+        identity on its pivot columns c, so `coords_of` takes x_c times the
+        row of c off x, and x is a member when nothing is left: that runs
+        once on `_packed` lanes of all rows, wide enough for what is left,
+        at most `_lane_scale` times a row's largest entry; else row by row."""
+        if rows and self._lane_scale:
+            rows = [_packed(rows, len(rows[0]), self._lane_scale)[0]]
+        for row in rows:
+            if idx is not None:
+                row, given = [0] * self.ambient_dim, row
+                for j, x in zip(idx, given):
+                    row[j] = x
+            if not self.contains(row):
+                return False
+        return True
+
     def contains_lattice(self, other: "LatticeZ") -> bool:
-        return all(self.contains(list(r)) for r in other.basis)
+        return self.contains_all(other.basis)
 
     def mod2(self) -> SubspaceGF2:
         gens = [mask_from_bits(i for i, x in enumerate(row) if x & 1) for row in self.basis]

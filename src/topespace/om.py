@@ -12,7 +12,7 @@ nonzero sign on some covector, and the zero vector is always a covector.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -424,32 +424,6 @@ def tope_flag_mask(m: OrientedMatroid, flag: Flag) -> int:
 def tope_flag_set(m: OrientedMatroid, flag: Flag) -> list[SignVector]:
     """The topes of `tope_flag_mask`, in tope order, as a fresh list."""
     return [m.topes[i] for i in bits_of(tope_flag_mask(m, flag))]
-
-
-def initial_covectors(m: OrientedMatroid, flag: Flag) -> frozenset[SignVector]:
-    """Covector set of the degeneration of m along a flag, on the same ground set.
-
-    Block by block (consecutive flag differences), the covectors are the
-    restrictions of covectors of m that vanish on the lower flat; the result
-    is the direct sum of those pieces, realized as sign vectors on the full
-    ground set.
-    """
-    block_covs: list[set[tuple[int, int]]] = []
-    for lo, hi in zip(flag.flats, flag.flats[1:]):
-        block = hi & ~lo
-        seen = set()
-        for v in m.covectors:
-            if v.support & lo == 0:
-                seen.add((v.plus & block, v.minus & block))
-        block_covs.append(seen)
-    covs = []
-    for pieces in product(*block_covs):
-        plus = minus = 0
-        for p, mi in pieces:
-            plus |= p
-            minus |= mi
-        covs.append(SignVector(m.n, plus, minus))
-    return frozenset(covs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from topespace.algebras import (
-    SFPoly,
     _order_positions,
     cordovil_dual,
     signed_circuits,
@@ -17,18 +17,17 @@ from topespace.cosheaf import (
     NaturalityReport,
     SESReport,
     TheoremCReport,
-    _lower_included,
     _scatter,
     _tope_map,
     fan_cones,
     stalk_matroid,
 )
+from topespace import filtrations
 from topespace.filtrations import (
     IntChain,
     _complete_flag_data,
     _ladder_rows,
     heaviside_pairing,
-    pair_chain,
     prefix_chain,
     quillen_cosets,
     vg_lower,
@@ -59,12 +58,15 @@ from topespace.om import (
     SignVector,
     compose,
     enumerate_flags,
-    initial_covectors,
     om_from_covectors,
+    tope_flag_mask,
     tope_flag_set,
     zero_out,
 )
 from topespace.salvetti import FineComplex, IntegralHomology, get_salvetti
+
+# A square-free polynomial: sorted index tuple -> integer coefficient.
+SFPoly = dict
 
 
 def coarse_to_fine(fine: FineComplex, d: int, chain: int) -> int:
@@ -933,9 +935,37 @@ def asymptotic_rows_by_tuples(m: OrientedMatroid, p: int) -> list[list[int]]:
     return [list(r) for r in sorted(rows)]
 
 
+def initial_covectors(m: OrientedMatroid, flag: Flag) -> frozenset[SignVector]:
+    """Covector set of the degeneration of m along a flag, on the same ground set.
+
+    Block by block (consecutive flag differences), the covectors are the
+    restrictions of covectors of m that vanish on the lower flat; the result
+    is the direct sum of those pieces, realized as sign vectors on the full
+    ground set.  The reference for `cosheaf.stalk_matroid`, which builds a
+    stalk from its interval minors.
+    """
+    block_covs: list[set[tuple[int, int]]] = []
+    for lo, hi in zip(flag.flats, flag.flats[1:]):
+        block = hi & ~lo
+        seen = set()
+        for v in m.covectors:
+            if v.support & lo == 0:
+                seen.add((v.plus & block, v.minus & block))
+        block_covs.append(seen)
+    covs = []
+    for pieces in product(*block_covs):
+        plus = minus = 0
+        for p, mi in pieces:
+            plus |= p
+            minus |= mi
+        covs.append(SignVector(m.n, plus, minus))
+    return frozenset(covs)
+
+
 def initial_matroid(m: OrientedMatroid, flag: Flag) -> OrientedMatroid:
     """The initial matroid of m along a flag, built afresh from
-    `initial_covectors` (`cosheaf.stalk_matroid` shares one per covector set)."""
+    `initial_covectors` (`cosheaf.stalk_matroid` shares one per covector
+    set); its `circuits` come from rank probes."""
     return OrientedMatroid(initial_covectors(m, flag))
 
 
@@ -992,6 +1022,45 @@ def tilde_a_dense(m: OrientedMatroid, gamma: IntChain, p: int) -> SFPoly:
         if val:
             out[s] = val
     return out
+
+
+def pair_chain(m: OrientedMatroid, gamma: IntChain, p: int) -> list[int]:
+    """Coordinates, by p-subset, of the Heaviside monomials evaluated on a
+    chain, one sum per `heaviside_pairing` support, looked up in `filtrations`
+    at each call; no membership check."""
+    at = gamma.__getitem__
+    return [sum(map(at, topes)) for topes in filtrations.heaviside_pairing(m, p)]
+
+
+def tilde_a(m: OrientedMatroid, gamma: IntChain, p: int) -> SFPoly:
+    """Degree-p square-free polynomial paired out of a lower-filtration chain.
+
+    The coefficient of a p-subset is the evaluation of its Heaviside monomial
+    on the chain; membership in the degree-p piece is checked first.
+    """
+    g = list(gamma)
+    if len(g) != len(m.topes):
+        raise ValueError("chain length does not match the tope count")
+    if not vg_lower(m, p).contains(g):
+        raise ValueError("chain is not in the degree-p lower piece")
+    coords = pair_chain(m, g, p)
+    return {s: c for s, c in zip(combinations(range(m.n), p), coords) if c}
+
+
+def epsilon(m: OrientedMatroid, flag: Flag, v: SignVector, p: int) -> SFPoly:
+    """Product over the first p flag blocks of the tope-signed linear forms.
+
+    The i-th factor is the sum of sign(v_j) * x_j over j in the i-th block;
+    blocks are disjoint, so the product is square-free of degree p, with the
+    sign product on each transversal (one element from each block).
+    """
+    i = m.tope_index.get(v)
+    if i is None or not tope_flag_mask(m, flag) >> i & 1:
+        raise ValueError("origin tope is not in the tope set of the flag")
+    if not 0 <= p <= flag.length:
+        raise ValueError(f"degree {p} outside 0..{flag.length}")
+    return {tuple(sorted(t)): prod(map(v.sign, t))
+            for t in product(*map(bits_of, flag.blocks()[:p]))}
 
 
 def cosheaf_map_dense(m: OrientedMatroid, sub: Flag, sup: Flag, kind: str = "sign",
@@ -1076,6 +1145,15 @@ def verify_naturality_dense(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) ->
     )
 
 
+def lower_included_by_rows(m_sub: OrientedMatroid, m_sup: OrientedMatroid, q: int) -> bool:
+    """`cosheaf._lower_included` without its cache, row by row: each basis row
+    of the superflag's degree-q piece is scattered through the tope index map
+    and reduced alone by the target's `coords_of`."""
+    idx, target = _tope_map(m_sub, m_sup), vg_lower(m_sub, q)
+    return target.rank == target.ambient_dim or all(
+        target.contains(_scatter(idx, row, len(m_sub.topes))) for row in vg_lower(m_sup, q).basis)
+
+
 def naturality_square_by_rows(sub: Flag, sup: Flag, p: int, m_sub: OrientedMatroid,
                               m_sup: OrientedMatroid) -> NaturalityReport:
     """`cosheaf._naturality` without its cache, with the pairing square checked
@@ -1092,7 +1170,7 @@ def naturality_square_by_rows(sub: Flag, sup: Flag, p: int, m_sub: OrientedMatro
     except ValueError as e:
         return report(False, False, 0, str(e))
     for q in (p, p + 1):
-        if not _lower_included(m_sub, m_sup, q):
+        if not lower_included_by_rows(m_sub, m_sup, q):
             return report(False, False, 0, f"inclusion does not respect the degree-{q} lower piece")
     if not cordovil_dual(m_sub, p).contains_lattice(cordovil_dual(m_sup, p)):
         return report(False, False, 0,

@@ -10,10 +10,10 @@ import random
 from time import perf_counter
 
 from closed_forms import braid
-from oracles import quillen_Q_oracle
+from oracles import epsilon, quillen_Q_oracle, tilde_a
 from test_cosheaf import b3
 
-from topespace.algebras import epsilon, nbc_sets, projectivize
+from topespace.algebras import nbc_sets, projectivize
 from topespace.cli import describe_check
 from topespace.corpus import CORPUS, load, names
 from topespace.cosheaf import impossibility_check, verify_theorem_C
@@ -25,7 +25,6 @@ from topespace.filtrations import (
     prefix_chain,
     quillen_Q,
     quillen_Z_demo,
-    tilde_a,
     verify_theorem_A,
     verify_theorem_B,
     vg_lower,

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     cordovil_dual_by_kernel,
     cordovil_relation_rows,
+    epsilon,
     lattice_saturated,
     nbc_flag,
     os_dual,
@@ -20,7 +21,6 @@ from topespace.algebras import (
     broken_circuits,
     circuits,
     cordovil_dual,
-    epsilon,
     nbc_sets,
     signed_circuits,
     subset_index,

@@ -4,14 +4,17 @@ import oracles
 import pytest
 from closed_forms import braid, moment_curve, type_b
 from oracles import (
+    initial_covectors,
+    initial_matroid,
+    lower_included_by_rows,
     naturality_square_by_rows,
     proper_subflags_by_scan,
     verify_naturality_dense,
     verify_theorem_C_dense,
 )
 
-from topespace import cosheaf, filtrations
-from topespace.algebras import cordovil_dual, nbc_sets
+from topespace import cosheaf, filtrations, linalg
+from topespace.algebras import circuits, cordovil_dual, nbc_sets
 from topespace.corpus import CORPUS, load, names
 from topespace.cosheaf import (
     fan_cones,
@@ -183,18 +186,24 @@ def test_top_degree_stalk_rank_counts_broken_circuit_free_sets():
 
 
 def test_ses_runs_one_hermite_form_per_stalk_and_degree(monkeypatch):
+    # the exactness check of a stalk and degree p and the step of its lower
+    # ladder from degree p to p + 1 are one Hermite form: one
+    # int_image_and_relations per distinct stalk and degree 0..rank, across
+    # verify_ses and vg_lower together, ladders built to rank + 1 included
     m = fresh("a3")
     calls = []
-    real = cosheaf.int_image_and_relations
+    real = linalg.int_image_and_relations
 
     def counting(images, labels):
         calls.append(1)
         return real(images, labels)
 
-    monkeypatch.setattr(cosheaf, "int_image_and_relations", counting)
+    monkeypatch.setattr(linalg, "int_image_and_relations", counting)
     cones = fan_cones(m)
     reports = [verify_ses(m, cone.flag, p) for cone in cones for p in range(m.rank + 1)]
-    stalks = {id(stalk_matroid(m, cone.flag)) for cone in cones}
+    stalks = {id(s): s for s in (stalk_matroid(m, cone.flag) for cone in cones)}
+    assert [vg_lower(mf, q).rank for mf in stalks.values() for q in (m.rank + 1, m.rank + 2)] == [0] * (
+        2 * len(stalks))
     assert len(stalks) < len(cones)
     assert len(calls) == len(stalks) * (m.rank + 1)
     assert [r.flag for r in reports] == [c.flag.flats for c in cones for _ in range(m.rank + 1)]
@@ -203,36 +212,55 @@ def test_ses_runs_one_hermite_form_per_stalk_and_degree(monkeypatch):
 
 def test_naturality_pushes_each_lower_piece_once(monkeypatch):
     m = fresh("u34")
-    calls = []
-    real = cosheaf._scatter
+    calls, reduced = [], []
+    real, coords_of = LatticeZ.contains_all, LatticeZ.coords_of
 
-    def counting(idx, chain, size):
-        calls.append(1)
-        return real(idx, chain, size)
+    def counting(self, rows, idx=None):
+        if idx is not None:
+            calls.append((self, len(rows)))
+        return real(self, rows, idx)
 
-    monkeypatch.setattr(cosheaf, "_scatter", counting)
+    def recording(self, v):
+        reduced.append(self)
+        return coords_of(self, v)
+
+    monkeypatch.setattr(LatticeZ, "contains_all", counting)
+    monkeypatch.setattr(LatticeZ, "coords_of", recording)
+    monkeypatch.setattr(cosheaf, "_scatter", None)  # no chain is pushed one by one
     report = verify_theorem_C(m)
     assert report.ok
     flags = [cone.flag for cone in fan_cones(m)]
     pairs = [(sub, sup) for sup in flags for sub in flags
              if sub != sup and sub.is_subflag_of(sup)]
     assert len(report.naturality) == len(pairs) * (m.rank + 1)
-    # once per distinct pair of stalks, the inclusion tests scatter each basis
-    # row of degrees 0..rank+1 into a target piece other than Z^n, which holds
-    # every row untested (240 rows of 608); the pairing square compares
-    # supports and scatters nothing
+    # once per distinct pair of stalks, the inclusion tests hand the basis of
+    # each degree 0..rank+1 to a target piece other than Z^n in one call,
+    # which holds 240 rows of 608 untested; a pair of one stalk with itself
+    # is the identity map and tests nothing (72 rows); every target has unit
+    # pivots, so each call reduces all its rows once, on packed lanes, where
+    # the row-by-row test reduced the other 296 one by one; the pairing
+    # square compares subset masks and pushes no chain
     stalk_pairs = {(stalk_matroid(m, sub), stalk_matroid(m, sup)) for sub, sup in pairs}
     assert len(stalk_pairs) < len(pairs)
-    inclusions = sum(len(vg_lower(m_sup, q).basis)
-                     for m_sub, m_sup in stalk_pairs for q in range(m.rank + 2)
-                     if vg_lower(m_sub, q).rank < len(m_sub.topes))
-    assert len(calls) == inclusions == 368
+    inclusions = [(m_sub is m_sup, vg_lower(m_sub, q), len(vg_lower(m_sup, q).basis))
+                  for m_sub, m_sup in stalk_pairs for q in range(m.rank + 2)
+                  if vg_lower(m_sub, q).rank < len(m_sub.topes)]
+    assert sum(k for _, _, k in inclusions) == 368
+    tested = sorted((id(t), k) for same, t, k in inclusions if not same)
+    assert sorted((id(t), k) for t, k in calls) == tested
+    assert len(calls) == 88 and sum(k for _, k in calls) == 296
+    assert all(pivot == 1 for t, _ in calls for _, pivot, _ in t._reducers)
+    lower = {id(t) for t, _ in calls}
+    assert sum(id(t) in lower for t in reduced) == sum(1 for _, k in calls if k)
 
 
 def test_theorem_C_tests_no_row_against_all_of_z_n(monkeypatch):
     # a lower piece or Cordovil dual of full rank is Z^n, which holds every
     # vector of its length, so neither inclusion test reduces a row against
-    # one: on a3 and gen3_6 that was 1,583 of 3,920 membership tests
+    # one; every other target has unit pivots, so each test reduces its
+    # rows once, on packed lanes, and a pair of one stalk with itself tests
+    # nothing: 539 reductions on a3 and gen3_6, where the row-by-row tests
+    # made 3,920 - 1,583
     targets = []
     coords_of = LatticeZ.coords_of
 
@@ -250,7 +278,8 @@ def test_theorem_C_tests_no_row_against_all_of_z_n(monkeypatch):
                 if lat.rank == lat.ambient_dim:
                     assert all(row[i] == 1 for i, row in enumerate(lat.basis))
     assert all(t.rank < t.ambient_dim for t in targets)
-    assert len(targets) == 3920 - 1583
+    assert all(pivot == 1 for t in targets for _, pivot, _ in t._reducers)
+    assert len(targets) == 539
 
 
 @pytest.mark.parametrize("name", ["u34", "a3"])
@@ -277,6 +306,86 @@ def test_proper_subflags_match_the_pairwise_scan(name):
     flags = [cone.flag for cone in fan_cones(m)]
     assert cosheaf._proper_subflags(flags) == proper_subflags_by_scan(flags)
 
+
+
+def gen4_6():
+    return om_from_arrangement(moment_curve(4, 6))
+
+
+STALK_INPUTS = ("u34", "a3", "b3", "gen3_6", "gen4_6", "a4")
+
+
+def stalk_input(name):
+    return {"b3": b3, "gen3_6": gen3_6, "gen4_6": gen4_6, "a4": a4}.get(name, lambda: fresh(name))()
+
+
+@pytest.mark.parametrize("name", STALK_INPUTS)
+def test_stalks_from_interval_minors_match_initial_covectors(name):
+    # every stalk built from interval minors has the initial covector set of
+    # its flag and the circuits that rank probes find on a matroid built
+    # afresh from that set; flags share a stalk exactly when the sets agree
+    m = stalk_input(name)
+    by_covectors = {}
+    for cone in fan_cones(m):
+        mf, oracle = stalk_matroid(m, cone.flag), initial_matroid(m, cone.flag)
+        assert mf.covector_set == oracle.covector_set == initial_covectors(m, cone.flag)
+        assert circuits(mf) == circuits(oracle)
+        assert by_covectors.setdefault(mf.covector_set, mf) is mf
+    assert stalk_matroid(m, fan_cones(m)[0].flag) is m
+
+
+@pytest.mark.parametrize("name", STALK_INPUTS)
+def test_lower_inclusion_matches_the_row_by_row_oracle(name):
+    # the one-sweep inclusion test on every stalk pair and degree against
+    # the row-by-row reduction, on separate matroids
+    m, m_oracle = stalk_input(name), stalk_input(name)
+    flags = [cone.flag for cone in fan_cones(m)]
+    pairs = {}
+    for sup, subs in cosheaf._proper_subflags(flags).items():
+        for sub in subs:
+            pairs.setdefault((stalk_matroid(m, sub), stalk_matroid(m, sup)), (sub, sup))
+    for (m_sub, m_sup), (sub, sup) in pairs.items():
+        o_sub, o_sup = stalk_matroid(m_oracle, sub), stalk_matroid(m_oracle, sup)
+        for q in range(m.rank + 2):
+            assert cosheaf._lower_included(m_sub, m_sup, q) == lower_included_by_rows(o_sub, o_sup, q)
+
+
+def test_lower_inclusion_falls_back_for_a_pivot_other_than_1(monkeypatch):
+    # the trivial flag's degree-1 piece is replaced by the lattice with its
+    # first basis row doubled, an HNF basis with pivot 2: no packed test, the
+    # rows are reduced one by one, and the verdicts match the dense oracle
+    m, m_dense = fresh("u34"), fresh("u34")
+    planted = {}
+
+    def wrong(mm, p):
+        lat = vg_lower(mm, p)
+        if mm in (m, m_dense) and p == 1:
+            first, *rest = lat.basis
+            lat = planted.setdefault(id(mm), LatticeZ(lat.ambient_dim, (tuple(2 * x for x in first), *rest)))
+        return lat
+
+    monkeypatch.setattr(cosheaf, "vg_lower", wrong)
+    monkeypatch.setattr(oracles, "vg_lower", wrong)
+    reduced = []
+    coords_of = LatticeZ.coords_of
+
+    def recording(self, v):
+        reduced.append((self, sum(map(abs, v))))
+        return coords_of(self, v)
+
+    monkeypatch.setattr(LatticeZ, "coords_of", recording)
+    sup = make_flag(m, [0b0001])
+    rep = verify_naturality(m, make_flag(m, []), sup, 1)
+    assert rep == verify_naturality_dense(m_dense, make_flag(m_dense, []), sup, 1)
+    assert not rep.ok and rep.detail == "inclusion does not respect the degree-1 lower piece"
+    target = planted[id(m)]
+    assert target._lane_scale == 0
+    # each reduced vector is one scattered row, never a packed one
+    rows = {sum(map(abs, r)) for r in vg_lower(stalk_matroid(m, sup), 1).basis}
+    assert [n for t, n in reduced if t is target] and all(n in rows for t, n in reduced if t is target)
+    report = verify_theorem_C(m)
+    assert report == verify_theorem_C_dense(m_dense)
+    assert not report.ok
 
 
 # -- naturality -------------------------------------------------------------

@@ -11,9 +11,12 @@ from oracles import (
     asymptotic_rows_by_tuples,
     cordovil_dual_by_kernel,
     cordovil_relation_rows_dense,
+    epsilon,
     gf2_solver_by_scan,
     heaviside_eval,
     kalinin_K_by_projection,
+    pair_chain,
+    tilde_a,
     tilde_a_dense,
     tope_flag_set_by_sign_vectors,
     int_kernel_dense,
@@ -35,7 +38,6 @@ from test_cosheaf import b3
 from topespace import filtrations
 from topespace.algebras import (
     cordovil_dual,
-    epsilon,
     nbc_sets,
     projectivize,
     subset_index,
@@ -51,13 +53,11 @@ from topespace.filtrations import (
     format_tope_mask,
     heaviside_pairing,
     kalinin_K,
-    pair_chain,
     prefix_chain,
     qbv,
     quillen_Q,
     quillen_Z_demo,
     quillen_cosets,
-    tilde_a,
     verify_theorem_A,
     verify_theorem_B,
     vg_lower,
@@ -840,6 +840,22 @@ def test_asymptotic_degree_is_rebuilt_after_a_failed_cut(monkeypatch):
     monkeypatch.setattr(filtrations, "kernel_within", real)
     rows = asymptotic_rows_by_tuples(m, 3)
     assert asymptotic(m, 3) == int_kernel_dense(rows, len(m.topes))
+
+
+@pytest.mark.parametrize("name", ["a3", "b3", "gen4_6"])
+def test_asymptotic_releases_its_supports_at_the_zero_degree(name):
+    # no degree past the first zero piece cuts anything, so the supports met
+    # so far are dropped once the ladder reaches it; every degree stays the
+    # same lattice, the dense oracle's
+    m = fresh(name)
+    nt = len(m.topes)
+    below = [asymptotic(m, p) for p in range(m.rank + 1)]
+    assert below[-1].rank and m.memo("asymptotic_supports", dict)
+    assert asymptotic(m, m.rank + 2).rank == 0
+    assert m.memo("asymptotic_supports", dict) == {}
+    lattices = [asymptotic(m, p) for p in range(m.rank + 3)]
+    assert lattices[:m.rank + 1] == below
+    assert lattices == [int_kernel_dense(asymptotic_rows_by_tuples(m, p), nt) for p in range(m.rank + 3)]
 
 
 @pytest.mark.parametrize("name", [*names(), "gen3_6", "b3", "gen4_6", "gen4_6_cov"])

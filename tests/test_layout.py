@@ -2,7 +2,8 @@
 
 Library invariants raise real exceptions, because `python -O` strips
 `assert` statements; only `om.py` touches the memo cache, which every
-other module reaches through `OrientedMatroid.memo`; only `linalg.py`
+other module reaches through `OrientedMatroid.memo`, so a memo that is
+released (`asymptotic`'s supports) is emptied through it; only `linalg.py`
 names the integer eliminations and the GF(2) reduced row echelon form, so
 every other module gets kernels, intersections, solves and invariant
 factors through its lattice, subspace and solver helpers, and
@@ -11,8 +12,15 @@ degree is factored once, as its span, never again as a solver;
 and `om.py` names `Fraction` only to hold and parse arrangements;
 the Theorem C verifiers push chains through tope index maps, never
 through dense stalk matrices, and the pairing square of a naturality check
-compares Heaviside supports, so `cosheaf._naturality` neither pairs
-(`pair_chain`) nor scatters (`_scatter`) a chain; the Theorem B verifier,
+compares per-tope subset masks, so `cosheaf._naturality` neither pairs
+(`pair_chain`) nor scatters (`_scatter`) a chain, the lower-piece
+inclusion hands all rows to one `LatticeZ.contains_all` call, naming
+neither `_scatter` nor `coords_of`, and `verify_ses` reads the image and
+kernel of the ladder step it shares with `vg_lower` (`lower_step`), naming
+neither `int_image_and_relations` nor a pairing of its own; stalks are
+direct sums of interval minors, so no module defines or names
+`initial_covectors`; the Heaviside supports are not cached, so
+`heaviside_pairing` calls no memo; the Theorem B verifier,
 integral homology and the CLI work on the coarse Salvetti complex, never on
 its fine subdivision; the coarse cells and boundaries come from mask tests and
 coface lists, never from composing every pair of covector and tope;
@@ -30,8 +38,10 @@ relation rows; vertex i of the Salvetti complex is tope i, so no module
 names a tope-to-vertex lookup (`vertex_of_tope`, `tope_vertex_chain`);
 `algebras.projectivize` writes the antipodal and doubled Cordovil lattices
 in Hermite form and names `LatticeZ.from_generators` only once, for the
-antipodal image, and pairs that image's rows with `pair_chain` directly,
-naming neither `tilde_a` nor `sf_vector`; no module defines or names the
+antipodal image, and pairs that image's rows with the Heaviside supports
+directly, naming neither `tilde_a` nor `sf_vector`; only tests pair single
+chains or build epsilon elements, so no module defines `pair_chain`,
+`tilde_a` or `epsilon`; no module defines or names the
 general signed wedge, square-free product or coordinate row (`wedge_masks`,
 `sf_mul`, `sf_vector`), because flag blocks are disjoint and the Quillen
 wedges and epsilon elements are read off block transversals; each degree of
@@ -232,6 +242,37 @@ def _function(module: str, name: str) -> ast.FunctionDef:
 def test_pairing_square_neither_pairs_nor_scatters_chains():
     lines = _named_lines(_function("cosheaf.py", "_naturality"), {"pair_chain", "_scatter"})
     assert lines == [], f"_naturality: pair_chain or _scatter named at lines {lines}"
+
+
+def test_lower_inclusion_tests_all_rows_in_one_call():
+    fn = _function("cosheaf.py", "_lower_included")
+    lines = _named_lines(fn, {"_scatter", "coords_of"})
+    assert lines == [], f"_lower_included: _scatter or coords_of named at lines {lines}"
+    assert _named_lines(fn, {"contains_all"}), "_lower_included does not call contains_all"
+
+
+def test_stalk_exactness_reads_the_shared_ladder_step():
+    fn = _function("cosheaf.py", "verify_ses")
+    lines = _named_lines(fn, {"int_image_and_relations", "pair_chain", "kernel_within"})
+    assert lines == [], f"verify_ses: a Hermite form or pairing of its own at lines {lines}"
+    assert _named_lines(fn, {"lower_step"}), "verify_ses does not call lower_step"
+
+
+TEST_ONLY = {"initial_covectors", "pair_chain", "tilde_a", "epsilon"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_test_only_pairing_or_initial_covectors(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _named_lines(tree, TEST_ONLY) + [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in TEST_ONLY]
+    assert lines == [], f"{path.name}: test-only helper at lines {sorted(lines)}"
+
+
+def test_heaviside_supports_are_not_cached():
+    lines = _named_lines(_function("filtrations.py", "heaviside_pairing"), {"memo"})
+    assert lines == [], f"heaviside_pairing: memo named at lines {lines}"
 
 
 def test_theorem_B_evaluates_on_the_coarse_complex():

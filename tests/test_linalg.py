@@ -569,12 +569,20 @@ def test_kernel_prefixes_match_the_dense_oracle():
         k = rng.randrange(len(rows) + 1)
         supports = [sorted(rng.sample(range(ncols), rng.randrange(ncols + 1)))
                     for _ in range(rng.randrange(4))]
+        supports += supports[:1]  # a repeated column
         dense = [[int(j in s) for j in range(ncols)] for s in supports]
         want = int_kernel_dense(rows[:k] + dense, ncols)
-        assert kernel_within(int_kernel_dense(rows[:k], ncols).basis, supports, ncols) == want
+        basis = int_kernel_dense(rows[:k], ncols).basis
+        kernel, image, where = kernel_within(basis, supports, ncols)
+        assert kernel == want
+        # the image half, over the distinct pairing columns, read at each
+        # support's column is the Hermite form of the pairings
+        pairings = [[sum(b[j] for j in s) for s in supports] for b in basis]
+        expanded = tuple(tuple(row[k] if k >= 0 else 0 for k in where) for row in image)
+        assert expanded == LatticeZ.from_generators(len(supports), pairings).basis
         half = len(supports) // 2
-        first = kernel_within(int_kernel_dense(rows[:k], ncols).basis, supports[:half], ncols)
-        assert kernel_within(first.basis, supports[half:], ncols) == want
+        first = kernel_within(basis, supports[:half], ncols)[0]
+        assert kernel_within(first.basis, supports[half:], ncols)[0] == want
 
 
 def test_kernel_within_reads_wide_lanes():
@@ -589,12 +597,37 @@ def test_kernel_within_reads_wide_lanes():
             lat = LatticeZ.from_generators(n, gens)
             supports = [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(2)]
             dense = [[int(j in s) for j in range(n)] for s in supports]
-            assert kernel_within(lat.basis, supports, n) == intersect(lat, int_kernel_dense(dense, n))
+            assert kernel_within(lat.basis, supports, n)[0] == intersect(lat, int_kernel_dense(dense, n))
     # a pairing at the edge of a lane, 127 or 128, next to a lane that a
     # carry out of it would corrupt
     for k in (127, 128):
         lat = LatticeZ(k + 1, (tuple([1] * k + [0]), tuple([0] * k + [1])))
-        assert kernel_within(lat.basis, [list(range(k))], k + 1) == LatticeZ(k + 1, lat.basis[1:])
+        assert kernel_within(lat.basis, [list(range(k))], k + 1)[0] == LatticeZ(k + 1, lat.basis[1:])
+
+
+def test_contains_all_matches_row_by_row_membership():
+    # unit pivots take the packed test, other pivots reduce row by row; rows
+    # of members and near-members, with entries up to 2^70, in both
+    rng = random.Random(83)
+    unit = 0
+    for rows, ncols in _sparse_kernel_draws(random.Random(89)):
+        for lat in (int_kernel_dense(rows, ncols),
+                    LatticeZ.from_generators(ncols, [[2 * x for x in r] for r in rows[:2]])):
+            unit += all(pivot == 1 for _, pivot, _ in lat._reducers)
+            for _ in range(6):
+                scale = 1 << rng.choice((0, 5, 70))
+                members = [[sum(rng.randrange(-2, 3) * scale * b[j] for b in lat.basis)
+                            for j in range(ncols)] for _ in range(rng.randint(1, 3))]
+                if rng.random() < 0.5 and ncols:
+                    members[-1][rng.randrange(ncols)] += rng.choice((-1, 1, scale))
+                assert lat.contains_all(members) == all(lat.contains(v) for v in members)
+    assert unit
+    # lanes sized by the rows alone would hold -256 and 1 at column 1, whose
+    # packed sum -256 + 1·2^8 is 0: neither row is a member
+    lat = LatticeZ(2, ((1, 128),))
+    assert not lat.contains_all([(2, 0), (0, 1)])
+    assert lat.contains_all([(1, 128), (-3, -384)], idx=(0, 1))
+    assert not LatticeZ(3, ((1, 0, 128),)).contains_all([(2, 0), (0, 1)], idx=(0, 2))
 
 
 def test_kernel_prefixes_check_each_prefix(monkeypatch):
@@ -609,7 +642,7 @@ def test_kernel_prefixes_check_each_prefix(monkeypatch):
         return real(rows, ncols)
 
     basis, supports = int_kernel([], 3).basis, [[0, 1], [1, 2]]
-    assert kernel_within(basis, supports, 3) == LatticeZ(3, ((1, -1, 1),))
+    assert kernel_within(basis, supports, 3)[0] == LatticeZ(3, ((1, -1, 1),))
     monkeypatch.setattr(linalg, "_hermite_rows", dropping)
     with pytest.raises(RuntimeError, match="a·x != 0"):
         kernel_within(basis, supports, 3)
