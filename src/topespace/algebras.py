@@ -11,7 +11,6 @@ the projective quotient a GF(2) subspace, so ranks and memberships are exact.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import (
@@ -190,15 +189,14 @@ def projectivize(m: OrientedMatroid, p: int, order: Optional[Sequence[int]] = No
     """Quotient of the Cordovil dual by the image of antipodal differences.
 
     The antipodal sublattice of the tope space cut with the p-th lower piece
-    (`_antipodal_lower`) is pushed forward; for even p the image must be
+    (`_antipodal_lower`) is pushed forward by the step of its ladder that
+    builds degree p + 1 (`pairing_step`); for even p the image must be
     zero, while for odd p it must pin the quotient to a GF(2) space whose
     dimension counts the NBC sets avoiding the order-smallest element.
     """
-    from .filtrations import _antipodal_lower, heaviside_pairing
+    from .filtrations import _antipodal_lower, pairing_step
 
-    dim, supports = comb(m.n, p), heaviside_pairing(m, p)
-    b = LatticeZ.from_generators(dim, [[sum(map(g.__getitem__, s)) for s in supports]
-                                       for g in _antipodal_lower(m, p).basis])
+    _, b = pairing_step(m, "antipodal_lower", _antipodal_lower(m, p), p)
     a = cordovil_dual(m, p)
     if p % 2 == 0:
         ok = b.rank == 0
@@ -207,7 +205,7 @@ def projectivize(m: OrientedMatroid, p: int, order: Optional[Sequence[int]] = No
             f"antipodal image rank {b.rank}; quotient of rank {a.rank} unchanged",
         )
     # HNF(2A) = 2·HNF(A): doubling keeps the pivots and the reduced range
-    doubled = LatticeZ(dim, tuple(tuple(2 * x for x in row) for row in a.basis))
+    doubled = LatticeZ(a.ambient_dim, tuple(tuple(2 * x for x in row) for row in a.basis))
     sandwiched = a.contains_lattice(b) and b.contains_lattice(doubled)
     if not sandwiched:
         return ProjectivizationReport(

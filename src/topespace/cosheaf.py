@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations
-from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from .algebras import circuits, cordovil_dual
-from .filtrations import chain_mod2, heaviside_pairing, lower_step, qbv, vg_lower
-from .linalg import LatticeZ, _packed, bits_of, lattice_equal, mask_from_bits, solve_diophantine
+from .filtrations import chain_mod2, heaviside_pairing, pairing_step, qbv, vg_lower
+from .linalg import bits_of, lattice_equal, mask_from_bits, solve_diophantine
 from .om import (
     Flag,
     OrientedMatroid,
@@ -194,7 +193,7 @@ def verify_ses(m: OrientedMatroid, flag: Flag, p: int) -> SESReport:
     The pairing map must carry the stalk's degree-p lower piece onto its dual
     algebra piece, and its kernel must equal the degree-(p+1) piece.  Both
     come from the step of the stalk's `vg_lower` ladder that cuts degree p by
-    the degree-p Heaviside supports (`lower_step`): one Hermite form per
+    the degree-p Heaviside supports (`pairing_step`): one Hermite form per
     stalk and degree, shared by every cone with that stalk.
     """
     mf = stalk_matroid(m, flag)
@@ -202,14 +201,9 @@ def verify_ses(m: OrientedMatroid, flag: Flag, p: int) -> SESReport:
     def build():
         lower, supports = vg_lower(mf, p), heaviside_pairing(mf, p)
         _subset_masks(mf, p, supports)  # for the naturality checks, from the same supports
-        kernel, image, where = lower_step(mf, lower, p, supports)
-        nxt = vg_lower(mf, p + 1)
-        a = cordovil_dual(mf, p)
-        # one coordinate per p-subset: each pivot lands on the first copy of its
-        # column, copies keep reduced entries, so this is the image's HNF there
-        image = tuple(tuple(row[k] if k >= 0 else 0 for k in where) for row in image)
-        surjective = lattice_equal(LatticeZ(comb(mf.n, p), image), a)
-        return lower.rank, nxt.rank, a.rank, surjective, lattice_equal(kernel, nxt)
+        kernel, image = pairing_step(mf, "vg_ladder", lower, p, supports)
+        nxt, a = vg_lower(mf, p + 1), cordovil_dual(mf, p)
+        return lower.rank, nxt.rank, a.rank, lattice_equal(image, a), lattice_equal(kernel, nxt)
 
     rank_p, rank_next, rank_a, surjective, kernel_ok = mf.memo(("ses", p), build)
     return SESReport(
@@ -240,7 +234,7 @@ def verify_naturality(m: OrientedMatroid, sub: Flag, sup: Flag, p: int) -> Natur
     are nested.  The pairing square holds on every chain for each p-subset
     whose support on the source's stalk is the pullback, along the index
     map, of its support on the target's; the other subsets are evaluated on
-    all basis rows of the source's degree-p piece at once.
+    each basis row of the source's degree-p piece in turn.
     """
     if not sub.is_subflag_of(sup):
         detail = "first flag is not a subflag of the second"
@@ -265,24 +259,19 @@ def _naturality(sub: Flag, sup: Flag, p: int, m_sub: OrientedMatroid,
         dual = cordovil_dual(m_sub, p)  # its pivots are 1, so of full rank it is Z^n
         if dual.rank < dual.ambient_dim and not dual.contains_lattice(cordovil_dual(m_sup, p)):
             return False, False, 0, f"inclusion does not respect the degree-{p} dual-algebra piece"
-        # per tope j, the p-subsets whose support and pulled-back support differ
-        # at j; all rows are paired on those subsets only, on `_packed` lanes
+        # per tope j, the p-subsets whose support and pulled-back support
+        # differ at j; each row is paired on those subsets only
         basis, sub_masks = vg_lower(m_sup, p).basis, _subset_masks(m_sub, p)
         differ = [(j, mine, x) for j, (mine, i) in enumerate(zip(_subset_masks(m_sup, p), idx))
                   if (x := mine ^ sub_masks[i])]
         if differ:
-            cols, nbytes = _packed(basis, len(idx))
-            sums: dict[int, int] = defaultdict(int)
-            for j, mine, x in differ:
-                for k in bits_of(x & mine):
-                    sums[k] += cols[j]
-                for k in bits_of(x & ~mine):
-                    sums[k] -= cols[j]
-            # the lowest set bit of a sum lies in the lane of its first failing row
-            failing = [(v & -v).bit_length() - 1 for v in sums.values() if v]
-            if failing:
-                return (True, False, min(failing) // (8 * nbytes) + 1,
-                        f"pairing square fails on a degree-{p} basis chain")
+            for checked, row in enumerate(basis, 1):
+                sums = defaultdict(int)
+                for j, mine, x in differ:
+                    for k in bits_of(x):
+                        sums[k] += row[j] if mine >> k & 1 else -row[j]
+                if any(sums.values()):
+                    return True, False, checked, f"pairing square fails on a degree-{p} basis chain"
         return True, True, len(basis), ""
 
     inclusions_ok, square_ok, checked, detail = m_sub.memo(("naturality", m_sup, p), build)

@@ -14,10 +14,10 @@ are bitmasks over the canonical cell order of their dimension.
 
 from __future__ import annotations
 
-import random
+from functools import partial
 from itertools import combinations, product
 from math import comb
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebras import nbc_sets, subset_index
 from .linalg import (
@@ -41,6 +41,9 @@ from .om import (
     zero_out,
 )
 from .salvetti import bz_cochain_eval, get_salvetti, homology_mod2
+
+if TYPE_CHECKING:
+    import random
 
 # ---------------------------------------------------------------------------
 # chains on topes
@@ -84,54 +87,64 @@ def vg_lower(m: OrientedMatroid, p: int) -> LatticeZ:
     Square-free monomials suffice because the indicator functions are
     idempotent.  The kernel lattice is saturated, and its reduction mod 2 is
     the GF(2) piece.  Degree p is degree p - 1 cut by the degree-(p - 1)
-    monomials, built only up to the degree asked for (`_kernel_ladder`).
+    monomials, built only up to the degree asked for (`_ladder`).
     """
-    return _kernel_ladder(m, "vg_ladder", p, lambda q: heaviside_pairing(m, q))
+    nt = len(m.topes)
+    return _ladder(m, "vg_ladder", p, lambda: _units(nt, range(nt)), _cut(partial(heaviside_pairing, m)))
 
 
-def lower_step(m: OrientedMatroid, lower: LatticeZ, p: int, supports: Sequence[Sequence[int]]):
-    """`kernel_within` of `lower` and the degree-p Heaviside `supports`: the
-    cut with the image of its pairing.  When `lower` is the top of the
-    `vg_lower` ladder, at degree p, the cut is kept as degree p + 1, so a
-    stalk's exactness check and its ladder share one Hermite form."""
-    step = kernel_within(lower.basis, supports, lower.ambient_dim)
-    ladder = m.memo("vg_ladder", list)
-    if len(ladder) == p + 1 and ladder[p] is lower:
-        ladder.append(step[0])
-    return step
-
-
-def _kernel_ladder(m: OrientedMatroid, key: str, p: int, supports: Callable,
-                   first: Optional[Callable] = None) -> LatticeZ:
+def _ladder(m: OrientedMatroid, key: str, p: int, first: Callable, step: Callable) -> LatticeZ:
     """Degree p of a ladder of lattices cached per matroid under `key`, built
-    up to p: degree 0 is `first()`, by default Z^topes in its identity basis,
-    and degree q + 1 is degree q cut by the 0/1 equations `supports(q)`
-    unless degree q is 0."""
+    up to p: degree 0 is `first()` and degree q + 1 is `step(q, top)` of
+    degree q, or degree q itself once that is zero."""
     if p < 0:
         raise ValueError(f"degree must be non-negative, got {p}")
-    nt = len(m.topes)
-    ladder = m.memo(key, lambda: [first() if first else LatticeZ(nt, tuple(
-        (0,) * i + (1,) + (0,) * (nt - i - 1) for i in range(nt)))])
+    ladder = m.memo(key, list)
+    if not ladder:
+        ladder.append(first())
     while len(ladder) <= p:
         top = ladder[-1]
-        if top.basis:
-            top = kernel_within(top.basis, supports(len(ladder) - 1), top.ambient_dim)[0]
-        ladder.append(top)
+        ladder.append(step(len(ladder) - 1, top) if top.basis else top)
     return ladder[p]
+
+
+def _units(nt: int, ones: Iterable[int]) -> LatticeZ:
+    """The span of the unit vectors e_j, j in `ones` ascending, in Z^nt."""
+    return LatticeZ(nt, tuple((0,) * j + (1,) + (0,) * (nt - j - 1) for j in ones))
+
+
+def _cut(supports: Callable) -> Callable:
+    """The ladder step that cuts degree q by the 0/1 equations `supports(q)`."""
+    return lambda q, top: kernel_within(top.basis, supports(q), top.ambient_dim)[0]
+
+
+def pairing_step(m: OrientedMatroid, key: str, lower: LatticeZ, p: int,
+                 supports: Optional[Sequence[Sequence[int]]] = None) -> tuple[LatticeZ, LatticeZ]:
+    """`kernel_within` of `lower` and the degree-p Heaviside `supports`
+    (`heaviside_pairing` by default): the cut, and the image of the pairing
+    with one coordinate per p-subset.  When `lower` tops the Heaviside ladder
+    cached under `key` at degree p, the cut is kept as degree p + 1, so a
+    check that reads the image and that ladder share one Hermite form."""
+    supports = heaviside_pairing(m, p) if supports is None else supports
+    kernel, image, where = kernel_within(lower.basis, supports, lower.ambient_dim)
+    ladder = m.memo(key, list)
+    if len(ladder) == p + 1 and ladder[p] is lower:
+        ladder.append(kernel)
+    # each pivot lands on the first copy of its column, copies keep reduced
+    # entries, so this is the image's HNF over the p-subsets
+    return kernel, LatticeZ(len(supports), tuple(tuple(row[k] if k >= 0 else 0 for k in where)
+                                                 for row in image))
 
 
 def _antipodal_lower(m: OrientedMatroid, p: int) -> LatticeZ:
     """The antipodal lattice, spanned by e_i - e_j over each tope i and its
     negation j, cut with the degree-p lower piece as `vg_lower` is built, and
     cached per matroid; its HNF basis is e_i - e_j for each such pair i < j."""
-
-    def theta():
-        nt = len(m.topes)
-        return LatticeZ(nt, tuple(
-            tuple(int(k == i) - int(k == j) for k in range(nt))
-            for i, t in enumerate(m.topes) if i < (j := m.tope_index[t.negate()])))
-
-    return _kernel_ladder(m, "antipodal_lower", p, lambda q: heaviside_pairing(m, q), theta)
+    nt = len(m.topes)
+    return _ladder(m, "antipodal_lower", p, lambda: LatticeZ(nt, tuple(
+        tuple(int(k == i) - int(k == j) for k in range(nt))
+        for i, t in enumerate(m.topes) if i < (j := m.tope_index[t.negate()]))),
+        _cut(partial(heaviside_pairing, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,34 +273,26 @@ def quillen_Z_demo(m: OrientedMatroid, p: int) -> int:
     As 1 - gh = (1 - g) + g(1 - h), the augmentation ideal I is the sum of the
     (1 - g_i)Z[G] over the r block generators g_i = origin ⊕ d_i, which make
     the 2^r flag topes (else RuntimeError).  So, as I^p = I^(p-1)·I, the
-    b - b·g_i over an HNF basis b of degree p - 1 (the flag topes for p = 1),
-    b·g_i being b permuted by g_i, span degree p: rank(p - 1) × r rows, and
-    each degree is cached for the next.
+    b - b·g_i over an HNF basis b of degree p - 1 (degree 0 is spanned by the
+    flag topes), b·g_i being b permuted by g_i, span degree p: rank(p - 1) × r
+    rows, built as a ladder (`_ladder`) in tope coordinates.
     """
-    if p < 0:
-        raise ValueError(f"degree must be non-negative, got {p}")
-    if p == 0:
-        return tope_flag_mask(m, enumerate_flags(m)[0]).bit_count()
-    return _quillen_Z_lattice(m, p).rank
+    nt, flag = len(m.topes), enumerate_flags(m)[0]
+    tf, blocks = tope_flag_mask(m, flag), flag.blocks()
 
-
-def _quillen_Z_lattice(m: OrientedMatroid, p: int) -> LatticeZ:
-    """The lattice of `quillen_Z_demo` in tope coordinates, for p >= 1."""
-
-    def build():
-        nt, flag = len(m.topes), enumerate_flags(m)[0]
-        tf, blocks = tope_flag_mask(m, flag), flag.blocks()
+    def flag_topes():
         if tf.bit_count() != 1 << len(blocks):
             raise RuntimeError(f"the flag has {tf.bit_count()} topes, not 2^{len(blocks)}")
+        return _units(nt, bits_of(tf))
+
+    def times_generators(q, top):
         # per block generator g, the index of k·g for each flag tope k, and k elsewhere
         perms = [[m.tope_by_minus[t.minus ^ d] if tf >> k & 1 else k for k, t in enumerate(m.topes)]
                  for d in blocks]
-        prev = (_quillen_Z_lattice(m, p - 1).basis if p > 1
-                else [[int(k == j) for k in range(nt)] for j in bits_of(tf)])
-        gens = [[b[k] - b[kg] for k, kg in enumerate(perm)] for b in prev for perm in perms]
-        return LatticeZ.from_generators(nt, gens)
+        return LatticeZ.from_generators(nt, [[b[k] - b[kg] for k, kg in enumerate(perm)]
+                                             for b in top.basis for perm in perms])
 
-    return m.memo(("quillen_Z", p), build)
+    return _ladder(m, "quillen_Z", p, flag_topes, times_generators).rank
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +501,7 @@ def brick_certificate(m: OrientedMatroid, flag: Flag, v: SignVector, p: int) -> 
 def asymptotic(m: OrientedMatroid, p: int) -> LatticeZ:
     """Integer lattice of chains passing the degree-p difference criterion:
     degree p - 1 cut by the equations of p - 1 separators that no lower
-    degree has (`_kernel_ladder`).  The equation of a tope t2 and q
+    degree has (`_ladder`).  The equation of a tope t2 and q
     separators holds the topes that t2 separates on all of them, those with
     the signs of -t2 there: a class of the topes by their signs on q elements."""
     seen = m.memo("asymptotic_supports", dict)  # support -> the q that first met it
@@ -512,8 +517,8 @@ def asymptotic(m: OrientedMatroid, p: int) -> LatticeZ:
                        if seen.setdefault(c, q) == q)
         return list(new)
 
-    lattice = _kernel_ladder(m, "asymptotic", p, supports)
-    if not m.memo("asymptotic", list)[-1].basis:
+    lattice = _ladder(m, "asymptotic", p, lambda: _units(len(m.topes), ids), _cut(supports))
+    if not lattice.basis:
         seen.clear()  # no later degree cuts the zero lattice
     return lattice
 

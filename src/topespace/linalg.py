@@ -9,12 +9,14 @@ precision; no floating point is used anywhere in this package.
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 from functools import cached_property
 from itertools import compress
 from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+
+if TYPE_CHECKING:
+    import random
 
 
 def parity(x: int) -> int:
@@ -60,8 +62,11 @@ def gf2_rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
 
     Returns (rows, pivot_cols) with rows sorted by pivot column; the pivot of a
     row is its lowest set bit and no row has a bit at another row's pivot.
-    A new row is cleared at the lowest pivot it still meets, looked up in
-    `row & pivot_mask`, until it meets none.
+    The echelon pass clears a new row at the lowest pivot it still meets,
+    looked up in `row & pivot_mask`, until it meets none.  One sweep in
+    decreasing pivot order then clears each row at the higher pivots it
+    meets, whose rows are reduced by then, so each clearing adds no bit at
+    another pivot.
     """
     by_pivot: dict[int, int] = {}  # pivot bit -> row
     pivot_mask = 0
@@ -70,11 +75,13 @@ def gf2_rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
             row ^= by_pivot[hit & -hit]
         if row:
             low = row & -row
-            for b, r in by_pivot.items():
-                if r & low:
-                    by_pivot[b] = r ^ row
             by_pivot[low] = row
             pivot_mask |= low
+    for low in sorted(by_pivot, reverse=True):
+        row = by_pivot[low]
+        while hit := row & pivot_mask ^ low:
+            row ^= by_pivot[hit & -hit]
+        by_pivot[low] = row
     out = sorted(by_pivot.items())
     return [r for _, r in out], [b.bit_length() - 1 for b, _ in out]
 

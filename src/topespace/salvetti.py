@@ -20,7 +20,7 @@ mod-2 chain on topes is already a 0-chain.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .linalg import SubspaceGF2, bits_of, mask_from_bits, parity, snf_diagonal_sparse
 from .om import OrientedMatroid, SignVector, compose
@@ -298,34 +298,26 @@ def get_fine(m: OrientedMatroid) -> FineComplex:
 
 
 class Mod2Homology:
-    """Mod-2 homology of a complex given by boundary masks per degree."""
+    """Mod-2 homology of the coarse complex, from its boundary masks."""
 
-    def __init__(self, boundaries: Sequence[Sequence[int]]):
-        # boundaries[d] has one mask per d-cell over (d-1)-cells
-        self.boundaries = [list(b) for b in boundaries]
-        self.n = [len(b) for b in self.boundaries]
-        self.top = len(self.boundaries) - 1
+    def __init__(self, sal: SalvettiComplex):
+        self.sal = sal
         # images[d] is the span of the boundaries of the d-cells; degree
-        # top + 1 has no cells
-        self.images = [SubspaceGF2.from_generators(self.n[d - 1] if d else 0, b)
-                       for d, b in enumerate(self.boundaries)]
-        self.images.append(SubspaceGF2.zero(self.n[self.top]))
+        # sal.dim + 1 has no cells
+        self.images = [SubspaceGF2.from_generators(sal.n_cells(d - 1), sal.boundary_masks(d))
+                       for d in range(sal.dim + 1)]
+        self.images.append(SubspaceGF2.zero(sal.n_cells(sal.dim)))
 
     def dim(self, d: int) -> int:
-        if not 0 <= d <= self.top:
+        if not 0 <= d <= self.sal.dim:
             return 0
-        return self.n[d] - self.images[d].dim - self.images[d + 1].dim
+        return self.sal.n_cells(d) - self.images[d].dim - self.images[d + 1].dim
 
     def dims(self) -> list[int]:
-        return [self.dim(d) for d in range(self.top + 1)]
+        return [self.dim(d) for d in range(self.sal.dim + 1)]
 
     def is_cycle(self, d: int, chain: int) -> bool:
-        if d == 0:
-            return True
-        out = 0
-        for i in bits_of(chain):
-            out ^= self.boundaries[d][i]
-        return out == 0
+        return self.sal.boundary_of(d, chain) == 0
 
     def class_of(self, d: int, chain: int) -> int:
         """Canonical representative of the homology class of a cycle."""
@@ -335,9 +327,7 @@ class Mod2Homology:
 
 
 def homology_mod2(sal: SalvettiComplex) -> Mod2Homology:
-    return sal.m.memo("homology_mod2", lambda: Mod2Homology(
-        [sal.boundary_masks(d) for d in range(sal.dim + 1)]
-    ))
+    return sal.m.memo("homology_mod2", lambda: Mod2Homology(sal))
 
 
 class IntegralHomology(NamedTuple):

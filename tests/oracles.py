@@ -360,6 +360,26 @@ def hermite_normal_form_dense(rows, ncols: int) -> IntMatrix:
     return [row for _, row in basis]
 
 
+def gf2_rref_by_rescan(rows: Iterable[int]) -> tuple[list[int], list[int]]:
+    """`gf2_rref`'s (rows, pivot_cols), keeping the basis reduced as it
+    grows: each new pivot row is cleared at the pivots found before it and
+    then cleared out of every earlier pivot row that meets its pivot."""
+    by_pivot: dict[int, int] = {}  # pivot bit -> row
+    pivot_mask = 0
+    for row in rows:
+        while hit := row & pivot_mask:
+            row ^= by_pivot[hit & -hit]
+        if row:
+            low = row & -row
+            for b, r in by_pivot.items():
+                if r & low:
+                    by_pivot[b] = r ^ row
+            by_pivot[low] = row
+            pivot_mask |= low
+    out = sorted(by_pivot.items())
+    return [r for _, r in out], [b.bit_length() - 1 for b, _ in out]
+
+
 def gf2_solver_by_scan(rows: Iterable[int]) -> tuple[list[tuple[int, int, int]], list[int]]:
     """`GF2Solver`'s (pivot_rows, zero_combos), clearing each new row by
     testing every earlier pivot in the order the pivots were found."""
@@ -900,6 +920,15 @@ def quillen_Z_by_all_generators(m: OrientedMatroid, p: int) -> LatticeZ:
                 gens.append(row)
         lattice = LatticeZ.from_generators(nt, gens)
     return lattice
+
+
+def antipodal_image_by_sums(m: OrientedMatroid, p: int) -> LatticeZ:
+    """The image of the degree-p antipodal piece under the degree-p pairing:
+    each basis row summed over each Heaviside support, one coordinate per
+    p-subset, put in Hermite form."""
+    supports = heaviside_pairing(m, p)
+    return LatticeZ.from_generators(len(supports), [[sum(g[i] for i in s) for s in supports]
+                                                    for g in filtrations._antipodal_lower(m, p).basis])
 
 
 def asymptotic_member(m: OrientedMatroid, gamma: IntChain, p: int) -> bool:

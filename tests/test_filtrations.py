@@ -7,6 +7,7 @@ import pytest
 from closed_forms import braid, moment_curve
 from oracles import (
     affine_coordinate_chain,
+    antipodal_image_by_sums,
     asymptotic_member,
     asymptotic_rows_by_tuples,
     cordovil_dual_by_kernel,
@@ -53,6 +54,7 @@ from topespace.filtrations import (
     format_tope_mask,
     heaviside_pairing,
     kalinin_K,
+    pairing_step,
     prefix_chain,
     qbv,
     quillen_Q,
@@ -67,7 +69,6 @@ from topespace.filtrations import (
     _ladder_solver,
     _flag_cosets,
     _quillen_span,
-    _quillen_Z_lattice,
 )
 from topespace.linalg import (
     GF2Solver,
@@ -118,6 +119,12 @@ def fresh(name: str):
         return om_from_covectors(parse_covector_lines("\n".join(reversed(lines))))
     d, n = {"gen3_6": (3, 6), "gen4_6": (4, 6)}[name]
     return om_from_arrangement(moment_curve(d, n))
+
+
+def quillen_Z_lattice(m, p: int) -> LatticeZ:
+    """The lattice of `quillen_Z_demo` in tope coordinates, off its ladder."""
+    quillen_Z_demo(m, p)
+    return m.memo("quillen_Z", list)[p]
 
 
 def chain_by_str(m, chain) -> dict:
@@ -186,9 +193,10 @@ def test_vg_lower_saturated_and_vanishing_beyond_rank():
 
 
 def test_verify_proj_builds_the_lower_ladder_to_the_rank_only(monkeypatch):
-    # proj needs degrees 0..rank: its antipodal ladder, like the vg_lower
-    # ladder asked for degree rank, cuts by the Heaviside equations of the
-    # degrees below the rank only, never by those of degree rank
+    # proj needs degrees 0..rank: the vg_lower ladder asked for degree rank
+    # cuts by the Heaviside equations of the degrees below the rank only;
+    # the antipodal ladder cuts once per degree 0..rank, each cut the step
+    # whose image projectivize reads, so it reaches degree rank + 1
     m = fresh("b3")
     cuts = []
     real = filtrations.kernel_within
@@ -199,10 +207,11 @@ def test_verify_proj_builds_the_lower_ladder_to_the_rank_only(monkeypatch):
 
     monkeypatch.setattr(filtrations, "kernel_within", spy)
     verify_checks(m, "proj", "b3")
-    assert cuts == list(range(m.rank))
+    assert cuts == list(range(m.rank + 1))
     vg_lower(m, m.rank)
-    assert cuts == list(range(m.rank)) * 2
-    assert len(m.memo("vg_ladder", list)) == len(m.memo("antipodal_lower", list)) == m.rank + 1
+    assert cuts == list(range(m.rank + 1)) + list(range(m.rank))
+    assert len(m.memo("vg_ladder", list)) == m.rank + 1
+    assert len(m.memo("antipodal_lower", list)) == m.rank + 2
 
 
 def test_vg_lower_gf2_matches_integer_reduction():
@@ -419,10 +428,12 @@ def test_integral_products_do_not_stabilize_on_u22():
     ("gen3_6", None), ("gen4_6", 3),
 ])
 def test_quillen_Z_recurrence_matches_products_oracle(name, top):
+    # the ladder from the flag topes in degree 0, against every product, in
+    # degrees 0..rank + 2 (gen4_6, whose products oracle takes seconds per
+    # degree from 4 on, stops at 3: the sparse-kernel test goes further)
     m = fresh(name)
-    assert quillen_Z_demo(m, 0) == quillen_Z_by_products(m, 0).rank
-    for p in range(1, (top or m.rank + 1) + 1):
-        lattice = _quillen_Z_lattice(m, p)
+    for p in range((top or m.rank + 2) + 1):
+        lattice = quillen_Z_lattice(m, p)
         assert lattice == quillen_Z_by_products(m, p), p
         assert quillen_Z_demo(m, p) == lattice.rank
 
@@ -873,7 +884,7 @@ def test_sparse_kernels_match_the_dense_path(name):
         assert asymptotic(m, p) == int_kernel_dense(asymptotic_rows_by_tuples(m, p), nt), p
         assert _antipodal_lower(m, p) == intersect(theta, vg_lower_dense(m, p)), p
         if p:
-            lattice = _quillen_Z_lattice(m, p)
+            lattice = quillen_Z_lattice(m, p)
             assert lattice == quillen_Z_by_products(m, p) == quillen_Z_by_all_generators(m, p), p
         dim = len(subset_index(m.n, p))
         assert cordovil_dual(m, p) == int_kernel_dense(cordovil_relation_rows_dense(m, p), dim), p
@@ -969,6 +980,7 @@ def antipodal_lattice(m) -> LatticeZ:
 def test_antipodal_lower_rows_lie_in_both_lattices(name):
     # projectivize pairs the rows of theta ∩ vg_lower(m, p) with no membership
     # check: each lies in both lattices, and its pairing is the checked one
+    # (`pairing_step` sums each over the Heaviside supports)
     m = fresh(name)
     theta = antipodal_lattice(m)
     for p in range(m.rank + 1):
@@ -976,6 +988,20 @@ def test_antipodal_lower_rows_lie_in_both_lattices(name):
         for row in _antipodal_lower(m, p).basis:
             assert theta.contains(list(row)) and lower.contains(list(row)), p
             assert pair_chain(m, row, p) == sf_vector(tilde_a(m, row, p), m.n, p), p
+
+
+@pytest.mark.parametrize("name", ["u34", "a3", "b3", "gen3_6", "gen4_6", "a4"])
+def test_pairing_step_image_matches_the_plain_sums(name):
+    # the image read off the antipodal ladder's step, expanded to one
+    # coordinate per p-subset, against the Hermite form of the plain per-row
+    # sums, on a matroid whose ladder took no pairing step; the step keeps
+    # its cut as the next degree, so the ladder reaches rank + 2
+    m, m_oracle = fresh(name), fresh(name)
+    for p in range(m.rank + 2):
+        kernel, image = pairing_step(m, "antipodal_lower", _antipodal_lower(m, p), p)
+        assert image == antipodal_image_by_sums(m_oracle, p), p
+        assert kernel is _antipodal_lower(m, p + 1), p
+    assert len(m.memo("antipodal_lower", list)) == m.rank + 3
 
 
 def test_projectivize_goldens_u23():

@@ -15,9 +15,10 @@ through dense stalk matrices, and the pairing square of a naturality check
 compares per-tope subset masks, so `cosheaf._naturality` neither pairs
 (`pair_chain`) nor scatters (`_scatter`) a chain, the lower-piece
 inclusion hands all rows to one `LatticeZ.contains_all` call, naming
-neither `_scatter` nor `coords_of`, and `verify_ses` reads the image and
-kernel of the ladder step it shares with `vg_lower` (`lower_step`), naming
-neither `int_image_and_relations` nor a pairing of its own; stalks are
+neither `_scatter` nor `coords_of`, `verify_ses` reads the image and
+kernel of the ladder step it shares with `vg_lower` (`pairing_step`), naming
+neither `int_image_and_relations` nor a pairing of its own, and `cosheaf.py`
+names neither `_packed` lanes nor the `where` expansion of an image; stalks are
 direct sums of interval minors, so no module defines or names
 `initial_covectors`; the Heaviside supports are not cached, so
 `heaviside_pairing` calls no memo; the Theorem B verifier,
@@ -36,10 +37,9 @@ the one closure `om.compositions`; the Cordovil dual is read off the nbc
 straightening, so `algebras.py` names neither `int_kernel` nor the circuit
 relation rows; vertex i of the Salvetti complex is tope i, so no module
 names a tope-to-vertex lookup (`vertex_of_tope`, `tope_vertex_chain`);
-`algebras.projectivize` writes the antipodal and doubled Cordovil lattices
-in Hermite form and names `LatticeZ.from_generators` only once, for the
-antipodal image, and pairs that image's rows with the Heaviside supports
-directly, naming neither `tilde_a` nor `sf_vector`; only tests pair single
+`algebras.projectivize` reads the antipodal image off the step of the
+antipodal ladder (`pairing_step`), naming neither `LatticeZ.from_generators`
+nor the Heaviside supports, nor `tilde_a` or `sf_vector`; only tests pair single
 chains or build epsilon elements, so no module defines `pair_chain`,
 `tilde_a` or `epsilon`; no module defines or names the
 general signed wedge, square-free product or coordinate row (`wedge_masks`,
@@ -47,7 +47,11 @@ general signed wedge, square-free product or coordinate row (`wedge_masks`,
 wedges and epsilon elements are read off block transversals; each degree of
 a filtration lattice is built inside the one below (`linalg.kernel_within`),
 so no module defines or names a prefix kernel (`int_kernel_prefixes`) or a
-lattice intersection (`intersect`); and no module imports `dataclasses`: value and report types are `typing.NamedTuple`s, so
+lattice intersection (`intersect`); every ladder (`vg_lower`, the antipodal
+piece, `asymptotic`, `quillen_Z_demo`) goes through the one helper
+`filtrations._ladder` with no branch on the degree, only it and
+`pairing_step` extend a ladder, and only `_cut` and `pairing_step` take
+`kernel_within`; and no module imports `dataclasses`: value and report types are `typing.NamedTuple`s, so
 importing the package never loads `dataclasses` and the `inspect` machinery
 that comes with it.
 """
@@ -255,7 +259,63 @@ def test_stalk_exactness_reads_the_shared_ladder_step():
     fn = _function("cosheaf.py", "verify_ses")
     lines = _named_lines(fn, {"int_image_and_relations", "pair_chain", "kernel_within"})
     assert lines == [], f"verify_ses: a Hermite form or pairing of its own at lines {lines}"
-    assert _named_lines(fn, {"lower_step"}), "verify_ses does not call lower_step"
+    assert _named_lines(fn, {"pairing_step"}), "verify_ses does not call pairing_step"
+
+
+def test_cosheaf_neither_packs_lanes_nor_expands_images():
+    lines = _named_lines(ast.parse((PACKAGE / "cosheaf.py").read_text(encoding="utf-8")),
+                         {"_packed", "where"})
+    assert lines == [], f"cosheaf.py: _packed or where named at lines {lines}"
+
+
+def _ladder_extenders(tree: ast.AST) -> set[str]:
+    """The functions that append to a list fetched through `memo`."""
+    out = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        fetched = {node.targets[0].id for node in ast.walk(fn)
+                   if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                   and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Attribute)
+                   and node.value.func.attr == "memo"}
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "append" and isinstance(node.func.value, ast.Name)
+               and node.func.value.id in fetched for node in ast.walk(fn)):
+            out.add(fn.name)
+    return out
+
+
+def test_only_the_ladder_helper_and_the_pairing_step_extend_a_ladder():
+    extenders = {f"{path.name}:{name}" for path in MODULES
+                 for name in _ladder_extenders(ast.parse(path.read_text(encoding="utf-8")))}
+    assert extenders == {"filtrations.py:_ladder", "filtrations.py:pairing_step"}
+    # kernel_within is taken by the cut step the Heaviside ladders pass to
+    # the helper and by the pairing step, nowhere else outside linalg.py
+    cutters = {f"{path.name}:{fn.name}" for path in MODULES if path.name != "linalg.py"
+               for fn in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(fn, ast.FunctionDef) and _named_lines(fn, {"kernel_within"})}
+    assert cutters == {"filtrations.py:_cut", "filtrations.py:pairing_step"}
+
+
+@pytest.mark.parametrize("name", ["vg_lower", "_antipodal_lower", "asymptotic", "quillen_Z_demo"])
+def test_every_filtration_ladder_goes_through_the_one_helper(name):
+    fn = _function("filtrations.py", name)
+    assert _named_lines(fn, {"_ladder"}), f"{name} does not call _ladder"
+    branches = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.If)
+                and any(isinstance(n, ast.Name) and n.id == "p" for n in ast.walk(node.test))]
+    assert branches == [], f"{name}: branch on the degree at lines {branches}"
+
+
+LADDERS_REPLACED = {"_kernel_ladder", "_quillen_Z_lattice", "lower_step"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_second_ladder_builder_or_step(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _named_lines(tree, LADDERS_REPLACED) + [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in LADDERS_REPLACED]
+    assert lines == [], f"{path.name}: a second ladder builder or step at lines {sorted(lines)}"
 
 
 TEST_ONLY = {"initial_covectors", "pair_chain", "tilde_a", "epsilon"}
@@ -336,10 +396,16 @@ def test_no_tope_to_vertex_lookup(path):
 
 
 def test_projectivize_takes_one_hermite_form():
-    lines = [node.lineno for node in ast.walk(_function("algebras.py", "projectivize"))
-             if isinstance(node, ast.Attribute) and node.attr == "from_generators"
-             and isinstance(node.value, ast.Name) and node.value.id == "LatticeZ"]
-    assert len(lines) == 1, f"projectivize: LatticeZ.from_generators at lines {lines}"
+    # the one Hermite form is the antipodal ladder's step, which projectivize
+    # reads its image off: it neither puts generators in Hermite form nor
+    # pairs rows with the Heaviside supports itself
+    fn = _function("algebras.py", "projectivize")
+    lines = _named_lines(fn, {"heaviside_pairing", "kernel_within"}) + [
+        node.lineno for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "from_generators"
+        and isinstance(node.value, ast.Name) and node.value.id == "LatticeZ"]
+    assert lines == [], f"projectivize: a Hermite form or pairing sum of its own at lines {lines}"
+    assert _named_lines(fn, {"pairing_step"}), "projectivize does not call pairing_step"
 
 
 def test_projectivize_pairs_the_antipodal_rows_directly():

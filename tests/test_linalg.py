@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 from closed_forms import generic, type_b
 from oracles import (
+    gf2_rref_by_rescan,
     gf2_solver_by_scan,
     hermite_normal_form_dense,
     int_identity,
@@ -97,6 +98,27 @@ def test_rref_is_canonical_under_row_shuffling():
         rng.shuffle(shuffled)
         mixed = [shuffled[0] ^ shuffled[1], shuffled[1], shuffled[2] ^ shuffled[0]]
         assert gf2_rref(mixed)[0] == ref
+
+
+def test_gf2_rref_matches_the_rescan_reference():
+    # the echelon pass and one back-reduction sweep against reducing every
+    # earlier pivot row at each new pivot: random row sets, half of them
+    # with dependent rows, then the mod-2 boundaries of every Salvetti
+    # complex of the corpus and of b3
+    rng = random.Random(31)
+    for _ in range(300):
+        ncols, nrows = rng.randrange(1, 90), rng.randrange(0, 60)
+        rows = [rng.getrandbits(ncols) for _ in range(nrows)]
+        if nrows and rng.random() < 0.5:
+            rows += [rows[rng.randrange(nrows)] ^ rows[rng.randrange(nrows)]
+                     for _ in range(nrows // 2)]
+        assert gf2_rref(rows) == gf2_rref_by_rescan(rows)
+    for m in [load(name) for name in ("u11", "u22", "u23", "u34", "a3")] + [
+            om_from_arrangement(type_b(3).arrangement)]:
+        sal = get_salvetti(m)
+        for d in range(1, sal.dim + 1):
+            rows = sal.boundary_masks(d)
+            assert gf2_rref(rows) == gf2_rref_by_rescan(rows), d
 
 
 def _reduce_naive(v, basis):

@@ -20,6 +20,7 @@ from topespace.linalg import bits_of
 from topespace.om import Arrangement, SignVector, om_from_arrangement
 from topespace.salvetti import (
     IncidenceError,
+    SalvettiComplex,
     bz_cochain_eval,
     face_le,
     get_fine,
@@ -128,6 +129,22 @@ def test_coarse_homology_golden_dims():
         h = homology_mod2(get_salvetti(m))
         assert h.dims() == want
         assert sum(h.dims()) == len(m.topes)
+
+
+def test_mod2_homology_reads_its_complex(monkeypatch):
+    # the homology keeps no copy of the boundary masks: a cycle test is the
+    # complex's own boundary_of, and the counts are its cell counts
+    m = om_from_arrangement(U23)
+    sal = get_salvetti(m)
+    h = homology_mod2(sal)
+    assert h.sal is sal and not hasattr(h, "boundaries")
+    calls = []
+    real = SalvettiComplex.boundary_of
+    monkeypatch.setattr(SalvettiComplex, "boundary_of",
+                        lambda self, d, chain: calls.append((d, chain)) or real(self, d, chain))
+    b = sal.boundary_masks(2)[0]
+    assert h.is_cycle(1, b) and not h.is_cycle(1, 1) and h.is_cycle(0, 1)
+    assert calls == [(1, b), (1, 1), (0, 1)]
 
 
 def test_class_of_reduces_modulo_boundaries():
