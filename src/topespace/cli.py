@@ -30,6 +30,7 @@ from .om import (
     NotCovectors,
     OrientedMatroid,
     ParseError,
+    data_lines,
     om_from_arrangement,
     om_from_covectors,
     parse_arrangement,
@@ -63,11 +64,7 @@ def resolve_input(spec: str) -> tuple[str, OrientedMatroid]:
     except UnicodeDecodeError as e:
         raise InputError(f"input {spec!r} is not UTF-8 text: byte {e.start} "
                          f"is {e.object[e.start:e.start + 1].hex()}") from None
-    first = next(
-        (s for s in (line.strip() for line in text.splitlines())
-         if s and not s.startswith("#")),
-        "",
-    )
+    first = next((s for _, s in data_lines(text)), "")
     arrangement = len(first.split()) > 1
     try:
         if arrangement:

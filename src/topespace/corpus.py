@@ -1,26 +1,21 @@
 """Builtin example matroids shared by the test-suite and the CLI.
 
-Every entry is a central rational arrangement together with frozen expected
-statistics; `load` builds (and caches) the oriented matroid with full axiom
-validation.
+Every entry is a central arrangement, its normals plain int tuples, together
+with frozen expected statistics; `load` builds (and caches) the oriented
+matroid with full axiom validation.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .om import Arrangement, OrientedMatroid, om_from_arrangement
 
 
-def _fr(rows) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 class CorpusEntry(NamedTuple):
     name: str
-    normals: tuple
+    normals: tuple[tuple[int, ...], ...]
     covectors: int
     topes: int
     betti: tuple[int, ...]
@@ -29,32 +24,12 @@ class CorpusEntry(NamedTuple):
 CORPUS: dict[str, CorpusEntry] = {
     e.name: e
     for e in (
-        CorpusEntry("u11", _fr([(1,)]), 3, 2, (1, 1)),
-        CorpusEntry("u22", _fr([(1, 0), (0, 1)]), 9, 4, (1, 2, 1)),
-        CorpusEntry("u23", _fr([(1, 0), (1, 1), (0, 1)]), 13, 6, (1, 3, 2)),
-        CorpusEntry(
-            "u34",
-            _fr([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]),
-            51,
-            14,
-            (1, 4, 6, 3),
-        ),
-        CorpusEntry(
-            "a3",
-            _fr(
-                [
-                    (1, -1, 0, 0),
-                    (1, 0, -1, 0),
-                    (1, 0, 0, -1),
-                    (0, 1, -1, 0),
-                    (0, 1, 0, -1),
-                    (0, 0, 1, -1),
-                ]
-            ),
-            75,
-            24,
-            (1, 6, 11, 6),
-        ),
+        CorpusEntry("u11", ((1,),), 3, 2, (1, 1)),
+        CorpusEntry("u22", ((1, 0), (0, 1)), 9, 4, (1, 2, 1)),
+        CorpusEntry("u23", ((1, 0), (1, 1), (0, 1)), 13, 6, (1, 3, 2)),
+        CorpusEntry("u34", ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), 51, 14, (1, 4, 6, 3)),
+        CorpusEntry("a3", ((1, -1, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1),
+                           (0, 1, -1, 0), (0, 1, 0, -1), (0, 0, 1, -1)), 75, 24, (1, 6, 11, 6)),
     )
 }
 

@@ -62,10 +62,11 @@ def fan_cones(m: OrientedMatroid) -> list[FanCone]:
 def _interval_minor(m: OrientedMatroid, lo: int, hi: int) -> tuple[tuple[frozenset, tuple[int, ...]], ...]:
     """The interval minor (M|hi)/lo of two nested flats, cached per pair, as
     its connected components, each its covector codes `plus | minus << n`
-    (the covectors of m that vanish on lo, restricted to it) and circuits:
-    the minimal nonempty C - lo over the circuits C of m inside hi (Oxley,
-    Matroid Theory, 2011, 3.1.11), none longer than the minor's rank plus
-    one.  Elements share a component when a chain of circuits joins them."""
+    (the covectors of m that vanish on lo, listed once per flat lo,
+    restricted to it) and circuits: the minimal nonempty C - lo over the
+    circuits C of m inside hi (Oxley, Matroid Theory, 2011, 3.1.11), none
+    longer than the minor's rank plus one.  Elements share a component when
+    a chain of circuits joins them."""
 
     def build():
         n, block, size = m.n, hi & ~lo, m.flats[hi] - m.flats[lo] + 1
@@ -76,7 +77,9 @@ def _interval_minor(m: OrientedMatroid, lo: int, hi: int) -> tuple[tuple[frozens
         parts = [1 << e for e in bits_of(block)]
         for c in found:
             parts = [s for s in parts if not s & c] + [sum(s for s in parts if s & c)]
-        codes = {(v.plus & block) | (v.minus & block) << n for v in m.covectors if not v.support & lo}
+        keep = block | block << n
+        codes = {c & keep for c in m.memo(("vanishing", lo), lambda: [
+            v.plus | v.minus << n for v in m.covectors if not v.support & lo])}
         return tuple((frozenset(c & (s | s << n) for c in codes), tuple(sorted(c for c in found if c & s)))
                      for s in parts)
 

@@ -193,7 +193,8 @@ def _flag_cosets(m: OrientedMatroid, positions: Sequence[tuple[int, ...]]
             dirs = tuple(sorted(blocks[i - 1] for i in s))
             seen = covered.get(dirs, 0)
             covered[dirs] = seen | tf
-            span, new, cosets = xor_span(dirs), tf & ~seen, []
+            new, cosets = tf & ~seen, []
+            span = xor_span(dirs) if new else ()
             while new:
                 low = m.topes[(new & -new).bit_length() - 1].minus
                 coset = mask_from_bits(m.tope_by_minus[low ^ x] for x in span)
@@ -327,16 +328,18 @@ class KalininCertificate(NamedTuple):
 
 def _ladder_rows(m: OrientedMatroid) -> tuple[list[int], list[int], list[int]]:
     """The top-degree ladder system in the unknowns (beta_1, ..., beta_{r+1}),
-    r the rank, one row per equation, with the row offsets and the column
+    r the rank, one row per equation, with the row offsets and the unknown
     offsets of its blocks.
 
-    Row block i starts at row_off[i] and column block i at col_off[i - 1].
+    Row block i starts at row_off[i], and beta_i is unknowns col_off[i - 1]
+    onwards.  Unknown k is column col_off[-1] - 1 - k: the solver pivots on
+    the highest cells first, several times faster than lowest first.
     Row blocks are indexed by cells of dimensions 0..r.  Block i holds the
     boundary of beta_i and, from i = 2 on, the chain beta_{i-1} plus its
     conjugate; the right-hand side of the first block is gamma itself, as
-    vertex i is tope i, and of every later block zero.  Block i meets column
+    vertex i is tope i, and of every later block zero.  Block i meets beta
     blocks i - 1 and i only, so the degree-p system is the first
-    row_off[p + 1] rows over the first col_off[p] columns.
+    row_off[p + 1] rows over the last col_off[p] columns.
     """
     sal = get_salvetti(m)
     top = m.rank + 1
@@ -347,17 +350,18 @@ def _ladder_rows(m: OrientedMatroid) -> tuple[list[int], list[int], list[int]]:
     for i in range(1, top + 1):
         row_off.append(row_off[-1] + sal.n_cells(i - 1))
     rows = [0] * row_off[-1]
+    last = col_off[-1] - 1
     for i in range(1, top + 1):
         if sal.n_cells(i):
             masks = sal.boundary_masks(i)
             for j in range(sal.n_cells(i)):
-                colbit = 1 << (col_off[i - 1] + j)
+                colbit = 1 << (last - col_off[i - 1] - j)
                 for r in bits_of(masks[j]):
                     rows[row_off[i] + r] ^= colbit
         if i >= 2:
             perm = sal.conj_perm(i - 1)
             for j in range(sal.n_cells(i - 1)):
-                colbit = 1 << (col_off[i - 2] + j)
+                colbit = 1 << (last - col_off[i - 2] - j)
                 rows[row_off[i] + j] ^= colbit
                 rows[row_off[i] + perm[j]] ^= colbit
     return rows, row_off, col_off
@@ -365,7 +369,8 @@ def _ladder_rows(m: OrientedMatroid) -> tuple[list[int], list[int], list[int]]:
 
 def _ladder_solver(m: OrientedMatroid, p: int) -> tuple[GF2Solver, list[int]]:
     """The factorization of the degree-p ladder system, for 1 <= p <= rank + 1,
-    with its column offsets; the right-hand side is gamma as a 0-chain.
+    with its unknown offsets; the right-hand side is gamma as a 0-chain, and
+    unknown k of a solution is its bit col_off[p] - 1 - k.
 
     The top-degree system of `_ladder_rows` is factored once per matroid and
     each degree is a prefix of that factorization.  Cached per matroid and
@@ -428,10 +433,10 @@ def viro_bv(m: OrientedMatroid, gamma: int, p: int,
     sol = solver.solve(gamma, rng)
     if sol is None:
         raise ValueError(f"chain is not in the degree-{p} chain-level piece")
-    betas = []
-    for i in range(1, p + 1):
-        width = col_off[i] - col_off[i - 1]
-        betas.append((sol >> col_off[i - 1]) & ((1 << width) - 1))
+    last = col_off[p] - 1
+    betas = [mask_from_bits(j for j in range(col_off[i] - col_off[i - 1])
+                            if sol >> (last - col_off[i - 1] - j) & 1)
+             for i in range(1, p + 1)]
     top = betas[-1] ^ sal.conj_chain(p, betas[-1])
     return hom.class_of(p, top), KalininCertificate(gamma, tuple(betas))
 

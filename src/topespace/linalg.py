@@ -177,14 +177,16 @@ class GF2Solver:
         return [c for c in range(self.ncols) if c not in pivots]
 
     def prefix(self, nrows: int, ncols: int) -> "GF2Solver":
-        """The factorization of the first `nrows` equations, over the first
-        `ncols` unknowns; raises ValueError if one of those equations has a
-        bit at column `ncols` or beyond."""
+        """The factorization of the first `nrows` equations over the last
+        `ncols` unknowns, numbered from 0; raises ValueError if one of those
+        equations meets an earlier unknown, which puts a pivot there."""
+        shift = self.ncols - ncols
         out = GF2Solver((), ncols)
-        out.pivot_rows = [t for t in self.pivot_rows if not t[2] >> nrows]
+        out.pivot_rows = [(piv - shift, row >> shift, combo)
+                          for piv, row, combo in self.pivot_rows if not combo >> nrows]
         out.zero_combos = [c for c in self.zero_combos if not c >> nrows]
-        if any(row >> ncols for _, row, _ in out.pivot_rows):
-            raise ValueError(f"the first {nrows} equations reach column {ncols}")
+        if any(piv < 0 for piv, _, _ in out.pivot_rows):
+            raise ValueError(f"the first {nrows} equations reach below the last {ncols} columns")
         return out
 
     def _back_substitute(self, x: int, b: int) -> int:

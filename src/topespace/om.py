@@ -11,12 +11,14 @@ nonzero sign on some covector, and the zero vector is always a covector.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .linalg import bits_of, int_kernel, mask_from_bits
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ParseError(ValueError):
@@ -433,7 +435,7 @@ def tope_flag_set(m: OrientedMatroid, flag: Flag) -> list[SignVector]:
 class Arrangement(NamedTuple):
     """A central hyperplane arrangement given by rational normal vectors."""
 
-    normals: tuple[tuple[Fraction, ...], ...]
+    normals: tuple[tuple[int | Fraction, ...], ...]
 
     @property
     def n(self) -> int:
@@ -444,15 +446,29 @@ class Arrangement(NamedTuple):
         return len(self.normals[0])
 
 
-def parse_arrangement(text: str) -> Arrangement:
-    """Parse the plain text format: first line "n d", then n rows of d rationals."""
-    lines = text.splitlines()
-    rows: list[tuple[Fraction, ...]] = []
-    header: Optional[tuple[int, int]] = None
-    for idx, raw in enumerate(lines, start=1):
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The stripped lines of an input file that are neither blank nor `#`
+    comments, each with its 1-based line number."""
+    for idx, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
+        if s and not s.startswith("#"):
+            yield idx, s
+
+
+def parse_arrangement(text: str) -> Arrangement:
+    """Parse the plain text format: first line "n d", then n rows of d
+    rationals, each an int if `int` reads it and else a Fraction."""
+
+    def entry(s: str) -> int | Fraction:
+        try:
+            return int(s)
+        except ValueError:
+            from fractions import Fraction
+            return Fraction(s)
+
+    rows: list[tuple[int | Fraction, ...]] = []
+    header: Optional[tuple[int, int]] = None
+    for idx, s in data_lines(text):
         parts = s.split()
         if header is None:
             if len(parts) != 2:
@@ -467,7 +483,7 @@ def parse_arrangement(text: str) -> Arrangement:
         if len(parts) != header[1]:
             raise ParseError(f"expected {header[1]} entries", idx)
         try:
-            rows.append(tuple(Fraction(p) for p in parts))
+            rows.append(tuple(map(entry, parts)))
         except (ValueError, ZeroDivisionError):
             raise ParseError("bad rational entry", idx) from None
     if header is None:
@@ -481,27 +497,24 @@ def parse_arrangement(text: str) -> Arrangement:
 
 
 def parse_covector_lines(text: str) -> list[SignVector]:
-    out = []
-    width = None
-    for idx, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
-        if any(ch not in "+-0" for ch in s):
-            raise ParseError("covector lines must use only '+', '-', '0'", idx)
-        if width is None:
-            width = len(s)
-        elif len(s) != width:
-            raise ParseError(f"expected width {width}", idx)
-        out.append(SignVector.from_str(s))
+    """One sign vector per data line, all of one width."""
+    out: list[SignVector] = []
+    for idx, s in data_lines(text):
+        try:
+            v = SignVector.from_str(s)
+        except ValueError:
+            raise ParseError("covector lines must use only '+', '-', '0'", idx) from None
+        if out and v.n != out[0].n:
+            raise ParseError(f"expected width {out[0].n}", idx)
+        out.append(v)
     if not out:
         raise ParseError("no covectors given")
     return out
 
 
-def om_from_covectors(vectors: Iterable[SignVector]) -> OrientedMatroid:
-    """Build an oriented matroid from an explicit covector list after one
-    check of the covector axioms; `NotCovectors` names a failing axiom."""
+def _validated(vectors: Iterable[SignVector]) -> OrientedMatroid:
+    """The oriented matroid of `vectors` after one check of the covector
+    axioms; `NotCovectors` names a failing axiom."""
     covs = _canonical(vectors)
     report = check_covector_axioms(covs)
     if not report:
@@ -509,13 +522,18 @@ def om_from_covectors(vectors: Iterable[SignVector]) -> OrientedMatroid:
     return OrientedMatroid(covs)
 
 
+def om_from_covectors(vectors: Iterable[SignVector]) -> OrientedMatroid:
+    """Build an oriented matroid from an explicit covector list (`_validated`)."""
+    return _validated(vectors)
+
+
 def om_from_arrangement(arr: Arrangement) -> OrientedMatroid:
     """Covector set of a central arrangement: zero, the cocircuits and their
-    `compositions`, checked once by `check_covector_axioms`.
+    `compositions`, checked once (`_validated`).
 
-    Each normal is scaled by the lcm of its denominators, which keeps every
-    sign.  The rank r is d minus the rank of the kernel of all normals.  An
-    (r-1)-subset of normals is independent when its kernel has d - r + 1
+    Each normal is scaled by the lcm of its denominators (an int's is 1),
+    which keeps every sign.  The rank r is d minus the rank of the kernel of
+    all normals.  An (r-1)-subset of normals is independent when its kernel has d - r + 1
     basis rows, and the first of them that is not orthogonal to every normal
     yields the cocircuit pair of the corank-one flat the subset spans.
     """
@@ -548,8 +566,4 @@ def om_from_arrangement(arr: Arrangement) -> OrientedMatroid:
 
     generators = sorted(cocircuits)
     codes = {0, *generators, *(w for _, _, w in compositions(generators, n))}
-    covs = _canonical(SignVector(n, c & full, c >> n) for c in codes)
-    report = check_covector_axioms(covs)
-    if not report:
-        raise NotCovectors(report.message())
-    return OrientedMatroid(covs)
+    return _validated(SignVector(n, c & full, c >> n) for c in codes)

@@ -321,7 +321,8 @@ def kalinin_K_by_projection(m: OrientedMatroid, p: int) -> SubspaceGF2:
         return SubspaceGF2.full(nt)
     sal = get_salvetti(m)
     ladder, row_off, col_off = _ladder_rows(m)
-    rows = [row << nt for row in ladder[:row_off[p + 1]]]
+    # the degree-p unknowns are the last col_off[p] columns
+    rows = [row >> (col_off[-1] - col_off[p]) << nt for row in ladder[:row_off[p + 1]]]
     for j, t in enumerate(m.topes):
         rows[sal.index[0][(t, t)]] ^= 1 << j
     kern = gf2_kernel(rows, nt + col_off[p])
@@ -1308,7 +1309,7 @@ def om_from_arrangement_by_fractions(arr: Arrangement) -> OrientedMatroid:
     x against the normals; the covector set is the composition closure of
     the cocircuits together with zero.
     """
-    normals = [list(v) for v in arr.normals]
+    normals = [[Fraction(x) for x in v] for v in arr.normals]
     n = arr.n
 
     def subset_rank(mask: int) -> int:

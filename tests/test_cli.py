@@ -405,16 +405,31 @@ def test_reports_match_goldens(name, argv, tmp_path, capsys):
     assert json.dumps(report, sort_keys=True) + "\n" == golden.read_text()
 
 
-def test_cli_import_skips_dataclasses_inspect_and_argparse():
-    """A bare interpreter (`-S`, no site hooks) that imports the CLI loads
-    none of the modules that dataclass decorators and option parsing need."""
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import topespace.cli; "
-             "print(topespace.cli.__file__); "
-             "print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)],
+START_UP_SKIPS = {"fractions", "decimal", "random", "dataclasses", "inspect", "argparse"}
+
+
+def test_start_up_loads_no_fractions_decimal_random_dataclasses_or_argparse(tmp_path):
+    """A bare interpreter (`-S`, no site hooks) that imports the CLI and
+    resolves a builtin name, an integer arrangement file and a covector file
+    loads none of the modules that rational entries, seeded choices,
+    dataclass decorators and option parsing need; a rational arrangement
+    still resolves, to the matroid of its integer scaling."""
+    files = {"integer": "3 2\n1 0\n1 1\n0 1\n",
+             "covectors": "\n".join(v.to_str() for v in load("u23").covectors) + "\n",
+             "rational": "2 2\n1/3 -2/5\n1/2 1\n", "scaled": "2 2\n5 -6\n1 2\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import topespace.cli as cli; "
+             "print(cli.__file__); "
+             "u23 = {cli.resolve_input(s)[1].covectors for s in sys.argv[2:5]}; "
+             "print(len(u23), sorted(set(sys.argv[7:]) & set(sys.modules))); "
+             "a, b = (cli.resolve_input(s)[1] for s in sys.argv[5:7]); "
+             "print(a.covectors == b.covectors, 'fractions' in sys.modules)")
+    argv = [str(SRC), "u23", *(str(tmp_path / name) for name in files), *sorted(START_UP_SKIPS)]
+    out = subprocess.run([sys.executable, "-S", "-c", probe, *argv],
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert Path(out[0]).resolve() == SRC / "topespace" / "cli.py"
-    assert out[1] == "[]"
+    assert out[1:] == ["1 []", "True True"]
 
 
 def mutated_arrangement(name: str, rng: random.Random) -> str:

@@ -559,14 +559,16 @@ def test_ladder_is_factored_once_and_each_degree_is_a_prefix(monkeypatch):
         for p in range(1, m.rank + 2):
             nrows, ncols = row_off[p + 1], col_off[p]
             solver, offsets = _ladder_solver(m, p)
-            own = GF2Solver(rows[:nrows], ncols)
+            # the degree-p unknowns are the last ncols columns
+            lead = [row >> (col_off[-1] - ncols) for row in rows[:nrows]]
+            own = GF2Solver(lead, ncols)
             assert offsets == col_off[:p + 1]
             assert solver.free_cols == own.free_cols, (name, p)
             assert (SubspaceGF2.from_generators(nrows, solver.zero_combos)
                     == SubspaceGF2.from_generators(nrows, own.zero_combos)), (name, p)
             for _ in range(20):
                 x = rng.getrandbits(ncols)
-                consistent = mask_from_bits(i for i in range(nrows) if parity(rows[i] & x))
+                consistent = mask_from_bits(i for i in range(nrows) if parity(lead[i] & x))
                 for b in (consistent, rng.getrandbits(nrows), rng.getrandbits(row_off[2])):
                     # the solution with free unknowns zero is unique
                     assert solver.solve(b) == own.solve(b), (name, p)

@@ -9,7 +9,12 @@ every other module gets kernels, intersections, solves and invariant
 factors through its lattice, subspace and solver helpers, and
 `filtrations.py` names `GF2Solver` only in `_ladder_solver`, so a Quillen
 degree is factored once, as its span, never again as a solver;
-and `om.py` names `Fraction` only to hold and parse arrangements;
+and no module but `om.py` names `Fraction`, which it does only to hold and
+parse arrangements, importing `fractions` at run time only in
+`parse_arrangement`, so integer inputs and the corpus never load it;
+every input reaches `OrientedMatroid` through one reader and one tail: only
+`om.data_lines` skips blank and `#` lines, and the two factories end in
+`om._validated`, calling neither each other nor the axiom check themselves;
 the Theorem C verifiers push chains through tope index maps, never
 through dense stalk matrices, and the pairing square of a naturality check
 compares per-tope subset masks, so `cosheaf._naturality` neither pairs
@@ -137,20 +142,68 @@ def test_subset_xors_come_from_xor_span(path):
 FRACTION_OWNERS = {"Arrangement", "parse_arrangement"}
 
 
-def test_fractions_only_in_arrangement_parsing():
-    path = PACKAGE / "om.py"
+def _fraction_lines(path: Path, owners: set[str]) -> list[int]:
+    """Lines of `path` that name `Fraction` or import `fractions` outside the
+    top-level definitions `owners` and an `if TYPE_CHECKING:` block."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    allowed = {id(node) for top in tree.body
-               if isinstance(top, (ast.ClassDef, ast.FunctionDef))
-               and top.name in FRACTION_OWNERS
-               for node in ast.walk(top)}
-    lines = sorted(
-        node.lineno for node in ast.walk(tree)
-        if ((isinstance(node, ast.Name) and node.id == "Fraction")
-            or (isinstance(node, ast.Attribute) and node.attr == "Fraction"))
-        and id(node) not in allowed
-    )
+    allowed = {node.lineno for top in tree.body
+               if (isinstance(top, (ast.ClassDef, ast.FunctionDef)) and top.name in owners)
+               or (isinstance(top, ast.If) and isinstance(top.test, ast.Name)
+                   and top.test.id == "TYPE_CHECKING")
+               for node in ast.walk(top) if hasattr(node, "lineno")}
+    imports = [node.lineno for node in ast.walk(tree)
+               if (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+               or (isinstance(node, ast.ImportFrom) and node.module == "fractions")]
+    return sorted(line for line in _named_lines(tree, {"Fraction"}) + imports
+                  if line not in allowed)
+
+
+def test_fractions_only_in_arrangement_parsing():
+    lines = _fraction_lines(PACKAGE / "om.py", FRACTION_OWNERS)
     assert lines == [], f"om.py: Fraction named outside {sorted(FRACTION_OWNERS)} at lines {lines}"
+    # the import that runs is parse_arrangement's, for entries int rejects
+    imports = [node for node in ast.walk(_function("om.py", "parse_arrangement"))
+               if isinstance(node, ast.ImportFrom) and node.module == "fractions"]
+    assert imports, "parse_arrangement does not import fractions itself"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "om.py"],
+                         ids=lambda p: p.name)
+def test_fractions_named_nowhere_else(path):
+    lines = _fraction_lines(path, set())
+    assert lines == [], f"{path.name}: Fraction named at lines {lines}"
+
+
+def test_blank_and_comment_lines_are_skipped_in_one_place():
+    skippers = {f"{path.name}:{fn.name}" for path in MODULES
+                for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(fn, ast.FunctionDef)
+                and any(isinstance(node, ast.Constant) and node.value == "#"
+                        for node in ast.walk(fn))}
+    assert skippers == {"om.py:data_lines"}
+    readers = {f"{path.name}:{fn.name}" for path in MODULES
+               for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(fn, ast.FunctionDef) and _named_lines(fn, {"splitlines"})}
+    assert readers == {"om.py:data_lines"}
+    for module, name in [("cli.py", "resolve_input"), ("om.py", "parse_arrangement"),
+                         ("om.py", "parse_covector_lines")]:
+        assert _named_lines(_function(module, name), {"data_lines"}), f"{name} skips lines itself"
+
+
+def _called(fn: ast.AST) -> set[str]:
+    """The names that `fn` calls directly, as `f(...)`."""
+    return {node.func.id for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_the_two_factories_share_one_validation_tail():
+    factories = {"om_from_arrangement", "om_from_covectors"}
+    tail = {"_canonical", "check_covector_axioms", "OrientedMatroid", "NotCovectors"}
+    for name in factories:
+        called = _called(_function("om.py", name))
+        assert "_validated" in called, f"{name} does not end in _validated"
+        assert not called & (tail | factories), f"{name} calls {sorted(called & (tail | factories))}"
+    assert tail <= _called(_function("om.py", "_validated"))
 
 
 def test_filtrations_factors_gf2_solvers_only_for_the_ladder():

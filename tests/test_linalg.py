@@ -202,13 +202,14 @@ def test_prefix_is_the_factorization_of_the_leading_equations():
         ncols = rng.randrange(1, 60)
         c = rng.randrange(1, ncols + 1)
         k = rng.randrange(0, 30)
+        # the leading equations meet only the last c columns
         lead = [rng.getrandbits(c) for _ in range(k)]
         if k and rng.random() < 0.5:  # dependent leading rows
             lead += [lead[rng.randrange(k)] ^ lead[rng.randrange(k)] for _ in range(k // 2)]
             k = len(lead)
-        rows = lead + [rng.getrandbits(ncols) for _ in range(rng.randrange(0, 30))]
+        rows = [r << (ncols - c) for r in lead] + [rng.getrandbits(ncols) for _ in range(rng.randrange(0, 30))]
         pre = GF2Solver(rows, ncols).prefix(k, c)
-        own = GF2Solver(rows[:k], c)
+        own = GF2Solver(lead, c)
         assert sorted(p for p, _, _ in pre.pivot_rows) == sorted(p for p, _, _ in own.pivot_rows)
         assert (SubspaceGF2.from_generators(k, pre.zero_combos)
                 == SubspaceGF2.from_generators(k, own.zero_combos))
@@ -216,7 +217,7 @@ def test_prefix_is_the_factorization_of_the_leading_equations():
                 == SubspaceGF2.from_generators(c, own.kernel_basis()))
 
         def apply(x):
-            return mask_from_bits(i for i in range(k) if parity(rows[i] & x))
+            return mask_from_bits(i for i in range(k) if parity(lead[i] & x))
 
         for b in (apply(rng.getrandbits(c)), rng.getrandbits(k) if k else 0):
             x = pre.solve(b)
@@ -226,9 +227,10 @@ def test_prefix_is_the_factorization_of_the_leading_equations():
                 y = pre.solve(b, rng=random.Random(3))
                 assert y >> c == 0 and apply(y) == b
         if k:
-            rows[rng.randrange(k)] |= 1 << c
+            bad = [r << 1 for r in rows]
+            bad[rng.randrange(k)] |= 1  # a bit below the last c columns
             with pytest.raises(ValueError):
-                GF2Solver(rows, ncols + 1).prefix(k, c)
+                GF2Solver(bad, ncols + 1).prefix(k, c)
 
 
 def test_subspace_membership_and_equality():

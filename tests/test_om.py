@@ -566,6 +566,28 @@ def test_parse_arrangement_rationals():
     assert arr.normals == ((Fraction(1, 3), Fraction(-2, 5)),)
 
 
+@pytest.mark.parametrize("entry", ["3_000", "+3", "-0", "\u0663", "\uff13", "1_2", "1/2", "0.5",
+                                   "1e3", "3.", "1_", "0x10", "\u22123"])
+def test_arrangement_entries_read_as_fractions_do(entry):
+    """An entry that `int` reads is that int and equals its Fraction; any
+    other entry is its Fraction, and one that Fraction rejects is a parse
+    error on its line."""
+    try:
+        want = Fraction(entry)
+    except ValueError:
+        with pytest.raises(ParseError, match="^line 2: bad rational entry$"):
+            parse_arrangement(f"1 2\n{entry} 1\n")
+        return
+    (row,) = parse_arrangement(f"1 2\n{entry} 1\n").normals
+    assert row[0] == want
+    try:
+        exact = int(entry)
+    except ValueError:
+        assert type(row[0]) is Fraction
+    else:
+        assert type(row[0]) is int and row[0] == exact
+
+
 def test_parse_arrangement_errors_carry_line_numbers():
     with pytest.raises(ParseError) as e:
         parse_arrangement("2 2\n1 0\n1\n")
