@@ -44,6 +44,12 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
+def check_mask(mask: int, size: int, what: str) -> None:
+    """Raise ValueError unless 0 <= mask < 2^size, naming the `size` `what`."""
+    if mask < 0 or mask >> size:
+        raise ValueError(f"chain is not a mask over the {size} {what}")
+
+
 def xor_span(masks: Sequence[int]) -> list[int]:
     """Every XOR of a subset of `masks`: the subset with bit k set sits at
     position k, so `parity(k)` is the size parity of its subset."""
@@ -132,7 +138,7 @@ class GF2Solver:
 
     `rows` are equations over `ncols` unknowns.  The factorization is an
     append-only echelon form: each row is cleared at the pivots found before
-    it, takes its lowest remaining bit as its pivot and is never touched
+    it, takes its highest remaining bit as its pivot and is never touched
     again, so no row has a bit at an earlier row's pivot.  Each pivot row
     keeps the combination of original equations that produced it, so a
     right-hand side is processed with a couple of popcounts per pivot.  The
@@ -143,9 +149,9 @@ class GF2Solver:
     A combination never involves a later equation, so the factorization of
     the leading equations is a prefix of this one (`prefix`).
 
-    A pivot row's lowest bit is its pivot, so a new row is cleared by looking
-    up the lowest pivot it still meets in `row & pivot_mask`: each step
-    removes that bit and touches only higher ones.  The pivot rows are
+    A pivot row's highest bit is its pivot, so a new row is cleared by
+    looking up the highest pivot it still meets in `row & pivot_mask`: each
+    step removes that bit and touches only lower ones.  The pivot rows are
     independent with distinct pivots, so the cleared row and its combination
     are the ones that testing every earlier pivot in turn would give.
     """
@@ -155,19 +161,19 @@ class GF2Solver:
         # (pivot_col, row, combo) in the order the pivots were found
         self.pivot_rows: list[tuple[int, int, int]] = []
         self.zero_combos: list[int] = []
-        by_pivot: dict[int, tuple[int, int]] = {}  # pivot bit -> (row, combo)
+        by_pivot: dict[int, tuple[int, int]] = {}  # pivot col -> (row, combo)
         pivot_mask = 0
         for i, row in enumerate(rows):
             combo = 1 << i
             while hit := row & pivot_mask:
-                prow, pcombo = by_pivot[hit & -hit]
+                prow, pcombo = by_pivot[hit.bit_length() - 1]
                 row ^= prow
                 combo ^= pcombo
             if row:
-                low = row & -row
-                by_pivot[low] = (row, combo)
-                pivot_mask |= low
-                self.pivot_rows.append((low.bit_length() - 1, row, combo))
+                piv = row.bit_length() - 1
+                by_pivot[piv] = (row, combo)
+                pivot_mask |= 1 << piv
+                self.pivot_rows.append((piv, row, combo))
             else:
                 self.zero_combos.append(combo)
 
@@ -177,16 +183,14 @@ class GF2Solver:
         return [c for c in range(self.ncols) if c not in pivots]
 
     def prefix(self, nrows: int, ncols: int) -> "GF2Solver":
-        """The factorization of the first `nrows` equations over the last
-        `ncols` unknowns, numbered from 0; raises ValueError if one of those
-        equations meets an earlier unknown, which puts a pivot there."""
-        shift = self.ncols - ncols
-        out = GF2Solver((), ncols)
-        out.pivot_rows = [(piv - shift, row >> shift, combo)
-                          for piv, row, combo in self.pivot_rows if not combo >> nrows]
-        out.zero_combos = [c for c in self.zero_combos if not c >> nrows]
-        if any(piv < 0 for piv, _, _ in out.pivot_rows):
-            raise ValueError(f"the first {nrows} equations reach below the last {ncols} columns")
+        """The factorization of the first `nrows` equations over the first
+        `ncols` unknowns, sharing this one's pivot rows; ValueError if one of
+        those equations meets a later unknown, which puts a pivot there."""
+        out = GF2Solver([], ncols)
+        out.pivot_rows = [t for t in self.pivot_rows if t[2].bit_length() <= nrows]
+        out.zero_combos = [c for c in self.zero_combos if c.bit_length() <= nrows]
+        if any(piv >= ncols for piv, _, _ in out.pivot_rows):
+            raise ValueError(f"the first {nrows} equations reach beyond the first {ncols} columns")
         return out
 
     def _back_substitute(self, x: int, b: int) -> int:
@@ -359,56 +363,47 @@ def _dense(row: dict[int, int], start: int, width: int) -> list[int]:
     return out
 
 
-def int_image_and_relations(images: Sequence, labels: Sequence) -> tuple[IntMatrix, IntMatrix]:
-    """HNF bases of the image lattice spanned by `images` and of the
-    relations {sum c_k·labels[k] : c integral, sum c_k·images[k] = 0}.
+def int_image_and_relations(rows: Iterable[dict[int, int]], w: int, width: int
+                            ) -> tuple[IntMatrix, IntMatrix]:
+    """HNF bases of the image lattice and of the relations of labelled
+    sparse rows {col: value}: a row's image is its part in columns 0..w-1,
+    its label its part in columns w..w + width - 1, and the relations are
+    {sum c_k·label_k : c integral, sum c_k·image_k = 0}.  The rows are
+    reduced in place.
 
-    Puts the rows images[k] + labels[k] in Hermite form.  The rows whose
-    pivot lies in the image columns come first and their image parts are the
-    HNF basis of the image lattice; the rows whose pivot lies in the label
-    columns have no image part, and their label parts are the HNF basis of
-    the relations (H. Cohen, A Course in Computational Algebraic Number
-    Theory, 1993, section 2.4).
+    Puts the rows in Hermite form.  The rows whose pivot lies in the image
+    columns come first and their image parts are the HNF basis of the image
+    lattice; the rows whose pivot lies in the label columns have no image
+    part, and their label parts are the HNF basis of the relations (H. Cohen,
+    A Course in Computational Algebraic Number Theory, 1993, section 2.4).
     """
-    if len(images) != len(labels):
-        raise ValueError(f"{len(images)} images but {len(labels)} labels")
-    w = len(images[0]) if images else 0
-    lw = len(labels[0]) if labels else 0
-    if any(len(v) != w for v in images) or any(len(v) != lw for v in labels):
-        raise ValueError("ragged images or labels")
-    rows = [{**_sparse(v), **_sparse(t, w)} for v, t in zip(images, labels)]
     image, relations = [], []
-    for c, row in _hermite_rows(rows, w + lw):
+    for c, row in _hermite_rows(rows, w + width):
         if c < w:
             image.append(_dense(row, 0, w))
         else:
-            relations.append(_dense(row, w, lw))
+            relations.append(_dense(row, w, width))
     return image, relations
 
 
 def int_kernel(rows: Sequence[dict[int, int]], ncols: int) -> "LatticeZ":
     """The saturated lattice {x in Z^ncols : a·x = 0} in its canonical HNF
-    basis, for w equations a as sparse rows {col: value}: the label parts of
-    the Hermite rows of the columns {i: a_ij, w + j: 1} with pivot at w or
-    beyond.  A column outside 0..ncols-1 raises ValueError."""
+    basis, for w equations a as sparse rows {col: value}: the relations of
+    the columns {i: a_ij} labelled by the unit vectors e_j
+    (`int_image_and_relations`).  A column outside 0..ncols-1 raises
+    ValueError."""
     w = len(rows)
-    cols: list[dict[int, int]] = [{} for _ in range(ncols)]
+    cols: list[dict[int, int]] = [{w + j: 1} for j in range(ncols)]
     for i, row in enumerate(rows):
         for j, a in row.items():
             if not 0 <= j < ncols:
                 raise ValueError(f"equation {i} has column {j}, outside 0..{ncols - 1}")
             if a:
                 cols[j][i] = a
-    hermite = _hermite_rows([{**col, w + j: 1} for j, col in enumerate(cols)], w + ncols)
-    kern = [{j - w: x for j, x in row.items()} for c, row in hermite if c >= w]
-    for x in kern:  # a·x, summing x_j times column j (by equation)
-        ax: dict[int, int] = defaultdict(int)
-        for j, v in x.items():
-            for i, a in cols[j].items():
-                ax[i] += a * v
-        if any(ax.values()):
-            raise RuntimeError("int_kernel check failed: a·x != 0 for a returned row")
-    return LatticeZ(ncols, tuple(tuple(_dense(x, 0, ncols)) for x in kern))
+    _, kern = int_image_and_relations(cols, w, ncols)
+    if any(sum(a * x[j] for j, a in row.items()) for x in kern for row in rows):
+        raise RuntimeError("int_kernel check failed: a·x != 0 for a returned row")
+    return LatticeZ(ncols, tuple(map(tuple, kern)))
 
 
 def _packed(rows: Sequence[Sequence[int]], ncols: int, scale: int = 1) -> tuple[list[int], int]:
@@ -433,18 +428,23 @@ def kernel_within(basis: Sequence[Sequence[int]], supports: Sequence[Sequence[in
     themselves with image E·b (`int_image_and_relations`), whose image half
     comes back too.  E·B^T is one sum of `_packed` columns per support, one
     image column per distinct nonzero sum in order of first appearance, at
-    `where` per support (-1 for zero).  The rows are checked on these
-    equations only (B meets any earlier ones), failing with RuntimeError."""
+    `where` per support (-1 for zero), lane k of each sum written into row k's
+    sparse labelled row.  The rows are checked on these equations only (B
+    meets any earlier ones), failing with RuntimeError."""
     cols, nbytes = _packed(basis, ncols)
     images: dict[int, int] = {}
     where = tuple(images.setdefault(v, len(images)) if v else -1
                   for v in (sum(map(cols.__getitem__, s)) for s in supports))
-    half, size = 1 << 8 * nbytes - 1, nbytes * len(basis)
+    w, half, size = len(images), 1 << 8 * nbytes - 1, nbytes * len(basis)
     # a lane's digit plus half is unsigned
     offset = half * ((1 << 8 * size) - 1) // ((1 << 8 * nbytes) - 1)
-    pairings = [[int.from_bytes(raw[k:k + nbytes], "little") - half for k in range(0, size, nbytes)]
-                for raw in ((v + offset).to_bytes(size, "little") for v in images)]
-    image, kern = int_image_and_relations(list(zip(*pairings)) or [()] * len(basis), basis)
+    rows = [_sparse(b, w) for b in basis]
+    for c, v in enumerate(images):
+        raw = (v + offset).to_bytes(size, "little")
+        for row, k in zip(rows, range(0, size, nbytes)):
+            if x := int.from_bytes(raw[k:k + nbytes], "little") - half:
+                row[c] = x
+    image, kern = int_image_and_relations(rows, w, ncols)
     cols, _ = _packed(kern, ncols)
     if any(sum(map(cols.__getitem__, s)) for s in supports):
         raise RuntimeError("kernel_within check failed: a·x != 0 for a returned row")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, NamedTuple
 
-from .linalg import SubspaceGF2, bits_of, mask_from_bits, parity, snf_diagonal_sparse
+from .linalg import SubspaceGF2, bits_of, check_mask, mask_from_bits, parity, snf_diagonal_sparse
 from .om import OrientedMatroid, SignVector, compose
 
 CellKey = tuple[SignVector, SignVector]
@@ -321,6 +321,7 @@ class Mod2Homology:
 
     def class_of(self, d: int, chain: int) -> int:
         """Canonical representative of the homology class of a cycle."""
+        check_mask(chain, self.sal.n_cells(d), f"{d}-cells")
         if not self.is_cycle(d, chain):
             raise ValueError("chain is not a cycle")
         return self.images[d + 1].reduce(chain)

@@ -321,8 +321,8 @@ def kalinin_K_by_projection(m: OrientedMatroid, p: int) -> SubspaceGF2:
         return SubspaceGF2.full(nt)
     sal = get_salvetti(m)
     ladder, row_off, col_off = _ladder_rows(m)
-    # the degree-p unknowns are the last col_off[p] columns
-    rows = [row >> (col_off[-1] - col_off[p]) << nt for row in ladder[:row_off[p + 1]]]
+    # the degree-p unknowns are the first col_off[p] columns
+    rows = [(row & ((1 << col_off[p]) - 1)) << nt for row in ladder[:row_off[p + 1]]]
     for j, t in enumerate(m.topes):
         rows[sal.index[0][(t, t)]] ^= 1 << j
     kern = gf2_kernel(rows, nt + col_off[p])
@@ -383,7 +383,8 @@ def gf2_rref_by_rescan(rows: Iterable[int]) -> tuple[list[int], list[int]]:
 
 def gf2_solver_by_scan(rows: Iterable[int]) -> tuple[list[tuple[int, int, int]], list[int]]:
     """`GF2Solver`'s (pivot_rows, zero_combos), clearing each new row by
-    testing every earlier pivot in the order the pivots were found."""
+    testing every earlier pivot in the order the pivots were found; a pivot
+    is its row's highest set bit."""
     pivot_rows: list[tuple[int, int, int]] = []
     zero_combos: list[int] = []
     for i, row in enumerate(rows):
@@ -393,7 +394,7 @@ def gf2_solver_by_scan(rows: Iterable[int]) -> tuple[list[tuple[int, int, int]],
                 row ^= prow
                 combo ^= pcombo
         if row:
-            pivot_rows.append(((row & -row).bit_length() - 1, row, combo))
+            pivot_rows.append((row.bit_length() - 1, row, combo))
         else:
             zero_combos.append(combo)
     return pivot_rows, zero_combos

@@ -194,9 +194,9 @@ def test_ses_runs_one_hermite_form_per_stalk_and_degree(monkeypatch):
     calls = []
     real = linalg.int_image_and_relations
 
-    def counting(images, labels):
+    def counting(rows, w, width):
         calls.append(1)
-        return real(images, labels)
+        return real(rows, w, width)
 
     monkeypatch.setattr(linalg, "int_image_and_relations", counting)
     cones = fan_cones(m)

@@ -559,9 +559,11 @@ def test_ladder_is_factored_once_and_each_degree_is_a_prefix(monkeypatch):
         for p in range(1, m.rank + 2):
             nrows, ncols = row_off[p + 1], col_off[p]
             solver, offsets = _ladder_solver(m, p)
-            # the degree-p unknowns are the last ncols columns
-            lead = [row >> (col_off[-1] - ncols) for row in rows[:nrows]]
+            # the degree-p unknowns are the first ncols columns
+            lead = rows[:nrows]
+            assert all(row >> ncols == 0 for row in lead), (name, p)
             own = GF2Solver(lead, ncols)
+            assert solver.pivot_rows == own.pivot_rows, (name, p)
             assert offsets == col_off[:p + 1]
             assert solver.free_cols == own.free_cols, (name, p)
             assert (SubspaceGF2.from_generators(nrows, solver.zero_combos)
@@ -646,6 +648,21 @@ def test_viro_rejects_degrees_outside_the_complex(p):
     m = load("u22")
     with pytest.raises(ValueError, match="outside 0..2"):
         viro_bv(m, 0, p)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_masks_outside_the_topes_are_rejected(p):
+    # a3 has 24 topes: a bit at 24 or above, or a negative mask, is no chain
+    # on them (qbv read bit 24 as a wedge bit, and viro_bv returned a
+    # certificate that did not verify or a 72-bit beta); the positive masks
+    # come first, since without the check a negative one never ends a bit scan
+    m = load("a3")
+    nt = len(m.topes)
+    for gamma in (1 << nt, 1 << nt | 1, (1 << 3 * nt) - 1, -1, -(1 << nt)):
+        with pytest.raises(ValueError, match=f"not a mask over the {nt} topes"):
+            viro_bv(m, gamma, p)
+        with pytest.raises(ValueError, match=f"not a mask over the {nt} topes"):
+            qbv(m, gamma, p)
 
 
 def test_viro_degree_zero_is_vertex_inclusion():

@@ -8,7 +8,11 @@ names the integer eliminations and the GF(2) reduced row echelon form, so
 every other module gets kernels, intersections, solves and invariant
 factors through its lattice, subspace and solver helpers, and
 `filtrations.py` names `GF2Solver` only in `_ladder_solver`, so a Quillen
-degree is factored once, as its span, never again as a solver;
+degree is factored once, as its span, never again as a solver; unknown k
+of the Kalinin ladder is bit k, so neither `_ladder_rows` nor `viro_bv`
+counts a column down from the last one, `viro_bv` reads a beta with one
+shift and mask, and `GF2Solver.prefix` shifts no row and shares its
+parent's pivot rows;
 and no module but `om.py` names `Fraction`, which it does only to hold and
 parse arrangements, importing `fractions` at run time only in
 `parse_arrangement`, so integer inputs and the corpus never load it;
@@ -219,6 +223,50 @@ def test_filtrations_factors_gf2_solvers_only_for_the_ladder():
         and id(node) not in allowed
     )
     assert lines == [], f"filtrations.py: GF2Solver named outside _ladder_solver at lines {lines}"
+
+
+def _differences(node: ast.AST) -> list[int]:
+    """Lines of the subtractions in an expression, outside subscript indices."""
+    if isinstance(node, ast.Subscript):
+        return _differences(node.value)
+    found = [node.lineno] if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) else []
+    return found + [line for child in ast.iter_child_nodes(node) for line in _differences(child)]
+
+
+@pytest.mark.parametrize("name", ["_ladder_rows", "viro_bv"])
+def test_the_ladder_unknowns_have_one_column_order(name):
+    # unknown k of the Kalinin ladder is bit k, so no shift counts its amount
+    # down from a last column, and viro_bv reads each beta with one shift and
+    # one mask, never bit by bit
+    fn = _function("filtrations.py", name)
+    lines = [line for node in ast.walk(fn)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.RShift))
+             for line in _differences(node.right)]
+    if name == "viro_bv":
+        lines += _named_lines(fn, {"bits_of", "mask_from_bits"})
+    assert lines == [], f"filtrations.py {name}: reversed column index or bitwise beta at lines {lines}"
+
+
+def test_solver_prefix_shares_the_parent_pivot_rows():
+    # GF2Solver.prefix keeps the leading columns as they are: it shifts
+    # nothing and builds no row tuple, and its pivot rows are the parent's
+    import random
+
+    from topespace.linalg import GF2Solver
+
+    path = PACKAGE / "linalg.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "GF2Solver"]
+    (fn,) = [node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "prefix"]
+    lines = [node.lineno for node in ast.walk(fn)
+             if (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.RShift)))
+             or (isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Load))]
+    assert lines == [], f"linalg.py GF2Solver.prefix: shift or new row tuple at lines {lines}"
+    rng = random.Random(5)
+    rows = [rng.getrandbits(8) for _ in range(10)] + [rng.getrandbits(20) for _ in range(10)]
+    parent = GF2Solver(rows, 20)
+    pre = parent.prefix(10, 8)
+    assert pre.pivot_rows and all(any(t is u for u in parent.pivot_rows) for t in pre.pivot_rows)
 
 
 DENSE_STALK_MAPS = {"mat_vec", "mat_mul", "cosheaf_map"}

@@ -196,18 +196,48 @@ def test_solver_factorization_matches_the_scanning_elimination():
         assert (solver.pivot_rows, solver.zero_combos) == gf2_solver_by_scan(rows)
 
 
+def test_solver_solutions_relations_and_prefixes_on_random_systems():
+    # every solution solves the system, every zero combination is a relation
+    # among the rows, and a prefix is the fresh factorization of the leading
+    # rows over the leading columns, pivot row for pivot row
+    rng = random.Random(97)
+    for _ in range(80):
+        nrows, ncols = rng.randrange(1, 40), rng.randrange(1, 50)
+        c, k = rng.randrange(1, ncols + 1), rng.randrange(0, nrows + 1)
+        rows = [rng.getrandbits(c) if i < k else rng.getrandbits(ncols) for i in range(nrows)]
+        for i in range(2, nrows):
+            if rng.random() < 0.3:  # a dependent row, leading if its sources are
+                rows[i] = rows[rng.randrange(i)] ^ rows[rng.randrange(i)]
+        solver = GF2Solver(rows, ncols)
+
+        def apply(x):
+            return mask_from_bits(i for i, r in enumerate(rows) if parity(r & x))
+
+        for b in (apply(rng.getrandbits(ncols)), rng.getrandbits(nrows)):
+            for x in (solver.solve(b), solver.solve(b, rng=random.Random(5))):
+                assert x is None or (x >> ncols == 0 and apply(x) == b)
+        for combo in solver.zero_combos:
+            total = 0
+            for i in bits_of(combo):
+                total ^= rows[i]
+            assert combo and total == 0
+        pre, own = solver.prefix(k, c), GF2Solver(rows[:k], c)
+        assert (pre.ncols, pre.pivot_rows, pre.zero_combos) == (own.ncols, own.pivot_rows, own.zero_combos)
+        assert pre.free_cols == own.free_cols and pre.kernel_basis() == own.kernel_basis()
+
+
 def test_prefix_is_the_factorization_of_the_leading_equations():
     rng = random.Random(31)
     for _ in range(60):
         ncols = rng.randrange(1, 60)
         c = rng.randrange(1, ncols + 1)
         k = rng.randrange(0, 30)
-        # the leading equations meet only the last c columns
+        # the leading equations meet only the first c columns
         lead = [rng.getrandbits(c) for _ in range(k)]
         if k and rng.random() < 0.5:  # dependent leading rows
             lead += [lead[rng.randrange(k)] ^ lead[rng.randrange(k)] for _ in range(k // 2)]
             k = len(lead)
-        rows = [r << (ncols - c) for r in lead] + [rng.getrandbits(ncols) for _ in range(rng.randrange(0, 30))]
+        rows = lead + [rng.getrandbits(ncols) for _ in range(rng.randrange(0, 30))]
         pre = GF2Solver(rows, ncols).prefix(k, c)
         own = GF2Solver(lead, c)
         assert sorted(p for p, _, _ in pre.pivot_rows) == sorted(p for p, _, _ in own.pivot_rows)
@@ -227,8 +257,8 @@ def test_prefix_is_the_factorization_of_the_leading_equations():
                 y = pre.solve(b, rng=random.Random(3))
                 assert y >> c == 0 and apply(y) == b
         if k:
-            bad = [r << 1 for r in rows]
-            bad[rng.randrange(k)] |= 1  # a bit below the last c columns
+            bad = list(rows)
+            bad[rng.randrange(k)] |= 1 << c  # a bit above the first c columns
             with pytest.raises(ValueError):
                 GF2Solver(bad, ncols + 1).prefix(k, c)
 
@@ -490,7 +520,8 @@ def test_int_image_and_relations_matches_separate_forms():
         k, w, lw = rng.randint(1, 12), rng.randint(1, 10), rng.randint(1, 8)
         images = random_int_matrix(rng, k, w, (0, 1, 2, 3))
         labels = random_int_matrix(rng, k, lw, (1, 2))
-        image, relations = int_image_and_relations(images, labels)
+        rows = [{j: x for j, x in enumerate([*v, *t]) if x} for v, t in zip(images, labels)]
+        image, relations = int_image_and_relations(rows, w, lw)
         assert image == hermite_normal_form(images, w)
         assert LatticeZ.from_generators(w, images).basis == tuple(map(tuple, image))
         # relations as the parent computed them: the kernel of the
@@ -499,7 +530,8 @@ def test_int_image_and_relations_matches_separate_forms():
         recombined = [[sum(c * row[j] for c, row in zip(x, labels)) for j in range(lw)]
                       for x in combos]
         assert relations == hermite_normal_form(recombined, lw)
-    assert int_image_and_relations([], []) == ([], [])
+    assert int_image_and_relations([], 0, 0) == ([], [])
+    assert int_image_and_relations([{0: 2}, {0: 1, 1: 1}], 0, 2) == ([], [[1, 1], [0, 2]])
 
 
 def test_lattice_intersection_against_box_membership():

@@ -161,6 +161,14 @@ def test_class_of_reduces_modulo_boundaries():
     v0 = 1 << 0
     v1 = 1 << 1
     assert h.class_of(0, v0) == h.class_of(0, v1)
+    # a mask with a bit past the cells, or a negative one, is no chain; the
+    # positive masks come first, since without the check a negative one
+    # never ends a bit scan
+    for d in range(sal.dim + 1):
+        n = sal.n_cells(d)
+        for chain in (1 << n, 1 << n | b, -1, -(1 << n)):
+            with pytest.raises(ValueError, match=f"not a mask over the {n} {d}-cells"):
+                h.class_of(d, chain)
 
 
 # -- fine complex ------------------------------------------------------------
