@@ -17,6 +17,7 @@ from .linalg import (
     LatticeZ,
     SubspaceGF2,
     bits_of,
+    check_degree,
     mask_from_bits,
     xor_span,
 )
@@ -107,6 +108,7 @@ def broken_circuits(m: OrientedMatroid, order: Optional[Sequence[int]] = None) -
 
 def nbc_sets(m: OrientedMatroid, p: int, order: Optional[Sequence[int]] = None) -> list[tuple[int, ...]]:
     """All p-subsets containing no broken circuit, as sorted index tuples."""
+    check_degree(p)
     broken = broken_circuits(m, order)
     out = []
     for combo in combinations(range(m.n), p):
@@ -142,6 +144,7 @@ def cordovil_dual(m: OrientedMatroid, p: int) -> LatticeZ:
     the other nbc sets and its other nonzeros past B, is a canonical HNF row.
     Cached per matroid and degree; every caller shares the frozen result.
     """
+    check_degree(p)
 
     def build():
         rules = []  # (broken circuit C - min C, min C, straightening terms)

@@ -13,34 +13,16 @@ import json
 import os
 import sys
 from time import perf_counter
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebras import nbc_sets, projectivize
 from .corpus import load, names
 from .cosheaf import verify_theorem_C
-from .filtrations import (
-    asymptotic,
-    quillen_Z_demo,
-    verify_theorem_A,
-    verify_theorem_B,
-    vg_lower,
-)
+from .filtrations import asymptotic, quillen_Z_demo, verify_theorem_A, verify_theorem_B, vg_lower
 from .linalg import lattice_equal
-from .om import (
-    NotCovectors,
-    OrientedMatroid,
-    ParseError,
-    data_lines,
-    om_from_arrangement,
-    om_from_covectors,
-    parse_arrangement,
-    parse_covector_lines,
-)
+from .om import (NotCovectors, OrientedMatroid, ParseError, data_lines, om_from_arrangement,
+                 om_from_covectors, parse_arrangement, parse_covector_lines)
 from .salvetti import get_salvetti, homology_Z, homology_mod2
-
-VERIFY_TARGETS = ("thmA", "thmB", "thmC", "proj", "asym", "quillenZ")
-# the targets that take --p, each with its top degree above the rank
-DEGREE_TARGETS = {"proj": 0, "asym": 1, "quillenZ": 1}
 
 
 class InputError(Exception):
@@ -107,14 +89,8 @@ def _parse_order(text: Optional[str], n: int) -> Optional[tuple[int, ...]]:
 def _record(check_id: str, target: str, params: dict, runner) -> dict:
     t0 = perf_counter()
     passed, data = runner()
-    return {
-        "id": check_id,
-        "target": target,
-        "params": params,
-        "pass": bool(passed),
-        "data": data,
-        "wall_ms": round((perf_counter() - t0) * 1000, 3),
-    }
+    return {"id": check_id, "target": target, "params": params, "pass": bool(passed),
+            "data": data, "wall_ms": round((perf_counter() - t0) * 1000, 3)}
 
 
 def _json(value):
@@ -139,6 +115,11 @@ def _report(report) -> tuple[bool, dict]:
 
 def describe_check(m: OrientedMatroid, target: str,
                    order: Optional[Sequence[int]], ring: str) -> dict:
+    """The `describe` record.  `ring` must be "z": the lower lattice is
+    saturated, so its rank is also the dimension of its reduction mod 2."""
+    if ring != "z":
+        raise ValueError(f"ring must be 'z', got {ring!r}")
+
     def run():
         sal = get_salvetti(m)
         hom = homology_mod2(sal)
@@ -157,11 +138,7 @@ def describe_check(m: OrientedMatroid, target: str,
             "salvetti_cells": [sal.n_cells(d) for d in range(sal.dim + 1)],
             "nbc": {str(p): [list(s) for s in nbc_sets(m, p, order)]
                     for p in range(m.rank + 1)},
-            "vg_ranks": {
-                str(p): (vg_lower(m, p).rank if ring == "z"
-                         else vg_lower(m, p).mod2().dim)
-                for p in range(m.rank + 2)
-            },
+            "vg_ranks": {str(p): vg_lower(m, p).rank for p in range(m.rank + 2)},
         }
         nbc_counts = [len(sets) for sets in data["nbc"].values()]
         vg_ranks = list(data["vg_ranks"].values())
@@ -177,64 +154,73 @@ def describe_check(m: OrientedMatroid, target: str,
     return _record("describe", target, {"order": order, "ring": ring}, run)
 
 
+def _proj(m: OrientedMatroid, order, degrees) -> tuple[bool, dict]:
+    rows = [_json(projectivize(m, q, order)) for q in degrees]
+    return all(r["ok"] for r in rows), {"reports": rows}
+
+
+def _asym(m: OrientedMatroid, order, degrees) -> tuple[bool, dict]:
+    rows = [{"p": q, "rank": (lat := asymptotic(m, q)).rank,
+             "equal": lattice_equal(lat, vg_lower(m, q))} for q in degrees]
+    return all(r["equal"] for r in rows), {"reports": rows}
+
+
+def _quillen_z(m: OrientedMatroid, order, degrees) -> tuple[bool, dict]:
+    ranks = {str(q): quillen_Z_demo(m, q) for q in degrees}
+    return all(r >= 1 for r in ranks.values()), {"ranks": ranks}
+
+
+class Target(NamedTuple):
+    """A verify target: whether it reads `--order`, its degrees if it takes
+    `--p` (the first default degree and the top degree above the rank; `--p`
+    may be any degree from 0 to the top), and `check(m, order, degrees)`."""
+
+    order: bool
+    degrees: Optional[tuple[int, int]]
+    check: Callable
+
+
+TARGETS = {
+    "thmA": Target(False, None, lambda m, order, degrees: _report(verify_theorem_A(m))),
+    "thmB": Target(True, None, lambda m, order, degrees: _report(verify_theorem_B(m, order))),
+    "thmC": Target(False, None, lambda m, order, degrees: _report(verify_theorem_C(m))),
+    "proj": Target(True, (0, 0), _proj),
+    "asym": Target(False, (0, 1), _asym),
+    "quillenZ": Target(False, (1, 1), _quillen_z),
+}
+
+
+def check_options(which: str, order: Optional[object], p: Optional[int]) -> None:
+    """Raise InputError for an unknown target, `--p` on a target without
+    degrees or `--order` on one that reads no order (`all` reads it).  It
+    needs no input, so `main` calls it before the input is read."""
+    if which != "all" and which not in TARGETS:
+        raise InputError(f"unknown verification target {which!r}")
+    if p is not None and (which == "all" or not TARGETS[which].degrees):
+        takes = ", ".join(t for t, spec in TARGETS.items() if spec.degrees)
+        raise InputError(f"--p applies only to {takes}, not {which!r}")
+    if order is not None and which != "all" and not TARGETS[which].order:
+        reads = ", ".join(t for t, spec in TARGETS.items() if spec.order)
+        raise InputError(f"--order applies only to all, {reads} and describe, not {which!r}")
+
+
 def verify_checks(m: OrientedMatroid, which: str, target: str,
                   order: Optional[Sequence[int]] = None,
                   p: Optional[int] = None) -> list[dict]:
-    """Records for one verification target, or for all of them.
-
-    A degree `p` is accepted only for a single target in DEGREE_TARGETS and
-    only inside that target's degree range.
-    """
+    """Records for one verification target, or for all of them, with options
+    that pass `check_options` and `p` inside its target's degree range."""
+    check_options(which, order, p)
     if p is not None:
-        if which not in DEGREE_TARGETS:
-            raise InputError(f"--p applies only to {', '.join(DEGREE_TARGETS)}, not {which!r}")
-        top = m.rank + DEGREE_TARGETS[which]
+        top = m.rank + TARGETS[which].degrees[1]
         if not 0 <= p <= top:
             raise InputError(f"--p must lie in 0..{top} for {which}, got {p}")
-    targets = VERIFY_TARGETS if which == "all" else (which,)
-    params: dict = {"order": order, "p": p}
     out = []
-    for t in targets:
-        if t == "thmA":
-            out.append(_record("thmA", target, {}, lambda: _report(verify_theorem_A(m))))
-        elif t == "thmB":
-            out.append(_record("thmB", target, {"order": order},
-                               lambda: _report(verify_theorem_B(m, order))))
-        elif t == "thmC":
-            out.append(_record("thmC", target, {}, lambda: _report(verify_theorem_C(m))))
-        elif t == "proj":
-            degrees = [p] if p is not None else list(range(m.rank + 1))
-
-            def run_proj():
-                rows = [_json(projectivize(m, q, order)) for q in degrees]
-                return all(r["ok"] for r in rows), {"reports": rows}
-
-            out.append(_record("proj", target, params, run_proj))
-        elif t == "asym":
-            degrees = [p] if p is not None else list(range(m.rank + 2))
-
-            def run_asym():
-                rows = []
-                for q in degrees:
-                    lat = asymptotic(m, q)
-                    rows.append({
-                        "p": q,
-                        "rank": lat.rank,
-                        "equal": lattice_equal(lat, vg_lower(m, q)),
-                    })
-                return all(r["equal"] for r in rows), {"reports": rows}
-
-            out.append(_record("asym", target, params, run_asym))
-        elif t == "quillenZ":
-            degrees = [p] if p is not None else list(range(1, m.rank + 2))
-
-            def run_qz():
-                ranks = {str(q): quillen_Z_demo(m, q) for q in degrees}
-                return all(r >= 1 for r in ranks.values()), {"ranks": ranks}
-
-            out.append(_record("quillenZ", target, params, run_qz))
-        else:
-            raise InputError(f"unknown verification target {t!r}")
+    for name, spec in TARGETS.items() if which == "all" else [(which, TARGETS[which])]:
+        params = ({"order": order, "p": p} if spec.degrees
+                  else {"order": order} if spec.order else {})
+        degrees = spec.degrees and ([p] if p is not None
+                                    else range(spec.degrees[0], m.rank + spec.degrees[1] + 1))
+        out.append(_record(name, target, params, lambda: spec.check(m, order, degrees)))
     return out
 
 
@@ -261,12 +247,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_desc = sub.add_parser("describe", help="summarize an input matroid")
     p_desc.add_argument("input", help="builtin corpus name or input file")
     p_desc.add_argument("--order", help="element order as comma-separated indices")
-    p_desc.add_argument("--ring", choices=("z", "z2"), default="z")
     p_desc.add_argument("--json", dest="json_path", help="write the JSON report here")
 
     p_ver = sub.add_parser("verify", help="run verification suites")
     p_ver.add_argument("input", help="builtin corpus name or input file")
-    p_ver.add_argument("which", choices=VERIFY_TARGETS + ("all",))
+    p_ver.add_argument("which", choices=(*TARGETS, "all"))
     p_ver.add_argument("--order", help="element order as comma-separated indices")
     p_ver.add_argument("--p", type=int, dest="p", help="restrict to one degree")
     p_ver.add_argument("--json", dest="json_path", help="write the JSON report here")
@@ -281,8 +266,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "describe":
             target, m = resolve_input(args.input)
             order = _parse_order(args.order, m.n)
-            checks = [describe_check(m, target, order, args.ring)]
+            checks = [describe_check(m, target, order, "z")]
         elif args.command == "verify":
+            check_options(args.which, args.order, args.p)
             target, m = resolve_input(args.input)
             order = _parse_order(args.order, m.n)
             checks = verify_checks(m, args.which, target, order, args.p)

@@ -25,6 +25,7 @@ from .linalg import (
     LatticeZ,
     SubspaceGF2,
     bits_of,
+    check_degree,
     check_mask,
     gf2_kernel,
     kernel_within,
@@ -98,8 +99,7 @@ def _ladder(m: OrientedMatroid, key: str, p: int, first: Callable, step: Callabl
     """Degree p of a ladder of lattices cached per matroid under `key`, built
     up to p: degree 0 is `first()` and degree q + 1 is `step(q, top)` of
     degree q, or degree q itself once that is zero."""
-    if p < 0:
-        raise ValueError(f"degree must be non-negative, got {p}")
+    check_degree(p)
     ladder = m.memo(key, list)
     if not ladder:
         ladder.append(first())
@@ -235,6 +235,7 @@ def _quillen_span(m: OrientedMatroid, p: int) -> SubspaceGF2:
     wedge no function of the chain, and raises RuntimeError."""
 
     def build():
+        check_degree(p)
         nt = len(m.topes)
         span = SubspaceGF2.from_generators(
             nt + comb(m.n, p), [c | w << nt for c, w in quillen_cosets(m, p)])
@@ -401,8 +402,9 @@ def kalinin_K(m: OrientedMatroid, p: int) -> SubspaceGF2:
     """
 
     def build():
+        check_degree(p)
         nt = len(m.topes)
-        if p <= 0:
+        if p == 0:
             return SubspaceGF2.full(nt)
         if p > m.rank + 1:
             return SubspaceGF2.zero(nt)

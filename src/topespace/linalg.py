@@ -50,6 +50,12 @@ def check_mask(mask: int, size: int, what: str) -> None:
         raise ValueError(f"chain is not a mask over the {size} {what}")
 
 
+def check_degree(p: int) -> None:
+    """Raise ValueError for a negative degree."""
+    if p < 0:
+        raise ValueError(f"degree must be non-negative, got {p}")
+
+
 def xor_span(masks: Sequence[int]) -> list[int]:
     """Every XOR of a subset of `masks`: the subset with bit k set sits at
     position k, so `parity(k)` is the size parity of its subset."""

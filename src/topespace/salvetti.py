@@ -321,6 +321,8 @@ class Mod2Homology:
 
     def class_of(self, d: int, chain: int) -> int:
         """Canonical representative of the homology class of a cycle."""
+        if not 0 <= d <= self.sal.dim:
+            raise ValueError(f"degree {d} outside 0..{self.sal.dim}")
         check_mask(chain, self.sal.n_cells(d), f"{d}-cells")
         if not self.is_cycle(d, chain):
             raise ValueError("chain is not a cycle")

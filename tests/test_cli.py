@@ -1,6 +1,7 @@
 """Command-line interface tests: parsing, checks, JSON reports, exit codes."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -300,6 +301,69 @@ def test_verify_p_outside_its_targets_is_an_input_error(which, p, message, capsy
     assert out.err.splitlines() == [out.err.strip()] and message in out.err
 
 
+@pytest.mark.parametrize("which", ["thmA", "thmC", "asym", "quillenZ"])
+def test_verify_order_where_no_check_reads_it_is_an_input_error(which, capsys):
+    code = cli.main(["verify", "u22", which, "--order", "1,0"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [f"error: --order applies only to all, thmB, proj "
+                                    f"and describe, not {which!r}"]
+
+
+ORDERED = {"order": [1, 0]}
+DEGREE_PARAMS = {"order": [1, 0], "p": None}
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["verify", "u22", "all"], {"thmA": {}, "thmB": ORDERED, "thmC": {}, "proj": DEGREE_PARAMS,
+                                "asym": DEGREE_PARAMS, "quillenZ": DEGREE_PARAMS}),
+    (["verify", "u22", "thmB"], {"thmB": ORDERED}),
+    (["verify", "u22", "proj"], {"proj": DEGREE_PARAMS}),
+    (["describe", "u22"], {"describe": {"order": [1, 0], "ring": "z"}}),
+], ids=["all", "thmB", "proj", "describe"])
+def test_order_is_taken_where_a_check_reads_it(argv, params, tmp_path):
+    # each record keeps its params shape: none for thmA and thmC, the order
+    # for thmB, the order and degree for the degree targets
+    code, report = run([*argv, "--order", "1,0"], tmp_path)
+    assert code == 0
+    assert {c["id"]: c["params"] for c in report["checks"]} == params
+
+
+def test_describe_check_takes_only_the_integer_ring():
+    with pytest.raises(ValueError, match="ring must be 'z'"):
+        cli.describe_check(load("u23"), "u23", None, "z2")
+
+
+@pytest.mark.parametrize("argv", [["verify", "u22", "thmA", "--p", "1"],
+                                  ["verify", "u22", "asym", "--order", "1,0"]],
+                         ids=["p", "order"])
+def test_impossible_options_fail_before_loading(argv, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("input loaded before the options were checked")
+
+    monkeypatch.setattr(cli, "resolve_input", refuse)
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [out.err.strip()]
+
+
+@pytest.mark.parametrize("argv, code", [(["verify", "u23", "all"], 0),
+                                        (["verify", "u23", "thmA", "--order", "2,1,0"], 2)],
+                         ids=["all", "order"])
+def test_cli_under_python_O(argv, code):
+    """`python -O` strips asserts, so every check and refusal must be a real
+    branch: the run passes and the refusal is one stderr line."""
+    done = subprocess.run([sys.executable, "-O", "-m", "topespace.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == code
+    if code:
+        assert done.stdout == "" and len(done.stderr.splitlines()) == 1
+    else:
+        assert done.stderr == "" and done.stdout.count("[PASS]") == 6
+
+
 @pytest.mark.parametrize("argv", [["describe", "u11"], ["verify", "u22", "all"], ["corpus"]],
                          ids=["describe", "verify", "corpus"])
 def test_unwritable_report_path_fails_before_loading(argv, tmp_path, monkeypatch, capsys):
@@ -333,6 +397,7 @@ def test_verify_bad_order(capsys):
     ["verify", "u23", "thmA", "--ring", "z"],
     ["corpus", "--order", "0,1,2"],
     ["corpus", "--jobs", "2"],
+    ["describe", "u23", "--ring", "z2"],
 ])
 def test_removed_options_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -44,7 +44,7 @@ from topespace.algebras import (
     subset_index,
 )
 from topespace.cli import verify_checks
-from topespace.cosheaf import fan_cones, stalk_matroid
+from topespace.cosheaf import fan_cones, stalk_matroid, verify_ses
 from topespace.corpus import CORPUS, load, names
 from topespace.filtrations import (
     asymptotic,
@@ -441,6 +441,30 @@ def test_quillen_Z_recurrence_matches_products_oracle(name, top):
 def test_quillen_Z_rejects_negative_degree():
     with pytest.raises(ValueError):
         quillen_Z_demo(load("u22"), -1)
+
+
+NEGATIVE_DEGREE = {
+    "vg_lower": lambda m: vg_lower(m, -1),
+    "asymptotic": lambda m: asymptotic(m, -1),
+    "quillen_Z_demo": lambda m: quillen_Z_demo(m, -1),
+    "kalinin_K": lambda m: kalinin_K(m, -1),
+    "quillen_Q": lambda m: quillen_Q(m, -1),
+    "qbv": lambda m: qbv(m, 0, -1),
+    "nbc_sets": lambda m: nbc_sets(m, -1),
+    "cordovil_dual": lambda m: cordovil_dual(m, -1),
+    "projectivize": lambda m: projectivize(m, -1),
+    "verify_ses": lambda m: verify_ses(m, enumerate_flags(m)[0], -1),
+}
+
+
+@pytest.mark.parametrize("name", list(NEGATIVE_DEGREE))
+def test_a_negative_degree_is_one_value_error(name):
+    # Theorem A compares kalinin_K, quillen_Q and vg_lower degree by degree,
+    # so each entry point that takes a degree refuses -1 the way the ladders
+    # do: kalinin_K(a3, -1) was the whole tope space, and the others failed
+    # inside math.comb or itertools.combinations with their own messages
+    with pytest.raises(ValueError, match="degree must be non-negative, got -1"):
+        NEGATIVE_DEGREE[name](load("a3"))
 
 
 def test_quillen_Z_multiplies_a_basis_by_each_generator(monkeypatch):

@@ -32,7 +32,8 @@ direct sums of interval minors, so no module defines or names
 `initial_covectors`; the Heaviside supports are not cached, so
 `heaviside_pairing` calls no memo; the Theorem B verifier,
 integral homology and the CLI work on the coarse Salvetti complex, never on
-its fine subdivision; the coarse cells and boundaries come from mask tests and
+its fine subdivision; the CLI knows its verify targets in the one table
+`TARGETS`, with no second list and no mod-2 route for `describe`; the coarse cells and boundaries come from mask tests and
 coface lists, never from composing every pair of covector and tope;
 every XOR over the subsets of a list of masks comes from `linalg.xor_span`,
 never from a `range(1 << k)` loop over bit patterns; integer equations
@@ -450,6 +451,15 @@ def test_cli_never_names_the_fine_complex():
     path = PACKAGE / "cli.py"
     lines = _fine_complex_lines(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     assert lines == [], f"cli.py: fine complex named at lines {lines}"
+
+
+def test_cli_knows_its_targets_in_one_table():
+    # the verify targets, their degrees and their options live in `cli.TARGETS`;
+    # `describe` reports the integer lower ranks only, so no mod-2 reduction
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _named_lines(tree, {"VERIFY_TARGETS", "DEGREE_TARGETS", "mod2"})
+    assert lines == [], f"cli.py: second target list or mod-2 route at lines {lines}"
 
 
 PAIRWISE_SCAN = {"compose", "le"}

@@ -171,6 +171,15 @@ def test_class_of_reduces_modulo_boundaries():
                 h.class_of(d, chain)
 
 
+@pytest.mark.parametrize("d", [-1, 3, 4])
+def test_class_of_rejects_degrees_outside_the_complex(d):
+    # u23's complex has dimension 2; degree 3 or 4 raised IndexError and
+    # degree -1 KeyError before any chain was read
+    h = homology_mod2(get_salvetti(om_from_arrangement(U23)))
+    with pytest.raises(ValueError, match=r"degree -?\d outside 0\.\.2"):
+        h.class_of(d, 0)
+
+
 # -- fine complex ------------------------------------------------------------
 
 
